@@ -724,7 +724,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
         return _COMMANDS[config.command](config)
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (DocumentError, CapExceeded) as err:

@@ -262,7 +262,8 @@ class EquivalenceFrame2:
             union = 0
             for t in _mask_indices(c2):
                 union |= masks1[t]
-            assert c2 & ~union == 0, "composite class lost a world of its own class"
+            if c2 & ~union:
+                raise AssertionError("composite class lost a world of its own class")
             by_class2[c2] = union
         masks2, _ = _partition_masks(self.classes2)
         per_world = tuple(by_class2[masks2[s]] for s in range(self.world_count))
@@ -278,7 +279,8 @@ def r1r2_class(frame: EquivalenceFrame2, s: int) -> int:
     if not 0 <= s < frame.world_count:
         raise ValueError(f"no world {s}")
     mask = frame._composite[0][s]
-    assert mask >> s & 1, "composite class must contain its own world"
+    if not mask >> s & 1:
+        raise AssertionError("composite class must contain its own world")
     return mask
 
 

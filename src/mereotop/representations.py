@@ -165,7 +165,8 @@ def _couple_worlds(teca: TopologicalEca) -> tuple[tuple[WorldAtomPoint, ...], tu
     worlds: list[WorldAtomPoint] = []
     for atom_index, atom in enumerate(atoms):
         for point in atom.points():
-            assert point in atom
+            if point not in atom:
+                raise AssertionError(f"point {point} is not in its own atom")
             worlds.append(WorldAtomPoint(atom_index, point))
     atom_world_mask = [0] * len(atoms)
     for w, wap in enumerate(worlds):
@@ -181,7 +182,8 @@ def _couple_worlds(teca: TopologicalEca) -> tuple[tuple[WorldAtomPoint, ...], tu
         for i in range(len(atoms)):
             if mask >> i & 1:
                 shortcut |= atom_world_mask[i]
-        assert literal == shortcut, "atom membership disagrees with set inclusion"
+        if literal != shortcut:
+            raise AssertionError("atom membership disagrees with set inclusion")
         image.append(literal)
     return tuple(worlds), tuple(image)
 

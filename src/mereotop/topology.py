@@ -324,7 +324,8 @@ def rc_algebra(topology: FiniteTopology) -> RegularClosedAlgebra:
         and not any(not d.is_empty and d != c and d.issubset(c) for d in carrier)
     )
     alg = RegularClosedAlgebra(topology, carrier, atom_indices)
-    assert len(alg.carrier) == 1 << len(alg.atom_indices)
+    if len(alg.carrier) != 1 << len(alg.atom_indices):
+        raise AssertionError("carrier size is not 2 to the number of atoms")
     return alg
 
 

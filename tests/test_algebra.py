@@ -46,7 +46,13 @@ from mereotop import (
     relative_contact,
     right_set,
 )
-from mereotop.algebra import verified_eca, verified_weca
+from mereotop.algebra import (
+    _ca12_mismatch,
+    _eca1_holds,
+    _weca3_holds_given_weca1,
+    verified_eca,
+    verified_weca,
+)
 
 
 def random_covering(atom_count: int, rng: random.Random, density: float = 0.5):
@@ -199,6 +205,137 @@ class TestCheckersMatchNaive:
 
 
 # ---------------------------------------------------------------------------
+# reduced verdicts against the naive oracles on near-passing tables
+
+
+def alexandrov_covering(k: int, flips: int, rng: random.Random) -> CoveringRelation:
+    """The covering of a space with k open core points and one to three
+    boundary points, each in the closure of two or more cores (so k atoms
+    that overlap on the boundary), with ``flips`` seeded symmetric flips."""
+    boundary = [rng.sample(range(k), rng.randint(2, k)) for _ in range(rng.randint(1, 3))]
+    masks = [1 << i for i in range(k)] + [
+        1 << (k + j) | sum(1 << i for i in cores) for j, cores in enumerate(boundary)
+    ]
+    table = eca_from_rc(rc_algebra(build(k + len(boundary), masks)), verify=False)
+    table = table.covering.table.copy()
+    n = len(table)
+    for _ in range(flips):
+        a, b, d = (rng.randrange(n) for _ in range(3))
+        table[a, b, d] = table[b, a, d] = not table[a, b, d]
+    return CoveringRelation(FiniteBooleanAlgebra(k), table)
+
+
+def down_closed_covering(k: int, rng: random.Random) -> CoveringRelation:
+    """Pairs with an empty member, plus the down-closure of more random pairs
+    the larger the cover: WECA1, WECA2 and WECA4 hold, and WECA3 fails
+    unless the pairs happen to nest."""
+    n = 1 << k
+    seeds = [(rng.randrange(1, n), rng.randrange(1, n)) for _ in range(k + 1)]
+    return CoveringRelation.from_predicate(
+        FiniteBooleanAlgebra(k),
+        lambda a, b, f: a == 0
+        or b == 0
+        or any(a & ~d == 0 and b & ~e == 0 for d, e in seeds[: 1 + bin(f).count("1")]),
+    )
+
+
+def up_closed_contact(k: int, rng: random.Random) -> ContactRelation:
+    """The up-closure of a few random pairs: monotone (CA1), and usually not
+    distributive over joins (CA2)."""
+    n = 1 << k
+    seeds = [(rng.randrange(1, n), rng.randrange(1, n)) for _ in range(rng.randint(1, 3))]
+    return ContactRelation.from_predicate(
+        FiniteBooleanAlgebra(k),
+        lambda a, b: any(d & ~a == 0 and e & ~b == 0 for d, e in seeds),
+    )
+
+
+def assert_contact_checker_matches(contact: ContactRelation) -> None:
+    n, k = contact.algebra.size, contact.algebra.atom_count
+    naive = oracles.naive_check_ca(n, contact.table.tolist())
+    assert check_ca(contact).as_dict() == naive
+    assert _ca12_mismatch(contact.table, k).any() == ((naive["CA1"], naive["CA2"]) != (None, None))
+
+
+def assert_covering_checkers_match(cov: CoveringRelation) -> None:
+    """The checkers give the oracles' reports, and each reduced verdict is
+    exact, so a passing table never reaches the literal search."""
+    n, k = cov.algebra.size, cov.algebra.atom_count
+    e = np.arange(n)
+    table = cov.table.tolist()
+    naive = oracles.naive_check_eca(n, table)
+    assert check_eca(cov).as_dict() == naive
+    assert _eca1_holds(cov.table, k, e) == (naive["ECA1"] is None)
+    naive = oracles.naive_check_weca(n, table)
+    assert check_weca(cov).as_dict() == naive
+    if naive["WECA1"] is None:
+        assert _weca3_holds_given_weca1(cov.table, e) == (naive["WECA3"] is None)
+    naive = oracles.naive_relative_contact_laws(n, table)
+    assert check_relative_contact_laws(cov).as_dict() == naive
+    assert _ca12_mismatch(~cov.table, k).any() == ((naive["RCL1"], naive["RCL2"]) != (None, None))
+    assert_contact_checker_matches(ContactRelation(cov.algebra, ~cov.table[:, :, 0]))
+
+
+class TestReducedVerdictsMatchNaive:
+    @pytest.mark.parametrize("k,flips", [(k, f) for k in (2, 3, 4) for f in range(4)])
+    def test_topology_derived_with_flips(self, k, flips):
+        assert_covering_checkers_match(alexandrov_covering(k, flips, random.Random(k * 7 + flips)))
+
+    @pytest.mark.parametrize("grown", ["left", "right"])
+    def test_eca1_fails_on_one_side_only(self, grown):
+        # (a, b) |- f iff the other member lies inside the grown one:
+        # growing that member keeps the triple covered, growing the other not
+        cov = CoveringRelation.from_predicate(
+            FiniteBooleanAlgebra(2),
+            lambda a, b, f: (b & ~a if grown == "left" else a & ~b) == 0,
+        )
+        assert check_eca(cov).as_dict()["ECA1"] is not None
+        assert_covering_checkers_match(cov)
+
+    @pytest.mark.parametrize("k,seed", [(k, s) for k in (2, 3) for s in range(4)])
+    def test_weca1_holds(self, k, seed):
+        cov = down_closed_covering(k, random.Random(seed))
+        report = check_weca(cov).as_dict()
+        assert report["WECA1"] is None and report["WECA2"] is None and report["WECA4"] is None
+        assert_covering_checkers_match(cov)
+
+    def test_weca1_holds_weca3_fails(self):
+        # every cover's slice is down-closed, but row 1 holds atoms 1 and 2
+        # without their join 3
+        cov = CoveringRelation.from_predicate(
+            FiniteBooleanAlgebra(2), lambda a, b, f: a == 0 or b == 0 or (a == 1 and b < 3)
+        )
+        report = check_weca(cov).as_dict()
+        assert report["WECA1"] is None and report["WECA3"] is not None
+        assert_covering_checkers_match(cov)
+
+    @pytest.mark.parametrize("k,seed", [(k, s) for k in (2, 3) for s in range(4)])
+    def test_ca1_holds(self, k, seed):
+        contact = up_closed_contact(k, random.Random(seed))
+        assert check_ca(contact).as_dict()["CA1"] is None
+        assert_contact_checker_matches(contact)
+
+    def test_ca1_holds_ca2_fails(self):
+        contact = ContactRelation.from_predicate(
+            FiniteBooleanAlgebra(2), lambda a, b: a == 3 and b == 3
+        )
+        report = check_ca(contact).as_dict()
+        assert report["CA1"] is None and report["CA2"] is not None
+        assert_contact_checker_matches(contact)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_all_true_contact(self, k):
+        n = 1 << k
+        contact = ContactRelation(FiniteBooleanAlgebra(k), np.ones((n, n), dtype=bool))
+        report = check_ca(contact).as_dict()
+        assert report["CA1"] is None and report["CA2"] is None
+        assert_contact_checker_matches(contact)
+        # the empty covering is all-true relative contact for every g
+        empty = CoveringRelation(FiniteBooleanAlgebra(k), np.zeros((n, n, n), dtype=bool))
+        assert_covering_checkers_match(empty)
+
+
+# ---------------------------------------------------------------------------
 # verified algebra factories and the derived relations
 
 
@@ -248,26 +385,38 @@ class TestVerifiedAlgebras:
 # the covering of a regular closed algebra
 
 
+def assert_matches_pointwise(algebra):
+    teca = eca_from_rc(algebra)
+    assert teca.eca.strength == "ECA"
+    n = len(teca.element_sets)
+    assert n == len(algebra.carrier)
+    assert sorted(ps.bits for ps in teca.element_sets) == sorted(
+        c.bits for c in algebra.carrier
+    )
+    for a in range(n):
+        assert teca.mask_of(teca.element_sets[a]) == a
+        for b in range(n):
+            for d in range(n):
+                assert teca.covering.holds(a, b, d) == rc_covering(
+                    algebra,
+                    teca.element_sets[a],
+                    teca.element_sets[b],
+                    teca.element_sets[d],
+                )
+
+
 class TestEcaFromRc:
     def test_example_matches_pointwise(self):
-        algebra = rc_algebra(example_topology())
-        teca = eca_from_rc(algebra)
-        assert teca.eca.strength == "ECA"
-        n = len(teca.element_sets)
-        assert n == len(algebra.carrier)
-        assert sorted(ps.bits for ps in teca.element_sets) == sorted(
-            c.bits for c in algebra.carrier
-        )
-        for a in range(n):
-            assert teca.mask_of(teca.element_sets[a]) == a
-            for b in range(n):
-                for d in range(n):
-                    assert teca.covering.holds(a, b, d) == rc_covering(
-                        algebra,
-                        teca.element_sets[a],
-                        teca.element_sets[b],
-                        teca.element_sets[d],
-                    )
+        assert_matches_pointwise(rc_algebra(example_topology()))
+
+    def test_wide_universe_matches_pointwise(self):
+        # 70 points: open cores 0, 1, 2 and two boundary groups, points 3..39
+        # in the closures of cores 0 and 1, points 40..69 in those of 1 and 2
+        group1 = sum(1 << x for x in range(3, 40))
+        group2 = sum(1 << x for x in range(40, 70))
+        algebra = rc_algebra(build(70, [0b001, 0b010, 0b100, 0b011 | group1, 0b110 | group2]))
+        assert len(algebra.atoms) == 3
+        assert_matches_pointwise(algebra)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

@@ -61,6 +61,18 @@ class TestRouting:
     def test_nonexistent_file(self, capsys):
         assert main(["rc", "--input", "/no/such/file.json"]) == 2
 
+    def test_directory_input_is_input_error(self, tmp_path, capsys):
+        assert main(["rc", "--input", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unreadable_file_is_input_error(self, topo_file, monkeypatch, capsys):
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr("mereotop.cli.open", refuse, raising=False)
+        assert main(["rc", "--input", topo_file]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -211,6 +223,19 @@ class TestRepresentCommand:
         assert ("preserves-internal-connectedness" in names) == (kind == "type2")
         assert all(c["pass"] for c in doc["checks"])
         assert set(doc["embedding"]) == {str(m) for m in range(8)}
+
+    @pytest.mark.parametrize("shape", ["indiscrete", "chain"])
+    def test_universes_of_64_or_more_points(self, shape, tmp_path, capsys):
+        names = [f"p{i}" for i in range(70)]
+        subbasis = [] if shape == "indiscrete" else [names[:i] for i in range(1, 70)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"universe": names, "subbasis": subbasis}))
+        code, doc = run_json(
+            capsys, ["represent", "--kind", "type2", "--input", str(path), "--json"]
+        )
+        assert code == 0
+        assert doc["frame"]["worlds"] == 70
+        assert all(c["pass"] for c in doc["checks"])
 
     def test_parametrized_on_covering(self, discrete_file, capsys):
         code, doc = run_json(
