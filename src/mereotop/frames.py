@@ -7,7 +7,9 @@ equivalence frames of type 2 (two partitions, read through the composite
 class R1(R2(s))).  Each induces a covering on subsets of W, and the
 powerset with that covering is an extended contact algebra — weak for
 parametrized frames, full for the equivalence kinds — which
-:func:`powerset_eca` tabulates and verifies.
+:func:`powerset_eca` tabulates and verifies.  :func:`covering_table`
+tabulates a frame's covering over any family of subsets (all of them for
+the powerset, the images of an embedding for its verification).
 """
 
 from __future__ import annotations
@@ -177,11 +179,7 @@ def pframe_covering_naive(
         extra = (extra - 1) & outside
 
 
-def pframe_covering_antitone(frame: ParametrizedFrame, a: int, b: int, d: int) -> bool:
-    """Covering via the antitone shortcut: on frames where growing U only
-    shrinks R(U), the quantifier over supersets of d collapses to R(d)
-    itself.  Requires the certificate or a passing audit."""
-    _require_masks(frame.world_count, a, b, d)
+def _require_antitone(frame: ParametrizedFrame) -> None:
     if not frame.antitone_certified:
         if frame.world_count > DEFAULT_ANTITONE_AUDIT_CAP:
             raise ValueError(
@@ -189,6 +187,14 @@ def pframe_covering_antitone(frame: ParametrizedFrame, a: int, b: int, d: int) -
             )
         if not pframe_antitone_audit(frame):
             raise ValueError("frame relation is not antitone; use pframe_covering_naive")
+
+
+def pframe_covering_antitone(frame: ParametrizedFrame, a: int, b: int, d: int) -> bool:
+    """Covering via the antitone shortcut: on frames where growing U only
+    shrinks R(U), the quantifier over supersets of d collapses to R(d)
+    itself.  Requires the certificate or a passing audit."""
+    _require_masks(frame.world_count, a, b, d)
+    _require_antitone(frame)
     rows = np.array(_mask_indices(a), dtype=np.intp)
     cols = np.array(_mask_indices(b), dtype=np.intp)
     if not len(rows) or not len(cols):
@@ -383,6 +389,97 @@ def gv_contact(world_count: int, relation: np.ndarray, a: int, b: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the covering tabulated over a family of subsets
+
+_TABLE_CHUNK_ELEMENTS = 1 << 20  # float32 entries per chunk of rows: about 4 MiB
+
+
+def _membership(world_count: int, masks: Sequence[int]) -> np.ndarray:
+    """Row i holds the worlds of masks[i] as booleans.  Masks go through
+    bytes, never a fixed-width integer, so any world count fits."""
+    _require_masks(world_count, *masks)
+    width = (world_count + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, bitorder="little")
+    return bits[:, :world_count].astype(bool)
+
+
+def _class_masks(frame: EquivalenceFrame1 | EquivalenceFrame2) -> tuple[int, ...]:
+    if isinstance(frame, EquivalenceFrame1):
+        return frame.distinct_class_masks
+    if isinstance(frame, EquivalenceFrame2):
+        return frame.distinct_composite_masks
+    raise TypeError(f"not a frame: {type(frame).__name__}")
+
+
+def _meets(frame: EquivalenceFrame1 | EquivalenceFrame2, masks: Sequence[int]) -> np.ndarray:
+    """G: one column per world w ("w is in the subset") and one per class
+    mask m ("the subset meets m"), duplicate columns dropped.  (a, b) is
+    covered by d iff no column c has G[a, c] and G[b, c] but not G[d, c]:
+    the world columns give a ∩ b ⊆ d, the class columns the rest of
+    :func:`frame1_covering` / :func:`frame2_covering`."""
+    members = _membership(frame.world_count, masks)
+    classes = _membership(frame.world_count, _class_masks(frame))
+    meets = members.astype(np.float32) @ classes.T.astype(np.float32) > 0
+    columns = np.concatenate((members, meets), axis=1).T
+    distinct = {column.tobytes(): column for column in columns}
+    return np.array(list(distinct.values())).T
+
+
+def covering_table(
+    frame: ParametrizedFrame | EquivalenceFrame1 | EquivalenceFrame2,
+    masks: Sequence[int],
+) -> np.ndarray:
+    """The frame's covering tabulated over the given subsets: entry
+    [i, j, l] tells whether (masks[i], masks[j]) is covered by masks[l].
+
+    Equivalence frames count, for every (i, j, l), the columns c of
+    :func:`_meets` with G[i, c] ∧ G[j, c] ∧ ¬G[l, c] in one float32 matmul
+    per chunk of i (exact: a count never exceeds the few columns of G).
+    Antitone parametrized frames (certified or audited) use
+    (a, b) ⊢ d ⟺ A[a] · R(d) · A[b]ᵀ = 0, with A the membership rows: one
+    small matmul per l.
+    """
+    n = len(masks)
+    table = np.empty((n, n, n), dtype=bool)
+    if isinstance(frame, ParametrizedFrame):
+        _require_antitone(frame)
+        rows = _membership(frame.world_count, masks).astype(np.float32)
+        for l, u in enumerate(masks):
+            table[:, :, l] = rows @ frame.relation(u).astype(np.float32) @ rows.T == 0
+        return table
+    g = _meets(frame, masks).astype(np.float32)
+    k = g.shape[1]
+    missing = (1 - g).T
+    step = max(1, _TABLE_CHUNK_ELEMENTS // (n * (n + k)))
+    for lo in range(0, n, step):
+        both = (g[lo : lo + step, None, :] * g[None, :, :]).reshape(-1, k)
+        table[lo : lo + step] = (both @ missing).reshape(-1, n, n) == 0
+    return table
+
+
+def covering_entries(
+    frame: ParametrizedFrame | EquivalenceFrame1 | EquivalenceFrame2,
+    masks: Sequence[int],
+    a: np.ndarray,
+    b: np.ndarray,
+    d: np.ndarray,
+) -> np.ndarray:
+    """Entries [a[i], b[i], d[i]] of ``covering_table(frame, masks)`` for
+    index arrays a, b, d, evaluated on the same rows without the table."""
+    if isinstance(frame, ParametrizedFrame):
+        _require_antitone(frame)
+        rows = _membership(frame.world_count, masks).astype(np.float32)
+        used, which = np.unique(d, return_inverse=True)
+        w = frame.world_count
+        rels = np.array([frame.relation(masks[i]) for i in used], np.float32)
+        rels = rels.reshape(len(used), w, w)
+        return np.einsum("is,ist,it->i", rows[a], rels[which], rows[b]) == 0
+    g = _meets(frame, masks)
+    return ~(g[a] & g[b] & ~g[d]).any(axis=1)
+
+
+# ---------------------------------------------------------------------------
 # the powerset algebra of a frame
 
 
@@ -399,16 +496,6 @@ class FrameAlgebra:
     @property
     def covering(self) -> CoveringRelation:
         return self.eca.covering
-
-
-def _equivalence_table(world_count: int, class_masks: Sequence[int]) -> np.ndarray:
-    n = 1 << world_count
-    e = np.arange(n)
-    ok = (e[:, None] & e[None, :])[:, :, None] & ~e[None, None, :] == 0
-    for m in class_masks:
-        hits = (e & m) != 0
-        ok &= ~(hits[:, None, None] & hits[None, :, None] & ~hits[None, None, :])
-    return ok
 
 
 def _parametrized_table(frame: ParametrizedFrame) -> np.ndarray:
@@ -450,11 +537,8 @@ def powerset_eca(
             f"{w} worlds give a {1 << w}-element powerset, over cap_worlds={cap_worlds}"
         )
     algebra = FiniteBooleanAlgebra(w)
-    if isinstance(frame, EquivalenceFrame1):
-        table = _equivalence_table(w, frame.distinct_class_masks)
-        strength = "ECA"
-    elif isinstance(frame, EquivalenceFrame2):
-        table = _equivalence_table(w, frame.distinct_composite_masks)
+    if isinstance(frame, (EquivalenceFrame1, EquivalenceFrame2)):
+        table = covering_table(frame, range(1 << w))
         strength = "ECA"
     elif isinstance(frame, ParametrizedFrame):
         table = _parametrized_table(frame)

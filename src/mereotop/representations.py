@@ -8,7 +8,9 @@ with R(U) defined by a witness-element condition.  ``build_type1`` and
 equivalence frame whose worlds are (atom, point) couples — one partition
 by point for type 1; partitions by atom and by point, read through the
 composite class, for type 2.  ``verify_embedding`` checks injectivity and
-preservation of zero, complement, join and covering over all tuples;
+preservation of zero, complement and join over all tuples, and covering by
+one comparison of the source's covering table with the frame's covering
+tabulated over the images (seeded random triples above a size cap);
 ``verify_c_preservation`` adds the internal-connectedness biconditional
 for type 2; ``check_split_pullback`` pulls a frame-side split of an image
 back to a pair of algebra elements and checks the three facts that make
@@ -21,6 +23,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .algebra import (
     CheckResult,
     ExtendedContactAlgebra,
@@ -32,6 +36,8 @@ from .frames import (
     EquivalenceFrame1,
     EquivalenceFrame2,
     ParametrizedFrame,
+    covering_entries,
+    covering_table,
     frame1_covering,
     frame2_covering,
     frame2_internally_connected,
@@ -223,16 +229,20 @@ def verify_embedding(
     """Check the five embedding facts: injectivity, and preservation of
     zero, complement, join, and covering (a biconditional, both ways).
 
-    All pairs/triples are checked when the source has at most
-    ``cap_elements`` elements; above that the covering biconditional is
-    checked on seeded random triples and the report is labeled "sampled".
-    Witnesses are the first violating tuples in ascending element order.
+    Covering is checked by tabulating the frame's covering over the image
+    masks once (:func:`~mereotop.frames.covering_table`) and comparing that
+    table with the source's in one array operation; the witness is the
+    first mismatch in C order (``np.argwhere``), i.e. the lex-first
+    (a, b, d).  Above ``cap_elements`` source elements the comparison runs
+    on ``sample_size`` seeded random triples instead, the witness is the
+    first mismatching one in draw order, and the report is labeled
+    "sampled".  The other witnesses are the first violating tuples in
+    ascending element order.
     """
     source = embedding.source
     n = source.algebra.size
     img = embedding.image_masks
     full = (1 << embedding.frame.world_count) - 1
-    holds = covering_evaluator(embedding.frame)
 
     inj = None
     for i in range(n):
@@ -257,29 +267,17 @@ def verify_embedding(
                 join = (a, b)
                 break
     table = source.covering.table
-    cov = None
-    mode = "exhaustive"
     if n <= cap_elements:
-        for a in range(n):
-            if cov:
-                break
-            for b in range(n):
-                if cov:
-                    break
-                row = table[a, b]
-                ia, ib = img[a], img[b]
-                for d in range(n):
-                    if bool(row[d]) != holds(ia, ib, img[d]):
-                        cov = (a, b, d)
-                        break
+        mode = "exhaustive"
+        found = np.argwhere(covering_table(embedding.frame, img) != table)
     else:
         mode = "sampled"
         rng = random.Random(seed)
-        for _ in range(sample_size):
-            a, b, d = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if bool(table[a, b, d]) != holds(img[a], img[b], img[d]):
-                cov = (a, b, d)
-                break
+        drawn = [rng.randrange(n) for _ in range(3 * sample_size)]
+        triples = np.array(drawn, dtype=np.intp).reshape(-1, 3)
+        a, b, d = triples.T
+        found = triples[covering_entries(embedding.frame, img, a, b, d) != table[a, b, d]]
+    cov = tuple(int(i) for i in found[0]) if len(found) else None
     checks = (
         CheckResult("injective", inj is None, inj),
         CheckResult("preserves-zero", zero is None, zero),

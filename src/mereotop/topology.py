@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
-DEFAULT_CARRIER_CAP = 64
 DEFAULT_BRUTE_FORCE_UNIVERSE_CAP = 10
 
 

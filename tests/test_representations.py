@@ -36,7 +36,12 @@ from mereotop import (
     verify_c_preservation,
     verify_embedding,
 )
-from mereotop.algebra import verified_eca, verified_weca
+from mereotop.algebra import (
+    CoveringRelation,
+    ExtendedContactAlgebra,
+    verified_eca,
+    verified_weca,
+)
 from mereotop.topology import labeled_topology_from_document
 
 
@@ -240,6 +245,165 @@ class TestVerifyEmbedding:
         assert covering_evaluator(pf)(1, 1, 0) == pframe_covering_antitone(pf, 1, 1, 0)
         with pytest.raises(TypeError):
             covering_evaluator("not a frame")
+
+
+def oracle_covering(frame):
+    """The literal covering of the frame, from tests/oracles.py."""
+    if isinstance(frame, EquivalenceFrame1):
+        return lambda a, b, d: oracles.naive_frame1_covering(frame.classes, a, b, d)
+    if isinstance(frame, EquivalenceFrame2):
+        return lambda a, b, d: oracles.naive_frame2_covering(
+            frame.classes1, frame.classes2, a, b, d
+        )
+    return lambda a, b, d: oracles.naive_pframe_covering(
+        frame.world_count, frame.relation, a, b, d
+    )
+
+
+def literal_covering_witness(embedding):
+    """First (a, b, d) in ascending order where the source covering and the
+    oracle's frame covering of the images disagree."""
+    holds = oracle_covering(embedding.frame)
+    table = embedding.source.covering.table
+    img = embedding.image_masks
+    n = len(img)
+    for a in range(n):
+        for b in range(n):
+            for d in range(n):
+                if bool(table[a, b, d]) != holds(img[a], img[b], img[d]):
+                    return (a, b, d)
+    return None
+
+
+def literal_sampled_witness(embedding, *, seed, sample_size):
+    """The same comparison on seeded random triples, first mismatch drawn."""
+    holds = oracle_covering(embedding.frame)
+    table = embedding.source.covering.table
+    img = embedding.image_masks
+    n = len(img)
+    rng = random.Random(seed)
+    for _ in range(sample_size):
+        a, b, d = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        if bool(table[a, b, d]) != holds(img[a], img[b], img[d]):
+            return (a, b, d)
+    return None
+
+
+def with_flipped_source(embedding, rng, flips):
+    """The embedding with `flips` distinct seeded source covering entries
+    negated."""
+    table = embedding.source.covering.table.copy()
+    n = len(table)
+    for cell in rng.sample(range(n**3), flips):
+        index = (cell // (n * n), cell // n % n, cell % n)
+        table[index] = not table[index]
+    source = ExtendedContactAlgebra(
+        CoveringRelation(embedding.source.algebra, table), embedding.source.strength
+    )
+    return Embedding(source, embedding.frame, embedding.image_masks, embedding.worlds)
+
+
+def with_swapped_images(embedding, rng):
+    """The embedding with the images of two seeded nonzero elements swapped."""
+    img = list(embedding.image_masks)
+    i, j = rng.sample(range(1, len(img)), 2)
+    img[i], img[j] = img[j], img[i]
+    return Embedding(embedding.source, embedding.frame, tuple(img), embedding.worlds)
+
+
+def covering_witness(report):
+    (check,) = [c for c in report.checks if c.name == "preserves-covering"]
+    assert check.passed == (check.witness is None)
+    return check.witness
+
+
+BUILDERS = {
+    "type1": build_type1,
+    "type2": build_type2,
+    "parametrized": lambda teca: build_parametrized_frame(teca.eca),
+}
+
+
+def multi_atom_teca(seed):
+    """A random topological algebra with 3 or 4 atoms."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(3, 6)
+        masks = [rng.getrandbits(n) for _ in range(rng.randint(2, 5))]
+        teca = eca_from_rc(rc_algebra(build(n, masks)), verify=False)
+        if 3 <= teca.eca.algebra.atom_count <= 4:
+            return teca
+
+
+class TestCoveringWitnessMatchesOracles:
+    """The tabulated covering check reports the same lex-first witness as a
+    literal scan with the oracle evaluators, on corrupted embeddings."""
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flipped_source(self, kind, seed):
+        rng = random.Random(seed)
+        embedding = BUILDERS[kind](multi_atom_teca(seed))
+        broken = with_flipped_source(embedding, rng, rng.randint(1, 6))
+        expected = literal_covering_witness(broken)
+        assert expected is not None
+        report = verify_embedding(broken, pipeline=kind)
+        assert report.mode == "exhaustive"
+        assert covering_witness(report) == expected
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_swapped_images(self, kind, seed):
+        rng = random.Random(seed)
+        broken = with_swapped_images(BUILDERS[kind](multi_atom_teca(seed)), rng)
+        report = verify_embedding(broken, pipeline=kind)
+        assert covering_witness(report) == literal_covering_witness(broken)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_asymmetric_parametrized_frame(self, seed):
+        # the identity embedding of an audited, non-symmetric antitone
+        # frame into its own powerset algebra
+        rng = random.Random(seed)
+        base = [[[rng.random() < 0.7 for _ in range(3)] for _ in range(3)] for _ in range(3)]
+
+        def rel(u, s, t):
+            return all(base[w][s][t] for w in range(3) if u >> w & 1)
+
+        frame = ParametrizedFrame.from_predicate(3, rel)
+        embedding = Embedding(powerset_eca(frame, verify=False).eca, frame, tuple(range(8)))
+        assert verify_embedding(embedding, pipeline="parametrized").all_passed
+        for broken in (
+            with_flipped_source(embedding, rng, rng.randint(1, 6)),
+            with_swapped_images(embedding, rng),
+        ):
+            report = verify_embedding(broken, pipeline="parametrized")
+            assert covering_witness(report) == literal_covering_witness(broken)
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_sampled_mode_matches_literal_sampled_loop(self, kind):
+        rng = random.Random(5)
+        embedding = BUILDERS[kind](eca_from_rc(rc_algebra(example_topology())))
+        broken = with_flipped_source(embedding, rng, 40)
+        expected = literal_sampled_witness(broken, seed=11, sample_size=300)
+        assert expected is not None
+        report = verify_embedding(
+            broken, pipeline=kind, cap_elements=4, seed=11, sample_size=300
+        )
+        assert report.mode == "sampled"
+        assert covering_witness(report) == expected
+
+    def test_type2_wider_than_64_worlds(self):
+        # two open blocks of 29 points and 6 points in the closure of both:
+        # two atoms of 35 points each, so 70 worlds
+        n = 64
+        teca = eca_from_rc(rc_algebra(build(n, [(1 << 29) - 1, ((1 << 29) - 1) << 29])))
+        embedding = build_type2(teca)
+        assert embedding.frame.world_count == 70
+        assert verify_embedding(embedding, pipeline="type2").all_passed
+        broken = with_flipped_source(embedding, random.Random(3), 1)
+        expected = literal_covering_witness(broken)
+        assert expected is not None
+        assert covering_witness(verify_embedding(broken, pipeline="type2")) == expected
 
 
 # ---------------------------------------------------------------------------
