@@ -20,6 +20,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 from .algebra import (
@@ -639,6 +640,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@cache  # built once per process: building costs about as much as a small command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mereotop",

@@ -27,7 +27,7 @@ from .algebra import (
     verified_eca,
     verified_weca,
 )
-from .topology import CapExceeded, DocumentError
+from .topology import CapExceeded, DocumentError, glued_components
 
 DEFAULT_NAIVE_SUPERSET_CAP = 16
 DEFAULT_ANTITONE_AUDIT_CAP = 8
@@ -326,18 +326,7 @@ def frame2_internally_connected(frame: EquivalenceFrame2, s_mask: int) -> bool:
     components and counts as connected.
     """
     _require_masks(frame.world_count, s_mask)
-    components: list[int] = [1 << w for w in _mask_indices(s_mask)]
-    for m in frame.distinct_composite_masks:
-        if m & ~s_mask:
-            continue
-        touching = [c for c in components if c & m]
-        if len(touching) > 1:
-            merged = 0
-            for c in touching:
-                merged |= c
-            components = [c for c in components if not c & m]
-            components.append(merged)
-    return len(components) <= 1
+    return len(glued_components(s_mask, frame.distinct_composite_masks)) <= 1
 
 
 def frame2_internally_connected_naive(

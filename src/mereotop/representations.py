@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -38,10 +37,8 @@ from .frames import (
     ParametrizedFrame,
     covering_entries,
     covering_table,
-    frame1_covering,
     frame2_covering,
     frame2_internally_connected,
-    pframe_covering_antitone,
 )
 from .topology import CapExceeded, LabeledTopology
 
@@ -90,19 +87,6 @@ class VerificationReport:
 
     def extended(self, *extra: CheckResult) -> "VerificationReport":
         return VerificationReport(self.pipeline, self.checks + tuple(extra), self.mode)
-
-
-def covering_evaluator(
-    frame: ParametrizedFrame | EquivalenceFrame1 | EquivalenceFrame2,
-) -> Callable[[int, int, int], bool]:
-    """The frame's covering as a plain (a, b, d) -> bool over world masks."""
-    if isinstance(frame, EquivalenceFrame1):
-        return lambda a, b, d: frame1_covering(frame, a, b, d)
-    if isinstance(frame, EquivalenceFrame2):
-        return lambda a, b, d: frame2_covering(frame, a, b, d)
-    if isinstance(frame, ParametrizedFrame):
-        return lambda a, b, d: pframe_covering_antitone(frame, a, b, d)
-    raise TypeError(f"not a frame: {type(frame).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,23 @@
 """Finite topological spaces and their regular closed / regular open algebras.
 
 Points are 0-based indices into a finite universe; subsets are immutable
-bitmask-backed :class:`PointSet` values.  The module computes the least
-topology generated by a subbasis, interior/closure, the Boolean algebra of
-regular closed sets with its contact, covering and internal-connectedness
-relations, the mirror algebra of regular open sets, and the isomorphism
-between the two.  JSON documents use human labels; indices never leak.
+bitmask-backed :class:`PointSet` values.  A finite space is stored as the
+minimal open neighbourhood U_x of each point x, the least open set that
+contains x (Alexandroff, "Diskrete Räume", 1937).  The open sets are the
+unions of the U_x, Int(A) = {x : U_x inside A}, Cl(A) = {x : U_x meets A},
+and the atoms of the regular closed algebra are the closures of the
+minimal U_x, so no step lists the open family (up to 2^n sets).  Contact,
+covering and internal connectedness, the mirror algebra of regular open
+sets and the isomorphism between the two follow.  JSON documents use
+human labels; indices never leak.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import or_
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_BRUTE_FORCE_UNIVERSE_CAP = 10
 
@@ -110,46 +115,59 @@ class PointSet:
 
 @dataclass(frozen=True)
 class FiniteTopology:
-    """A finite topological space: universe size plus the canonical open family.
+    """A finite topological space, given by the minimal open neighbourhood
+    U_x of each point x: ``neighbourhoods[x]`` is the least open set that
+    contains x.
 
-    ``opens`` is sorted by bit pattern, contains the empty set and the whole
-    universe, and is closed under pairwise union and intersection (which on a
-    finite universe gives closure under arbitrary unions and finite
-    intersections).
+    A family of sets is the U_x of some topology exactly when x is in U_x,
+    and y in U_x implies U_y inside U_x; the constructor checks this.  The
+    open sets are then the unions of the U_x.
     """
 
     universe_size: int
-    opens: tuple[PointSet, ...]
+    neighbourhoods: tuple[PointSet, ...]
 
     def __post_init__(self) -> None:
         n = self.universe_size
         if n < 1:
             raise ValueError("universe must be nonempty")
-        bits = [o.bits for o in self.opens]
-        for o in self.opens:
-            if o.universe_size != n:
-                raise ValueError("open set over the wrong universe")
-        if bits != sorted(set(bits)):
-            raise ValueError("opens must be distinct and sorted by bit pattern")
-        family = set(bits)
-        full = (1 << n) - 1
-        if 0 not in family or full not in family:
-            raise ValueError("opens must contain the empty set and the universe")
-        for u in bits:
-            for v in bits:
-                if (u | v) not in family or (u & v) not in family:
-                    raise ValueError("opens not closed under union/intersection")
+        if len(self.neighbourhoods) != n:
+            raise ValueError(f"{len(self.neighbourhoods)} neighbourhoods for {n} points")
+        if any(u.universe_size != n for u in self.neighbourhoods):
+            raise ValueError("neighbourhood over the wrong universe")
+        for u, points in self._neighbourhood_points.items():
+            if points & ~u:
+                x = (points & ~u).bit_length() - 1
+                raise ValueError(f"point {x} is not in its own neighbourhood U_{x}")
+            for v, inside in self._neighbourhood_points.items():
+                if inside & u and v & ~u:
+                    y = (inside & u).bit_length() - 1
+                    raise ValueError(f"point {y} is in a neighbourhood without U_{y} inside it")
 
     @cached_property
-    def _open_bits(self) -> frozenset[int]:
-        return frozenset(o.bits for o in self.opens)
+    def _neighbourhood_points(self) -> dict[int, int]:
+        """Each distinct U_x, as a bitmask, mapped to the mask of the points
+        x that have it; there are often far fewer than n."""
+        points: dict[int, int] = {}
+        for x, u in enumerate(self.neighbourhoods):
+            points[u.bits] = points.get(u.bits, 0) | 1 << x
+        return points
+
+    @cached_property
+    def opens(self) -> tuple[PointSet, ...]:
+        """Every open set, sorted by bit pattern: the unions of the U_x.
+        There can be up to 2^n of them, so only reports and tests ask."""
+        family = {0}
+        for u in self._neighbourhood_points:
+            family |= {o | u for o in family}
+        return tuple(PointSet(self.universe_size, b) for b in sorted(family))
 
     @property
     def universe(self) -> PointSet:
         return PointSet.full(self.universe_size)
 
     def is_open(self, a: PointSet) -> bool:
-        return a.universe_size == self.universe_size and a.bits in self._open_bits
+        return a.universe_size == self.universe_size and interior(self, a) == a
 
     def is_closed(self, a: PointSet) -> bool:
         return self.is_open(a.complement())
@@ -161,56 +179,46 @@ class FiniteTopology:
 def generate_topology(universe_size: int, subbasis: Sequence[PointSet]) -> FiniteTopology:
     """Least topology on the universe containing every subbasis member.
 
-    Seeds with the subbasis plus the empty set and the universe, then closes
-    under pairwise intersections to a fixpoint, then pairwise unions to a
-    fixpoint, repeating both passes until stable.
+    U_x is the intersection of the members that contain x, or the whole
+    universe when none does: every open set of the least topology is a
+    union of finite intersections of members.
     """
     if universe_size < 1:
         raise ValueError("universe must be nonempty")
-    full = (1 << universe_size) - 1
-    family: set[int] = {0, full}
     for s in subbasis:
         if s.universe_size != universe_size:
             raise ValueError("subbasis member over the wrong universe")
-        family.add(s.bits)
-
-    def close(op: Callable[[int, int], int]) -> None:
-        while True:
-            fresh = set()
-            members = list(family)
-            for i, u in enumerate(members):
-                for v in members[i:]:
-                    w = op(u, v)
-                    if w not in family:
-                        fresh.add(w)
-            if not fresh:
-                return
-            family.update(fresh)
-
-    while True:
-        before = len(family)
-        close(lambda u, v: u & v)
-        close(lambda u, v: u | v)
-        if len(family) == before:
-            break
-    opens = tuple(PointSet(universe_size, b) for b in sorted(family))
-    return FiniteTopology(universe_size, opens)
+    neighbourhoods = []
+    for x in range(universe_size):
+        u = (1 << universe_size) - 1
+        for s in subbasis:
+            if s.bits >> x & 1:
+                u &= s.bits
+        neighbourhoods.append(PointSet(universe_size, u))
+    return FiniteTopology(universe_size, tuple(neighbourhoods))
 
 
 def interior(topology: FiniteTopology, a: PointSet) -> PointSet:
-    """Union of all open sets contained in ``a`` (the greatest such open)."""
+    """Int(A) = {x : U_x inside A}, the greatest open set inside ``a``: the
+    union of the U_x inside A, since y in U_x makes U_y inside U_x."""
     if a.universe_size != topology.universe_size:
         raise ValueError("argument over the wrong universe")
     bits = 0
-    for o in topology.opens:
-        if o.bits & ~a.bits == 0:
-            bits |= o.bits
+    for u in topology._neighbourhood_points:
+        if u & ~a.bits == 0:
+            bits |= u
     return PointSet(topology.universe_size, bits)
 
 
 def closure(topology: FiniteTopology, a: PointSet) -> PointSet:
-    """Least closed superset of ``a``, computed as X minus Int(X minus a)."""
-    return interior(topology, a.complement()).complement()
+    """Cl(A) = {x : U_x meets A}, the least closed set containing ``a``."""
+    if a.universe_size != topology.universe_size:
+        raise ValueError("argument over the wrong universe")
+    bits = 0
+    for u, points in topology._neighbourhood_points.items():
+        if u & a.bits:
+            bits |= points
+    return PointSet(topology.universe_size, bits)
 
 
 def is_regular_closed(topology: FiniteTopology, a: PointSet) -> bool:
@@ -263,7 +271,7 @@ class RegularClosedAlgebra:
             raise ValueError("atom_indices are not the minimal nonzero elements")
         for c in self.carrier:
             below = [a for a in self.atoms if a.issubset(c)]
-            if reduce(lambda x, y: x | y, below, PointSet.empty(c.universe_size)) != c:
+            if reduce(or_, below, PointSet.empty(c.universe_size)) != c:
                 raise ValueError("element is not the join of the atoms below it")
 
     @property
@@ -313,16 +321,22 @@ class RegularClosedAlgebra:
 
 
 def rc_algebra(topology: FiniteTopology) -> RegularClosedAlgebra:
-    """The regular closed algebra, with carrier {Cl(U) : U open}."""
-    carrier_bits = sorted({closure(topology, o).bits for o in topology.opens})
-    carrier = tuple(PointSet(topology.universe_size, b) for b in carrier_bits)
-    atom_indices = tuple(
-        i
-        for i, c in enumerate(carrier)
-        if not c.is_empty
-        and not any(not d.is_empty and d != c and d.issubset(c) for d in carrier)
-    )
-    alg = RegularClosedAlgebra(topology, carrier, atom_indices)
+    """The regular closed algebra {Cl(U) : U open}.  Its atoms are the
+    distinct Cl(U_x) for the minimal U_x, and its carrier is their unions:
+    every open U is a union of U_x, each holding a minimal one, so Cl(U) is
+    the union of the atoms below it.  Distinct minimal U_x are disjoint, so
+    distinct sets of atoms have distinct unions.
+    """
+    n = topology.universe_size
+    nbhd = topology._neighbourhood_points
+    minimal = [u for u in nbhd if not any(v != u and v & ~u == 0 for v in nbhd)]
+    atoms = sorted({closure(topology, PointSet(n, u)).bits for u in minimal})
+    carrier_bits = {0}
+    for atom in atoms:
+        carrier_bits |= {c | atom for c in carrier_bits}
+    carrier = tuple(PointSet(n, b) for b in sorted(carrier_bits))
+    index = {c.bits: i for i, c in enumerate(carrier)}
+    alg = RegularClosedAlgebra(topology, carrier, tuple(index[atom] for atom in atoms))
     if len(alg.carrier) != 1 << len(alg.atom_indices):
         raise AssertionError("carrier size is not 2 to the number of atoms")
     return alg
@@ -355,21 +369,32 @@ def rc_covering(alg: RegularClosedAlgebra, a: PointSet, b: PointSet, d: PointSet
     return (a & b).issubset(d)
 
 
+def glued_components(mask: int, blocks: Iterable[int]) -> list[int]:
+    """The points of ``mask`` split into components, where two points are
+    joined when some block inside ``mask`` holds both; blocks reaching
+    outside ``mask`` are ignored.  The empty mask has no components."""
+    components = [1 << p for p in range(mask.bit_length()) if mask >> p & 1]
+    for m in blocks:
+        if m & ~mask:
+            continue
+        touching = [c for c in components if c & m]
+        if len(touching) > 1:
+            components = [c for c in components if not c & m]
+            components.append(reduce(or_, touching))
+    return components
+
+
 def rc_internally_connected(alg: RegularClosedAlgebra, a: PointSet) -> bool:
     """True iff Int(a) is not a union of two disjoint nonempty open sets.
 
-    The empty region is internally connected by convention (the defining
-    quantification over nonempty opens is vacuous for it).
+    The U_x of the points x of an open set lie inside it, and its components
+    are its points glued along them.  The empty region is internally
+    connected by convention (the defining quantification over nonempty
+    opens is vacuous for it).
     """
     alg._require(a)
     inner = interior(alg.topology, a).bits
-    for u in alg.topology.opens:
-        if u.bits == 0 or u.bits & ~inner:
-            continue
-        v = inner & ~u.bits
-        if v and v in alg.topology._open_bits:
-            return False
-    return True
+    return len(glued_components(inner, alg.topology._neighbourhood_points)) <= 1
 
 
 @dataclass(frozen=True)

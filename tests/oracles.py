@@ -17,7 +17,9 @@ from itertools import combinations
 def least_topology(n: int, subbasis_masks) -> set[int]:
     """Least topology containing the subbasis, built as all unions of all
     finite intersections of subbasis members (empty intersection = X,
-    empty union = empty set)."""
+    empty union = empty set).  The unions are grown from the empty set by
+    adding one intersection at a time until nothing new appears, so each
+    union is reached once instead of once per subfamily."""
     full = (1 << n) - 1
     subs = list(subbasis_masks)
     intersections = set()
@@ -27,15 +29,11 @@ def least_topology(n: int, subbasis_masks) -> set[int]:
             for i in combo:
                 inter &= subs[i]
             intersections.add(inter)
-    inters = sorted(intersections)
-    opens = set()
-    for pick in range(1 << len(inters)):
-        u = 0
-        for i in range(len(inters)):
-            if pick >> i & 1:
-                u |= inters[i]
-        opens.add(u)
-    opens.add(0)
+    opens = {0}
+    fresh = {0}
+    while fresh:
+        fresh = {u | v for u in fresh for v in intersections} - opens
+        opens |= fresh
     opens.add(full)
     return opens
 

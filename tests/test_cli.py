@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from example_data import X_DOC, X_OPEN_COUNT, XP_DOC
+from mereotop import FiniteTopology
 from mereotop.cli import EXAMPLE_CONCLUSION, main
 
 
@@ -235,6 +236,25 @@ class TestRepresentCommand:
         )
         assert code == 0
         assert doc["frame"]["worlds"] == 70
+        assert all(c["pass"] for c in doc["checks"])
+
+    def test_wide_star_never_lists_its_opens(self, tmp_path, capsys, monkeypatch):
+        # One core and 30 members {core, arm}: 2^30 + 1 opens and one atom.
+        # Listing the opens would exhaust memory, so asking for them fails.
+        def no_opens(topology):
+            raise AssertionError("the open family was enumerated")
+
+        monkeypatch.setattr(FiniteTopology, "opens", property(no_opens))
+        names = ["core"] + [f"arm{i}" for i in range(30)]
+        path = tmp_path / "star.json"
+        path.write_text(
+            json.dumps({"universe": names, "subbasis": [["core", arm] for arm in names[1:]]})
+        )
+        code, doc = run_json(
+            capsys, ["represent", "--kind", "type2", "--json", "--input", str(path)]
+        )
+        assert code == 0
+        assert doc["frame"]["worlds"] == 31
         assert all(c["pass"] for c in doc["checks"])
 
     def test_parametrized_on_covering(self, discrete_file, capsys):

@@ -23,13 +23,10 @@ from mereotop import (
     build_type1,
     build_type2,
     check_split_pullback,
-    covering_evaluator,
     discrete_covering,
     eca_from_rc,
     find_admissible_splits,
-    frame2_covering,
     pframe_antitone_audit,
-    pframe_covering_antitone,
     powerset_eca,
     rc_algebra,
     verification_document,
@@ -229,22 +226,6 @@ class TestVerifyEmbedding:
         )
         assert report.mode == "sampled"
         assert report.all_passed
-
-    def test_covering_evaluator_dispatch(self):
-        teca = eca_from_rc(rc_algebra(build(2, [0b01])))
-        f1 = build_type1(teca).frame
-        f2 = build_type2(teca).frame
-        pf = build_parametrized_frame(teca.eca).frame
-        assert covering_evaluator(f1)(1, 1, 1) == frame2_covering(
-            EquivalenceFrame2(f1.world_count, f1.classes, tuple(range(f1.world_count))),
-            1,
-            1,
-            1,
-        )
-        assert callable(covering_evaluator(f2))
-        assert covering_evaluator(pf)(1, 1, 0) == pframe_covering_antitone(pf, 1, 1, 0)
-        with pytest.raises(TypeError):
-            covering_evaluator("not a frame")
 
 
 def oracle_covering(frame):

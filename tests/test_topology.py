@@ -26,6 +26,7 @@ from example_data import (
 from mereotop import (
     CapExceeded,
     DocumentError,
+    FiniteTopology,
     PointSet,
     brute_force_regular_closed,
     closure,
@@ -132,6 +133,34 @@ class TestGenerateTopology:
     def test_rejects_wrong_universe_subbasis(self):
         with pytest.raises(ValueError):
             generate_topology(3, [PointSet(4, 1)])
+
+    @given(space_masks())
+    @settings(max_examples=100)
+    def test_neighbourhoods_and_is_open_match_oracle(self, case):
+        n, masks = case
+        topo = build(n, masks)
+        opens = oracles.least_topology(n, masks)
+        for x, u in enumerate(topo.neighbourhoods):
+            least = (1 << n) - 1
+            for o in opens:
+                if o >> x & 1:
+                    least &= o
+            assert u.bits == least
+        for bits in range(1 << n):
+            assert topo.is_open(PointSet(n, bits)) == (bits in opens)
+
+    @pytest.mark.parametrize(
+        "n, masks, message",
+        [
+            (3, [0b011, 0b110], "2 neighbourhoods for 3 points"),
+            (2, [0b10, 0b10], "point 0 is not in its own neighbourhood"),
+            (3, [0b011, 0b110, 0b100], "point 1 is in a neighbourhood without U_1"),
+        ],
+        ids=["wrong-count", "point-outside", "not-nested"],
+    )
+    def test_constructor_rejects_non_neighbourhoods(self, n, masks, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteTopology(n, tuple(PointSet(n, m) for m in masks))
 
 
 # ---------------------------------------------------------------------------
