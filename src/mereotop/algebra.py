@@ -9,10 +9,12 @@ pair (a, b) is covered by d; a contact relation is an (N, N) table.
 Each checker decides pass/fail first, by an exact reduced form where one
 exists: ECA1 by one-atom growth on one side at a time; CA1 with CA2, and
 RCL1 with RCL2 for every g, by equality with the join-extension from zero
-and the atoms; WECA3, given WECA1, by join-closed rows and columns.  Only a
-failing verdict runs the literal search over all tuples, which reports the
+and the atoms; WECA3, with no other axiom assumed, by each cover's slice
+being a sublattice of B x B^op (one superset-and fold over pair words).
+Only a failing verdict runs the literal search, which reports the
 lexicographically first violating tuple — the one a direct nested loop over
-ascending element values would find.
+ascending element values would find.  The WECA3 search tests all (d, e, f)
+of one (a, b) at once and stops at the first (a, b) that has a hit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Iterable, Literal
 
 import numpy as np
 
-from .topology import CapExceeded, DocumentError, PointSet, RegularClosedAlgebra
+from .topology import CapExceeded, DocumentError, PointSet, RegularClosedAlgebra, check_carrier_cap
 
 DEFAULT_CHECK_CAP = 32
 
@@ -267,21 +269,22 @@ def _tables(atom_count: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, n
     return n, e, and_t, or_t, le_t
 
 
-def _or_over_supersets(table: np.ndarray, axis: int, atom_count: int) -> np.ndarray:
-    """out[.., x, ..] = OR of table over all supersets y of x along axis."""
+def _fold(
+    table: np.ndarray, axis: int, bits: int, op: np.ufunc = np.bitwise_or, *, subsets: bool = False
+) -> np.ndarray:
+    """out[.., x, ..] = op of table over all supersets y of x along axis (over
+    all subsets with ``subsets``), for x of ``bits`` bits: one in-place pass
+    per bit, pairing each x without the bit with x with it."""
     out = table.copy()
-    idx = np.arange(1 << atom_count)
-    for bit in range(atom_count):
-        out |= np.take(out, idx | (1 << bit), axis=axis)
-    return out
-
-
-def _or_over_subsets(table: np.ndarray, axis: int, atom_count: int) -> np.ndarray:
-    """out[.., x, ..] = OR of table over all subsets y of x along axis."""
-    out = table.copy()
-    idx = np.arange(1 << atom_count)
-    for bit in range(atom_count):
-        out |= np.take(out, idx & ~(1 << bit), axis=axis)
+    head, tail = out.shape[:axis], out.shape[axis + 1 :]
+    lead = (slice(None),) * (axis + 1)
+    for bit in range(bits):
+        pairs = out.reshape(*head, -1, 2, 1 << bit, *tail)
+        without, with_ = pairs[lead + (0,)], pairs[lead + (1,)]
+        if subsets:
+            op(with_, without, out=with_)
+        else:
+            op(without, with_, out=without)
     return out
 
 
@@ -290,8 +293,10 @@ def _first(viol: np.ndarray) -> tuple[int, ...]:
     return tuple(int(x) for x in np.argwhere(viol)[0])
 
 
-def _check_cap(size: int, cap_elements: int) -> None:
-    if size > cap_elements:
+def _check_cap(atom_count: int, cap_elements: int) -> None:
+    # 2^k > cap iff k reaches the cap's bit length, so a huge k costs nothing
+    if atom_count >= max(cap_elements, 0).bit_length():
+        size = 1 << atom_count if atom_count < 64 else f"2^{atom_count}"
         raise CapExceeded(
             f"{size} elements exceed the exhaustive-check cap of {cap_elements}; "
             "pass a larger cap_elements to force the check"
@@ -309,11 +314,11 @@ def _ca12_mismatch(c: np.ndarray, k: int) -> np.ndarray:
     base = np.array([0] + [1 << i for i in range(k)])
     restricted = np.zeros_like(c)
     restricted[np.ix_(base, base)] = c[np.ix_(base, base)]
-    return _or_over_subsets(_or_over_subsets(restricted, 0, k), 1, k) != c
+    return _fold(_fold(restricted, 0, k, subsets=True), 1, k, subsets=True) != c
 
 
 def _ca1(c: np.ndarray, n: int, k: int, le_t: np.ndarray) -> tuple | None:
-    grown = _or_over_subsets(_or_over_subsets(c, 0, k), 1, k)
+    grown = _fold(_fold(c, 0, k, subsets=True), 1, k, subsets=True)
     if not (grown & ~c).any():
         return None
     for a in range(n):
@@ -367,7 +372,7 @@ def check_ca(contact: ContactRelation, *, cap_elements: int = DEFAULT_CHECK_CAP)
     distribution over joins, no contact with zero, reflexivity away from
     zero, and symmetry."""
     k = contact.algebra.atom_count
-    _check_cap(contact.algebra.size, cap_elements)
+    _check_cap(k, cap_elements)
     n, _, _, or_t, le_t = _tables(k)
     c = contact.table
     reduced_pass = not _ca12_mismatch(c, k).any()
@@ -460,7 +465,7 @@ def check_eca(covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_C
     covered pair, covering by anything above either member, covered pairs
     meet inside the cover, and symmetry."""
     k = covering.algebra.atom_count
-    _check_cap(covering.algebra.size, cap_elements)
+    _check_cap(k, cap_elements)
     n, e, and_t, or_t, le_t = _tables(k)
     v = covering.table
     witnesses = {
@@ -480,7 +485,7 @@ def check_eca(covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_C
 
 
 def _weca1(v: np.ndarray, n: int, k: int) -> tuple | None:
-    grown = _or_over_supersets(_or_over_supersets(v, 0, k), 1, k)
+    grown = _fold(_fold(v, 0, k), 1, k)
     viol = grown & ~v
     if not viol.any():
         return None
@@ -518,38 +523,42 @@ def _weca2(v: np.ndarray) -> tuple | None:
     return witness
 
 
-def _weca3_holds_given_weca1(v: np.ndarray, e: np.ndarray) -> bool:
-    """Under WECA1 each slice v[:, :, f] is down-closed, so WECA3 holds iff
-    every nonempty row and column of it contains its own join."""
-    row_join = np.bitwise_or.reduce(np.where(v, e[None, :, None], 0), axis=1)
-    col_join = np.bitwise_or.reduce(np.where(v, e[:, None, None], 0), axis=0)
-    return np.array_equal(v[e[:, None], row_join, e], v.any(axis=1)) and np.array_equal(
-        v[col_join, e[:, None], e], v.any(axis=0)
-    )
+def _weca3_holds(v: np.ndarray, k: int) -> bool:
+    """WECA3 iff each slice S_f = {(a, b) : (a, b) |- f} is a sublattice of
+    B x B^op, closed under the meet (a&d, b|e) and the join (a|d, b&e).
+
+    As the 2k-bit word a << k | ~b a pair meets by bitwise and, and a set of
+    words is and-closed iff, for each word x, the and of the members above x
+    (when there are any) is a member.  One superset-and fold gives those
+    ands, starting non-members at -1: that sentinel, with the sign bit set,
+    survives only where no member lies above x, and picks an appended
+    all-true row.  Complementing both members swaps meet and join, so the
+    join test is the same on the reversed words."""
+    bits = 2 * k
+    members = v[:, ::-1].reshape(1 << bits, -1)  # [a << k | ~b, f] = v[a, b, f]
+    members = np.concatenate([members, members[::-1]], axis=1)
+    words = np.arange(1 << bits, dtype=np.int32)[:, None]
+    ands = _fold(np.where(members, words, -1), 0, bits, np.bitwise_and)
+    members = np.concatenate([members, np.ones_like(members[:1])])
+    return bool(members[ands, np.arange(members.shape[1])].all())
 
 
 def _weca3(v: np.ndarray, n: int, and_t: np.ndarray, or_t: np.ndarray) -> tuple | None:
-    i_meet = and_t[:, None, :, None]
-    i_join = or_t[:, None, :, None]
-    j_join = or_t[None, :, None, :]
-    j_meet = and_t[None, :, None, :]
-    best = None
-    for f in range(n):
-        vf = v[:, :, f]
-        premise = vf[:, :, None, None] & vf[None, None, :, :]
-        if not premise.any():
-            continue
-        ok = vf[i_meet, j_join] & vf[i_join, j_meet]
-        viol = premise & ~ok
-        if viol.any():
-            candidate = _first(viol) + (f,)
-            if best is None or candidate < best:
-                best = candidate
-    return best
+    for a in range(n):
+        for b in range(n):
+            premise = v[a, b]
+            if not premise.any():
+                continue
+            # [d, e, f]: both mixed combinations of (a, b) and (d, e) under f
+            ok = v[and_t[a][:, None], or_t[b]] & v[or_t[a][:, None], and_t[b]]
+            viol = premise & v & ~ok
+            if viol.any():
+                return (a, b) + _first(viol)
+    return None
 
 
 def _weca4(v: np.ndarray, n: int, k: int, le_t: np.ndarray) -> tuple | None:
-    grown = _or_over_subsets(v, 2, k)
+    grown = _fold(v, 2, k, subsets=True)
     viol = grown & ~v
     if not viol.any():
         return None
@@ -574,16 +583,13 @@ def check_weca(covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_
     covered pair, coverage of pairs with an empty member, the two mixed
     meet/join combinations, and monotonicity in the cover."""
     k = covering.algebra.atom_count
-    _check_cap(covering.algebra.size, cap_elements)
-    n, e, and_t, or_t, le_t = _tables(k)
+    _check_cap(k, cap_elements)
+    n, _, and_t, or_t, le_t = _tables(k)
     v = covering.table
-    weca1 = _weca1(v, n, k)
     witnesses = {
-        "WECA1": weca1,
+        "WECA1": _weca1(v, n, k),
         "WECA2": _weca2(v),
-        "WECA3": None
-        if weca1 is None and _weca3_holds_given_weca1(v, e)
-        else _weca3(v, n, and_t, or_t),
+        "WECA3": None if _weca3_holds(v, k) else _weca3(v, n, and_t, or_t),
         "WECA4": _weca4(v, n, k, le_t),
     }
     return AxiomReport(
@@ -620,7 +626,7 @@ def _cons4(v: np.ndarray, e: np.ndarray, or_t: np.ndarray) -> tuple | None:
 
 
 def _cons5(v: np.ndarray, n: int, k: int) -> tuple | None:
-    grown = _or_over_supersets(v, 0, k)
+    grown = _fold(v, 0, k)
     if not (grown & ~v).any():
         return None
     for a in range(n):
@@ -640,7 +646,7 @@ def _cons5(v: np.ndarray, n: int, k: int) -> tuple | None:
 
 
 def _cons6(v: np.ndarray, n: int, k: int) -> tuple | None:
-    grown = _or_over_supersets(v, 1, k)
+    grown = _fold(v, 1, k)
     if not (grown & ~v).any():
         return None
     for a in range(n):
@@ -666,7 +672,7 @@ def check_weca_consequences(
     by everything, covering is additive in each member separately, and it is
     antitone in each member separately."""
     k = covering.algebra.atom_count
-    _check_cap(covering.algebra.size, cap_elements)
+    _check_cap(k, cap_elements)
     n, e, _, or_t, _ = _tables(k)
     v = covering.table
     cons1, cons2 = _cons12(v, n)
@@ -710,7 +716,7 @@ def check_relative_contact_laws(
     monotonicity, distribution over joins, no contact for parts of g,
     reflexivity outside g, and symmetry.  Witnesses carry g first."""
     k = covering.algebra.atom_count
-    _check_cap(covering.algebra.size, cap_elements)
+    _check_cap(k, cap_elements)
     n, _, _, or_t, le_t = _tables(k)
     q = ~covering.table  # q[a, b, g]: a and b in contact relative to g
     rcl1 = rcl2 = None
@@ -926,37 +932,37 @@ def check_filter_separation_equivalence(
 # triples as atom-mask integers, or {"atoms": k, "covering_mode": "discrete"}.
 
 
-def covering_from_document(doc: object) -> CoveringRelation:
+def covering_from_document(doc: object, *, cap_elements: int | None = None) -> CoveringRelation:
+    """Parse a covering document.  A malformed document names its first bad
+    triple in input order; with ``cap_elements``, an algebra over the cap
+    raises :class:`CapExceeded` before any table is allocated."""
     if not isinstance(doc, dict):
         raise DocumentError("covering document must be a JSON object")
     atoms = doc.get("atoms")
     if not isinstance(atoms, int) or isinstance(atoms, bool) or atoms < 1:
         raise DocumentError('"atoms" must be a positive integer')
-    algebra = FiniteBooleanAlgebra(atoms)
-    if doc.get("covering_mode") == "discrete":
-        if "covering" in doc:
-            raise DocumentError('give either "covering" or "covering_mode", not both')
-        return discrete_covering(atoms)
-    if "covering_mode" in doc:
+    discrete = doc.get("covering_mode") == "discrete"
+    if discrete and "covering" in doc:
+        raise DocumentError('give either "covering" or "covering_mode", not both')
+    if not discrete and "covering_mode" in doc:
         raise DocumentError(f'unknown covering_mode {doc["covering_mode"]!r}')
     triples = doc.get("covering")
-    if not isinstance(triples, list):
+    if not discrete and not isinstance(triples, list):
         raise DocumentError('"covering" must be an array of [a, b, d] triples')
-    parsed = []
+    if cap_elements is not None:
+        _check_cap(atoms, cap_elements)
+    if discrete:
+        return discrete_covering(atoms)
+    n = 1 << atoms
     for t in triples:
-        if (
-            not isinstance(t, list)
-            or len(t) != 3
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in t)
-        ):
+        if type(t) is not list or len(t) != 3 or not type(t[0]) is type(t[1]) is type(t[2]) is int:
             raise DocumentError(f"bad covering triple {t!r}")
-        a, b, d = t
-        if not all(0 <= x < algebra.size for x in (a, b, d)):
-            raise DocumentError(
-                f"triple {t!r} out of range for a {atoms}-atom algebra"
-            )
-        parsed.append((a, b, d))
-    return CoveringRelation.from_true_triples(algebra, parsed)
+        if not (0 <= t[0] < n and 0 <= t[1] < n and 0 <= t[2] < n):
+            raise DocumentError(f"triple {t!r} out of range for a {atoms}-atom algebra")
+    table = np.zeros((n, n, n), dtype=bool)
+    if triples:
+        table[tuple(np.array(triples, dtype=np.intp).T)] = True
+    return CoveringRelation(FiniteBooleanAlgebra(atoms), table)
 
 
 def covering_document(covering: CoveringRelation) -> dict:
@@ -1000,10 +1006,7 @@ def eca_from_rc(
     """
     k = len(source.atoms)
     n = 1 << k
-    if n > cap_elements:
-        raise CapExceeded(
-            f"{n} elements exceed cap_elements={cap_elements}; raise the cap to force"
-        )
+    check_carrier_cap(k, cap_elements)
     empty = PointSet.empty(source.topology.universe_size)
     element_sets = []
     for mask in range(n):

@@ -171,7 +171,7 @@ def _topological_source(
     doc: object, config: RunConfig, *, verify: bool
 ) -> tuple[LabeledTopology, TopologicalEca]:
     labeled = labeled_topology_from_document(doc)
-    algebra = rc_algebra(labeled.topology)
+    algebra = rc_algebra(labeled.topology, cap_elements=config.elements_cap())
     teca = eca_from_rc(algebra, cap_elements=config.elements_cap(), verify=verify)
     return labeled, teca
 
@@ -204,13 +204,8 @@ def cmd_rc(config: RunConfig) -> int:
     if _document_kind(doc) != "topology":
         raise DocumentError('rc needs a topology document ("universe" + "subbasis")')
     labeled = labeled_topology_from_document(doc)
-    algebra = rc_algebra(labeled.topology)
+    algebra = rc_algebra(labeled.topology, cap_elements=config.elements_cap())
     size = len(algebra.carrier)
-    if size > config.elements_cap():
-        raise CapExceeded(
-            f"carrier has {size} elements, over the cap {config.elements_cap()}; "
-            "raise --cap-elements to force"
-        )
     connected = [rc_internally_connected(algebra, c) for c in algebra.carrier]
     out = {
         "command": "rc",
@@ -273,7 +268,7 @@ def cmd_check_axioms(config: RunConfig) -> int:
     kind = _document_kind(doc)
     cap = config.elements_cap()
     if kind == "covering":
-        covering = covering_from_document(doc)
+        covering = covering_from_document(doc, cap_elements=cap)
         described = f"covering ({covering.algebra.atom_count} atoms)"
     elif kind == "topology":
         _, teca = _topological_source(doc, config, verify=False)
@@ -346,7 +341,7 @@ def cmd_represent(config: RunConfig) -> int:
     cap = config.elements_cap()
     if config.kind == "parametrized":
         if kind == "covering":
-            covering = covering_from_document(doc)
+            covering = covering_from_document(doc, cap_elements=cap)
         elif kind == "topology":
             _, teca = _topological_source(doc, config, verify=False)
             covering = teca.covering
@@ -561,8 +556,8 @@ def _run_trial(config: RunConfig, trial: int) -> dict:
     subbasis = _sample_subbasis(rng, n)
     labels = [str(i) for i in range(n)]
     topo = generate_topology(n, [PointSet(n, m) for m in subbasis])
-    algebra = rc_algebra(topo)
     cap = config.elements_cap()
+    algebra = rc_algebra(topo, cap_elements=cap)
     teca = eca_from_rc(algebra, cap_elements=cap, verify=False)
     covering = teca.covering
     failures: list[dict] = []

@@ -320,16 +320,27 @@ class RegularClosedAlgebra:
         return mask
 
 
-def rc_algebra(topology: FiniteTopology) -> RegularClosedAlgebra:
+def check_carrier_cap(atom_count: int, cap_elements: int) -> None:
+    """Raise :class:`CapExceeded` when 2^atom_count elements exceed the cap."""
+    if 1 << atom_count > cap_elements:
+        raise CapExceeded(
+            f"{1 << atom_count} elements exceed cap_elements={cap_elements}; raise the cap to force"
+        )
+
+
+def rc_algebra(topology: FiniteTopology, *, cap_elements: int | None = None) -> RegularClosedAlgebra:
     """The regular closed algebra {Cl(U) : U open}.  Its atoms are the
     distinct Cl(U_x) for the minimal U_x, and its carrier is their unions:
     every open U is a union of U_x, each holding a minimal one, so Cl(U) is
     the union of the atoms below it.  Distinct minimal U_x are disjoint, so
-    distinct sets of atoms have distinct unions.
+    distinct sets of atoms have distinct unions.  With ``cap_elements``, a
+    carrier over the cap raises :class:`CapExceeded` before it is built.
     """
     n = topology.universe_size
     nbhd = topology._neighbourhood_points
     minimal = [u for u in nbhd if not any(v != u and v & ~u == 0 for v in nbhd)]
+    if cap_elements is not None:
+        check_carrier_cap(len(minimal), cap_elements)
     atoms = sorted({closure(topology, PointSet(n, u)).bits for u in minimal})
     carrier_bits = {0}
     for atom in atoms:

@@ -49,7 +49,7 @@ from mereotop import (
 from mereotop.algebra import (
     _ca12_mismatch,
     _eca1_holds,
-    _weca3_holds_given_weca1,
+    _weca3_holds,
     verified_eca,
     verified_weca,
 )
@@ -239,6 +239,24 @@ def down_closed_covering(k: int, rng: random.Random) -> CoveringRelation:
     )
 
 
+def sublattice_covering(k: int, rng: random.Random) -> CoveringRelation:
+    """Each cover's slice a product of intervals [p, q] x [r, s], or empty:
+    a sublattice of B x B^op, so WECA3 holds, while WECA1 fails as soon as
+    some slice has p or r nonzero."""
+    n = 1 << k
+    e = np.arange(n)
+    table = np.zeros((n, n, n), dtype=bool)
+    for f in range(n):
+        if rng.random() < 0.2:
+            continue
+        p, r = rng.randrange(n), rng.randrange(n)
+        q, s = p | rng.randrange(n), r | rng.randrange(n)
+        in_a = (p & ~e == 0) & (e & ~q == 0)
+        in_b = (r & ~e == 0) & (e & ~s == 0)
+        table[:, :, f] = in_a[:, None] & in_b[None, :]
+    return CoveringRelation(FiniteBooleanAlgebra(k), table)
+
+
 def up_closed_contact(k: int, rng: random.Random) -> ContactRelation:
     """The up-closure of a few random pairs: monotone (CA1), and usually not
     distributive over joins (CA2)."""
@@ -268,8 +286,7 @@ def assert_covering_checkers_match(cov: CoveringRelation) -> None:
     assert _eca1_holds(cov.table, k, e) == (naive["ECA1"] is None)
     naive = oracles.naive_check_weca(n, table)
     assert check_weca(cov).as_dict() == naive
-    if naive["WECA1"] is None:
-        assert _weca3_holds_given_weca1(cov.table, e) == (naive["WECA3"] is None)
+    assert _weca3_holds(cov.table, k) == (naive["WECA3"] is None)
     naive = oracles.naive_relative_contact_laws(n, table)
     assert check_relative_contact_laws(cov).as_dict() == naive
     assert _ca12_mismatch(~cov.table, k).any() == ((naive["RCL1"], naive["RCL2"]) != (None, None))
@@ -308,6 +325,36 @@ class TestReducedVerdictsMatchNaive:
         report = check_weca(cov).as_dict()
         assert report["WECA1"] is None and report["WECA3"] is not None
         assert_covering_checkers_match(cov)
+
+    @pytest.mark.parametrize("flips,seed", [(1, 7), (1, 8), (1, 15), (3, 31)])
+    def test_weca1_fails_weca3_holds_flipped(self, flips, seed):
+        cov = alexandrov_covering(2, flips, random.Random(seed))
+        report = check_weca(cov).as_dict()
+        assert report["WECA1"] is not None and report["WECA3"] is None
+        assert_covering_checkers_match(cov)
+
+    @pytest.mark.parametrize("k,seed", [(k, s) for k in (2, 3, 4) for s in range(2)])
+    def test_weca1_fails_weca3_holds_sublattices(self, k, seed):
+        cov = sublattice_covering(k, random.Random(seed))
+        report = check_weca(cov).as_dict()
+        assert report["WECA1"] is not None and report["WECA3"] is None
+        assert_covering_checkers_match(cov)
+
+    @pytest.mark.parametrize("k,flips,seed", [(2, 1, 0), (2, 2, 3), (3, 1, 0), (3, 2, 5), (4, 1, 0)])
+    def test_weca1_and_weca3_fail(self, k, flips, seed):
+        cov = alexandrov_covering(k, flips, random.Random(seed))
+        report = check_weca(cov).as_dict()
+        assert report["WECA1"] is not None and report["WECA3"] is not None
+        assert_covering_checkers_match(cov)
+
+    def test_weca3_witness_outside_first_failing_cover(self):
+        # the lex-first witness (0, 5, 7, 7, 7) has a larger cover than
+        # violations such as (1, 2, 14, 2, 2): scanning covers first would
+        # report one of those
+        cov = alexandrov_covering(4, 2, random.Random(27))
+        witness = oracles.naive_check_weca(16, cov.table.tolist())["WECA3"]
+        assert witness == (0, 5, 7, 7, 7)
+        assert check_weca(cov).as_dict()["WECA3"] == witness
 
     @pytest.mark.parametrize("k,seed", [(k, s) for k in (2, 3) for s in range(4)])
     def test_ca1_holds(self, k, seed):
@@ -573,6 +620,41 @@ class TestFiltersAndIdeals:
 # documents
 
 
+ATOMS = '"atoms" must be a positive integer'
+MALFORMED_COVERINGS = [
+    ({"covering": []}, ATOMS),
+    ({"atoms": 0, "covering": []}, ATOMS),
+    ({"atoms": True, "covering": []}, ATOMS),
+    ({"atoms": 2}, '"covering" must be an array of [a, b, d] triples'),
+    ({"atoms": 2, "covering": [[0, 0]]}, "bad covering triple [0, 0]"),
+    ({"atoms": 2, "covering": [[0, 0, 4]]}, "triple [0, 0, 4] out of range for a 2-atom algebra"),
+    ({"atoms": 2, "covering": [[0, 0, True]]}, "bad covering triple [0, 0, True]"),
+    ({"atoms": 2, "covering_mode": "dense"}, "unknown covering_mode 'dense'"),
+    (
+        {"atoms": 2, "covering_mode": "discrete", "covering": []},
+        'give either "covering" or "covering_mode", not both',
+    ),
+    ("nope", "covering document must be a JSON object"),
+    ({"atoms": 2, "covering": [[0, 1.0, 2]]}, "bad covering triple [0, 1.0, 2]"),
+    ({"atoms": 2, "covering": [[0, [1], 2]]}, "bad covering triple [0, [1], 2]"),
+    ({"atoms": 2, "covering": [[0, 1, 2, 3]]}, "bad covering triple [0, 1, 2, 3]"),
+    ({"atoms": 2, "covering": [{"a": 0}]}, "bad covering triple {'a': 0}"),
+    (
+        {"atoms": 2, "covering": [[0, 2**70, 1]]},
+        f"triple [0, {2**70}, 1] out of range for a 2-atom algebra",
+    ),
+    # the first bad triple in input order is reported, whatever its fault
+    (
+        {"atoms": 2, "covering": [[0, 0, 0], [0, 0, 4], [0, 0.5, 0]]},
+        "triple [0, 0, 4] out of range for a 2-atom algebra",
+    ),
+    (
+        {"atoms": 2, "covering": [[0, 0, 0], [0, 0.5, 0], [0, 0, 4]]},
+        "bad covering triple [0, 0.5, 0]",
+    ),
+]
+
+
 class TestCoveringDocuments:
     def test_roundtrip(self):
         algebra = FiniteBooleanAlgebra(2)
@@ -587,20 +669,13 @@ class TestCoveringDocuments:
         assert np.array_equal(cov.table, discrete_covering(3).table)
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc,message",
         [
-            {"covering": []},
-            {"atoms": 0, "covering": []},
-            {"atoms": True, "covering": []},
-            {"atoms": 2},
-            {"atoms": 2, "covering": [[0, 0]]},
-            {"atoms": 2, "covering": [[0, 0, 4]]},
-            {"atoms": 2, "covering": [[0, 0, True]]},
-            {"atoms": 2, "covering_mode": "dense"},
-            {"atoms": 2, "covering_mode": "discrete", "covering": []},
-            "nope",
+            pytest.param(doc, message, id=doc if isinstance(doc, str) else f"doc{i}")
+            for i, (doc, message) in enumerate(MALFORMED_COVERINGS)
         ],
     )
-    def test_malformed_rejected(self, doc):
-        with pytest.raises(DocumentError):
+    def test_malformed_rejected(self, doc, message):
+        with pytest.raises(DocumentError) as err:
             covering_from_document(doc)
+        assert str(err.value) == message

@@ -105,6 +105,59 @@ class TestRouting:
         assert "warning:" in capsys.readouterr().err
 
 
+class TestOversizedInputFailsFast:
+    """Inputs over --cap-elements exit 2 with one error line, before any
+    2^k-sized table or carrier is built."""
+
+    @pytest.mark.parametrize(
+        "argv", [["check-axioms"], ["represent", "--kind", "parametrized"]], ids=["axioms", "pframe"]
+    )
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"atoms": 40, "covering_mode": "discrete"},
+            {"atoms": 40, "covering": [[0, 0, 0]]},
+            {"atoms": 10**12, "covering_mode": "discrete"},
+        ],
+        ids=["discrete40", "triples40", "discrete1e12"],
+    )
+    def test_covering_over_the_cap(self, argv, body, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(body))
+        assert main([*argv, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [["check-axioms"], ["represent", "--kind", "parametrized"]], ids=["axioms", "pframe"]
+    )
+    def test_covering_just_over_the_cap_keeps_its_message(self, argv, tmp_path, capsys):
+        path = tmp_path / "seven.json"
+        path.write_text(json.dumps({"atoms": 7, "covering_mode": "discrete"}))
+        assert main([*argv, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 128 elements exceed the exhaustive-check cap of 64; "
+            "pass a larger cap_elements to force the check\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["rc"], ["check-axioms"], ["represent", "--kind", "type2"]], ids=["rc", "axioms", "type2"]
+    )
+    def test_space_over_the_cap_builds_no_carrier(self, argv, tmp_path, capsys, monkeypatch):
+        # a 12-point discrete space has 12 atoms, so 4096 carrier elements
+        def no_carrier(*args, **kwargs):
+            raise AssertionError("the regular closed carrier was built")
+
+        monkeypatch.setattr("mereotop.topology.RegularClosedAlgebra", no_carrier)
+        names = [f"p{i}" for i in range(12)]
+        path = tmp_path / "discrete12.json"
+        path.write_text(json.dumps({"universe": names, "subbasis": [[p] for p in names]}))
+        assert main([*argv, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 4096 elements exceed cap_elements=64; raise the cap to force\n"
+        )
+
+
 # ---------------------------------------------------------------------------
 # rc
 
