@@ -59,8 +59,6 @@ from .topology import (
 )
 
 DEFAULT_CAP_ELEMENTS = 64
-DEFAULT_CAP_WORLDS = 16
-DEFAULT_PFRAME_ATOMS = 4
 DEFAULT_MAX_UNIVERSE = 5
 TRIAL_SEED_STRIDE = 1_000_003
 
@@ -89,15 +87,11 @@ class RunConfig:
     trials: int = 10
     max_universe: int = DEFAULT_MAX_UNIVERSE
     cap_elements: int | None = None
-    cap_worlds: int | None = None
     output_json: bool = False
     verbose: bool = False
 
     def elements_cap(self, default: int = DEFAULT_CAP_ELEMENTS) -> int:
         return self.cap_elements if self.cap_elements is not None else default
-
-    def worlds_cap(self, default: int = DEFAULT_CAP_WORLDS) -> int:
-        return self.cap_worlds if self.cap_worlds is not None else default
 
 
 @dataclass(frozen=True)
@@ -364,9 +358,7 @@ def cmd_represent(config: RunConfig) -> int:
                         print(f"  {check['name']}: FAIL at {tuple(check['witness'])}")
             return 1
         source = ExtendedContactAlgebra(covering, "WECA")
-        embedding = build_parametrized_frame(
-            source, cap_atoms=config.worlds_cap(DEFAULT_PFRAME_ATOMS)
-        )
+        embedding = build_parametrized_frame(source)
         report = verify_embedding(embedding, pipeline="parametrized", cap_elements=cap)
         out = verification_document(report, embedding)
     else:
@@ -629,10 +621,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--cap-elements", dest="cap_elements", type=int, metavar="N",
         help=f"override the exhaustive-check element cap (default {DEFAULT_CAP_ELEMENTS})",
     )
-    parser.add_argument(
-        "--cap-worlds", dest="cap_worlds", type=int, metavar="N",
-        help=f"override world-count caps (default {DEFAULT_CAP_WORLDS})",
-    )
 
 
 @cache  # built once per process: building costs about as much as a small command
@@ -663,21 +651,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_namespace(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
     cap_elements = getattr(ns, "cap_elements", None)
-    cap_worlds = getattr(ns, "cap_worlds", None)
     if cap_elements is not None and cap_elements < 1:
         parser.error("--cap-elements must be positive")
-    if cap_worlds is not None and cap_worlds < 1:
-        parser.error("--cap-worlds must be positive")
     if cap_elements is not None and cap_elements > DEFAULT_CAP_ELEMENTS:
         print(
             f"warning: --cap-elements {cap_elements} above the default "
             f"{DEFAULT_CAP_ELEMENTS}; exhaustive checks may run long",
-            file=sys.stderr,
-        )
-    if cap_worlds is not None and cap_worlds > DEFAULT_CAP_WORLDS:
-        print(
-            f"warning: --cap-worlds {cap_worlds} above the default "
-            f"{DEFAULT_CAP_WORLDS}; enumeration may run long",
             file=sys.stderr,
         )
     trials = getattr(ns, "trials", 0)
@@ -697,7 +676,6 @@ def _config_from_namespace(ns: argparse.Namespace, parser: argparse.ArgumentPars
         trials=trials,
         max_universe=max_universe,
         cap_elements=cap_elements,
-        cap_worlds=cap_worlds,
         output_json=ns.output_json,
         verbose=ns.verbose,
     )

@@ -2,21 +2,24 @@
 
 Three frame kinds over a finite world set W (worlds 0..|W|-1, subsets as
 int bitmasks): parametrized frames, which attach a binary relation R(U) to
-every subset U of W; equivalence frames of type 1 (one partition); and
-equivalence frames of type 2 (two partitions, read through the composite
-class R1(R2(s))).  Each induces a covering on subsets of W, and the
-powerset with that covering is an extended contact algebra — weak for
-parametrized frames, full for the equivalence kinds — which
-:func:`powerset_eca` tabulates and verifies.  :func:`covering_table`
-tabulates a frame's covering over any family of subsets (all of them for
-the powerset, the images of an embedding for its verification).
+every subset U of W and store them as one (2^|W|, |W|, |W|) boolean array;
+equivalence frames of type 1 (one partition); and equivalence frames of
+type 2 (two partitions, read through the composite class R1(R2(s))).  Each
+induces a covering on subsets of W, and the powerset with that covering is
+an extended contact algebra — weak for parametrized frames, full for the
+equivalence kinds — which :func:`powerset_eca` tabulates and verifies.
+:func:`covering_table` tabulates a frame's covering over any family of
+subsets (all of them for the powerset, the images of an embedding for its
+verification).  A parametrized frame has one covering evaluator, the
+literal definition read through the superset union R*(d) of the relations,
+so it holds for every frame, antitone or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,13 +27,12 @@ from .algebra import (
     CoveringRelation,
     ExtendedContactAlgebra,
     FiniteBooleanAlgebra,
+    _fold,
     verified_eca,
     verified_weca,
 )
-from .topology import CapExceeded, DocumentError, glued_components
+from .topology import CapExceeded, glued_components
 
-DEFAULT_NAIVE_SUPERSET_CAP = 16
-DEFAULT_ANTITONE_AUDIT_CAP = 8
 DEFAULT_POWERSET_CAP = 5
 
 
@@ -46,160 +48,37 @@ def _mask_indices(mask: int) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class ParametrizedFrame:
-    """Worlds plus a relation R(U) for every subset U of the worlds.
+    """Worlds plus a relation R(U) for every subset U of the worlds, stored
+    as one read-only (2^|W|, |W|, |W|) boolean array: ``relations[u]`` is
+    R(U) for the subset with mask u.  The constructor copies and freezes
+    the array and derives ``world_count`` from its shape."""
 
-    ``relation_map`` takes a subset mask and returns a |W| x |W| boolean
-    matrix.  Frames whose relation shrinks as U grows may carry
-    ``antitone_certified=True`` (set it only when the construction
-    guarantees antitonicity; otherwise use :func:`pframe_antitone_audit`).
-    """
-
-    world_count: int
-    relation_map: Callable[[int], np.ndarray]
-    antitone_certified: bool = False
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    relations: np.ndarray
+    world_count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.world_count < 1:
-            raise ValueError("a frame needs at least one world")
-
-    @classmethod
-    def from_tables(
-        cls,
-        world_count: int,
-        tables: Sequence[np.ndarray],
-        *,
-        antitone_certified: bool = False,
-    ) -> "ParametrizedFrame":
-        if len(tables) != 1 << world_count:
+        relations = np.array(self.relations, dtype=bool)
+        w = relations.shape[-1] if relations.ndim == 3 else 0
+        if w < 1 or relations.shape != (1 << w, w, w):
             raise ValueError(
-                f"need one relation per subset: {1 << world_count}, got {len(tables)}"
+                "need one |W| x |W| relation per subset of at least one world, "
+                f"got shape {relations.shape}"
             )
-        frozen = []
-        for t in tables:
-            arr = np.ascontiguousarray(np.asarray(t, dtype=bool))
-            if arr.shape != (world_count, world_count):
-                raise ValueError(f"relation table has shape {arr.shape}")
-            arr.setflags(write=False)
-            frozen.append(arr)
-        return cls(world_count, lambda u: frozen[u], antitone_certified=antitone_certified)
-
-    @classmethod
-    def from_predicate(
-        cls,
-        world_count: int,
-        predicate: Callable[[int, int, int], bool],
-        *,
-        antitone_certified: bool = False,
-    ) -> "ParametrizedFrame":
-        def build(u: int) -> np.ndarray:
-            return np.array(
-                [
-                    [bool(predicate(u, s, t)) for t in range(world_count)]
-                    for s in range(world_count)
-                ],
-                dtype=bool,
-            )
-
-        return cls(world_count, build, antitone_certified=antitone_certified)
+        relations.setflags(write=False)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "world_count", w)
 
     def relation(self, u_mask: int) -> np.ndarray:
-        """R(U) as a read-only |W| x |W| boolean matrix (memoized)."""
+        """R(U) as a read-only |W| x |W| boolean matrix."""
         _require_masks(self.world_count, u_mask)
-        cached = self._cache.get(u_mask)
-        if cached is None:
-            arr = np.ascontiguousarray(np.asarray(self.relation_map(u_mask), dtype=bool))
-            if arr.shape != (self.world_count, self.world_count):
-                raise ValueError(f"relation map returned shape {arr.shape}")
-            arr.setflags(write=False)
-            cached = self._cache[u_mask] = arr
-        return cached
+        return self.relations[u_mask]
 
 
-def pframe_antitone_audit(
-    frame: ParametrizedFrame, *, cap_worlds: int = DEFAULT_ANTITONE_AUDIT_CAP
-) -> bool:
-    """Check by enumeration that growing U only shrinks R(U).
-
-    It is enough to compare each U with its one-bit extensions; chains of
-    single steps reach every superset.  The verdict is memoized.
-    """
-    verdict = frame._cache.get("antitone")
-    if verdict is not None:
-        return verdict
-    if frame.world_count > cap_worlds:
-        raise CapExceeded(
-            f"{frame.world_count} worlds exceed the antitonicity audit cap {cap_worlds}"
-        )
-    verdict = True
-    full = (1 << frame.world_count) - 1
-    for u in range(full + 1):
-        rel = frame.relation(u)
-        for w in range(frame.world_count):
-            bit = 1 << w
-            if u & bit:
-                continue
-            if (frame.relation(u | bit) & ~rel).any():
-                verdict = False
-                break
-        if not verdict:
-            break
-    frame._cache["antitone"] = verdict
-    return verdict
-
-
-def pframe_covering_naive(
-    frame: ParametrizedFrame,
-    a: int,
-    b: int,
-    d: int,
-    *,
-    cap_worlds: int = DEFAULT_NAIVE_SUPERSET_CAP,
-) -> bool:
-    """Literal covering: no R(U) with U containing d relates a point of a
-    to a point of b.  Enumerates every superset of d."""
-    _require_masks(frame.world_count, a, b, d)
-    if frame.world_count > cap_worlds:
-        raise CapExceeded(
-            f"{frame.world_count} worlds exceed the superset-enumeration cap "
-            f"{cap_worlds}; use pframe_covering_antitone on antitone frames"
-        )
-    rows = np.array(_mask_indices(a), dtype=np.intp)
-    cols = np.array(_mask_indices(b), dtype=np.intp)
-    if not len(rows) or not len(cols):
-        return True
-    grid = np.ix_(rows, cols)
-    outside = ((1 << frame.world_count) - 1) & ~d
-    extra = outside
-    while True:
-        if frame.relation(d | extra)[grid].any():
-            return False
-        if extra == 0:
-            return True
-        extra = (extra - 1) & outside
-
-
-def _require_antitone(frame: ParametrizedFrame) -> None:
-    if not frame.antitone_certified:
-        if frame.world_count > DEFAULT_ANTITONE_AUDIT_CAP:
-            raise ValueError(
-                "antitonicity not certified and the frame is too large to audit"
-            )
-        if not pframe_antitone_audit(frame):
-            raise ValueError("frame relation is not antitone; use pframe_covering_naive")
-
-
-def pframe_covering_antitone(frame: ParametrizedFrame, a: int, b: int, d: int) -> bool:
-    """Covering via the antitone shortcut: on frames where growing U only
-    shrinks R(U), the quantifier over supersets of d collapses to R(d)
-    itself.  Requires the certificate or a passing audit."""
-    _require_masks(frame.world_count, a, b, d)
-    _require_antitone(frame)
-    rows = np.array(_mask_indices(a), dtype=np.intp)
-    cols = np.array(_mask_indices(b), dtype=np.intp)
-    if not len(rows) or not len(cols):
-        return True
-    return not frame.relation(d)[np.ix_(rows, cols)].any()
+def _reach(frame: ParametrizedFrame) -> np.ndarray:
+    """R*(d) = ⋁_{U ⊇ d} R(U) for every mask d: the pairs some relation
+    indexed by a superset of d relates.  Equal to the relations themselves
+    exactly when the frame is antitone (R shrinks as U grows)."""
+    return _fold(frame.relations, 0, frame.world_count)
 
 
 # ---------------------------------------------------------------------------
@@ -329,32 +208,6 @@ def frame2_internally_connected(frame: EquivalenceFrame2, s_mask: int) -> bool:
     return len(glued_components(s_mask, frame.distinct_composite_masks)) <= 1
 
 
-def frame2_internally_connected_naive(
-    frame: EquivalenceFrame2, s_mask: int, *, cap_size: int = 10
-) -> bool:
-    """Literal quantification over all splits of s_mask (exponential in its
-    size); the component-based evaluator must agree with this."""
-    _require_masks(frame.world_count, s_mask)
-    if s_mask.bit_count() > cap_size:
-        raise CapExceeded(
-            f"split enumeration over {s_mask.bit_count()} worlds exceeds cap {cap_size}"
-        )
-    complement = ((1 << frame.world_count) - 1) & ~s_mask
-    b = s_mask
-    while b:
-        rest = s_mask & ~b
-        extra = b
-        while True:
-            d = rest | extra
-            if d and frame2_covering(frame, b, d, complement):
-                return False
-            if extra == 0:
-                break
-            extra = (extra - 1) & b
-        b = (b - 1) & s_mask
-    return True
-
-
 # ---------------------------------------------------------------------------
 # contact induced by a reflexive symmetric point relation
 
@@ -425,17 +278,18 @@ def covering_table(
     Equivalence frames count, for every (i, j, l), the columns c of
     :func:`_meets` with G[i, c] ∧ G[j, c] ∧ ¬G[l, c] in one float32 matmul
     per chunk of i (exact: a count never exceeds the few columns of G).
-    Antitone parametrized frames (certified or audited) use
-    (a, b) ⊢ d ⟺ A[a] · R(d) · A[b]ᵀ = 0, with A the membership rows: one
-    small matmul per l.
+    Parametrized frames use the literal covering — no R(U) with U ⊇ d
+    relates a world of a to a world of b — in the form
+    (a, b) ⊢ d ⟺ A[a] · R*(d) · A[b]ᵀ = 0, with A the membership rows and
+    R* from :func:`_reach`: one small matmul per l.
     """
     n = len(masks)
     table = np.empty((n, n, n), dtype=bool)
     if isinstance(frame, ParametrizedFrame):
-        _require_antitone(frame)
         rows = _membership(frame.world_count, masks).astype(np.float32)
+        reach = _reach(frame).astype(np.float32)
         for l, u in enumerate(masks):
-            table[:, :, l] = rows @ frame.relation(u).astype(np.float32) @ rows.T == 0
+            table[:, :, l] = rows @ reach[u] @ rows.T == 0
         return table
     g = _meets(frame, masks).astype(np.float32)
     k = g.shape[1]
@@ -457,13 +311,9 @@ def covering_entries(
     """Entries [a[i], b[i], d[i]] of ``covering_table(frame, masks)`` for
     index arrays a, b, d, evaluated on the same rows without the table."""
     if isinstance(frame, ParametrizedFrame):
-        _require_antitone(frame)
         rows = _membership(frame.world_count, masks).astype(np.float32)
-        used, which = np.unique(d, return_inverse=True)
-        w = frame.world_count
-        rels = np.array([frame.relation(masks[i]) for i in used], np.float32)
-        rels = rels.reshape(len(used), w, w)
-        return np.einsum("is,ist,it->i", rows[a], rels[which], rows[b]) == 0
+        reach = _reach(frame).astype(np.float32)[np.asarray(masks)[d]]
+        return np.einsum("is,ist,it->i", rows[a], reach, rows[b]) == 0
     g = _meets(frame, masks)
     return ~(g[a] & g[b] & ~g[d]).any(axis=1)
 
@@ -487,30 +337,6 @@ class FrameAlgebra:
         return self.eca.covering
 
 
-def _parametrized_table(frame: ParametrizedFrame) -> np.ndarray:
-    w = frame.world_count
-    n = 1 << w
-    table = np.ones((n, n, n), dtype=bool)
-    full = n - 1
-    for u in range(n):
-        rel = frame.relation(u)
-        rows_any = np.zeros((n, w), dtype=bool)
-        for s in range(w):
-            grow = (np.arange(n) >> s & 1) == 1
-            rows_any[grow] |= rel[s]
-        contact_u = np.zeros((n, n), dtype=bool)
-        for t in range(w):
-            grow = (np.arange(n) >> t & 1) == 1
-            contact_u[:, grow] |= rows_any[:, t][:, None]
-        sub = u
-        while True:
-            table[:, :, sub] &= ~contact_u
-            if sub == 0:
-                break
-            sub = (sub - 1) & u
-    return table
-
-
 def powerset_eca(
     frame: ParametrizedFrame | EquivalenceFrame1 | EquivalenceFrame2,
     *,
@@ -525,80 +351,13 @@ def powerset_eca(
         raise CapExceeded(
             f"{w} worlds give a {1 << w}-element powerset, over cap_worlds={cap_worlds}"
         )
-    algebra = FiniteBooleanAlgebra(w)
-    if isinstance(frame, (EquivalenceFrame1, EquivalenceFrame2)):
-        table = covering_table(frame, range(1 << w))
-        strength = "ECA"
-    elif isinstance(frame, ParametrizedFrame):
-        table = _parametrized_table(frame)
-        strength = "WECA"
+    covering = CoveringRelation(FiniteBooleanAlgebra(w), covering_table(frame, range(1 << w)))
+    if isinstance(frame, ParametrizedFrame):
+        strength, verified = "WECA", verified_weca
     else:
-        raise TypeError(f"not a frame: {type(frame).__name__}")
-    covering = CoveringRelation(algebra, table)
-    if not verify:
+        strength, verified = "ECA", verified_eca
+    if verify:
+        eca = verified(covering, cap_elements=1 << w)
+    else:
         eca = ExtendedContactAlgebra(covering, strength)
-    elif strength == "ECA":
-        eca = verified_eca(covering, cap_elements=1 << w)
-    else:
-        eca = verified_weca(covering, cap_elements=1 << w)
     return FrameAlgebra(frame, eca)
-
-
-# ---------------------------------------------------------------------------
-# JSON documents
-
-
-def _classes_from_document(doc: dict, key: str, worlds: int) -> tuple[int, ...]:
-    classes = doc.get(key)
-    if (
-        not isinstance(classes, list)
-        or len(classes) != worlds
-        or not all(isinstance(c, int) and not isinstance(c, bool) for c in classes)
-    ):
-        raise DocumentError(f'"{key}" must be an array of {worlds} integer class ids')
-    return tuple(classes)
-
-
-def _worlds_from_document(doc: object) -> int:
-    if not isinstance(doc, dict):
-        raise DocumentError("frame document must be a JSON object")
-    worlds = doc.get("worlds")
-    if not isinstance(worlds, int) or isinstance(worlds, bool) or worlds < 1:
-        raise DocumentError('"worlds" must be a positive integer')
-    return worlds
-
-
-def frame1_from_document(doc: object) -> EquivalenceFrame1:
-    worlds = _worlds_from_document(doc)
-    return EquivalenceFrame1(worlds, _classes_from_document(doc, "classes", worlds))
-
-
-def frame2_from_document(doc: object) -> EquivalenceFrame2:
-    worlds = _worlds_from_document(doc)
-    return EquivalenceFrame2(
-        worlds,
-        _classes_from_document(doc, "classes", worlds),
-        _classes_from_document(doc, "classes2", worlds),
-    )
-
-
-def _canonical_ids(classes: tuple[int, ...]) -> list[int]:
-    relabel: dict[int, int] = {}
-    out = []
-    for cid in classes:
-        if cid not in relabel:
-            relabel[cid] = len(relabel)
-        out.append(relabel[cid])
-    return out
-
-
-def frame1_document(frame: EquivalenceFrame1) -> dict:
-    return {"worlds": frame.world_count, "classes": _canonical_ids(frame.classes)}
-
-
-def frame2_document(frame: EquivalenceFrame2) -> dict:
-    return {
-        "worlds": frame.world_count,
-        "classes": _canonical_ids(frame.classes1),
-        "classes2": _canonical_ids(frame.classes2),
-    }

@@ -3,7 +3,8 @@ machinery that machine-checks each construction really is an embedding.
 
 Three pipelines.  ``build_parametrized_frame`` sends any weak extended
 contact algebra to the frame of maximal filters of its Boolean algebra,
-with R(U) defined by a witness-element condition.  ``build_type1`` and
+with R(U) defined by a witness-element condition and read straight off
+the covering table as one relation array.  ``build_type1`` and
 ``build_type2`` send a regular closed algebra (through its covering) to an
 equivalence frame whose worlds are (atom, point) couples — one partition
 by point for type 1; partitions by atom and by point, read through the
@@ -28,6 +29,7 @@ from .algebra import (
     CheckResult,
     ExtendedContactAlgebra,
     TopologicalEca,
+    _fold,
     internally_connected_algebraic,
     maximal_filters,
 )
@@ -42,7 +44,6 @@ from .frames import (
 )
 from .topology import CapExceeded, LabeledTopology
 
-DEFAULT_PFRAME_ATOM_CAP = 4
 DEFAULT_VERIFY_CAP = 32
 
 
@@ -93,55 +94,28 @@ class VerificationReport:
 # the maximal-filter construction
 
 
-def build_parametrized_frame(
-    eca: ExtendedContactAlgebra, *, cap_atoms: int = DEFAULT_PFRAME_ATOM_CAP
-) -> Embedding:
+def build_parametrized_frame(eca: ExtendedContactAlgebra) -> Embedding:
     """The frame of maximal filters of the algebra of a (weak or full)
     extended contact algebra.
 
-    R(U)(s, t) holds iff every covered pair (a, b) with a in filter s and
-    b in filter t admits a witness element e that is not above the cover
-    and belongs to every filter in U.  h sends an element to the set of
-    maximal filters containing it.
-
-    A witness for U also witnesses every subset of U (the membership
-    requirement only loses conjuncts), so growing U can only lose
-    relation pairs: the frame is antitone by construction and carries the
-    certificate.
+    World s is the filter of atom s, and h sends an element a to the
+    filters containing it, which is the bit mask a itself.  R(U)(s, t)
+    holds iff every covered pair (a, b) ⊢ d with a in filter s and b in
+    filter t admits a witness element e that is not above d and belongs to
+    every filter in U, i.e. e ⊇ U.  U itself is the least such e, so a
+    witness exists iff d ⊄ U, and R(U)(s, t) holds iff no (a, b) ⊢ d has
+    bit s in a, bit t in b and d ⊆ U — for any covering table, with no
+    axiom assumed.  That is two matmuls against the atom-membership
+    matrix (over a, then over b) and one subset fold over d.
     """
     k = eca.algebra.atom_count
-    if k > cap_atoms:
-        raise CapExceeded(f"{k} atoms exceed the filter-frame cap {cap_atoms}")
     n = eca.algebra.size
-    table = eca.covering.table
-    filters = maximal_filters(eca.algebra)
-    member_lists = [sorted(f.members) for f in filters]
-    member_sets = [f.members for f in filters]
-
-    def relation_predicate(u_mask: int, s: int, t: int) -> bool:
-        chosen = [member_sets[w] for w in range(k) if u_mask >> w & 1]
-        for a in member_lists[s]:
-            for b in member_lists[t]:
-                for d in range(n):
-                    if not table[a, b, d]:
-                        continue
-                    if not any(
-                        d & ~e and all(e in u for u in chosen) for e in range(n)
-                    ):
-                        return False
-        return True
-
-    frame = ParametrizedFrame.from_predicate(
-        k, relation_predicate, antitone_certified=True
-    )
-    image = []
-    for a in range(n):
-        mask = 0
-        for w in range(k):
-            if a in member_sets[w]:
-                mask |= 1 << w
-        image.append(mask)
-    return Embedding(eca, frame, tuple(image), tuple(filters))
+    members = (np.arange(n) >> np.arange(k)[:, None] & 1).astype(np.float32)
+    v = eca.covering.table.astype(np.float32)
+    left = (members @ v.reshape(n, n * n)).reshape(k, n, n)  # [s, b, d]
+    pairs = (left.transpose(0, 2, 1) @ members.T).transpose(1, 0, 2)  # [d, s, t]
+    frame = ParametrizedFrame(~_fold(pairs > 0, 0, k, subsets=True))
+    return Embedding(eca, frame, tuple(range(n)), maximal_filters(eca.algebra))
 
 
 # ---------------------------------------------------------------------------

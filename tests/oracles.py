@@ -361,6 +361,21 @@ def naive_pframe_covering(world_count: int, relation_of, a: int, b: int, d: int)
     return True
 
 
+def naive_pframe_reach(world_count: int, relation_of, d: int):
+    """R*(d): the union of R(U) over every superset U of d.  A frame is
+    antitone (R shrinks as U grows) iff R*(d) = R(d) for every d."""
+    reach = [[False] * world_count for _ in range(world_count)]
+    for u in range(1 << world_count):
+        if d & ~u:
+            continue
+        rel = relation_of(u)
+        for s in range(world_count):
+            for t in range(world_count):
+                if rel[s][t]:
+                    reach[s][t] = True
+    return reach
+
+
 def pframe_relation_closed_form(N: int, V, atom_count: int, u_mask: int):
     """Independent closed form for the canonical frame relation over the
     maximal filters of a finite Boolean algebra (world i = up-set of atom i):

@@ -22,7 +22,6 @@ from example_data import (
     example_topology_prime,
 )
 from mereotop import (
-    ParametrizedFrame,
     PointSet,
     all_filters,
     build_parametrized_frame,
@@ -42,9 +41,6 @@ from mereotop import (
     internally_connected_algebraic,
     labeled_topology_from_document,
     left_set,
-    pframe_antitone_audit,
-    pframe_covering_antitone,
-    pframe_covering_naive,
     rc_algebra,
     rc_contact,
     rc_internally_connected,
@@ -53,6 +49,7 @@ from mereotop import (
     verify_embedding,
 )
 from mereotop.algebra import ExtendedContactAlgebra, verified_eca
+from mereotop.frames import covering_table
 from mereotop.cli import TRIAL_SEED_STRIDE, _sample_subbasis, main
 
 
@@ -182,15 +179,14 @@ def test_criterion_6b_antitone_shortcut_equals_naive_on_filter_frames():
         frame = build_parametrized_frame(eca).frame
         w = frame.world_count
         assert w <= 4
-        uncertified = ParametrizedFrame.from_tables(
-            w, [frame.relation(u) for u in range(1 << w)]
-        )
-        assert pframe_antitone_audit(uncertified)
+        for d in range(1 << w):
+            assert oracles.naive_pframe_reach(w, frame.relation, d) == frame.relation(d).tolist()
+        table = covering_table(frame, range(1 << w))
         for a in range(1 << w):
             for b in range(1 << w):
                 for d in range(1 << w):
-                    assert pframe_covering_antitone(frame, a, b, d) == (
-                        pframe_covering_naive(uncertified, a, b, d)
+                    assert table[a, b, d] == oracles.naive_pframe_covering(
+                        w, frame.relation, a, b, d
                     ), (a, b, d)
 
 

@@ -10,7 +10,13 @@ import sys
 import pytest
 
 from example_data import X_DOC, X_OPEN_COUNT, XP_DOC
-from mereotop import FiniteTopology
+from mereotop import (
+    FiniteTopology,
+    covering_document,
+    eca_from_rc,
+    labeled_topology_from_document,
+    rc_algebra,
+)
 from mereotop.cli import EXAMPLE_CONCLUSION, main
 
 
@@ -326,6 +332,33 @@ class TestRepresentCommand:
         )
         assert code == 0
         assert doc["frame"]["worlds"] == 3
+
+    @pytest.mark.parametrize("source", ["discrete", "topology", "derived"])
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_parametrized_beyond_four_atoms(self, k, source, tmp_path, capsys):
+        # k open points a_i, each pair of neighbours glued by a boundary
+        # point b_i: k atoms, each in contact with its neighbours
+        a = [f"a{i}" for i in range(k)]
+        b = [f"b{i}" for i in range(k - 1)]
+        space = {
+            "universe": a + b,
+            "subbasis": [[x] for x in a] + [[b[i], a[i], a[i + 1]] for i in range(k - 1)],
+        }
+        if source == "discrete":
+            body = {"atoms": k, "covering_mode": "discrete"}
+        elif source == "topology":
+            body = space
+        else:
+            algebra = rc_algebra(labeled_topology_from_document(space).topology)
+            body = covering_document(eca_from_rc(algebra, cap_elements=64).covering)
+        path = tmp_path / "source.json"
+        path.write_text(json.dumps(body))
+        code, doc = run_json(
+            capsys, ["represent", "--kind", "parametrized", "--input", str(path), "--json"]
+        )
+        assert code == 0
+        assert doc["mode"] == "exhaustive" and doc["frame"]["worlds"] == k
+        assert len(doc["checks"]) == 5 and all(c["pass"] for c in doc["checks"])
 
     def test_type_pipelines_reject_covering(self, discrete_file, capsys):
         assert main(["represent", "--kind", "type1", "--input", discrete_file]) == 2

@@ -1,6 +1,6 @@
 """Parametrized and equivalence frames: covering evaluators against the
-naive oracles, antitonicity handling, internal connectedness on the frame
-side, and the powerset algebras of frames."""
+naive oracles, antitone and non-antitone relation arrays, internal
+connectedness on the frame side, and the powerset algebras of frames."""
 
 from __future__ import annotations
 
@@ -14,40 +14,29 @@ from hypothesis import strategies as st
 import oracles
 from mereotop import (
     CapExceeded,
-    DocumentError,
     EquivalenceFrame1,
     EquivalenceFrame2,
     ParametrizedFrame,
     check_eca,
     check_weca,
     frame1_covering,
-    frame1_document,
-    frame1_from_document,
     frame2_covering,
-    frame2_document,
-    frame2_from_document,
     frame2_internally_connected,
     gv_contact,
-    pframe_antitone_audit,
-    pframe_covering_antitone,
-    pframe_covering_naive,
     powerset_eca,
     r1r2_class,
 )
-from mereotop.frames import frame2_internally_connected_naive
+from mereotop.frames import _reach, covering_entries, covering_table
 
 
-def random_relation_tables(world_count: int, rng: random.Random) -> list[np.ndarray]:
+def random_relation_tables(world_count: int, rng: random.Random) -> np.ndarray:
     """One random boolean relation per subset of worlds."""
-    return [
-        np.array(
-            [rng.random() < 0.5 for _ in range(world_count * world_count)], dtype=bool
-        ).reshape(world_count, world_count)
-        for _ in range(1 << world_count)
-    ]
+    n = 1 << world_count
+    cells = [rng.random() < 0.5 for _ in range(n * world_count * world_count)]
+    return np.array(cells, dtype=bool).reshape(n, world_count, world_count)
 
 
-def antitone_tables(world_count: int, rng: random.Random) -> list[np.ndarray]:
+def antitone_tables(world_count: int, rng: random.Random) -> np.ndarray:
     """R(U) = intersection of per-world base relations over the members of U
     (full relation at U = empty), which is antitone by construction."""
     base = [
@@ -63,7 +52,38 @@ def antitone_tables(world_count: int, rng: random.Random) -> list[np.ndarray]:
             if u >> w & 1:
                 rel &= base[w]
         tables.append(rel)
+    return np.array(tables)
+
+
+def non_antitone_tables() -> np.ndarray:
+    """Two worlds; R grows from nothing at U = {} to everything at U = {0}."""
+    tables = random_relation_tables(2, random.Random(2))
+    tables[0] = False
+    tables[1] = True
     return tables
+
+
+def oracle_reach(frame: ParametrizedFrame) -> np.ndarray:
+    w = frame.world_count
+    return np.array(
+        [oracles.naive_pframe_reach(w, frame.relation, d) for d in range(1 << w)],
+        dtype=bool,
+    ).reshape(1 << w, w, w)
+
+
+def assert_covering_matches_oracle(frame: ParametrizedFrame) -> None:
+    """covering_table and covering_entries over every subset triple equal
+    the literal superset quantifier of tests/oracles.py."""
+    w = frame.world_count
+    n = 1 << w
+    table = covering_table(frame, range(n))
+    a, b, d = np.indices((n, n, n)).reshape(3, -1)
+    assert np.array_equal(covering_entries(frame, range(n), a, b, d), table[a, b, d])
+    for a in range(n):
+        for b in range(n):
+            for d in range(n):
+                expected = oracles.naive_pframe_covering(w, frame.relation, a, b, d)
+                assert table[a, b, d] == expected, (a, b, d)
 
 
 def random_classes(world_count: int, rng: random.Random) -> tuple[int, ...]:
@@ -77,78 +97,72 @@ def random_classes(world_count: int, rng: random.Random) -> tuple[int, ...]:
 class TestParametrizedFrame:
     def test_from_tables_and_relation_access(self):
         tables = random_relation_tables(2, random.Random(0))
-        frame = ParametrizedFrame.from_tables(2, tables)
+        frame = ParametrizedFrame(tables)
+        assert frame.world_count == 2
         for u in range(4):
             assert np.array_equal(frame.relation(u), tables[u])
         with pytest.raises(ValueError):
             frame.relation(0)[0, 0] = True  # read-only view
         with pytest.raises(ValueError):
+            frame.relations[0, 0, 0] = True
+        with pytest.raises(ValueError):
             frame.relation(4)  # out of range
+        tables[0, 0, 0] = not tables[0, 0, 0]
+        assert frame.relation(0)[0, 0] != tables[0, 0, 0]  # the frame owns a copy
 
     def test_from_tables_validates_shape(self):
-        with pytest.raises(ValueError):
-            ParametrizedFrame.from_tables(2, [np.zeros((2, 2), dtype=bool)] * 3)
-        with pytest.raises(ValueError):
-            ParametrizedFrame.from_tables(
-                2, [np.zeros((3, 3), dtype=bool) for _ in range(4)]
-            )
+        for shape in ((3, 2, 2), (4, 3, 3), (4, 2), (1, 0, 0), (4, 2, 3)):
+            with pytest.raises(ValueError):
+                ParametrizedFrame(np.zeros(shape, dtype=bool))
 
     def test_antitone_audit(self):
-        frame = ParametrizedFrame.from_tables(3, antitone_tables(3, random.Random(1)))
-        assert pframe_antitone_audit(frame)
-        tables = random_relation_tables(2, random.Random(2))
-        tables[0] = np.zeros((2, 2), dtype=bool)
-        tables[1] = np.ones((2, 2), dtype=bool)  # grows when U grows
-        bad = ParametrizedFrame.from_tables(2, tables)
-        assert not pframe_antitone_audit(bad)
-
-    def test_audit_cap(self):
-        frame = ParametrizedFrame.from_predicate(9, lambda u, s, t: False)
-        with pytest.raises(CapExceeded):
-            pframe_antitone_audit(frame)
+        # antitonicity is R* = R on the array
+        frame = ParametrizedFrame(antitone_tables(3, random.Random(1)))
+        assert np.array_equal(oracle_reach(frame), frame.relations)
+        assert np.array_equal(_reach(frame), frame.relations)
+        bad = ParametrizedFrame(non_antitone_tables())
+        assert not np.array_equal(oracle_reach(bad), bad.relations)
+        assert np.array_equal(_reach(bad), oracle_reach(bad))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_naive_covering_matches_oracle(self, seed):
-        w = 3
-        tables = random_relation_tables(w, random.Random(seed))
-        frame = ParametrizedFrame.from_tables(w, tables)
-        for a in range(1 << w):
-            for b in range(1 << w):
-                for d in range(1 << w):
-                    expected = oracles.naive_pframe_covering(
-                        w, lambda u: tables[u], a, b, d
-                    )
-                    assert pframe_covering_naive(frame, a, b, d) == expected
-
-    def test_naive_covering_cap(self):
-        frame = ParametrizedFrame.from_predicate(17, lambda u, s, t: False)
-        with pytest.raises(CapExceeded):
-            pframe_covering_naive(frame, 1, 1, 0)
+        rng = random.Random(seed)
+        frame = ParametrizedFrame(random_relation_tables(rng.randint(1, 3), rng))
+        assert np.array_equal(_reach(frame), oracle_reach(frame))
+        assert_covering_matches_oracle(frame)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_antitone_shortcut_equals_naive(self, seed):
+        # on antitone frames the quantifier over supersets of d collapses
+        # to R(d) itself
         w = 3
-        frame = ParametrizedFrame.from_tables(w, antitone_tables(w, random.Random(seed)))
-        assert pframe_antitone_audit(frame)
+        frame = ParametrizedFrame(antitone_tables(w, random.Random(seed)))
+        assert np.array_equal(oracle_reach(frame), frame.relations)
+        assert_covering_matches_oracle(frame)
+        table = covering_table(frame, range(1 << w))
         for a in range(1 << w):
             for b in range(1 << w):
                 for d in range(1 << w):
-                    assert pframe_covering_antitone(frame, a, b, d) == (
-                        pframe_covering_naive(frame, a, b, d)
+                    shortcut = not any(
+                        frame.relation(d)[s, t]
+                        for s in range(w)
+                        for t in range(w)
+                        if a >> s & 1 and b >> t & 1
                     )
+                    assert table[a, b, d] == shortcut
 
-    def test_antitone_shortcut_refuses_non_antitone(self):
-        tables = random_relation_tables(2, random.Random(2))
-        tables[0] = np.zeros((2, 2), dtype=bool)
-        tables[1] = np.ones((2, 2), dtype=bool)
-        frame = ParametrizedFrame.from_tables(2, tables)
-        with pytest.raises(ValueError):
-            pframe_covering_antitone(frame, 1, 1, 0)
+    def test_non_antitone_frame_gets_the_literal_covering(self):
+        # R({}) is empty, so the shortcut would cover everything by {}; the
+        # literal covering sees R({0}) above it
+        frame = ParametrizedFrame(non_antitone_tables())
+        assert_covering_matches_oracle(frame)
+        assert not covering_table(frame, range(4))[1, 1, 0]
 
     def test_empty_sides_always_covered(self):
-        frame = ParametrizedFrame.from_predicate(2, lambda u, s, t: True)
-        assert pframe_covering_naive(frame, 0, 3, 0)
-        assert pframe_covering_naive(frame, 3, 0, 0)
+        frame = ParametrizedFrame(np.ones((4, 2, 2), dtype=bool))
+        table = covering_table(frame, range(4))
+        assert table[0, 3, 0] and table[3, 0, 0]
+        assert not table[1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +227,6 @@ class TestEquivalenceFrames:
         for s_mask in range(1 << w):
             expected = oracles.naive_frame2_internally_connected(c1, c2, s_mask)
             assert frame2_internally_connected(frame, s_mask) == expected
-            assert frame2_internally_connected_naive(frame, s_mask) == expected
 
     def test_identity_second_partition_collapses_to_frame1(self):
         rng = random.Random(5)
@@ -308,65 +321,29 @@ class TestPowersetEca:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_parametrized_table_matches_naive_covering(self, seed):
-        w = 3
-        frame = ParametrizedFrame.from_tables(w, antitone_tables(w, random.Random(seed)))
+        # random frames, most of them not antitone
+        rng = random.Random(seed)
+        w = rng.randint(1, 3)
+        frame = ParametrizedFrame(random_relation_tables(w, rng))
         fa = powerset_eca(frame, verify=False)
         assert fa.eca.strength == "WECA"
         cov = fa.covering
         for a in range(1 << w):
             for b in range(1 << w):
                 for d in range(1 << w):
-                    assert cov.holds(a, b, d) == pframe_covering_naive(frame, a, b, d)
+                    assert cov.holds(a, b, d) == oracles.naive_pframe_covering(
+                        w, frame.relation, a, b, d
+                    )
 
     def test_parametrized_powerset_is_weak_algebra(self):
         rng = random.Random(3)
-        for _ in range(4):
-            frame = ParametrizedFrame.from_tables(3, antitone_tables(3, rng))
-            fa = powerset_eca(frame, verify=True)
+        for tables in [antitone_tables(3, rng) for _ in range(4)] + [
+            random_relation_tables(3, rng) for _ in range(4)
+        ]:
+            fa = powerset_eca(ParametrizedFrame(tables), verify=True)
             assert check_weca(fa.covering, cap_elements=8).all_passed
 
     def test_cap(self):
         frame = EquivalenceFrame1(6, (0,) * 6)
         with pytest.raises(CapExceeded):
             powerset_eca(frame)
-
-
-# ---------------------------------------------------------------------------
-# documents
-
-
-class TestFrameDocuments:
-    def test_frame1_roundtrip(self):
-        frame = EquivalenceFrame1(4, (2, 2, 7, 2))
-        doc = frame1_document(frame)
-        assert doc == {"worlds": 4, "classes": [0, 0, 1, 0]}
-        again = frame1_from_document(doc)
-        assert again.distinct_class_masks == frame.distinct_class_masks
-
-    def test_frame2_roundtrip(self):
-        frame = EquivalenceFrame2(3, (1, 0, 0), (5, 5, 2))
-        doc = frame2_document(frame)
-        assert doc == {"worlds": 3, "classes": [0, 1, 1], "classes2": [0, 0, 1]}
-        again = frame2_from_document(doc)
-        for s in range(3):
-            assert r1r2_class(again, s) == r1r2_class(frame, s)
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"worlds": 0, "classes": []},
-            {"worlds": 2, "classes": [0]},
-            {"worlds": 2, "classes": [0, "x"]},
-            {"worlds": 2, "classes": [0, True]},
-            {"worlds": 2},
-            {"classes": [0, 0]},
-            17,
-        ],
-    )
-    def test_malformed_rejected(self, doc):
-        with pytest.raises(DocumentError):
-            frame1_from_document(doc)
-        with pytest.raises(DocumentError):
-            frame2_from_document(
-                doc if not isinstance(doc, dict) else {**doc, "classes2": [0, 0]}
-            )

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 import oracles
 from example_data import WORLD_COUNT, X_REGION_MASK, build, example_topology
 from mereotop import (
-    CapExceeded,
     Embedding,
     EquivalenceFrame1,
     EquivalenceFrame2,
@@ -26,7 +26,6 @@ from mereotop import (
     discrete_covering,
     eca_from_rc,
     find_admissible_splits,
-    pframe_antitone_audit,
     powerset_eca,
     rc_algebra,
     verification_document,
@@ -36,10 +35,31 @@ from mereotop import (
 from mereotop.algebra import (
     CoveringRelation,
     ExtendedContactAlgebra,
+    FiniteBooleanAlgebra,
+    check_weca,
     verified_eca,
-    verified_weca,
 )
 from mereotop.topology import labeled_topology_from_document
+
+
+def intersection_frame(rng: random.Random, w: int = 3) -> ParametrizedFrame:
+    """R(U)(s, t) = every member of U relates s to t in a random base
+    relation of its own (antitone, usually not symmetric)."""
+    base = np.array([rng.random() < 0.7 for _ in range(w * w * w)]).reshape(w, w, w)
+    return ParametrizedFrame(
+        np.array([base[[x for x in range(w) if u >> x & 1]].all(axis=0) for u in range(1 << w)])
+    )
+
+
+def assert_relation_matches_closed_form(eca) -> None:
+    k = eca.algebra.atom_count
+    frame = build_parametrized_frame(eca).frame
+    assert frame.world_count == k
+    for u in range(1 << k):
+        expected = oracles.pframe_relation_closed_form(
+            eca.algebra.size, eca.covering.table, k, u
+        )
+        assert frame.relation(u).tolist() == expected, u
 
 
 def random_teca(seed: int, max_n: int = 4):
@@ -56,42 +76,35 @@ def random_teca(seed: int, max_n: int = 4):
 class TestParametrizedPipeline:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_relation_matches_closed_form_oracle(self, k):
-        eca = verified_eca(discrete_covering(k))
-        embedding = build_parametrized_frame(eca)
-        frame = embedding.frame
-        assert frame.world_count == k
-        assert frame.antitone_certified
-        for u in range(1 << k):
-            expected = oracles.pframe_relation_closed_form(
-                eca.algebra.size, eca.covering.table, k, u
-            )
-            got = frame.relation(u)
-            for s in range(k):
-                for t in range(k):
-                    assert bool(got[s, t]) == expected[s][t]
+        assert_relation_matches_closed_form(verified_eca(discrete_covering(k)))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_relation_matches_closed_form_on_topological_sources(self, seed):
-        teca = random_teca(seed, max_n=4)
-        eca = teca.eca
-        k = eca.algebra.atom_count
-        embedding = build_parametrized_frame(eca)
-        for u in range(1 << k):
-            expected = oracles.pframe_relation_closed_form(
-                eca.algebra.size, eca.covering.table, k, u
-            )
-            got = embedding.frame.relation(u)
-            for s in range(k):
-                for t in range(k):
-                    assert bool(got[s, t]) == expected[s][t]
+        assert_relation_matches_closed_form(random_teca(seed, max_n=4).eca)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("density", [0.05, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_relation_matches_closed_form_on_tables_failing_weak_axioms(self, k, density):
+        # the closed form assumes no axiom, so the builder reads any table
+        rng = random.Random(f"{k}:{density}")
+        n = 1 << k
+        checked = 0
+        for _ in range(6):
+            table = np.array([rng.random() < density for _ in range(n**3)]).reshape(n, n, n)
+            covering = CoveringRelation(FiniteBooleanAlgebra(k), table)
+            if check_weca(covering).all_passed:
+                continue
+            assert_relation_matches_closed_form(ExtendedContactAlgebra(covering, "WECA"))
+            checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_certificate_agrees_with_audit(self, k):
-        embedding = build_parametrized_frame(verified_eca(discrete_covering(k)))
-        frame = ParametrizedFrame.from_tables(
-            k, [embedding.frame.relation(u) for u in range(1 << k)]
-        )
-        assert pframe_antitone_audit(frame)
+        # filter frames are antitone: R*(d) = R(d) for every d
+        eca = verified_eca(discrete_covering(k), cap_elements=1 << k)
+        frame = build_parametrized_frame(eca).frame
+        for d in range(1 << k):
+            assert oracles.naive_pframe_reach(k, frame.relation, d) == frame.relation(d).tolist()
 
     def test_image_is_atom_membership(self):
         # world i is the up-set of atom i, so h(a) is exactly the bit
@@ -100,36 +113,21 @@ class TestParametrizedPipeline:
         embedding = build_parametrized_frame(eca)
         assert embedding.image_masks == tuple(range(8))
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_verifies_on_discrete(self, k):
-        eca = verified_eca(discrete_covering(k))
+        eca = verified_eca(discrete_covering(k), cap_elements=1 << k)
         embedding = build_parametrized_frame(eca)
-        report = verify_embedding(embedding, pipeline="parametrized")
+        report = verify_embedding(embedding, pipeline="parametrized", cap_elements=1 << k)
         assert report.all_passed and report.mode == "exhaustive"
 
     @pytest.mark.parametrize("seed", range(8))
     def test_verifies_on_weak_algebras_from_frames(self, seed):
         # powerset algebras of parametrized frames are verified weak
         # algebras that need not satisfy the full axioms
-        rng = random.Random(seed)
-        base = [
-            [[rng.random() < 0.7 for _ in range(3)] for _ in range(3)]
-            for _ in range(3)
-        ]
-        import numpy as np
-
-        def rel(u, s, t):
-            return all(base[w][s][t] for w in range(3) if u >> w & 1)
-
-        frame = ParametrizedFrame.from_predicate(3, rel)
-        weca = powerset_eca(frame, verify=True).eca
+        weca = powerset_eca(intersection_frame(random.Random(seed)), verify=True).eca
         embedding = build_parametrized_frame(weca)
         report = verify_embedding(embedding, pipeline="parametrized")
         assert report.all_passed
-
-    def test_atom_cap(self):
-        with pytest.raises(CapExceeded):
-            build_parametrized_frame(verified_eca(discrete_covering(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +340,10 @@ class TestCoveringWitnessMatchesOracles:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_asymmetric_parametrized_frame(self, seed):
-        # the identity embedding of an audited, non-symmetric antitone
-        # frame into its own powerset algebra
+        # the identity embedding of a non-symmetric antitone frame into its
+        # own powerset algebra
         rng = random.Random(seed)
-        base = [[[rng.random() < 0.7 for _ in range(3)] for _ in range(3)] for _ in range(3)]
-
-        def rel(u, s, t):
-            return all(base[w][s][t] for w in range(3) if u >> w & 1)
-
-        frame = ParametrizedFrame.from_predicate(3, rel)
+        frame = intersection_frame(rng)
         embedding = Embedding(powerset_eca(frame, verify=False).eca, frame, tuple(range(8)))
         assert verify_embedding(embedding, pipeline="parametrized").all_passed
         for broken in (
