@@ -989,11 +989,14 @@ class TopologicalEca:
 
     eca: ExtendedContactAlgebra
     source: RegularClosedAlgebra
-    element_sets: tuple[PointSet, ...]
 
     @property
     def covering(self) -> CoveringRelation:
         return self.eca.covering
+
+    @property
+    def element_sets(self) -> tuple[PointSet, ...]:
+        return self.source.element_sets
 
     def mask_of(self, a: PointSet) -> int:
         return self.source.atom_mask(a)
@@ -1009,16 +1012,6 @@ def eca_from_rc(
     k = len(source.atoms)
     n = 1 << k
     check_carrier_cap(k, cap_elements)
-    empty = PointSet.empty(source.topology.universe_size)
-    element_sets = []
-    for mask in range(n):
-        acc = empty
-        for i, atom in enumerate(source.atoms):
-            if mask >> i & 1:
-                acc = acc | atom
-        element_sets.append(acc)
-    if sorted(ps.bits for ps in element_sets) != [c.bits for c in source.carrier]:
-        raise AssertionError("atom joins do not enumerate the carrier")
     # A point lies in the set of mask m iff m meets the atoms through it, so
     # (a, b) |- d fails iff some point's atom signature meets a and b, not d.
     signatures = {
@@ -1034,4 +1027,4 @@ def eca_from_rc(
         eca = verified_eca(covering, cap_elements=cap_elements)
     else:
         eca = ExtendedContactAlgebra(covering, "ECA")
-    return TopologicalEca(eca, source, tuple(element_sets))
+    return TopologicalEca(eca, source)

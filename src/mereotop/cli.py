@@ -146,6 +146,8 @@ def _read_json(path: str | None) -> object:
             raise DocumentError(
                 f"invalid JSON in {path} at line {err.lineno}, column {err.colno}: {err.msg}"
             ) from err
+        except RecursionError as err:
+            raise DocumentError(f"{path} nests too deeply to read as JSON") from err
 
 
 def _document_kind(doc: object) -> str:
@@ -204,7 +206,7 @@ def cmd_rc(config: RunConfig) -> int:
     out = {
         "command": "rc",
         "universe": list(labeled.labels),
-        "open_sets": len(labeled.topology.opens),
+        "open_sets": labeled.topology.open_count,
         "carrier_size": size,
         "atom_indices": list(algebra.atom_indices),
         "carrier": [
@@ -223,8 +225,7 @@ def cmd_rc(config: RunConfig) -> int:
         ]
         if size <= 32:
             teca = eca_from_rc(algebra, cap_elements=config.elements_cap(), verify=False)
-            order = {c.bits: i for i, c in enumerate(algebra.carrier)}
-            translate = [order[ps.bits] for ps in teca.element_sets]
+            translate = [algebra.index_of(ps) for ps in algebra.element_sets]
             out["covering"] = sorted(
                 [translate[a], translate[b], translate[d]]
                 for a, b, d in teca.covering.true_triples()

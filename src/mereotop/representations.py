@@ -124,32 +124,21 @@ def build_parametrized_frame(eca: ExtendedContactAlgebra) -> Embedding:
 
 def _couple_worlds(teca: TopologicalEca) -> tuple[tuple[WorldAtomPoint, ...], tuple[int, ...]]:
     """Worlds (one per point of each atom, ordered by atom then point) and
-    the image map h'(a) = {(A, s) : A's point set inside the point set of a}."""
-    atoms = teca.source.atoms
-    worlds: list[WorldAtomPoint] = []
-    for atom_index, atom in enumerate(atoms):
-        for point in atom.points():
-            if point not in atom:
-                raise AssertionError(f"point {point} is not in its own atom")
-            worlds.append(WorldAtomPoint(atom_index, point))
-    atom_world_mask = [0] * len(atoms)
+    the image map h'(a) = {(A, s) : A's point set inside the point set of a}.
+    An atom lies inside the point set of mask a exactly when a selects it,
+    so h'(a) is the union of the worlds of the atoms that a selects."""
+    worlds = tuple(
+        WorldAtomPoint(i, point)
+        for i, atom in enumerate(teca.source.atoms)
+        for point in atom.points()
+    )
+    atom_world_mask = [0] * len(teca.source.atoms)
     for w, wap in enumerate(worlds):
         atom_world_mask[wap.atom_index] |= 1 << w
-    image = []
-    for mask in range(teca.eca.algebra.size):
-        target = teca.element_sets[mask]
-        literal = 0
-        for w, wap in enumerate(worlds):
-            if atoms[wap.atom_index].issubset(target):
-                literal |= 1 << w
-        shortcut = 0
-        for i in range(len(atoms)):
-            if mask >> i & 1:
-                shortcut |= atom_world_mask[i]
-        if literal != shortcut:
-            raise AssertionError("atom membership disagrees with set inclusion")
-        image.append(literal)
-    return tuple(worlds), tuple(image)
+    image = [0]
+    for worlds_of_atom in atom_world_mask:
+        image += [m | worlds_of_atom for m in image]
+    return worlds, tuple(image)
 
 
 def build_type1(teca: TopologicalEca) -> Embedding:

@@ -5,11 +5,13 @@ bitmask-backed :class:`PointSet` values.  A finite space is stored as the
 minimal open neighbourhood U_x of each point x, the least open set that
 contains x (Alexandroff, "Diskrete Räume", 1937).  The open sets are the
 unions of the U_x, Int(A) = {x : U_x inside A}, Cl(A) = {x : U_x meets A},
-and the atoms of the regular closed algebra are the closures of the
-minimal U_x, so no step lists the open family (up to 2^n sets).  Contact,
-covering and internal connectedness, the mirror algebra of regular open
-sets and the isomorphism between the two follow.  JSON documents use
-human labels; indices never leak.
+and neither the regular closed algebra nor the count of open sets lists
+the open family (up to 2^n sets).  The regular closed algebra is its
+atoms, the closures of the minimal U_x, checked once; the carrier (every
+union of atoms) is derived from them.  Contact, covering and internal
+connectedness, the mirror algebra of regular open sets and the
+isomorphism between the two follow.  JSON documents use human labels;
+indices never leak.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
-
-DEFAULT_BRUTE_FORCE_UNIVERSE_CAP = 10
-
 
 class CapExceeded(ValueError):
     """An exhaustive operation would exceed its configured size cap."""
@@ -162,6 +161,34 @@ class FiniteTopology:
             family |= {o | u for o in family}
         return tuple(PointSet(self.universe_size, b) for b in sorted(family))
 
+    @cached_property
+    def open_count(self) -> int:
+        """The number of open sets, counted without listing them.  The opens
+        are the down-sets of the distinct U_x ordered by inclusion, one per
+        antichain (the down-set's maximal members), and the antichains of P
+        number count(P - x) + count(P - x - {y comparable to x}) for any x
+        in P.  The count is memoised on the remaining set and driven by an
+        explicit stack, so a long chain of U_x cannot hit the recursion
+        limit."""
+        us = list(self._neighbourhood_points)
+        comparable = [
+            reduce(or_, (1 << j for j, v in enumerate(us) if u & ~v == 0 or v & ~u == 0))
+            for u in us
+        ]
+        count = {0: 1}
+        stack = [(1 << len(us)) - 1]
+        while stack:
+            p = stack[-1]
+            x = (p & -p).bit_length() - 1
+            rest, apart = p & ~(1 << x), p & ~comparable[x]
+            todo = [q for q in (rest, apart) if q not in count]
+            if todo:
+                stack += todo
+            else:
+                count[p] = count[rest] + count[apart]
+                stack.pop()
+        return count[(1 << len(us)) - 1]
+
     @property
     def universe(self) -> PointSet:
         return PointSet.full(self.universe_size)
@@ -231,48 +258,60 @@ def is_regular_open(topology: FiniteTopology, a: PointSet) -> bool:
 
 @dataclass(frozen=True)
 class RegularClosedAlgebra:
-    """The Boolean algebra of regular closed sets of a finite space.
+    """The Boolean algebra of regular closed sets of a finite space, stored
+    as its atoms: the algebra is its atoms, and the carrier is derived.
 
     Zero is the empty set, the unit is the universe, join is plain union,
     complement of A is Cl(X minus A), and meet is Cl(Int(A intersect B)).
-    The carrier is sorted by bit pattern; atoms are the minimal nonzero
-    elements, and every element is the union of the atoms below it.
+    The atoms must be nonempty, distinct and sorted by bit pattern; each
+    must be regular closed, their interiors pairwise disjoint, and together
+    they must cover X.  That is enough for the unions of the atoms to be a
+    Boolean algebra under these operations with exactly these atoms: a
+    finite union of regular closed sets is regular closed; Int(a_j) is open
+    and misses Int(a_i) for i != j, so it misses a_i = Cl(Int(a_i)), and
+    with the cover that keeps meets and complements unions of atoms (the
+    complement of a union is the union of the other atoms); and distinct
+    sets of atoms have distinct unions, since a nonempty a_j has a nonempty
+    interior that no other atom meets.  :func:`rc_algebra` passes the atoms
+    whose unions are all of RC(X).  ``element_sets[m]`` is the union of the
+    atoms selected by bit mask m; ``carrier`` is the same sets sorted by bit
+    pattern, and ``atom_indices`` are the atoms' positions in it.
     """
 
     topology: FiniteTopology
-    carrier: tuple[PointSet, ...]
-    atom_indices: tuple[int, ...]
+    atoms: tuple[PointSet, ...]
 
     def __post_init__(self) -> None:
-        bits = [c.bits for c in self.carrier]
+        bits = [a.bits for a in self.atoms]
         if bits != sorted(set(bits)):
-            raise ValueError("carrier must be distinct and sorted by bit pattern")
-        for c in self.carrier:
-            if not is_regular_closed(self.topology, c):
-                raise ValueError(f"{c} is not regular closed")
-        family = set(bits)
-        if 0 not in family or self.topology.universe.bits not in family:
-            raise ValueError("carrier must contain the zero and unit elements")
-        for x in self.carrier:
-            if self.star(x).bits not in family:
-                raise ValueError("carrier not closed under complement")
-            for y in self.carrier:
-                if (x.bits | y.bits) not in family or self.meet(x, y).bits not in family:
-                    raise ValueError("carrier not closed under join/meet")
-        expected_atoms = tuple(
-            i
-            for i, c in enumerate(self.carrier)
-            if not c.is_empty
-            and not any(
-                not d.is_empty and d != c and d.issubset(c) for d in self.carrier
-            )
-        )
-        if self.atom_indices != expected_atoms:
-            raise ValueError("atom_indices are not the minimal nonzero elements")
-        for c in self.carrier:
-            below = [a for a in self.atoms if a.issubset(c)]
-            if reduce(or_, below, PointSet.empty(c.universe_size)) != c:
-                raise ValueError("element is not the join of the atoms below it")
+            raise ValueError("atoms must be distinct and sorted by bit pattern")
+        if 0 in bits:
+            raise ValueError("atoms must be nonempty")
+        inner = 0
+        for atom in self.atoms:
+            core = interior(self.topology, atom)
+            if closure(self.topology, core) != atom:
+                raise ValueError(f"{atom} is not regular closed")
+            if core.bits & inner:
+                raise ValueError("atom interiors overlap")
+            inner |= core.bits
+        if reduce(or_, bits, 0) != self.topology.universe.bits:
+            raise ValueError("atoms do not cover the universe")
+
+    @cached_property
+    def element_sets(self) -> tuple[PointSet, ...]:
+        sets = [PointSet.empty(self.topology.universe_size)]
+        for atom in self.atoms:
+            sets += [s | atom for s in sets]
+        return tuple(sets)
+
+    @cached_property
+    def carrier(self) -> tuple[PointSet, ...]:
+        return tuple(sorted(self.element_sets))
+
+    @cached_property
+    def atom_indices(self) -> tuple[int, ...]:
+        return tuple(self._index[a.bits] for a in self.atoms)
 
     @property
     def zero(self) -> PointSet:
@@ -281,10 +320,6 @@ class RegularClosedAlgebra:
     @property
     def one(self) -> PointSet:
         return self.carrier[-1]
-
-    @cached_property
-    def atoms(self) -> tuple[PointSet, ...]:
-        return tuple(self.carrier[i] for i in self.atom_indices)
 
     @cached_property
     def _index(self) -> dict[int, int]:
@@ -329,43 +364,19 @@ def check_carrier_cap(atom_count: int, cap_elements: int) -> None:
 
 
 def rc_algebra(topology: FiniteTopology, *, cap_elements: int | None = None) -> RegularClosedAlgebra:
-    """The regular closed algebra {Cl(U) : U open}.  Its atoms are the
-    distinct Cl(U_x) for the minimal U_x, and its carrier is their unions:
-    every open U is a union of U_x, each holding a minimal one, so Cl(U) is
-    the union of the atoms below it.  Distinct minimal U_x are disjoint, so
-    distinct sets of atoms have distinct unions.  With ``cap_elements``, a
-    carrier over the cap raises :class:`CapExceeded` before it is built.
+    """The regular closed algebra {Cl(U) : U open}, given by its atoms, the
+    distinct Cl(U_x) for the minimal U_x.  Every open U is a union of U_x,
+    each holding a minimal one, so Cl(U) is the union of the atoms below it.
+    With ``cap_elements``, a carrier of 2^k elements over the cap raises
+    :class:`CapExceeded`; the carrier itself is only built when asked for.
     """
     n = topology.universe_size
     nbhd = topology._neighbourhood_points
     minimal = [u for u in nbhd if not any(v != u and v & ~u == 0 for v in nbhd)]
     if cap_elements is not None:
         check_carrier_cap(len(minimal), cap_elements)
-    atoms = sorted({closure(topology, PointSet(n, u)).bits for u in minimal})
-    carrier_bits = {0}
-    for atom in atoms:
-        carrier_bits |= {c | atom for c in carrier_bits}
-    carrier = tuple(PointSet(n, b) for b in sorted(carrier_bits))
-    index = {c.bits: i for i, c in enumerate(carrier)}
-    alg = RegularClosedAlgebra(topology, carrier, tuple(index[atom] for atom in atoms))
-    if len(alg.carrier) != 1 << len(alg.atom_indices):
-        raise AssertionError("carrier size is not 2 to the number of atoms")
-    return alg
-
-
-def brute_force_regular_closed(
-    topology: FiniteTopology, cap: int = DEFAULT_BRUTE_FORCE_UNIVERSE_CAP
-) -> tuple[PointSet, ...]:
-    """All subsets A with Cl(Int(A)) = A, by scanning the whole powerset."""
-    n = topology.universe_size
-    if n > cap:
-        raise CapExceeded(f"universe size {n} exceeds brute-force cap {cap}")
-    out = []
-    for bits in range(1 << n):
-        a = PointSet(n, bits)
-        if is_regular_closed(topology, a):
-            out.append(a)
-    return tuple(out)
+    atoms = sorted(closure(topology, PointSet(n, u)) for u in minimal)
+    return RegularClosedAlgebra(topology, tuple(atoms))
 
 
 def rc_contact(alg: RegularClosedAlgebra, a: PointSet, b: PointSet) -> bool:

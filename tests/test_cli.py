@@ -41,6 +41,22 @@ def broken_covering_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def star_file(tmp_path, monkeypatch):
+    # One core and 30 members {core, arm}: 2^30 + 1 opens and one atom.
+    # Listing the opens would exhaust memory, so asking for them fails.
+    def no_opens(topology):
+        raise AssertionError("the open family was enumerated")
+
+    monkeypatch.setattr(FiniteTopology, "opens", property(no_opens))
+    names = ["core"] + [f"arm{i}" for i in range(30)]
+    path = tmp_path / "star.json"
+    path.write_text(
+        json.dumps({"universe": names, "subbasis": [["core", arm] for arm in names[1:]]})
+    )
+    return str(path)
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -86,6 +102,24 @@ class TestRouting:
         assert main(["rc", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rc"],
+            ["check-axioms"],
+            ["represent", "--kind", "type1"],
+            ["represent", "--kind", "type2"],
+            ["represent", "--kind", "parametrized"],
+        ],
+        ids=["rc", "axioms", "type1", "type2", "parametrized"],
+    )
+    def test_deeply_nested_json_is_input_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main([*argv, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_wrong_document_kind(self, discrete_file, capsys):
         assert main(["rc", "--input", discrete_file]) == 2
@@ -190,6 +224,12 @@ class TestRcCommand:
         assert main(["rc", "--input", topo_file]) == 0
         out = capsys.readouterr().out
         assert "regular closed carrier: 8 elements, 3 atoms" in out
+
+    def test_wide_star_counts_its_opens_without_listing_them(self, star_file, capsys):
+        code, doc = run_json(capsys, ["rc", "--json", "--input", star_file])
+        assert code == 0
+        assert doc["open_sets"] == 2**30 + 1
+        assert doc["carrier_size"] == 2
 
     def test_discrete_two_points_has_four_elements(self, tmp_path, capsys):
         path = tmp_path / "two.json"
@@ -297,20 +337,9 @@ class TestRepresentCommand:
         assert doc["frame"]["worlds"] == 70
         assert all(c["pass"] for c in doc["checks"])
 
-    def test_wide_star_never_lists_its_opens(self, tmp_path, capsys, monkeypatch):
-        # One core and 30 members {core, arm}: 2^30 + 1 opens and one atom.
-        # Listing the opens would exhaust memory, so asking for them fails.
-        def no_opens(topology):
-            raise AssertionError("the open family was enumerated")
-
-        monkeypatch.setattr(FiniteTopology, "opens", property(no_opens))
-        names = ["core"] + [f"arm{i}" for i in range(30)]
-        path = tmp_path / "star.json"
-        path.write_text(
-            json.dumps({"universe": names, "subbasis": [["core", arm] for arm in names[1:]]})
-        )
+    def test_wide_star_never_lists_its_opens(self, star_file, capsys):
         code, doc = run_json(
-            capsys, ["represent", "--kind", "type2", "--json", "--input", str(path)]
+            capsys, ["represent", "--kind", "type2", "--json", "--input", star_file]
         )
         assert code == 0
         assert doc["frame"]["worlds"] == 31

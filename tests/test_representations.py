@@ -161,8 +161,9 @@ class TestEquivalencePipelines:
         check = verify_c_preservation(build_type2(teca))
         assert check.passed
 
-    def test_image_is_subset_collection(self):
-        teca = eca_from_rc(rc_algebra(example_topology()))
+    @pytest.mark.parametrize("seed", [None, *range(10)], ids=["example", *map(str, range(10))])
+    def test_image_is_subset_collection(self, seed):
+        teca = eca_from_rc(rc_algebra(example_topology())) if seed is None else random_teca(seed)
         embedding = build_type1(teca)
         n = teca.eca.algebra.size
         for a in range(n):

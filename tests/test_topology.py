@@ -3,6 +3,9 @@ closed / regular open algebras, cross-checked against the naive oracles."""
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,11 +27,10 @@ from example_data import (
     example_topology_prime,
 )
 from mereotop import (
-    CapExceeded,
     DocumentError,
     FiniteTopology,
     PointSet,
-    brute_force_regular_closed,
+    RegularClosedAlgebra,
     closure,
     generate_topology,
     interior,
@@ -164,6 +166,29 @@ class TestGenerateTopology:
 
 
 # ---------------------------------------------------------------------------
+# counting the open sets
+
+
+class TestOpenCount:
+    def test_matches_listing_all_three_point_spaces(self):
+        for fam in oracles.all_topologies(3):
+            topo = generate_topology(3, [PointSet(3, m) for m in fam])
+            assert topo.open_count == len(topo.opens) == len(fam)
+
+    @given(space_masks())
+    @settings(max_examples=150)
+    def test_matches_listing(self, case):
+        topo = build(*case)
+        assert topo.open_count == len(topo.opens)
+
+    def test_long_chain(self):
+        # 1 100 nested U_x, deeper than the default recursion limit
+        n = 1100
+        topo = FiniteTopology(n, tuple(PointSet(n, (2 << x) - 1) for x in range(n)))
+        assert topo.open_count == n + 1
+
+
+# ---------------------------------------------------------------------------
 # interior and closure
 
 
@@ -224,14 +249,48 @@ class TestRegularClosedAlgebra:
         opens = [o.bits for o in topo.opens]
         algebra = rc_algebra(topo)
         assert {c.bits for c in algebra.carrier} == oracles.brute_force_rc(n, opens)
-        assert {c.bits for c in brute_force_regular_closed(topo)} == {
-            c.bits for c in algebra.carrier
-        }
         assert len(algebra.carrier) == 1 << len(algebra.atoms)
 
-    def test_brute_force_cap(self):
-        with pytest.raises(CapExceeded):
-            brute_force_regular_closed(build(11, []))
+    def test_derived_carrier_is_a_boolean_algebra_all_four_point_spaces(self):
+        # The constructor checks only the atoms; here the derived carrier
+        # is checked against the definition, pair by pair.
+        for fam in oracles.all_topologies(4):
+            algebra = rc_algebra(generate_topology(4, [PointSet(4, m) for m in fam]))
+            family = {c.bits for c in algebra.carrier}
+            assert algebra.zero.bits == 0 and algebra.one.bits == 0b1111
+            for a in algebra.carrier:
+                assert algebra.star(a).bits in family
+                below = [atom for atom in algebra.atoms if atom.issubset(a)]
+                assert reduce(or_, below, algebra.zero) == a
+                for b in algebra.carrier:
+                    assert algebra.join(a, b).bits in family
+                    assert algebra.meet(a, b).bits in family
+            minimal = [
+                c
+                for c in algebra.carrier
+                if not c.is_empty
+                and not any(not d.is_empty and d != c and d.issubset(c) for d in algebra.carrier)
+            ]
+            assert minimal == list(algebra.atoms)
+            assert [algebra.carrier[i] for i in algebra.atom_indices] == minimal
+            assert sorted(algebra.element_sets) == list(algebra.carrier)
+
+    @pytest.mark.parametrize(
+        "n, subbasis, atoms, message",
+        [
+            (X_N, X_SUBBASIS_MASKS, X_RC_ATOM_MASKS[::-1], "distinct and sorted"),
+            (X_N, X_SUBBASIS_MASKS, [27, 27, 45, 120], "distinct and sorted"),
+            (X_N, X_SUBBASIS_MASKS, [0, 27, 45, 120], "nonempty"),
+            (2, [0b01], [0b01, 0b10], "is not regular closed"),
+            (2, [0b01, 0b10], [0b01, 0b11], "interiors overlap"),
+            (2, [0b01, 0b10], [0b01], "do not cover"),
+        ],
+        ids=["unsorted", "duplicate", "empty", "not-regular-closed", "overlap", "no-cover"],
+    )
+    def test_constructor_rejects_bad_atoms(self, n, subbasis, atoms, message):
+        topo = build(n, subbasis)
+        with pytest.raises(ValueError, match=message):
+            RegularClosedAlgebra(topo, tuple(PointSet(n, m) for m in atoms))
 
     def test_boolean_laws_all_three_point_spaces(self):
         for fam in oracles.all_topologies(3):
