@@ -199,9 +199,6 @@ class FiniteTopology:
     def is_closed(self, a: PointSet) -> bool:
         return self.is_open(a.complement())
 
-    def closed_sets(self) -> tuple[PointSet, ...]:
-        return tuple(sorted(o.complement() for o in self.opens))
-
 
 def generate_topology(universe_size: int, subbasis: Sequence[PointSet]) -> FiniteTopology:
     """Least topology on the universe containing every subbasis member.
@@ -466,8 +463,11 @@ class RegularOpenAlgebra:
 
 
 def ro_algebra(topology: FiniteTopology) -> RegularOpenAlgebra:
-    """The regular open algebra, with carrier {Int(F) : F closed}."""
-    carrier_bits = sorted({interior(topology, c).bits for c in topology.closed_sets()})
+    """The regular open algebra, with carrier {Int(F) : F closed}, taken as
+    the interiors of the regular closed sets: for closed F, Int(F) =
+    Int(Cl(Int(F))), and Cl(Int(F)) is regular closed.  So the open family
+    is never listed."""
+    carrier_bits = sorted({interior(topology, a).bits for a in rc_algebra(topology).carrier})
     carrier = tuple(PointSet(topology.universe_size, b) for b in carrier_bits)
     return RegularOpenAlgebra(topology, carrier)
 

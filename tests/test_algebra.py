@@ -46,10 +46,14 @@ from mereotop import (
     relative_contact,
     right_set,
 )
+from mereotop import algebra as algebra_module
 from mereotop.algebra import (
     _ca12_mismatch,
+    _columns_join_closed,
     _eca1_holds,
+    _eca_rebuilt,
     _weca3_holds,
+    _weca_rebuilt,
     verified_eca,
     verified_weca,
 )
@@ -144,17 +148,7 @@ SEEDED_CASES = [
 class TestCheckersMatchNaive:
     @pytest.mark.parametrize("k,seed,density", SEEDED_CASES)
     def test_eca_weca_consequences_rcl(self, k, seed, density):
-        cov = random_covering(k, random.Random(seed * 31 + k), density)
-        n = cov.algebra.size
-        table = cov.table
-        assert check_eca(cov).as_dict() == oracles.naive_check_eca(n, table)
-        assert check_weca(cov).as_dict() == oracles.naive_check_weca(n, table)
-        assert check_weca_consequences(cov).as_dict() == oracles.naive_weca_consequences(
-            n, table
-        )
-        assert check_relative_contact_laws(
-            cov
-        ).as_dict() == oracles.naive_relative_contact_laws(n, table)
+        assert_covering_checkers_match(random_covering(k, random.Random(seed * 31 + k), density))
 
     @pytest.mark.parametrize("k,seed,density", SEEDED_CASES)
     def test_ca(self, k, seed, density):
@@ -216,7 +210,7 @@ def alexandrov_covering(k: int, flips: int, rng: random.Random) -> CoveringRelat
     masks = [1 << i for i in range(k)] + [
         1 << (k + j) | sum(1 << i for i in cores) for j, cores in enumerate(boundary)
     ]
-    table = eca_from_rc(rc_algebra(build(k + len(boundary), masks)), verify=False)
+    table = eca_from_rc(rc_algebra(build(k + len(boundary), masks)), cap_elements=1 << k, verify=False)
     table = table.covering.table.copy()
     n = len(table)
     for _ in range(flips):
@@ -257,6 +251,28 @@ def sublattice_covering(k: int, rng: random.Random) -> CoveringRelation:
     return CoveringRelation(FiniteBooleanAlgebra(k), table)
 
 
+def slice_generated_covering(k: int, flips: int, rng: random.Random) -> CoveringRelation:
+    """The table generated by random atom slices R_f, each the union of its
+    own random pairs and those of every f' inside f: (a, b) |- f iff
+    R_f(p, q) for all atoms p in a and q in b.  It satisfies the weak
+    axioms and, unless the slices happen to be those of a space, fails the
+    full ones; ``flips`` seeded flips then break it further."""
+    n = 1 << k
+    own = [{(p, q) for p in range(k) for q in range(k) if rng.random() < 0.3} for _ in range(n)]
+    table = np.zeros((n, n, n), dtype=bool)
+    for f in range(n):
+        rel = set().union(*(own[g] for g in range(n) if g & ~f == 0))
+        for a in range(n):
+            for b in range(n):
+                table[a, b, f] = all(
+                    (p, q) in rel for p in range(k) if a >> p & 1 for q in range(k) if b >> q & 1
+                )
+    for _ in range(flips):
+        a, b, d = (rng.randrange(n) for _ in range(3))
+        table[a, b, d] = not table[a, b, d]
+    return CoveringRelation(FiniteBooleanAlgebra(k), table)
+
+
 def up_closed_contact(k: int, rng: random.Random) -> ContactRelation:
     """The up-closure of a few random pairs: monotone (CA1), and usually not
     distributive over joins (CA2)."""
@@ -275,18 +291,29 @@ def assert_contact_checker_matches(contact: ContactRelation) -> None:
     assert _ca12_mismatch(contact.table, k).any() == ((naive["CA1"], naive["CA2"]) != (None, None))
 
 
+def all_none(report: dict) -> bool:
+    return all(w is None for w in report.values())
+
+
 def assert_covering_checkers_match(cov: CoveringRelation) -> None:
-    """The checkers give the oracles' reports, and each reduced verdict is
-    exact, so a passing table never reaches the literal search."""
+    """The checkers give the oracles' reports, and each rebuild and reduced
+    verdict is exact, so a passing table never reaches the literal search."""
     n, k = cov.algebra.size, cov.algebra.atom_count
     e = np.arange(n)
     table = cov.table.tolist()
     naive = oracles.naive_check_eca(n, table)
     assert check_eca(cov).as_dict() == naive
+    assert _eca_rebuilt(cov.table, k) == all_none(naive)
     assert _eca1_holds(cov.table, k, e) == (naive["ECA1"] is None)
     naive = oracles.naive_check_weca(n, table)
     assert check_weca(cov).as_dict() == naive
+    assert _weca_rebuilt(cov.table, k) == all_none(naive)
     assert _weca3_holds(cov.table, k) == (naive["WECA3"] is None)
+    naive = oracles.naive_weca_consequences(n, table)
+    assert check_weca_consequences(cov).as_dict() == naive
+    assert _columns_join_closed(cov.table, k) == (naive["CONS3"] is None)
+    swapped = np.ascontiguousarray(cov.table.transpose(1, 0, 2))
+    assert _columns_join_closed(swapped, k) == (naive["CONS4"] is None)
     naive = oracles.naive_relative_contact_laws(n, table)
     assert check_relative_contact_laws(cov).as_dict() == naive
     assert _ca12_mismatch(~cov.table, k).any() == ((naive["RCL1"], naive["RCL2"]) != (None, None))
@@ -297,6 +324,31 @@ class TestReducedVerdictsMatchNaive:
     @pytest.mark.parametrize("k,flips", [(k, f) for k in (2, 3, 4) for f in range(4)])
     def test_topology_derived_with_flips(self, k, flips):
         assert_covering_checkers_match(alexandrov_covering(k, flips, random.Random(k * 7 + flips)))
+
+    def test_every_one_atom_table(self):
+        for bits in range(256):
+            table = np.array([bits >> i & 1 for i in range(8)], dtype=bool).reshape(2, 2, 2)
+            assert_covering_checkers_match(CoveringRelation(FiniteBooleanAlgebra(1), table))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_topology_derived_tables(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 5))]
+        algebra = rc_algebra(build(n, masks))
+        if len(algebra.atoms) > 3:
+            return
+        cov = eca_from_rc(algebra, verify=False).covering
+        assert check_eca(cov).all_passed
+        assert_covering_checkers_match(cov)
+
+    @pytest.mark.parametrize("k,flips,seed", [(k, f, s) for k in (1, 2, 3) for f in (0, 1, 2) for s in range(3)])
+    def test_slice_generated_tables(self, k, flips, seed):
+        cov = slice_generated_covering(k, flips, random.Random(seed * 10 + k))
+        if flips == 0:
+            assert check_weca(cov).all_passed
+        assert_covering_checkers_match(cov)
 
     @pytest.mark.parametrize("grown", ["left", "right"])
     def test_eca1_fails_on_one_side_only(self, grown):
@@ -380,6 +432,25 @@ class TestReducedVerdictsMatchNaive:
         # the empty covering is all-true relative contact for every g
         empty = CoveringRelation(FiniteBooleanAlgebra(k), np.zeros((n, n, n), dtype=bool))
         assert_covering_checkers_match(empty)
+
+
+class TestPassingTablesSkipTheLiteralSearch:
+    """At k = 7 the literal searches take seconds; a passing table is
+    decided by the rebuild and the join-closure folds alone."""
+
+    @pytest.mark.parametrize("source", ["discrete", "topology"])
+    def test_seven_atoms(self, source, monkeypatch):
+        def literal(*args):
+            raise AssertionError("a literal search ran on a passing table")
+
+        for name in ("_eca1", "_eca2", "_weca1", "_weca3", "_cons3", "_cons4"):
+            monkeypatch.setattr(algebra_module, name, literal)
+        if source == "discrete":
+            cov = discrete_covering(7)
+        else:
+            cov = alexandrov_covering(7, 0, random.Random(7))
+        for check in (check_eca, check_weca, check_weca_consequences):
+            assert check(cov, cap_elements=128).all_passed
 
 
 # ---------------------------------------------------------------------------

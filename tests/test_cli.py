@@ -3,11 +3,15 @@ byte-identical reruns."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from example_data import X_DOC, X_OPEN_COUNT, XP_DOC
 from mereotop import (
@@ -196,6 +200,95 @@ class TestOversizedInputFailsFast:
         assert capsys.readouterr().err == (
             "error: 4096 elements exceed cap_elements=64; raise the cap to force\n"
         )
+
+
+# ---------------------------------------------------------------------------
+# fuzzed documents
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=16,
+)
+JUNK_COVERINGS = st.fixed_dictionaries(
+    {"atoms": st.integers(-2, 9) | st.sampled_from([2**40, 10**12]) | JSON_VALUES},
+    optional={
+        "covering": st.lists(st.lists(st.integers(-2, 70) | JSON_VALUES, max_size=4), max_size=8)
+        | JSON_VALUES,
+        "covering_mode": st.sampled_from(["discrete", "dense"]) | JSON_VALUES,
+    },
+)
+# coverings of up to 6 atoms (the default cap), some triples one past the range
+COVERINGS = st.integers(1, 6).flatmap(
+    lambda k: st.fixed_dictionaries(
+        {
+            "atoms": st.just(k),
+            "covering": st.lists(st.lists(st.integers(0, 1 << k), min_size=3, max_size=3), max_size=60),
+        }
+    )
+)
+JUNK_SPACES = st.fixed_dictionaries(
+    {"universe": st.lists(st.text(max_size=2) | JSON_VALUES, max_size=6) | JSON_VALUES},
+    optional={"subbasis": st.lists(st.lists(st.text(max_size=2) | JSON_VALUES, max_size=4), max_size=4)},
+)
+# spaces of up to 8 points, now and then naming a label outside the universe
+SPACES = st.integers(1, 8).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "universe": st.just([f"p{i}" for i in range(n)]),
+            "subbasis": st.lists(
+                st.lists(st.sampled_from([f"p{i}" for i in range(n)] + ["stranger"]), max_size=n),
+                max_size=6,
+            ),
+        }
+    )
+)
+# up to 300 points: as many atoms as points (over the cap past 6), or a
+# star of one core and its arms (one atom and 2^arms + 1 opens)
+WIDE_SPACES = st.integers(1, 300).map(
+    lambda n: {
+        "universe": [f"p{i}" for i in range(n)],
+        "subbasis": [[f"p{i}", f"p{(i * 7 + 1) % n}"] for i in range(n)],
+    }
+) | st.integers(1, 300).map(
+    lambda n: {
+        "universe": ["core"] + [f"arm{i}" for i in range(n)],
+        "subbasis": [["core", f"arm{i}"] for i in range(n)],
+    }
+)
+DOCUMENTS = (
+    st.one_of(JUNK_COVERINGS, COVERINGS, JUNK_SPACES, SPACES, WIDE_SPACES).map(json.dumps)
+    | JSON_VALUES.map(json.dumps)
+    | st.text(max_size=30)
+    | st.binary(max_size=30).map(lambda raw: raw.decode("latin-1"))
+)
+
+
+class TestFuzzedDocuments:
+    """Malformed and oversized documents never raise out of ``main``: every
+    command exits 0, 1 or 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rc"],
+            ["rc", "--verbose"],
+            ["check-axioms"],
+            ["represent", "--kind", "type1"],
+            ["represent", "--kind", "type2"],
+            ["represent", "--kind", "parametrized"],
+            ["example1"],
+            ["random", "--trials", "1"],
+        ],
+        ids=["rc", "rc-verbose", "axioms", "type1", "type2", "parametrized", "example1", "random"],
+    )
+    @given(text=DOCUMENTS)
+    @settings(max_examples=100, deadline=None)
+    def test_exit_code_is_0_1_or_2(self, argv, text, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([*argv, "--json", "--input", str(path)]) in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
