@@ -10,26 +10,28 @@ Each checker decides pass/fail first, from the cheapest exact verdict.  A
 finite table satisfies the extended contact axioms, or the weak ones,
 exactly when it equals the table rebuilt from small data read off itself:
 for ECA its consistent atom signatures (the signatures of the points of the
-representation theorem's space), for WECA its atom slices R_f.  So
-check_eca and check_weca rebuild the table once and, when it matches,
-report every axiom passed without any per-axiom work.  Otherwise, or in a
-checker without a rebuild, each axiom is decided by an exact reduced form
-where one exists: ECA1 by one-atom growth on one side at a time; CA1 with
-CA2, and RCL1 with RCL2 for every g, by equality with the join-extension
-from zero and the atoms; WECA3, with no other axiom assumed, by each
-cover's slice being a sublattice of B x B^op (one superset-and fold over
-pair words); CONS3 and CONS4 by join-closure of each column and each row
-of a slice (one subset-or fold each).  Only a failing verdict runs the
-literal search, which reports the lexicographically first violating tuple
-— the one a direct nested loop over ascending element values would find.
-The WECA3 search tests all (d, e, f) of one (a, b) at once and stops at
-the first (a, b) that has a hit.
+representation theorem's space), for WECA its atom slices R_f.  So check_eca
+and check_weca rebuild the table once and, when it matches, report every
+axiom passed without any per-axiom work.  Otherwise, or in a checker without
+a rebuild, each axiom is decided by an exact reduced form where one exists:
+ECA1 by a greatest-fixpoint fold of one-atom growth steps, in O(k·N³); CA1
+with CA2, and RCL1 with RCL2 for every g, by equality with the
+join-extension from zero and the atoms; WECA3, with no other axiom assumed,
+by each cover's slice being a sublattice of B x B^op (one superset-and fold
+over pair words); CONS3 and CONS4 by join-closure of each column and each
+row of a slice (one subset-or fold each).  Only a failing verdict runs the
+literal search, which reports the lexicographically first violating tuple —
+the one a direct nested loop over ascending element values would find.  The
+ECA1 search runs on the first failing (a, b) alone; the WECA3 search tests
+all (d, e, f) of one (a, b) at once and stops at the first (a, b) that has a
+hit.  Covering documents are type- and range-checked in bulk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Literal
 
 import numpy as np
@@ -431,55 +433,64 @@ def _eca_rebuilt(v: np.ndarray, k: int) -> bool:
     return bool((vt ^ split[::-1]).all())
 
 
-def _eca1_holds(v: np.ndarray, k: int, e: np.ndarray) -> bool:
-    """ECA1 iff (a, b) |- f gives (a|p, b) |- f|p and (a, b|p) |- f|p for
-    every atom p: growing one side by one atom at a time reaches every
-    (a|d, b|e, d|e|f)."""
-    for i in range(k):
-        grow = e | (1 << i)
-        v_grown = v[:, :, grow]
-        if (v & ~(v_grown[grow] & v_grown[:, grow])).any():
-            return False
-    return True
+def _eca1(v: np.ndarray, n: int, k: int, or_t: np.ndarray) -> tuple | None:
+    """ECA1's lex-first witness, or None when it holds.
 
-
-def _eca1(v: np.ndarray, n: int, e: np.ndarray, or_t: np.ndarray) -> tuple | None:
-    def_idx = or_t[:, :, None] | e[None, None, :]  # (d, e, f) -> d|e|f
-    for a in range(n):
-        if not v[a].any():
-            continue
-        i0 = or_t[:, a][:, None, None]
-        for b in range(n):
-            prem_f = v[a, b]
-            if not prem_f.any():
-                continue
-            grown = v[i0, or_t[:, b][None, :, None], def_idx]
-            viol = prem_f[None, None, :] & ~grown
-            if viol.any():
-                d, e2, f = _first(viol)
-                return (a, b, d, e2, f)
+    safe[a, b, f] = v[a|d, b|e, d|e|f] for every d and e, so ECA1 holds iff
+    safe == v (d = e = 0 gives safe <= v).  A growth is a composition of
+    one-atom steps, so safe is a greatest fixpoint reached in 2k in-place
+    steps: for atom p, safe[a, b, f] &= safe[a|p, b, f|p] on the a side and
+    the same on the b side.  A step reads only entries with p in both the
+    grown member and the cover, which it never writes, so it runs on paired
+    reshape views.  The first true (a, b) of v & ~safe is the failing pair,
+    and only it runs the literal (d, e, f) search, one d at a time."""
+    safe = v.copy()
+    for bit in range(k):
+        split = (n >> bit + 1, 2, 1 << bit)
+        for shape, axes in (((*split, n, *split), (1, 5)), ((n, *split, *split), (2, 5))):
+            pairs = np.moveaxis(safe.reshape(shape), axes, (0, 1))  # [p in member, p in cover]
+            pairs[0] &= pairs[1, 1]
+            pairs[1, 0] &= pairs[1, 1]
+    failing = (v & ~safe).any(axis=2)
+    if not failing.any():
+        return None
+    a, b = _first(failing)
+    for d in range(n):
+        # [e, f] -> (a|d, b|e) |- d|e|f
+        grown = v[a | d][or_t[b][:, None], or_t[or_t[d]]]
+        viol = v[a, b] & ~grown
+        if viol.any():
+            return (a, b, d) + _first(viol)
     return None
 
 
 def _eca2(v: np.ndarray, n: int) -> tuple | None:
+    """ECA2's lex-first witness, or None.  Rows (a, b) covered by none or all
+    d cannot fail; the rest go in lex order, 2^20 counts at a time, through
+    a float32 matmul counting the e with (a, b) |- e and (d, e) |- f.  The
+    first row that reaches an uncovered f runs the literal search."""
     pair_to_d = v.reshape(n * n, n)
-    d_by_ef = np.ascontiguousarray(v.transpose(1, 0, 2)).reshape(n, n * n)
-    counts = pair_to_d.astype(np.float32) @ d_by_ef.astype(np.float32)
-    via_e = counts.reshape(n * n, n, n) > 0.5
-    reach = (pair_to_d[:, :, None] & via_e).any(axis=1)
-    if not (reach & ~pair_to_d).any():
+    rows = np.flatnonzero(pair_to_d.any(axis=1) & ~pair_to_d.all(axis=1))
+    if not len(rows):
         return None
-    for a in range(n):
-        for b in range(n):
-            if not (reach[a * n + b] & ~v[a, b]).any():
-                continue
-            covered = np.flatnonzero(v[a, b])
-            not_f = ~v[a, b]
-            for d in covered:
-                for e2 in covered:
-                    fs = v[d, e2] & not_f
-                    if fs.any():
-                        return (a, b, int(d), int(e2), int(np.flatnonzero(fs)[0]))
+    d_by_ef = np.ascontiguousarray(v.transpose(1, 0, 2)).reshape(n, n * n).astype(np.float32)
+    step = max(1, (1 << 20) // (n * n))
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        premise = pair_to_d[chunk]
+        via_e = (premise.astype(np.float32) @ d_by_ef).reshape(len(chunk), n, n) > 0.5
+        reach = (premise[:, :, None] & via_e).any(axis=1)
+        hit = (reach & ~premise).any(axis=1)
+        if not hit.any():
+            continue
+        a, b = divmod(int(chunk[np.argmax(hit)]), n)
+        covered = np.flatnonzero(v[a, b])
+        not_f = ~v[a, b]
+        for d in covered:
+            for e2 in covered:
+                fs = v[d, e2] & not_f
+                if fs.any():
+                    return (a, b, int(d), int(e2), int(np.flatnonzero(fs)[0]))
     return None
 
 
@@ -505,12 +516,12 @@ def check_eca(covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_C
     meet inside the cover, and symmetry."""
     k = covering.algebra.atom_count
     _check_cap(k, cap_elements)
-    n, e, and_t, or_t, le_t = _tables(k)
+    n, _, and_t, or_t, le_t = _tables(k)
     v = covering.table
     if _eca_rebuilt(v, k):
         return AxiomReport.of(dict.fromkeys(("ECA1", "ECA2", "ECA3", "ECA4", "ECA5")))
     witnesses = {
-        "ECA1": None if _eca1_holds(v, k, e) else _eca1(v, n, e, or_t),
+        "ECA1": _eca1(v, n, k, or_t),
         "ECA2": _eca2(v, n),
         "ECA3": _eca3(v, le_t),
         "ECA4": _eca4(v, and_t, le_t),
@@ -1031,15 +1042,33 @@ def covering_from_document(doc: object, *, cap_elements: int | None = None) -> C
     if discrete:
         return discrete_covering(atoms)
     n = 1 << atoms
+    table = np.zeros((n, n, n), dtype=bool)
+    table.reshape(-1)[_triple_indices(triples, atoms)] = True
+    return CoveringRelation(FiniteBooleanAlgebra(atoms), table)
+
+
+def _triple_indices(triples: list, atoms: int) -> np.ndarray:
+    """Flat table indices (a·N + b)·N + d of the triples.  The checks run in
+    bulk: every triple a list of three ints (bools are not ints here), and
+    every entry inside the algebra.  When any of them fails, a loop in input
+    order names the first bad triple."""
+    n = 1 << atoms
+    if set(map(type, triples)) <= {list} and set(map(len, triples)) <= {3}:
+        flat = list(chain.from_iterable(triples))
+        if set(map(type, flat)) <= {int}:
+            try:
+                entries = np.array(flat, dtype=np.int64)
+            except OverflowError:  # beyond int64, so out of range
+                entries = np.array([-1])
+            if not len(entries) or (entries.min() >= 0 and entries.max() < n):
+                a, b, d = entries.reshape(-1, 3).T
+                return (a * n + b) * n + d
     for t in triples:
         if type(t) is not list or len(t) != 3 or not type(t[0]) is type(t[1]) is type(t[2]) is int:
             raise DocumentError(f"bad covering triple {t!r}")
         if not (0 <= t[0] < n and 0 <= t[1] < n and 0 <= t[2] < n):
             raise DocumentError(f"triple {t!r} out of range for a {atoms}-atom algebra")
-    table = np.zeros((n, n, n), dtype=bool)
-    if triples:
-        table[tuple(np.array(triples, dtype=np.intp).T)] = True
-    return CoveringRelation(FiniteBooleanAlgebra(atoms), table)
+    raise AssertionError("the bulk checks rejected triples that the loop accepts")
 
 
 def covering_document(covering: CoveringRelation) -> dict:

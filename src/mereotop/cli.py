@@ -47,7 +47,6 @@ from .representations import (
     verify_embedding,
 )
 from .topology import (
-    CapExceeded,
     DocumentError,
     LabeledTopology,
     PointSet,
@@ -700,14 +699,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
         return _COMMANDS[config.command](config)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (DocumentError, CapExceeded) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as err:  # DocumentError and CapExceeded are ValueErrors
+        print(f"error: {err or 'out of memory'}", file=sys.stderr)
         return 2
 
 

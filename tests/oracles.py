@@ -2,12 +2,16 @@
 
 Everything in this file is deliberately written as direct, unoptimized loops
 over integer bitmasks so that the optimized library code can be checked
-against it on small instances.  Nothing here imports the library.
+against it on small instances.  Nothing here imports the library.  The
+per-pair ECA1 and ECA2 searches scan one (a, b) at a time with NumPy, for
+tables of four to six atoms, where the five nested loops take too long.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +181,39 @@ def naive_check_eca(N: int, V) -> dict[str, tuple | None]:
                     if out["ECA5"] is None:
                         out["ECA5"] = (a, b, f)
     return out
+
+
+def eca1_per_pair(v: np.ndarray) -> tuple | None:
+    """ECA1's lex-first witness, one (a, b) at a time: all (d, e, f) of a
+    covered pair are tested at once against (a|d, b|e) |- d|e|f."""
+    n = len(v)
+    e = np.arange(n)
+    or_t = e[:, None] | e[None, :]
+    def_idx = or_t[:, :, None] | e[None, None, :]  # (d, e, f) -> d|e|f
+    for a in range(n):
+        for b in range(n):
+            grown = v[or_t[:, a][:, None, None], or_t[:, b][None, :, None], def_idx]
+            viol = v[a, b][None, None, :] & ~grown
+            if viol.any():
+                return (a, b) + tuple(int(x) for x in np.argwhere(viol)[0])
+    return None
+
+
+def eca2_per_pair(v: np.ndarray) -> tuple | None:
+    """ECA2's lex-first witness, one (a, b) at a time: the pair fails iff
+    two of its covers d, e cover some f that it does not."""
+    n = len(v)
+    for a in range(n):
+        for b in range(n):
+            covered = np.flatnonzero(v[a, b])
+            if not (v[np.ix_(covered, covered)].any(axis=(0, 1)) & ~v[a, b]).any():
+                continue
+            for d in covered:
+                for e in covered:
+                    fs = np.flatnonzero(v[d, e] & ~v[a, b])
+                    if len(fs):
+                        return (a, b, int(d), int(e), int(fs[0]))
+    return None
 
 
 def naive_check_weca(N: int, V) -> dict[str, tuple | None]:

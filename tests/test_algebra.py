@@ -50,7 +50,8 @@ from mereotop import algebra as algebra_module
 from mereotop.algebra import (
     _ca12_mismatch,
     _columns_join_closed,
-    _eca1_holds,
+    _eca1,
+    _eca2,
     _eca_rebuilt,
     _weca3_holds,
     _weca_rebuilt,
@@ -219,6 +220,22 @@ def alexandrov_covering(k: int, flips: int, rng: random.Random) -> CoveringRelat
     return CoveringRelation(FiniteBooleanAlgebra(k), table)
 
 
+def broken_covering(k: int, rng: random.Random) -> CoveringRelation:
+    """A topology-derived table with symmetric flips, like the failing
+    inputs of the benchmark's axioms workload: the first flip breaks ECA3
+    (a side below the cover) or ECA4 (a meet outside it), and up to two more
+    are random."""
+    table = alexandrov_covering(k, 0, rng).table.copy()
+    n = len(table)
+    while True:
+        a, b, d = (rng.randrange(n) for _ in range(3))
+        if a & ~d == 0 or a & b & ~d:
+            break
+    for a, b, d in [(a, b, d)] + [tuple(rng.randrange(n) for _ in range(3)) for _ in range(rng.randint(0, 2))]:
+        table[a, b, d] = table[b, a, d] = not table[a, b, d]
+    return CoveringRelation(FiniteBooleanAlgebra(k), table)
+
+
 def down_closed_covering(k: int, rng: random.Random) -> CoveringRelation:
     """Pairs with an empty member, plus the down-closure of more random pairs
     the larger the cover: WECA1, WECA2 and WECA4 hold, and WECA3 fails
@@ -299,12 +316,12 @@ def assert_covering_checkers_match(cov: CoveringRelation) -> None:
     """The checkers give the oracles' reports, and each rebuild and reduced
     verdict is exact, so a passing table never reaches the literal search."""
     n, k = cov.algebra.size, cov.algebra.atom_count
-    e = np.arange(n)
+    or_t = algebra_module._tables(k)[3]
     table = cov.table.tolist()
     naive = oracles.naive_check_eca(n, table)
     assert check_eca(cov).as_dict() == naive
     assert _eca_rebuilt(cov.table, k) == all_none(naive)
-    assert _eca1_holds(cov.table, k, e) == (naive["ECA1"] is None)
+    assert _eca1(cov.table, n, k, or_t) == naive["ECA1"]
     naive = oracles.naive_check_weca(n, table)
     assert check_weca(cov).as_dict() == naive
     assert _weca_rebuilt(cov.table, k) == all_none(naive)
@@ -432,6 +449,37 @@ class TestReducedVerdictsMatchNaive:
         # the empty covering is all-true relative contact for every g
         empty = CoveringRelation(FiniteBooleanAlgebra(k), np.zeros((n, n, n), dtype=bool))
         assert_covering_checkers_match(empty)
+
+
+class TestFailingTablesMatchThePerPairSearch:
+    """Past three atoms the naive loops take too long; the per-pair searches
+    of the oracles check the ECA1 fixpoint and the chunked ECA2 instead."""
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_eca1_fixpoint(self, k):
+        n, rng = 1 << k, random.Random(k)
+        or_t = algebra_module._tables(k)[3]
+        failing = 0
+        for _ in range(50):
+            table = broken_covering(k, rng).table
+            witness = oracles.eca1_per_pair(table)
+            assert _eca1(table, n, k, or_t) == witness
+            failing += witness is not None
+        assert failing >= 25
+
+    def test_eca2_past_the_first_chunk(self):
+        # at six atoms a chunk holds 256 of the 4096 rows
+        rng = random.Random(6)
+        late = 0
+        for _ in range(4):
+            table = broken_covering(6, rng).table
+            witness = oracles.eca2_per_pair(table)
+            assert _eca2(table, 64) == witness
+            if witness is not None:
+                row = witness[0] * 64 + witness[1]
+                rows = table.reshape(4096, 64)
+                late += (rows[:row].any(axis=1) & ~rows[:row].all(axis=1)).sum() >= 256
+        assert late
 
 
 class TestPassingTablesSkipTheLiteralSearch:
@@ -723,6 +771,34 @@ MALFORMED_COVERINGS = [
         {"atoms": 2, "covering": [[0, 0, 0], [0, 0.5, 0], [0, 0, 4]]},
         "bad covering triple [0, 0.5, 0]",
     ),
+    # each bulk check on a valid first triple: bools and floats are not
+    # ints, entries beyond int64 either way, a ragged triple, a non-list one
+    ({"atoms": 2, "covering": [[0, 0, 0], [True, 1, 2]]}, "bad covering triple [True, 1, 2]"),
+    ({"atoms": 2, "covering": [[1, 2, 3], [0, 0, 1.0]]}, "bad covering triple [0, 0, 1.0]"),
+    (
+        {"atoms": 2, "covering": [[0, 0, 0], [0, 1, 2**70]]},
+        f"triple [0, 1, {2**70}] out of range for a 2-atom algebra",
+    ),
+    (
+        {"atoms": 2, "covering": [[0, 0, 0], [-(2**70), 1, 1]]},
+        f"triple [{-(2**70)}, 1, 1] out of range for a 2-atom algebra",
+    ),
+    (
+        {"atoms": 2, "covering": [[0, 0, 0], [0, 2**63 - 1, 0]]},
+        f"triple [0, {2**63 - 1}, 0] out of range for a 2-atom algebra",
+    ),
+    ({"atoms": 2, "covering": [[0, 0, 0], [0, -1, 0]]}, "triple [0, -1, 0] out of range for a 2-atom algebra"),
+    ({"atoms": 2, "covering": [[0, 0, 0], [0, 1], [0, 1, 2]]}, "bad covering triple [0, 1]"),
+    ({"atoms": 2, "covering": [[0, 0, 0], "012"]}, "bad covering triple '012'"),
+    ({"atoms": 2, "covering": [[0, 0, 0], (0, 1, 2)]}, "bad covering triple (0, 1, 2)"),
+    (
+        {"atoms": 2, "covering": [[0, 0, 0], [0, 0, -1], [0, True, 0]]},
+        "triple [0, 0, -1] out of range for a 2-atom algebra",
+    ),
+    (
+        {"atoms": 2, "covering": [[0, 0, 0], [0, None, 0], [9, 9, 9]]},
+        "bad covering triple [0, None, 0]",
+    ),
 ]
 
 
@@ -734,6 +810,14 @@ class TestCoveringDocuments:
         assert doc == {"atoms": 2, "covering": [[0, 0, 0], [1, 2, 3]]}
         again = covering_from_document(doc)
         assert np.array_equal(again.table, cov.table)
+
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(0, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_random_tables(self, k, seed, density):
+        n = 1 << k
+        table = np.random.default_rng(seed).random((n, n, n)) < density
+        cov = CoveringRelation(FiniteBooleanAlgebra(k), table)
+        assert np.array_equal(covering_from_document(covering_document(cov)).table, table)
 
     def test_discrete_mode(self):
         cov = covering_from_document({"atoms": 3, "covering_mode": "discrete"})

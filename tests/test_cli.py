@@ -21,6 +21,7 @@ from mereotop import (
     labeled_topology_from_document,
     rc_algebra,
 )
+from mereotop import cli as cli_module
 from mereotop.cli import EXAMPLE_CONCLUSION, main
 
 
@@ -394,6 +395,29 @@ class TestCheckAxiomsCommand:
             if not c["pass"]
         ]
         assert witnessed and all(c["witness"] is not None for c in witnessed)
+
+    def test_zero_sided_eight_atoms(self, tmp_path, capsys):
+        # (a, b) |- d iff a = 0 or b = 0: 131 072 triples, every (a, b) row
+        # all-true or all-false, so ECA2 needs no matmul at N = 256
+        triples = [[a, b, d] for a in range(256) for b in range(256) if a == 0 or b == 0 for d in range(256)]
+        path = tmp_path / "zero8.json"
+        path.write_text(json.dumps({"atoms": 8, "covering": triples}))
+        code, doc = run_json(capsys, ["check-axioms", "--cap-elements", "256", "--input", str(path), "--json"])
+        assert code == 1
+        failed = {c["name"]: c["witness"] for s in doc["systems"] for c in s.get("checks", []) if not c["pass"]}
+        assert failed == {"ECA1": [0, 0, 1, 1, 0], "ECA3": [1, 1, 1]}
+        assert doc["systems"][2].get("skipped") is True
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 16.0 GiB"), MemoryError()])
+    def test_out_of_memory_is_one_error_line(self, error, discrete_file, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli_module, "check_eca", exhausted)
+        assert main(["check-axioms", "--input", discrete_file, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error or 'out of memory'}\n"
 
 
 # ---------------------------------------------------------------------------
