@@ -24,14 +24,18 @@ literal search, which reports the lexicographically first violating tuple —
 the one a direct nested loop over ascending element values would find.  The
 ECA1 search runs on the first failing (a, b) alone; the WECA3 search tests
 all (d, e, f) of one (a, b) at once and stops at the first (a, b) that has a
-hit.  Covering documents are type- and range-checked in bulk.
+hit.  A plain triple-list covering document is read straight from its bytes;
+any other goes through the JSON parser and covering_from_document, which
+alone reports faults.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain
+from operator import and_, or_
 from typing import Callable, Iterable, Literal
 
 import numpy as np
@@ -881,6 +885,16 @@ class FilterOrIdeal:
         for x in self.members:
             if not 0 <= x < n:
                 raise ValueError(f"{x} is not an element mask")
+        # A filter is the up-set of the meet g of its members, which holds
+        # them all, so the members form one iff they number 2^(k - |g|); an
+        # ideal is the down-set of the join j, 2^|j| elements.  Only a fault
+        # runs the loops below, which name it.
+        if self.kind == "filter":
+            free = self.algebra.atom_count - int(reduce(and_, self.members)).bit_count()
+        else:
+            free = int(reduce(or_, self.members)).bit_count()
+        if len(self.members) == 1 << free:
+            return
         if self.kind == "filter":
             for x in self.members:
                 for y in range(n):
@@ -899,6 +913,7 @@ class FilterOrIdeal:
                 for y in self.members:
                     if (x | y) not in self.members:
                         raise ValueError(f"not join-closed: {x} and {y} in, {x | y} out")
+        raise AssertionError(f"the size test rejected a {self.kind} that the loops accept")
 
     @cached_property
     def generator(self) -> int:
@@ -1041,17 +1056,24 @@ def covering_from_document(doc: object, *, cap_elements: int | None = None) -> C
         _check_cap(atoms, cap_elements)
     if discrete:
         return discrete_covering(atoms)
+    return _covering_of_entries(atoms, _triple_entries(triples, atoms))
+
+
+def _covering_of_entries(atoms: int, entries: np.ndarray) -> CoveringRelation:
+    """The covering whose true triples are the rows (a, b, d) of ``entries``,
+    all inside the algebra: one store at the flat indices (a·N + b)·N + d."""
     n = 1 << atoms
     table = np.zeros((n, n, n), dtype=bool)
-    table.reshape(-1)[_triple_indices(triples, atoms)] = True
+    a, b, d = entries.T
+    table.reshape(-1)[(a * n + b) * n + d] = True
     return CoveringRelation(FiniteBooleanAlgebra(atoms), table)
 
 
-def _triple_indices(triples: list, atoms: int) -> np.ndarray:
-    """Flat table indices (a·N + b)·N + d of the triples.  The checks run in
-    bulk: every triple a list of three ints (bools are not ints here), and
-    every entry inside the algebra.  When any of them fails, a loop in input
-    order names the first bad triple."""
+def _triple_entries(triples: list, atoms: int) -> np.ndarray:
+    """The triples as a (T, 3) int64 array.  The checks run in bulk: every
+    triple a list of three ints (bools are not ints here), and every entry
+    inside the algebra.  When any of them fails, a loop in input order names
+    the first bad triple."""
     n = 1 << atoms
     if set(map(type, triples)) <= {list} and set(map(len, triples)) <= {3}:
         flat = list(chain.from_iterable(triples))
@@ -1061,14 +1083,67 @@ def _triple_indices(triples: list, atoms: int) -> np.ndarray:
             except OverflowError:  # beyond int64, so out of range
                 entries = np.array([-1])
             if not len(entries) or (entries.min() >= 0 and entries.max() < n):
-                a, b, d = entries.reshape(-1, 3).T
-                return (a * n + b) * n + d
+                return entries.reshape(-1, 3)
     for t in triples:
         if type(t) is not list or len(t) != 3 or not type(t[0]) is type(t[1]) is type(t[2]) is int:
             raise DocumentError(f"bad covering triple {t!r}")
         if not (0 <= t[0] < n and 0 <= t[1] < n and 0 <= t[2] < n):
             raise DocumentError(f"triple {t!r} out of range for a {atoms}-atom algebra")
     raise AssertionError("the bulk checks rejected triples that the loop accepts")
+
+
+_JSON_SPACE = b" \t\n\r"
+_PLAIN_HEAD = re.compile(  # {"atoms": k, "covering":
+    (b"[" + _JSON_SPACE + b"]*").join([b"", rb"\{", b'"atoms"', b":", rb"([1-9][0-9]{0,2})", b",", b'"covering"', b":"])
+)
+
+
+def covering_from_json(raw: bytes, *, cap_elements: int) -> CoveringRelation | None:
+    """The covering of a document that is exactly {"atoms": k, "covering":
+    [[a, b, d], ...]}, read straight from its bytes; None for any other
+    input, and over the cap, so that :func:`covering_from_document` parses
+    it and reports any fault.  No input makes it raise.
+
+    With whitespace dropped, the text outside the digits must spell "[",
+    then "[,,]" joined by ",", then "]", with digits in each of the three
+    slots of a triple.  The digit runs are counted before whitespace is
+    dropped: there must be one per slot, so "1 2" is not read as 12.  A run
+    with a leading zero, or longer than the largest element or above it,
+    declines."""
+    head = _PLAIN_HEAD.match(raw)
+    body = raw.rstrip(_JSON_SPACE)
+    if head is None or not body.endswith(b"}"):
+        return None
+    k = int(head[1])
+    n = 1 << k
+    if n > min(cap_elements, 1 << 20):  # past 2^20 a flat index overflows int64
+        return None
+    spaced = body[head.end() : -1]
+    text = spaced.translate(None, _JSON_SPACE)
+    marks = text.translate(None, b"0123456789")
+    count = (len(marks) - 1) // 5
+    if marks != b"[" + (b",[,,]" * count)[1:] + b"]":
+        return None
+    chars = np.frombuffer(text, dtype=np.uint8)
+    digit, spaced_digit = (
+        (c >= np.uint8(48)) & (c <= np.uint8(57)) for c in (chars, np.frombuffer(spaced, dtype=np.uint8))
+    )
+    runs = spaced_digit[0] + np.count_nonzero(spaced_digit[1:] > spaced_digit[:-1])
+    at = np.flatnonzero(~digit)[1 : 5 * count + 1].reshape(count, 5)  # "[,,]" and the next mark
+    firsts, ends = at[:, :3] + 1, at[:, 1:4] - 1
+    lengths = ends - firsts + 1
+    width = len(str(n - 1))
+    if runs != 3 * count or (lengths < 1).any() or (lengths > width).any():
+        return None
+    if ((chars[firsts] == np.uint8(48)) & (lengths > 1)).any():
+        return None
+    values = np.zeros((count, 3), dtype=np.int64)
+    for place in range(width):
+        digits = chars[np.maximum(ends - place, firsts)].astype(np.int64) - 48
+        values += np.where(lengths > place, digits, 0) * 10**place
+    if (values >= n).any():
+        return None
+    return _covering_of_entries(k, values)
 
 
 def covering_document(covering: CoveringRelation) -> dict:

@@ -16,6 +16,7 @@ Exit status: 0 when every executed check passed, 1 when any check failed,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import random
 import sys
@@ -34,6 +35,7 @@ from .algebra import (
     check_weca,
     check_weca_consequences,
     covering_from_document,
+    covering_from_json,
     derived_contact,
     eca_from_rc,
 )
@@ -135,18 +137,27 @@ class CampaignReport:
 # input plumbing
 
 
-def _read_json(path: str | None) -> object:
+def _read_input(path: str | None) -> bytes:
     if path is None:
         raise DocumentError("this command needs --input FILE")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as err:
-            raise DocumentError(
-                f"invalid JSON in {path} at line {err.lineno}, column {err.colno}: {err.msg}"
-            ) from err
-        except RecursionError as err:
-            raise DocumentError(f"{path} nests too deeply to read as JSON") from err
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _parse_json(raw: bytes, path: str) -> object:
+    # decoded as a text-mode open would, so error positions count the same lines
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise DocumentError(
+            f"invalid JSON in {path} at line {err.lineno}, column {err.colno}: {err.msg}"
+        ) from err
+    except RecursionError as err:
+        raise DocumentError(f"{path} nests too deeply to read as JSON") from err
+
+
+def _read_json(path: str | None) -> object:
+    return _parse_json(_read_input(path), path)
 
 
 def _document_kind(doc: object) -> str:
@@ -169,6 +180,23 @@ def _topological_source(
     algebra = rc_algebra(labeled.topology, cap_elements=config.elements_cap())
     teca = eca_from_rc(algebra, cap_elements=config.elements_cap(), verify=verify)
     return labeled, teca
+
+
+def _input_covering(config: RunConfig, frame_error: str) -> tuple[CoveringRelation, str]:
+    """The covering of a covering or topology document, and the document's
+    kind.  A plain triple-list document is read straight from its bytes;
+    any other input goes through the JSON reader, which reports its faults."""
+    raw = _read_input(config.input_path)
+    covering = covering_from_json(raw, cap_elements=config.elements_cap())
+    if covering is not None:
+        return covering, "covering"
+    doc = _parse_json(raw, config.input_path)
+    kind = _document_kind(doc)
+    if kind == "covering":
+        return covering_from_document(doc, cap_elements=config.elements_cap()), kind
+    if kind == "topology":
+        return _topological_source(doc, config, verify=False)[1].covering, kind
+    raise DocumentError(frame_error)
 
 
 def _emit_json(doc: dict) -> None:
@@ -258,21 +286,14 @@ def cmd_rc(config: RunConfig) -> int:
 
 
 def cmd_check_axioms(config: RunConfig) -> int:
-    doc = _read_json(config.input_path)
-    kind = _document_kind(doc)
+    covering, kind = _input_covering(
+        config,
+        "check-axioms takes a topology or covering document; "
+        "frame documents are outputs, not inputs",
+    )
     cap = config.elements_cap()
-    if kind == "covering":
-        covering = covering_from_document(doc, cap_elements=cap)
-        described = f"covering ({covering.algebra.atom_count} atoms)"
-    elif kind == "topology":
-        _, teca = _topological_source(doc, config, verify=False)
-        covering = teca.covering
-        described = f"topology-derived covering ({covering.algebra.atom_count} atoms)"
-    else:
-        raise DocumentError(
-            "check-axioms takes a topology or covering document; "
-            "frame documents are outputs, not inputs"
-        )
+    derived = "topology-derived " if kind == "topology" else ""
+    described = f"{derived}covering ({covering.algebra.atom_count} atoms)"
     weca = check_weca(covering, cap_elements=cap)
     eca = check_eca(covering, cap_elements=cap)
     systems: list[dict] = [
@@ -330,17 +351,9 @@ def _print_report_text(doc: dict) -> None:
 
 
 def cmd_represent(config: RunConfig) -> int:
-    doc = _read_json(config.input_path)
-    kind = _document_kind(doc)
     cap = config.elements_cap()
     if config.kind == "parametrized":
-        if kind == "covering":
-            covering = covering_from_document(doc, cap_elements=cap)
-        elif kind == "topology":
-            _, teca = _topological_source(doc, config, verify=False)
-            covering = teca.covering
-        else:
-            raise DocumentError("represent takes a topology or covering document")
+        covering, _ = _input_covering(config, "represent takes a topology or covering document")
         weca = check_weca(covering, cap_elements=cap)
         if not weca.all_passed:
             out = {
@@ -362,6 +375,8 @@ def cmd_represent(config: RunConfig) -> int:
         report = verify_embedding(embedding, pipeline="parametrized", cap_elements=cap)
         out = verification_document(report, embedding)
     else:
+        doc = _read_json(config.input_path)
+        kind = _document_kind(doc)
         if kind == "covering":
             raise DocumentError(
                 "the type1/type2 pipelines need a topological model of the algebra; "

@@ -4,6 +4,7 @@ algebraic internal-connectedness evaluator."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
@@ -32,6 +33,7 @@ from mereotop import (
     check_weca_consequences,
     covering_document,
     covering_from_document,
+    covering_from_json,
     derived_contact,
     discrete_covering,
     eca_from_rc,
@@ -662,6 +664,38 @@ class TestFiltersAndIdeals:
         with pytest.raises(ValueError):
             FilterOrIdeal(algebra, frozenset({1, 3}), "ideal")  # not downward closed
 
+    @pytest.mark.parametrize(
+        "k,members,kind,message",
+        [
+            (2, {1}, "filter", "not up-closed: 1 in, superset 3 out"),
+            (2, {1, 2, 3}, "filter", "not meet-closed: 1 and 2 in, 0 out"),
+            (3, {3, 5, 7}, "filter", "not meet-closed: 3 and 5 in, 1 out"),
+            (2, {1, 3}, "ideal", "not down-closed: 1 in, subset 0 out"),
+            (3, {0, 1, 3}, "ideal", "not down-closed: 3 in, subset 2 out"),
+            (2, {0, 1, 2}, "ideal", "not join-closed: 1 and 2 in, 3 out"),
+            (3, {0, 1, 2, 4}, "ideal", "not join-closed: 1 and 2 in, 3 out"),
+            (2, {4}, "filter", "4 is not an element mask"),
+            (2, set(), "ideal", "a ideal must be nonempty"),
+        ],
+    )
+    def test_rejection_names_the_fault(self, k, members, kind, message):
+        with pytest.raises(ValueError) as err:
+            FilterOrIdeal(FiniteBooleanAlgebra(k), frozenset(members), kind)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_subset_matches_oracle(self, k):
+        algebra = FiniteBooleanAlgebra(k)
+        for bits in range(1, 1 << algebra.size):
+            members = frozenset(x for x in range(algebra.size) if bits >> x & 1)
+            for kind, oracle in (("filter", oracles.is_filter), ("ideal", oracles.is_ideal)):
+                try:
+                    FilterOrIdeal(algebra, members, kind)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == oracle(algebra.size, members), (kind, sorted(members))
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_all_filters_match_oracle(self, k):
         algebra = FiniteBooleanAlgebra(k)
@@ -834,3 +868,104 @@ class TestCoveringDocuments:
         with pytest.raises(DocumentError) as err:
             covering_from_document(doc)
         assert str(err.value) == message
+
+
+# Texts the byte reader must decline: covering_from_document parses each one
+# (some are valid documents) and reports any fault.
+DECLINED_TEXTS = [
+    b'{"atoms": 4, "covering": [[01, 0, 0]]}',  # leading zeros, no longer than 15
+    b'{"atoms": 4, "covering": [[0, 00, 1]]}',
+    b'{"atoms": 02, "covering": []}',
+    b'{"atoms": 4, "covering": [[1 1, 0, 0]]}',  # split numbers, 11 in range
+    b'{"atoms": 4, "covering": [[0, 1\n2, 3]]}',
+    b'{"atoms": 2, "covering": [[0, -1, 0]]}',  # signs
+    b'{"atoms": 2, "covering": [[-0, 0, 0]]}',
+    b'{"atoms": 2, "covering": [[+1, 0, 0]]}',
+    b'{"atoms": 2, "covering": [[0, 1.0, 2]]}',  # floats and exponents
+    b'{"atoms": 2, "covering": [[0, 1e0, 2]]}',
+    b'{"atoms": 2, "covering": [[0, 1E0, 2]]}',
+    b'{"atoms": 2.0, "covering": []}',
+    b'{"atoms": 2, "covering": [[0, 4722366482869645213696, 0]]}',  # 2^72
+    b'{"atoms": 2, "covering": [[0, 0, 4]]}',
+    b'{"atoms": 7, "covering": [[0, 0, 0]]}',  # over the cap of 64
+    b'{"atoms": 1000, "covering": []}',
+    b'\xef\xbb\xbf{"atoms": 2, "covering": []}',  # a byte order mark
+    b'{"atoms": 2, "atoms": 3, "covering": []}',  # duplicate keys
+    b'{"atoms": 2, "covering": [], "covering": [[0, 0, 0]]}',
+    b'{"atoms": 2, "covering": [], "covering_mode": "discrete"}',
+    b'{"atoms": 2, "covering": []} x',  # trailing garbage
+    b'{"atoms": 2, "covering": []}{}',
+    b'{"atoms": 2, "covering": [[0, 0, 0]]}\r\n\x0b',
+    b'{"atoms": 2, "covering": [[0, 0, 0]]}\xff',
+    b'{"atoms": 2, "covering": [[0, 0, 0]]',
+    b'{"atoms": 2,\x0b"covering": []}',  # not JSON whitespace
+    b'{"atoms": 2, "covering": [[0,\x0b0, 0]]}',
+    b'{"atoms": 2, "covering":\xc2\xa0[]}',  # a no-break space
+    b'{"atoms": 2, "covering": [[0, 0, 0],]}',
+    b'{"atoms": 2, "covering": [[0, 0]]}',
+    b'{"atoms": 2, "covering": [[0, 0, 0, 0]]}',
+    b'{"atoms": 2, "covering": [0, 0, 0]}',
+    b'{"atoms": 2, "covering": [[]]}',
+    b'{"atoms": 2, "covering": [["0", 0, 0]]}',
+    b'{"atoms": 2, "covering": [[true, 0, 0]]}',
+    b'{"atoms": 2, "covering": [[null, 0, 0]]}',
+    b'{"atoms": 2,\r"covering": [[0, 0, x]]}',
+]
+
+SPACES = st.sampled_from(["", "", " ", "\t", "\n", "\r", "\r\n", "  "])
+EDITS = st.sampled_from(["", *'0123456789 [],-.eE+"\t\n\r{}:x\x0b', "9" * 25, "1" + "0" * 20, "00"])
+
+
+def spaced_document(data, k: int, triples: list) -> str:
+    """The plain document of the triples, with random JSON whitespace
+    around every token."""
+    tokens = ["{", '"atoms"', ":", str(k), ",", '"covering"', ":", "["]
+    for i, triple in enumerate(triples):
+        tokens += ([","] if i else []) + ["[", str(triple[0]), ",", str(triple[1]), ",", str(triple[2]), "]"]
+    tokens += ["]", "}"]
+    return "".join(data.draw(SPACES) + token for token in tokens) + data.draw(SPACES)
+
+
+def json_path_table(text: str) -> np.ndarray | None:
+    try:
+        return covering_from_document(json.loads(text), cap_elements=64).table
+    except ValueError:  # JSONDecodeError, DocumentError and CapExceeded
+        return None
+
+
+class TestCoveringFromJson:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_reads_the_triple_list(self, k):
+        table = np.random.default_rng(k).random((1 << k,) * 3) < 0.3
+        raw = json.dumps(covering_document(CoveringRelation(FiniteBooleanAlgebra(k), table))).encode()
+        assert np.array_equal(covering_from_json(raw, cap_elements=64).table, table)
+
+    def test_whitespace_and_empty_list(self):
+        raw = b' \r\n{"atoms":3 ,"covering"\t:[ [ 7 ,\n6\t, 5\r] , [0,0,0] ] }\n\n'
+        assert covering_from_json(raw, cap_elements=64).true_triples() == [(0, 0, 0), (7, 6, 5)]
+        assert covering_from_json(b'{"atoms": 1, "covering": []}', cap_elements=64).true_triples() == []
+
+    def test_cap(self):
+        raw = b'{"atoms": 4, "covering": [[15, 15, 15]]}'
+        assert covering_from_json(raw, cap_elements=15) is None
+        assert covering_from_json(raw, cap_elements=16).true_triples() == [(15, 15, 15)]
+
+    @pytest.mark.parametrize("raw", DECLINED_TEXTS, ids=[f"text{i}" for i in range(len(DECLINED_TEXTS))])
+    def test_declines(self, raw):
+        assert covering_from_json(raw, cap_elements=64) is None
+
+    @given(st.data(), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_json_path(self, data, k):
+        n = 1 << k
+        triples = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=12))
+        text = spaced_document(data, k, triples)
+        assert np.array_equal(covering_from_json(text.encode(), cap_elements=64).table, json_path_table(text))
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(text)))
+            cut = data.draw(st.integers(0, 2))
+            text = text[:at] + data.draw(EDITS) + text[at + cut :]
+        got = covering_from_json(text.encode(), cap_elements=64)
+        if got is not None:
+            expected = json_path_table(text)
+            assert expected is not None and np.array_equal(got.table, expected), text

@@ -292,6 +292,41 @@ class TestFuzzedDocuments:
             assert main([*argv, "--json", "--input", str(path)]) in (0, 1, 2)
 
 
+class TestPlainCoveringDocuments:
+    """A plain {"atoms": k, "covering": [...]} document is read straight from
+    its bytes, with no JSON parse, and reports as the parsed document does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check-axioms", "--json"], ["represent", "--kind", "parametrized", "--json"]],
+        ids=["axioms", "parametrized"],
+    )
+    @pytest.mark.parametrize(
+        "k,zero_sided,code", [(3, False, 0), (5, False, 0), (3, True, 1)], ids=["discrete3", "discrete5", "zero-sided3"]
+    )
+    def test_read_without_json(self, argv, k, zero_sided, code, tmp_path, monkeypatch, capsys):
+        n = 1 << k
+        triples = [
+            [a, b, d]
+            for a in range(n)
+            for b in range(n)
+            for d in range(n)
+            if (a == 0 or b == 0 if zero_sided else a & b & ~d == 0)
+        ]
+        plain, parsed = tmp_path / "plain.json", tmp_path / "parsed.json"
+        plain.write_text(json.dumps({"atoms": k, "covering": triples}))
+        parsed.write_text(json.dumps({"covering": triples, "atoms": k}))  # not plain: key order
+        expected = main([*argv, "--input", str(parsed)]), capsys.readouterr()
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the document was parsed as JSON")
+
+        monkeypatch.setattr(json, "load", no_parse)
+        monkeypatch.setattr(json, "loads", no_parse)
+        assert (main([*argv, "--input", str(plain)]), capsys.readouterr()) == expected
+        assert expected[0] == (code if argv[0] == "check-axioms" else 0)
+
+
 # ---------------------------------------------------------------------------
 # rc
 
