@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from mereotop import CoveringRelation, FiniteBooleanAlgebra, check_eca, check_weca
+from mereotop import CoveringRelation, FiniteBooleanAlgebra, check_eca, check_weca, covering_from_slices
 
 
 def table_from_bits(n: int, bits: int) -> np.ndarray:
@@ -64,8 +64,7 @@ def exhaust_one_atom():
 
 
 def enumerate_two_atoms():
-    algebra = FiniteBooleanAlgebra(2)
-    n = algebra.size
+    n = 4
     # up-sets of covers, as 4-bit masks over f = 0..3
     up_sets = [
         m for m in range(1 << n)
@@ -73,13 +72,10 @@ def enumerate_two_atoms():
     ]
     counts = {"not-weak": 0, "full": 0, "weak-only": 0}
     first = None
+    covers = np.arange(n)
     for family in product(up_sets, repeat=4):  # the cover up-set of atom pair (p, q) at 2p + q
-        table = np.zeros((n, n, n), dtype=bool)
-        for a, b, f in product(range(n), repeat=3):
-            table[a, b, f] = all(
-                family[2 * p + q] >> f & 1 for p in (0, 1) if a >> p & 1 for q in (0, 1) if b >> q & 1
-            )
-        covering = CoveringRelation(algebra, table)
+        slices = (np.array(family)[:, None] >> covers & 1).astype(bool)  # [2p + q, f]
+        covering = covering_from_slices(2, slices.T.reshape(n, 2, 2))
         verdict, failures = classify(covering)
         if verdict == "not-weak":
             raise SystemExit(f"an enumerated two-atom table fails the weak axioms: {covering.true_triples()}")

@@ -6,27 +6,30 @@ or/and/not and the order is bitmask inclusion.  A covering relation is a
 dense boolean table of shape (N, N, N) with entry [a, b, d] true when the
 pair (a, b) is covered by d; a contact relation is an (N, N) table.
 
-Each checker decides pass/fail first, from the cheapest exact verdict.  A
-finite table satisfies the extended contact axioms, or the weak ones,
-exactly when it equals the table rebuilt from small data read off itself:
-for ECA its consistent atom signatures (the signatures of the points of the
-representation theorem's space), for WECA its atom slices R_f.  So check_eca
-and check_weca rebuild the table once and, when it matches, report every
-axiom passed without any per-axiom work.  Otherwise, or in a checker without
-a rebuild, each axiom is decided by an exact reduced form where one exists:
+Two generators build a covering from small data, each by subset-or folds
+in O(k·N³): ``covering_from_signatures`` from a family of atom sets (the
+atom signatures of the points of the representation theorem's space), and
+``covering_from_slices`` from atom slices R_f, an (N, k, k) array.
+``signatures`` and ``atom_slices`` read that data off a table.  A finite
+table satisfies the extended contact axioms exactly when it is the covering
+of its own signatures S* and every single atom is in S*, and the weak ones
+exactly when its atom slices grow with f and generate it.  So check_eca,
+check_weca and check_weca_consequences (whose six laws follow from the weak
+axioms) generate the table once and, when it matches, report every axiom
+passed without any per-axiom work.  Otherwise, or in a checker without a
+rebuild, each axiom is decided by an exact reduced form where one exists:
 ECA1 by a greatest-fixpoint fold of one-atom growth steps, in O(k·N³); CA1
 with CA2, and RCL1 with RCL2 for every g, by equality with the
 join-extension from zero and the atoms; WECA3, with no other axiom assumed,
 by each cover's slice being a sublattice of B x B^op (one superset-and fold
-over pair words); CONS3 and CONS4 by join-closure of each column and each
-row of a slice (one subset-or fold each).  Only a failing verdict runs the
-literal search, which reports the lexicographically first violating tuple —
-the one a direct nested loop over ascending element values would find.  The
-ECA1 search runs on the first failing (a, b) alone; the WECA3 search tests
-all (d, e, f) of one (a, b) at once and stops at the first (a, b) that has a
-hit.  A plain triple-list covering document is read straight from its bytes;
-any other goes through the JSON parser and covering_from_document, which
-alone reports faults.
+over pair words).  Only a failing verdict runs the literal search, which
+reports the lexicographically first violating tuple — the one a direct
+nested loop over ascending element values would find.  The ECA1 search runs
+on the first failing (a, b) alone; the WECA3 search tests all (d, e, f) of
+one (a, b) at once and stops at the first (a, b) that has a hit.  A plain
+triple-list covering document is read straight from its bytes; any other
+goes through the JSON parser and covering_from_document, which alone
+reports faults.
 """
 
 from __future__ import annotations
@@ -101,16 +104,13 @@ class FiniteBooleanAlgebra:
         return self.one & ~a
 
 
-class _TableRelation:
-    """Shared validation for dense relation tables (not a public class)."""
-
-    @staticmethod
-    def _freeze(table: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        arr = np.ascontiguousarray(np.asarray(table, dtype=bool))
-        if arr.shape != shape:
-            raise ValueError(f"table has shape {arr.shape}, expected {shape}")
-        arr.setflags(write=False)
-        return arr
+def _frozen_table(table: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A dense relation table as a read-only bool array of the given shape."""
+    arr = np.ascontiguousarray(np.asarray(table, dtype=bool))
+    if arr.shape != shape:
+        raise ValueError(f"table has shape {arr.shape}, expected {shape}")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +122,7 @@ class CoveringRelation:
 
     def __post_init__(self) -> None:
         n = self.algebra.size
-        object.__setattr__(self, "table", _TableRelation._freeze(self.table, (n, n, n)))
+        object.__setattr__(self, "table", _frozen_table(self.table, (n, n, n)))
 
     @classmethod
     def from_predicate(
@@ -164,7 +164,7 @@ class ContactRelation:
 
     def __post_init__(self) -> None:
         n = self.algebra.size
-        object.__setattr__(self, "table", _TableRelation._freeze(self.table, (n, n)))
+        object.__setattr__(self, "table", _frozen_table(self.table, (n, n)))
 
     @classmethod
     def from_predicate(
@@ -200,6 +200,14 @@ class CheckResult:
     name: str
     passed: bool
     witness: tuple | None = None
+
+
+def checks_document(results: Iterable[CheckResult]) -> list[dict]:
+    """The JSON shape of named checks: name, pass, and the witness as a list."""
+    return [
+        {"name": r.name, "pass": r.passed, "witness": None if r.witness is None else list(r.witness)}
+        for r in results
+    ]
 
 
 @dataclass(frozen=True)
@@ -322,6 +330,98 @@ def _check_cap(atom_count: int, cap_elements: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the generators: atom signatures S* and atom slices R_f
+
+
+@lru_cache(maxsize=None)
+def _meets_both(atom_count: int) -> np.ndarray:
+    """[σ, a, b]: the atom set σ meets both a and b (read-only)."""
+    meets = _tables(atom_count)[2] != 0
+    out = meets[:, :, None] & meets[:, None, :]
+    out.setflags(write=False)
+    return out
+
+
+def _signature_flags(by_cover: np.ndarray, k: int) -> np.ndarray:
+    """flags[σ] (flags[0] always holds) of a table in (c, a, b) layout.
+    ``below[x]`` is the pairs covered by some c inside x; σ misses c iff c
+    lies inside the complement of σ, row N - 1 - σ."""
+    below = _fold(by_cover, 0, k, subsets=True)
+    return ~(below[::-1] & _meets_both(k)).any(axis=(1, 2))
+
+
+def _covering_of_signatures(flags: np.ndarray, k: int) -> np.ndarray:
+    """The covering of {σ : flags[σ]} in (c, a, b) layout.  ``split[x]`` is
+    the pairs that some σ inside x meets on both sides, read at N - 1 - c."""
+    split = _fold(_meets_both(k) & flags[:, None, None], 0, k, subsets=True)
+    return ~split[::-1]
+
+
+def _atom_slices(v: np.ndarray, k: int) -> np.ndarray:
+    atoms = 1 << np.arange(k)
+    return np.ascontiguousarray(v[atoms][:, atoms].transpose(2, 0, 1))
+
+
+def _covering_of_slices(slices: np.ndarray, k: int) -> np.ndarray:
+    """The table generated by slices [f, p, q], in (a, b, f) layout: the
+    complement of "some atom pair under (a, b) is outside R_f", an or over
+    the atoms of a, then over those of b, each a fold from the atom rows."""
+    n = 1 << k
+    atoms = 1 << np.arange(k)
+    gap = np.zeros((n, k, n), dtype=bool)
+    gap[atoms] = ~slices.transpose(1, 2, 0)
+    gap = _fold(gap, 0, k, subsets=True)  # [a, q, f]
+    spread = np.zeros((n, n, n), dtype=bool)
+    spread[:, atoms] = gap
+    return ~_fold(spread, 1, k, subsets=True)
+
+
+def signatures(covering: CoveringRelation) -> tuple[int, ...]:
+    """S*, as ascending atom masks: the nonempty atom sets σ such that no
+    covered (a, b, c) has σ meeting a and b and missing c."""
+    by_cover = np.ascontiguousarray(covering.table.transpose(2, 0, 1))
+    flags = _signature_flags(by_cover, covering.algebra.atom_count)
+    return tuple((np.flatnonzero(flags[1:]) + 1).tolist())
+
+
+def covering_from_signatures(atom_count: int, family: Iterable[int]) -> CoveringRelation:
+    """The covering of a family of atom sets: (a, b) |- c iff no member of
+    the family meets a and b and misses c.
+
+    A table passes the extended contact axioms iff it is the covering of
+    its own S* and every single atom is in S*.  That is the finite
+    representation theorem: σ is the set of atoms whose closures hold a
+    point of the model, and a point lies in the region a iff σ meets a."""
+    algebra = FiniteBooleanAlgebra(atom_count)
+    members = list(family)
+    algebra._require(*members)
+    flags = np.zeros(algebra.size, dtype=bool)
+    flags[members] = True
+    return CoveringRelation(algebra, _covering_of_signatures(flags, atom_count).transpose(1, 2, 0))
+
+
+def atom_slices(covering: CoveringRelation) -> np.ndarray:
+    """R_f(p, q) = (atom p, atom q) |- f, as an (N, k, k) bool array [f, p, q]."""
+    return _atom_slices(covering.table, covering.algebra.atom_count)
+
+
+def covering_from_slices(atom_count: int, slices: np.ndarray) -> CoveringRelation:
+    """The table generated by atom slices [f, p, q]: (a, b) |- f iff R_f(p, q)
+    for every atom p below a and q below b (so always when a or b is zero).
+
+    A table passes the weak axioms iff its atom slices grow with f and
+    generate it: WECA1 and WECA3 make each cover's slice a down-set closed
+    under (a|d, b&e) and (a&d, b|e), so (a, b) is covered iff each pair of
+    atoms under it is, and WECA4 is then R_f growing with f."""
+    algebra = FiniteBooleanAlgebra(atom_count)
+    slices = np.asarray(slices, dtype=bool)
+    shape = (algebra.size, atom_count, atom_count)
+    if slices.shape != shape:
+        raise ValueError(f"slices have shape {slices.shape}, expected {shape}")
+    return CoveringRelation(algebra, _covering_of_slices(slices, atom_count))
+
+
+# ---------------------------------------------------------------------------
 # contact axioms
 
 
@@ -409,32 +509,13 @@ def check_ca(contact: ContactRelation, *, cap_elements: int = DEFAULT_CHECK_CAP)
 
 
 def _eca_rebuilt(v: np.ndarray, k: int) -> bool:
-    """All five extended contact axioms hold iff every singleton atom set is
-    a signature and v is the covering of its signatures S*: the nonempty
-    atom sets σ with no covered (a, b, c) where σ meets a and b and misses
-    c, covering (a, b) by c iff no σ in S* meets a and b and misses c.
-
-    That is the finite representation theorem: σ is the set of atoms whose
-    closures hold a point of the model, a point lies in the region a iff its
-    signature meets a, and so such a table passes every axiom; conversely a
-    passing table is the covering of its own signatures.  A table always
-    lies inside the one rebuilt from its S*, so equality needs only the
-    other inclusion, but the test below compares both ways.
-
-    Both steps are subset-or folds over a front axis, (c, a, b) in layout:
-    ``below[x]`` is the pairs covered by some c inside x, and σ misses c iff
-    c lies inside the complement of σ, row n - 1 - σ; ``split[x]`` is the
-    pairs that some signature inside x meets on both sides."""
-    _, _, and_t, _, _ = _tables(k)
-    meets = and_t != 0
-    pairs_met = meets[:, :, None] & meets[:, None, :]  # [σ, a, b]
-    vt = np.ascontiguousarray(v.transpose(2, 0, 1))
-    below = _fold(vt, 0, k, subsets=True)
-    signature = ~(below[::-1] & pairs_met).any(axis=(1, 2))
-    if not signature[1 << np.arange(k)].all():
+    """The five extended contact axioms hold (see covering_from_signatures);
+    a table lies inside the covering of its S*, but both ways are compared."""
+    by_cover = np.ascontiguousarray(v.transpose(2, 0, 1))
+    flags = _signature_flags(by_cover, k)
+    if not flags[1 << np.arange(k)].all():
         return False
-    split = _fold(pairs_met & signature[:, None, None], 0, k, subsets=True)
-    return bool((vt ^ split[::-1]).all())
+    return bool((by_cover == _covering_of_signatures(flags, k)).all())
 
 
 def _eca1(v: np.ndarray, n: int, k: int, or_t: np.ndarray) -> tuple | None:
@@ -539,28 +620,11 @@ def check_eca(covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_C
 
 
 def _weca_rebuilt(v: np.ndarray, k: int) -> bool:
-    """All four weak axioms hold iff the atom slices R_f = v[atoms, atoms, f]
-    grow with f and v is the table they generate: (a, b) |- f iff R_f(p, q)
-    for every atom p below a and q below b (so always when a or b is zero).
-
-    WECA1 and WECA3 make each cover's slice a down-set closed under
-    (a|d, b&e) and (a&d, b|e), so (a, b) is covered iff each pair of atoms
-    under it is; WECA4 is then R_f growing with f.  Conversely such a table
-    passes every weak axiom.  The rebuilt table is the complement of "some
-    atom pair under (a, b) is outside R_f": an or over the atoms of a, then
-    over those of b, each a subset-or fold from the atom rows."""
-    n = 1 << k
-    atoms = 1 << np.arange(k)
-    slices = v[atoms][:, atoms]  # [p, q, f]
-    by_cover = np.ascontiguousarray(slices.transpose(2, 0, 1))
-    if (_fold(by_cover, 0, k, subsets=True) & ~by_cover).any():
+    """The four weak axioms hold (see covering_from_slices)."""
+    slices = _atom_slices(v, k)
+    if (_fold(slices, 0, k, subsets=True) & ~slices).any():
         return False
-    gap = np.zeros((n, k, n), dtype=bool)
-    gap[atoms] = ~slices
-    gap = _fold(gap, 0, k, subsets=True)  # [a, q, f]
-    spread = np.zeros((n, n, n), dtype=bool)
-    spread[:, atoms] = gap
-    return bool((v ^ _fold(spread, 1, k, subsets=True)).all())
+    return bool((v == _covering_of_slices(slices, k)).all())
 
 
 def _weca1(v: np.ndarray, n: int, k: int) -> tuple | None:
@@ -691,20 +755,6 @@ def _cons12(v: np.ndarray, n: int) -> tuple[tuple | None, tuple | None]:
     )
 
 
-def _columns_join_closed(v: np.ndarray, k: int) -> bool:
-    """Each column {a : (a, b) |- f} of v is closed under joins.  One
-    subset-or fold gives, for each x, the join of the members below x; the
-    column is join-closed iff the nonzero x that equal that join are
-    exactly its nonzero members.  (A member x is its own join; a join of
-    members is a member; and the members a, b make a | b its own join.)
-    Zero is exempt: it is always the join below zero, and belongs to a
-    join-closed set or not."""
-    n = len(v)
-    masks = np.arange(n, dtype=np.min_scalar_type(n - 1))
-    joins = _fold(v * masks[:, None, None], 0, k, subsets=True)
-    return bool(((joins == masks[:, None, None]) == v)[1:].all())
-
-
 def _cons3(v: np.ndarray, or_t: np.ndarray) -> tuple | None:
     premise = v[:, None, :, :] & v[None, :, :, :]
     viol = premise & ~v[or_t]
@@ -720,9 +770,10 @@ def _cons4(v: np.ndarray, e: np.ndarray, or_t: np.ndarray) -> tuple | None:
     return _first(viol) if viol.any() else None
 
 
-def _cons5(v: np.ndarray, n: int, k: int) -> tuple | None:
-    grown = _fold(v, 0, k)
-    if not (grown & ~v).any():
+def _cons56(v: np.ndarray, n: int, k: int, side: int) -> tuple | None:
+    """CONS5 (side 0) or CONS6 (side 1): a covered pair stays covered when
+    its member on that side shrinks to a part d."""
+    if not (_fold(v, side, k) & ~v).any():
         return None
     for a in range(n):
         if not v[a].any():
@@ -731,30 +782,11 @@ def _cons5(v: np.ndarray, n: int, k: int) -> tuple | None:
             prem_e = v[a, b]
             if not prem_e.any():
                 continue
-            for d in range(a + 1):
-                if d & ~a:
+            whole = (a, b)[side]
+            for d in range(whole + 1):
+                if d & ~whole:
                     continue
-                es = prem_e & ~v[d, b]
-                if es.any():
-                    return (a, b, d, int(np.flatnonzero(es)[0]))
-    return None
-
-
-def _cons6(v: np.ndarray, n: int, k: int) -> tuple | None:
-    grown = _fold(v, 1, k)
-    if not (grown & ~v).any():
-        return None
-    for a in range(n):
-        if not v[a].any():
-            continue
-        for b in range(n):
-            prem_e = v[a, b]
-            if not prem_e.any():
-                continue
-            for d in range(b + 1):
-                if d & ~b:
-                    continue
-                es = prem_e & ~v[a, d]
+                es = prem_e & ~(v[d, b] if side == 0 else v[a, d])
                 if es.any():
                     return (a, b, d, int(np.flatnonzero(es)[0]))
     return None
@@ -765,20 +797,22 @@ def check_weca_consequences(
 ) -> AxiomReport:
     """Check six consequences of the weak axioms: the zero pairs are covered
     by everything, covering is additive in each member separately, and it is
-    antitone in each member separately."""
+    antitone in each member separately.  All six follow from the weak
+    axioms, so a table that passes the slice rebuild passes them."""
     k = covering.algebra.atom_count
     _check_cap(k, cap_elements)
     n, e, _, or_t, _ = _tables(k)
     v = covering.table
-    rows = np.ascontiguousarray(v.transpose(1, 0, 2))  # CONS4 is CONS3 with a, b swapped
+    if _weca_rebuilt(v, k):
+        return AxiomReport.of(dict.fromkeys(("CONS1", "CONS2", "CONS3", "CONS4", "CONS5", "CONS6")))
     cons1, cons2 = _cons12(v, n)
     witnesses = {
         "CONS1": cons1,
         "CONS2": cons2,
-        "CONS3": None if _columns_join_closed(v, k) else _cons3(v, or_t),
-        "CONS4": None if _columns_join_closed(rows, k) else _cons4(v, e, or_t),
-        "CONS5": _cons5(v, n, k),
-        "CONS6": _cons6(v, n, k),
+        "CONS3": _cons3(v, or_t),
+        "CONS4": _cons4(v, e, or_t),
+        "CONS5": _cons56(v, n, k, 0),
+        "CONS6": _cons56(v, n, k, 1),
     }
     return AxiomReport.of(witnesses)
 
@@ -889,10 +923,9 @@ class FilterOrIdeal:
         # them all, so the members form one iff they number 2^(k - |g|); an
         # ideal is the down-set of the join j, 2^|j| elements.  Only a fault
         # runs the loops below, which name it.
+        free = self.generator.bit_count()
         if self.kind == "filter":
-            free = self.algebra.atom_count - int(reduce(and_, self.members)).bit_count()
-        else:
-            free = int(reduce(or_, self.members)).bit_count()
+            free = self.algebra.atom_count - free
         if len(self.members) == 1 << free:
             return
         if self.kind == "filter":
@@ -918,10 +951,7 @@ class FilterOrIdeal:
     @cached_property
     def generator(self) -> int:
         """The principal generator: meet of a filter, join of an ideal."""
-        out = self.algebra.one if self.kind == "filter" else 0
-        for x in self.members:
-            out = out & x if self.kind == "filter" else out | x
-        return out
+        return int(reduce(and_ if self.kind == "filter" else or_, self.members))
 
     @property
     def is_proper(self) -> bool:
@@ -1189,19 +1219,16 @@ def eca_from_rc(
     intersection of the point sets of a and b is inside the point set of d.
     """
     k = len(source.atoms)
-    n = 1 << k
     check_carrier_cap(k, cap_elements)
     # A point lies in the set of mask m iff m meets the atoms through it, so
     # (a, b) |- d fails iff some point's atom signature meets a and b, not d.
-    signatures = {
-        sum(1 << i for i, atom in enumerate(source.atoms) if atom.bits >> x & 1)
-        for x in range(source.topology.universe_size)
-    }
-    e = np.arange(n)
-    hit = (e[:, None] & np.fromiter(signatures, dtype=np.int64)) != 0
-    both = (hit[:, None, :] & hit[None, :, :]).reshape(n * n, -1).astype(np.float32)
-    table = (both @ (~hit).T.astype(np.float32) < 0.5).reshape(n, n, n)
-    covering = CoveringRelation(FiniteBooleanAlgebra(k), table)
+    covering = covering_from_signatures(
+        k,
+        {
+            sum(1 << i for i, atom in enumerate(source.atoms) if atom.bits >> x & 1)
+            for x in range(source.topology.universe_size)
+        },
+    )
     if verify:
         eca = verified_eca(covering, cap_elements=cap_elements)
     else:

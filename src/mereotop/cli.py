@@ -25,7 +25,7 @@ from functools import cache
 from typing import Callable, Sequence
 
 from .algebra import (
-    AxiomReport,
+    CheckResult,
     CoveringRelation,
     ExtendedContactAlgebra,
     TopologicalEca,
@@ -34,13 +34,13 @@ from .algebra import (
     check_relative_contact_laws,
     check_weca,
     check_weca_consequences,
+    checks_document,
     covering_from_document,
     covering_from_json,
     derived_contact,
     eca_from_rc,
 )
 from .representations import (
-    Embedding,
     build_parametrized_frame,
     build_type1,
     build_type2,
@@ -91,8 +91,8 @@ class RunConfig:
     output_json: bool = False
     verbose: bool = False
 
-    def elements_cap(self, default: int = DEFAULT_CAP_ELEMENTS) -> int:
-        return self.cap_elements if self.cap_elements is not None else default
+    def elements_cap(self) -> int:
+        return self.cap_elements if self.cap_elements is not None else DEFAULT_CAP_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -203,15 +203,10 @@ def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _checks_json(report: AxiomReport) -> list[dict]:
-    return [
-        {
-            "name": r.name,
-            "pass": r.passed,
-            "witness": list(r.witness) if r.witness is not None else None,
-        }
-        for r in report.results
-    ]
+def _print_checks(checks: list[dict]) -> None:
+    for check in checks:
+        verdict = "pass" if check["pass"] else f"FAIL at {tuple(check['witness'])}"
+        print(f"{check['name']}: {verdict}")
 
 
 def _set_text(labels: list[str]) -> str:
@@ -297,13 +292,13 @@ def cmd_check_axioms(config: RunConfig) -> int:
     weca = check_weca(covering, cap_elements=cap)
     eca = check_eca(covering, cap_elements=cap)
     systems: list[dict] = [
-        {"name": "WECA", "checks": _checks_json(weca)},
-        {"name": "ECA", "checks": _checks_json(eca)},
+        {"name": "WECA", "checks": checks_document(weca.results)},
+        {"name": "ECA", "checks": checks_document(eca.results)},
     ]
     executed = [weca, eca]
     if eca.all_passed:
         ca = check_ca(derived_contact(ExtendedContactAlgebra(covering, "ECA")), cap_elements=cap)
-        systems.append({"name": "CA", "checks": _checks_json(ca)})
+        systems.append({"name": "CA", "checks": checks_document(ca.results)})
         executed.append(ca)
     else:
         systems.append(
@@ -327,10 +322,8 @@ def cmd_check_axioms(config: RunConfig) -> int:
         for system in systems:
             if system.get("skipped"):
                 print(f"{system['name']}: skipped ({system['reason']})")
-                continue
-            for check in system["checks"]:
-                verdict = "pass" if check["pass"] else f"FAIL at {tuple(check['witness'])}"
-                print(f"{check['name']}: {verdict}")
+            else:
+                _print_checks(system["checks"])
         print("all checks passed" if all_passed else "some checks FAILED")
     return 0 if all_passed else 1
 
@@ -343,9 +336,7 @@ def _print_report_text(doc: dict) -> None:
     print(f"pipeline: {doc['pipeline']} ({doc['mode']})")
     frame = doc["frame"]
     print(f"frame: kind={frame['kind']} worlds={frame['worlds']}")
-    for check in doc["checks"]:
-        verdict = "pass" if check["pass"] else f"FAIL at {tuple(check['witness'])}"
-        print(f"{check['name']}: {verdict}")
+    _print_checks(doc["checks"])
     ok = all(c["pass"] for c in doc["checks"])
     print("all checks passed" if ok else "some checks FAILED")
 
@@ -359,7 +350,7 @@ def cmd_represent(config: RunConfig) -> int:
             out = {
                 "command": "represent",
                 "pipeline": "parametrized",
-                "input_axioms": _checks_json(weca),
+                "input_axioms": checks_document(weca.results),
                 "all_passed": False,
             }
             if config.output_json:
@@ -418,16 +409,10 @@ def _example_checks() -> tuple[list[dict], dict, bool]:
         space_p.set_from_labels([lab for lab in space.labels_of(a) if lab != "1"])
         for a in alg.carrier
     ]
-    checks: list[dict] = []
+    checks: list[CheckResult] = []
 
     def record(name: str, witness: tuple | None) -> None:
-        checks.append(
-            {
-                "name": name,
-                "pass": witness is None,
-                "witness": list(witness) if witness is not None else None,
-            }
-        )
+        checks.append(CheckResult(name, witness is None, witness))
 
     witness = None
     if sorted(ps.bits for ps in image) != [c.bits for c in alg_p.carrier]:
@@ -489,7 +474,8 @@ def _example_checks() -> tuple[list[dict], dict, bool]:
             },
         },
     }
-    if all(c["pass"] for c in checks):
+    ok = all(c.passed for c in checks)
+    if ok:
         detail["contact_differences"] = []
     else:
         detail["contact_differences"] = [
@@ -498,7 +484,7 @@ def _example_checks() -> tuple[list[dict], dict, bool]:
             for j, b in enumerate(alg.carrier)
             if rc_contact(alg, a, b) != rc_contact(alg_p, image[i], image[j])
         ]
-    return checks, detail, all(c["pass"] for c in checks)
+    return checks_document(checks), detail, ok
 
 
 def cmd_example1(config: RunConfig) -> int:
@@ -550,11 +536,8 @@ def _sample_subbasis(rng: random.Random, n: int) -> list[int]:
     return [m for m in pool if rng.random() < 0.5]
 
 
-def _failures_from(system: str, report: AxiomReport) -> list[dict]:
-    return [
-        {"system": system, "check": r.name, "witness": list(r.witness)}
-        for r in report.failures()
-    ]
+def _failures_from(system: str, checks: tuple[CheckResult, ...]) -> list[dict]:
+    return [{"system": system, "check": r.name, "witness": list(r.witness)} for r in checks if not r.passed]
 
 
 def _run_trial(config: RunConfig, trial: int) -> dict:
@@ -567,30 +550,18 @@ def _run_trial(config: RunConfig, trial: int) -> dict:
     algebra = rc_algebra(topo, cap_elements=cap)
     teca = eca_from_rc(algebra, cap_elements=cap, verify=False)
     covering = teca.covering
+    contact = derived_contact(ExtendedContactAlgebra(covering, "ECA"))
     failures: list[dict] = []
-    failures += _failures_from("ECA", check_eca(covering, cap_elements=cap))
-    failures += _failures_from(
-        "CA",
-        check_ca(
-            derived_contact(ExtendedContactAlgebra(covering, "ECA")), cap_elements=cap
-        ),
-    )
-    failures += _failures_from(
-        "RCL", check_relative_contact_laws(covering, cap_elements=cap)
-    )
-    failures += _failures_from(
-        "CONS", check_weca_consequences(covering, cap_elements=cap)
-    )
+    failures += _failures_from("ECA", check_eca(covering, cap_elements=cap).results)
+    failures += _failures_from("CA", check_ca(contact, cap_elements=cap).results)
+    failures += _failures_from("RCL", check_relative_contact_laws(covering, cap_elements=cap).results)
+    failures += _failures_from("CONS", check_weca_consequences(covering, cap_elements=cap).results)
     for kind, builder in (("type1", build_type1), ("type2", build_type2)):
         embedding = builder(teca)
         report = verify_embedding(embedding, pipeline=kind, cap_elements=cap)
         if kind == "type2":
             report = report.extended(verify_c_preservation(embedding))
-        failures += [
-            {"system": kind, "check": c.name, "witness": list(c.witness)}
-            for c in report.checks
-            if not c.passed
-        ]
+        failures += _failures_from(kind, report.checks)
     return {
         "trial": trial,
         "universe": n,

@@ -30,6 +30,7 @@ from .algebra import (
     ExtendedContactAlgebra,
     TopologicalEca,
     _fold,
+    checks_document,
     internally_connected_algebraic,
     maximal_filters,
 )
@@ -399,14 +400,7 @@ def verification_document(
     return {
         "pipeline": report.pipeline,
         "mode": report.mode,
-        "checks": [
-            {
-                "name": c.name,
-                "pass": c.passed,
-                "witness": list(c.witness) if c.witness is not None else None,
-            }
-            for c in report.checks
-        ],
+        "checks": checks_document(report.checks),
         "frame": frame_doc,
         "embedding": {
             str(mask): [w for w in range(frame.world_count) if m >> w & 1]

@@ -313,6 +313,28 @@ def naive_relative_contact_laws(N: int, V) -> dict[str, tuple | None]:
     return out
 
 
+def naive_covering_of_signatures(N: int, family) -> list:
+    """V[a][b][c]: no atom set in the family meets a and b and misses c."""
+    return [
+        [[not any(s & a and s & b and not s & c for s in family) for c in range(N)] for b in range(N)]
+        for a in range(N)
+    ]
+
+
+def naive_covering_of_slices(N: int, k: int, slices) -> list:
+    """V[a][b][f]: slices[f][p][q] for every atom p in a and q in b."""
+    return [
+        [
+            [
+                all(slices[f][p][q] for p in range(k) if a >> p & 1 for q in range(k) if b >> q & 1)
+                for f in range(N)
+            ]
+            for b in range(N)
+        ]
+        for a in range(N)
+    ]
+
+
 def naive_internally_connected(N: int, V, a: int) -> bool:
     full = N - 1
     for b in range(1, N):

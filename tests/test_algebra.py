@@ -25,6 +25,7 @@ from mereotop import (
     FiniteBooleanAlgebra,
     PointSet,
     all_filters,
+    atom_slices,
     check_ca,
     check_eca,
     check_filter_separation_equivalence,
@@ -34,6 +35,8 @@ from mereotop import (
     covering_document,
     covering_from_document,
     covering_from_json,
+    covering_from_signatures,
+    covering_from_slices,
     derived_contact,
     discrete_covering,
     eca_from_rc,
@@ -47,11 +50,11 @@ from mereotop import (
     rc_internally_connected,
     relative_contact,
     right_set,
+    signatures,
 )
 from mereotop import algebra as algebra_module
 from mereotop.algebra import (
     _ca12_mismatch,
-    _columns_join_closed,
     _eca1,
     _eca2,
     _eca_rebuilt,
@@ -278,14 +281,11 @@ def slice_generated_covering(k: int, flips: int, rng: random.Random) -> Covering
     full ones; ``flips`` seeded flips then break it further."""
     n = 1 << k
     own = [{(p, q) for p in range(k) for q in range(k) if rng.random() < 0.3} for _ in range(n)]
-    table = np.zeros((n, n, n), dtype=bool)
+    slices = np.zeros((n, k, k), dtype=bool)
     for f in range(n):
-        rel = set().union(*(own[g] for g in range(n) if g & ~f == 0))
-        for a in range(n):
-            for b in range(n):
-                table[a, b, f] = all(
-                    (p, q) in rel for p in range(k) if a >> p & 1 for q in range(k) if b >> q & 1
-                )
+        for p, q in set().union(*(own[g] for g in range(n) if g & ~f == 0)):
+            slices[f, p, q] = True
+    table = covering_from_slices(k, slices).table.copy()
     for _ in range(flips):
         a, b, d = (rng.randrange(n) for _ in range(3))
         table[a, b, d] = not table[a, b, d]
@@ -323,16 +323,17 @@ def assert_covering_checkers_match(cov: CoveringRelation) -> None:
     naive = oracles.naive_check_eca(n, table)
     assert check_eca(cov).as_dict() == naive
     assert _eca_rebuilt(cov.table, k) == all_none(naive)
+    if all_none(naive):
+        assert (covering_from_signatures(k, signatures(cov)).table == cov.table).all()
     assert _eca1(cov.table, n, k, or_t) == naive["ECA1"]
     naive = oracles.naive_check_weca(n, table)
     assert check_weca(cov).as_dict() == naive
     assert _weca_rebuilt(cov.table, k) == all_none(naive)
+    if all_none(naive):
+        assert (covering_from_slices(k, atom_slices(cov)).table == cov.table).all()
     assert _weca3_holds(cov.table, k) == (naive["WECA3"] is None)
     naive = oracles.naive_weca_consequences(n, table)
     assert check_weca_consequences(cov).as_dict() == naive
-    assert _columns_join_closed(cov.table, k) == (naive["CONS3"] is None)
-    swapped = np.ascontiguousarray(cov.table.transpose(1, 0, 2))
-    assert _columns_join_closed(swapped, k) == (naive["CONS4"] is None)
     naive = oracles.naive_relative_contact_laws(n, table)
     assert check_relative_contact_laws(cov).as_dict() == naive
     assert _ca12_mismatch(~cov.table, k).any() == ((naive["RCL1"], naive["RCL2"]) != (None, None))
@@ -501,6 +502,66 @@ class TestPassingTablesSkipTheLiteralSearch:
             cov = alexandrov_covering(7, 0, random.Random(7))
         for check in (check_eca, check_weca, check_weca_consequences):
             assert check(cov, cap_elements=128).all_passed
+
+
+# ---------------------------------------------------------------------------
+# the generators: signatures S* and atom slices R_f
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("k,seed", [(k, s) for k in (1, 2, 3, 4) for s in range(8)])
+    def test_signature_kernel_matches_oracle(self, k, seed):
+        # arbitrary families: rarely closed, sometimes empty, sometimes with 0
+        n, rng = 1 << k, random.Random(seed * 13 + k)
+        family = [s for s in range(n) if rng.random() < (0.1, 0.3, 0.6, 0.9)[seed % 4]]
+        table = covering_from_signatures(k, family).table
+        assert (table == np.array(oracles.naive_covering_of_signatures(n, family))).all()
+
+    @pytest.mark.parametrize("k,seed", [(k, s) for k in (1, 2, 3, 4) for s in range(8)])
+    def test_slice_kernel_matches_oracle(self, k, seed):
+        # arbitrary slices, so R_f need not grow with f
+        n, rng = 1 << k, random.Random(seed * 17 + k)
+        density = (0.1, 0.5, 0.8, 0.95)[seed % 4]
+        slices = np.array([rng.random() < density for _ in range(n * k * k)]).reshape(n, k, k)
+        table = covering_from_slices(k, slices).table
+        assert (table == np.array(oracles.naive_covering_of_slices(n, k, slices.tolist()))).all()
+        assert (atom_slices(covering_from_slices(k, slices)) == slices).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_signatures_of_a_generated_covering(self, k):
+        # sigma is in S* of the covering of S iff each pair of its atoms
+        # (one atom twice allowed) lies in some member of S inside sigma
+        n = 1 << k
+        for bits in range(1 << (n - 1)):
+            family = [s for s in range(1, n) if bits >> (s - 1) & 1]
+            closed = tuple(
+                s
+                for s in range(1, n)
+                if all(
+                    any(t & ~s == 0 and t >> p & 1 and t >> q & 1 for t in family)
+                    for p in range(k)
+                    if s >> p & 1
+                    for q in range(k)
+                    if s >> q & 1
+                )
+            )
+            assert signatures(covering_from_signatures(k, family)) == closed
+
+    def test_discrete_and_space_coverings(self):
+        assert signatures(discrete_covering(3)) == (1, 2, 4)
+        slices = atom_slices(discrete_covering(2))
+        assert slices.shape == (4, 2, 2)
+        assert (slices[:, 0, 1] == slices[:, 1, 0]).all() and slices[:, 0, 1].all()
+        assert (slices[:, 0, 0] == [False, True, False, True]).all()
+        # the points 2, 3, 1, 7, 5, 6, 4 of the example space have the atom
+        # signatures 1..7
+        assert signatures(eca_from_rc(rc_algebra(example_topology())).covering) == tuple(range(1, 8))
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            covering_from_signatures(2, [1, 4])
+        with pytest.raises(ValueError):
+            covering_from_slices(2, np.zeros((4, 2, 3), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
