@@ -105,8 +105,11 @@ class FiniteBooleanAlgebra:
 
 
 def _frozen_table(table: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A dense relation table as a read-only bool array of the given shape."""
+    """A dense relation table as a read-only bool array of the given shape,
+    never the caller's own array, which stays writable."""
     arr = np.ascontiguousarray(np.asarray(table, dtype=bool))
+    if isinstance(table, np.ndarray) and np.may_share_memory(arr, table):
+        arr = arr.copy()
     if arr.shape != shape:
         raise ValueError(f"table has shape {arr.shape}, expected {shape}")
     arr.setflags(write=False)
@@ -755,19 +758,31 @@ def _cons12(v: np.ndarray, n: int) -> tuple[tuple | None, tuple | None]:
     )
 
 
+# CONS3 and CONS4 take one leading a at a time, in order, so each step
+# holds N^3 entries and the first hit is the lex-first witness
+
+
 def _cons3(v: np.ndarray, or_t: np.ndarray) -> tuple | None:
-    premise = v[:, None, :, :] & v[None, :, :, :]
-    viol = premise & ~v[or_t]
-    return _first(viol) if viol.any() else None
+    # (a, d) |- e and (b, d) |- e but not (a | b, d) |- e
+    for a in range(len(v)):
+        if not v[a].any():
+            continue
+        viol = v[a] & v & ~v[or_t[a]]
+        if viol.any():
+            return (a, *_first(viol))
+    return None
 
 
-def _cons4(v: np.ndarray, e: np.ndarray, or_t: np.ndarray) -> tuple | None:
-    premise = v[:, :, None, :] & v[:, None, :, :]
-    joined = v[
-        e[:, None, None, None], or_t[None, :, :, None], e[None, None, None, :]
-    ]
-    viol = premise & ~joined
-    return _first(viol) if viol.any() else None
+def _cons4(v: np.ndarray, or_t: np.ndarray) -> tuple | None:
+    # (a, b) |- e and (a, d) |- e but not (a, b | d) |- e
+    for a in range(len(v)):
+        row = v[a]
+        if not row.any():
+            continue
+        viol = row[:, None, :] & row[None, :, :] & ~row[or_t]
+        if viol.any():
+            return (a, *_first(viol))
+    return None
 
 
 def _cons56(v: np.ndarray, n: int, k: int, side: int) -> tuple | None:
@@ -801,7 +816,7 @@ def check_weca_consequences(
     axioms, so a table that passes the slice rebuild passes them."""
     k = covering.algebra.atom_count
     _check_cap(k, cap_elements)
-    n, e, _, or_t, _ = _tables(k)
+    n, _, _, or_t, _ = _tables(k)
     v = covering.table
     if _weca_rebuilt(v, k):
         return AxiomReport.of(dict.fromkeys(("CONS1", "CONS2", "CONS3", "CONS4", "CONS5", "CONS6")))
@@ -810,7 +825,7 @@ def check_weca_consequences(
         "CONS1": cons1,
         "CONS2": cons2,
         "CONS3": _cons3(v, or_t),
-        "CONS4": _cons4(v, e, or_t),
+        "CONS4": _cons4(v, or_t),
         "CONS5": _cons56(v, n, k, 0),
         "CONS6": _cons56(v, n, k, 1),
     }

@@ -8,7 +8,10 @@ and ``random`` (seeded random campaigns over the whole suite).
 
 Output goes to stdout — human-readable by default, canonical JSON with
 ``--json`` (sorted keys, two-space indent, no timestamps, so identical
-configurations give byte-identical reports).  Warnings go to stderr.
+configurations give byte-identical reports).  A ``--json`` report is exactly
+``json.dumps(doc, sort_keys=True, indent=2)``, non-ASCII escaped, plus a
+newline; ``_json_text`` writes those bytes without the stdlib's pure-Python
+indenting encoder.  Warnings go to stderr.
 Exit status: 0 when every executed check passed, 1 when any check failed,
 2 on input or usage errors.
 """
@@ -22,6 +25,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Sequence
 
 from .algebra import (
@@ -199,8 +203,44 @@ def _input_covering(config: RunConfig, frame_error: str) -> tuple[CoveringRelati
     raise DocumentError(frame_error)
 
 
+def _json_text(value: object, indent: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a value nested at
+    ``indent``.  With ``indent`` set the stdlib runs its pure-Python encoder;
+    here a list of exact ``str`` or exact ``int`` is written by one join, and
+    a scalar the stdlib writes in a fixed form is written in that form."""
+    if type(value) is str:
+        return _quote(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = [_quote(key) + ": " + _json_text(item, inner) for key, item in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            body = map(_quote, value)
+        elif kinds == {int}:
+            body = map(int.__repr__, value)
+        else:
+            body = [_json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(_json_text(doc, ""))
 
 
 def _print_checks(checks: list[dict]) -> None:

@@ -387,15 +387,15 @@ def verification_document(
     else:
         frame_doc = {"kind": "parametrized", "worlds": frame.world_count}
     if embedding.worlds and all(isinstance(w, WorldAtomPoint) for w in embedding.worlds):
-        detail = []
-        for wap in embedding.worlds:
-            if labeled is not None and teca is not None:
-                atom = teca.source.atoms[wap.atom_index]
-                detail.append(
-                    {"atom": labeled.labels_of(atom), "point": labeled.labels[wap.point]}
-                )
-            else:
-                detail.append({"atom_index": wap.atom_index, "point": wap.point})
+        if labeled is not None and teca is not None:
+            # one label list per atom, shared by the entries of its worlds
+            atom_labels = [labeled.labels_of(atom) for atom in teca.source.atoms]
+            detail = [
+                {"atom": atom_labels[wap.atom_index], "point": labeled.labels[wap.point]}
+                for wap in embedding.worlds
+            ]
+        else:
+            detail = [{"atom_index": wap.atom_index, "point": wap.point} for wap in embedding.worlds]
         frame_doc["worlds_detail"] = detail
     return {
         "pipeline": report.pipeline,

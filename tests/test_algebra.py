@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,21 @@ class TestRelationTables:
         cov = discrete_covering(2)
         with pytest.raises(ValueError):
             cov.table[0, 0, 0] = False
+
+    @pytest.mark.parametrize("relation,shape", [(CoveringRelation, (2, 2, 2)), (ContactRelation, (2, 2))])
+    def test_callers_array_stays_writable(self, relation, shape):
+        # a C-contiguous bool array, and a contiguous view of a larger one,
+        # would both pass through np.ascontiguousarray unchanged
+        corner = (0,) * len(shape)
+        table = np.zeros(shape, dtype=bool)
+        larger = np.zeros((2, *shape), dtype=bool)
+        for given in (table, larger[1]):
+            rel = relation(FiniteBooleanAlgebra(1), given)
+            given[corner] = True
+            assert not rel.table.any()
+            with pytest.raises(ValueError):
+                rel.table[corner] = True
+        assert larger[1][corner]
 
     def test_wrong_shape_rejected(self):
         algebra = FiniteBooleanAlgebra(2)
@@ -502,6 +518,25 @@ class TestPassingTablesSkipTheLiteralSearch:
             cov = alexandrov_covering(7, 0, random.Random(7))
         for check in (check_eca, check_weca, check_weca_consequences):
             assert check(cov, cap_elements=128).all_passed
+
+
+class TestConsequencesOnFailingTables:
+    def test_six_atoms_in_cubic_memory(self):
+        # fails the weak axioms, so no rebuild decides it, and CONS3/CONS4
+        # hold, so every leading index is searched; one (N, N, N, N) bool
+        # array would be 16 MiB
+        table = discrete_covering(6).table.copy()
+        table[63, 63, 0] = True
+        cov = CoveringRelation(FiniteBooleanAlgebra(6), table)
+        tracemalloc.start()
+        try:
+            report = check_weca_consequences(cov, cap_elements=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = dict.fromkeys(("CONS1", "CONS2", "CONS3", "CONS4"))
+        assert report.as_dict() == {**expected, "CONS5": (63, 63, 1, 0), "CONS6": (63, 63, 1, 0)}
+        assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -650,6 +650,74 @@ class TestRandomCommand:
 
 
 # ---------------------------------------------------------------------------
+# canonical JSON: every report is exactly json.dumps(doc, sort_keys=True, indent=2)
+
+
+def stdlib_text(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+# quotes, backslashes, control characters and non-ASCII text, in keys and values
+JSON_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é\u2028€😀'), st.characters()),
+    max_size=8,
+)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=True), JSON_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS
+    | st.lists(st.booleans(), max_size=4)
+    | st.lists(st.booleans() | st.integers(), max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_writer_matches_the_stdlib(self, value):
+        assert cli_module._json_text(value, "") == stdlib_text(value)
+
+    @given(JSON_VALUES)
+    def test_one_object_at_two_depths(self, value):
+        doc = {"top": value, "nested": [{"again": value}, [value]]}
+        assert cli_module._json_text(doc, "") == stdlib_text(doc)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{}, [], (), [[]], [{}], {"": {}}, [True, False], [True, 1, 0, False], [1, -2, 10**30], ["", "a"]],
+        ids=repr,
+    )
+    def test_edge_values(self, value):
+        assert cli_module._json_text(value, "") == stdlib_text(value)
+
+    @pytest.mark.parametrize(
+        "argv,fixture",
+        [
+            (["rc"], "topo_file"),
+            (["check-axioms"], "discrete_file"),
+            (["check-axioms"], "broken_covering_file"),
+            (["represent", "--kind", "type1"], "topo_file"),
+            (["represent", "--kind", "type2"], "topo_file"),
+            (["represent", "--kind", "parametrized"], "discrete_file"),
+            (["example1"], None),
+            (["random", "--seed", "5", "--trials", "3"], None),
+        ],
+        ids=["rc", "axioms-pass", "axioms-fail", "type1", "type2", "parametrized", "example1", "random"],
+    )
+    def test_every_report_is_canonical(self, argv, fixture, request, capsys):
+        if fixture is not None:
+            argv = argv + ["--input", request.getfixturevalue(fixture)]
+        main(argv + ["--json"])
+        out = capsys.readouterr().out
+        assert stdlib_text(json.loads(out)) + "\n" == out
+
+
+# ---------------------------------------------------------------------------
 # console entry point
 
 
