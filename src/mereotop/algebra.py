@@ -785,25 +785,22 @@ def _cons4(v: np.ndarray, or_t: np.ndarray) -> tuple | None:
     return None
 
 
-def _cons56(v: np.ndarray, n: int, k: int, side: int) -> tuple | None:
+def _cons56(v: np.ndarray, k: int, side: int) -> tuple | None:
     """CONS5 (side 0) or CONS6 (side 1): a covered pair stays covered when
-    its member on that side shrinks to a part d."""
-    if not (_fold(v, side, k) & ~v).any():
+    its member on that side shrinks to a part d.  ``kept`` is what stays
+    covered under every shrink, one subset-and fold, so the first (a, b)
+    covered by something not kept is the failing pair, and only it runs
+    the literal (d, e) search."""
+    kept = _fold(v, side, k, np.bitwise_and, subsets=True)
+    fails = (v & ~kept).any(axis=2)
+    if not fails.any():
         return None
-    for a in range(n):
-        if not v[a].any():
-            continue
-        for b in range(n):
-            prem_e = v[a, b]
-            if not prem_e.any():
-                continue
-            whole = (a, b)[side]
-            for d in range(whole + 1):
-                if d & ~whole:
-                    continue
-                es = prem_e & ~(v[d, b] if side == 0 else v[a, d])
-                if es.any():
-                    return (a, b, d, int(np.flatnonzero(es)[0]))
+    a, b = _first(fails)
+    whole = (a, b)[side]
+    for d in range(whole + 1):
+        lost = v[a, b] & ~(v[d, b] if side == 0 else v[a, d])
+        if d & ~whole == 0 and lost.any():
+            return (a, b, d) + _first(lost)
     return None
 
 
@@ -826,8 +823,8 @@ def check_weca_consequences(
         "CONS2": cons2,
         "CONS3": _cons3(v, or_t),
         "CONS4": _cons4(v, or_t),
-        "CONS5": _cons56(v, n, k, 0),
-        "CONS6": _cons56(v, n, k, 1),
+        "CONS5": _cons56(v, k, 0),
+        "CONS6": _cons56(v, k, 1),
     }
     return AxiomReport.of(witnesses)
 
@@ -843,13 +840,6 @@ def derived_contact(eca: ExtendedContactAlgebra) -> ContactRelation:
     if eca.strength != "ECA":
         raise ValueError("derived contact needs the full extended contact axioms")
     return ContactRelation(eca.algebra, ~eca.covering.table[:, :, 0])
-
-
-def relative_contact(covering: CoveringRelation, g: int) -> ContactRelation:
-    """Contact relative to a region g: holds for (a, b) when (a, b) is not
-    covered by g."""
-    covering.algebra._require(g)
-    return ContactRelation(covering.algebra, ~covering.table[:, :, g])
 
 
 def check_relative_contact_laws(
@@ -983,96 +973,21 @@ def principal_filter(algebra: FiniteBooleanAlgebra, g: int) -> FilterOrIdeal:
     return FilterOrIdeal(algebra, members, "filter")
 
 
-def all_filters(algebra: FiniteBooleanAlgebra) -> tuple[FilterOrIdeal, ...]:
-    """Every filter, ordered by generator.  In a finite Boolean algebra each
-    filter contains the meet of its members, so all filters are principal."""
-    return tuple(principal_filter(algebra, g) for g in range(algebra.size))
-
-
-def maximal_filters(
-    algebra: FiniteBooleanAlgebra, *, verify: bool = True
-) -> tuple[FilterOrIdeal, ...]:
+def maximal_filters(algebra: FiniteBooleanAlgebra) -> tuple[FilterOrIdeal, ...]:
     """The maximal proper filters, one per atom, ordered by atom index.
 
-    With ``verify`` each candidate is checked to be a proper filter that
-    cannot be extended: adding any outside element closes under meet to 0.
+    Each candidate is checked to be a proper filter that cannot be
+    extended: adding any outside element closes under meet to 0.
     """
     found = tuple(principal_filter(algebra, atom) for atom in algebra.atom_masks)
-    if verify:
-        for candidate in found:
-            if not candidate.is_proper:
-                raise AssertionError("candidate maximal filter is improper")
-            inf = candidate.generator
-            for x in range(algebra.size):
-                if x not in candidate.members and inf & x != 0:
-                    raise AssertionError(
-                        f"filter at {inf} extends by {x} without collapsing"
-                    )
+    for candidate in found:
+        if not candidate.is_proper:
+            raise AssertionError("candidate maximal filter is improper")
+        inf = candidate.generator
+        for x in range(algebra.size):
+            if x not in candidate.members and inf & x != 0:
+                raise AssertionError(f"filter at {inf} extends by {x} without collapsing")
     return found
-
-
-def left_set(covering: CoveringRelation, u: FilterOrIdeal, d: int) -> FilterOrIdeal:
-    """The set of all b covered together with some member of the filter u:
-    {b : exists a in u with (a, b) |- d}.  Over a weak extended contact
-    algebra this is an ideal, which the constructor verifies."""
-    if u.kind != "filter":
-        raise ValueError("left set is defined for filters")
-    if u.algebra != covering.algebra:
-        raise ValueError("filter and covering live on different algebras")
-    covering.algebra._require(d)
-    rows = np.fromiter(sorted(u.members), dtype=np.intp)
-    hit = covering.table[rows, :, d].any(axis=0)
-    return FilterOrIdeal(covering.algebra, frozenset(np.flatnonzero(hit).tolist()), "ideal")
-
-
-def right_set(covering: CoveringRelation, v: FilterOrIdeal, d: int) -> FilterOrIdeal:
-    """Mirror of :func:`left_set`: {a : exists b in v with (a, b) |- d}."""
-    if v.kind != "filter":
-        raise ValueError("right set is defined for filters")
-    if v.algebra != covering.algebra:
-        raise ValueError("filter and covering live on different algebras")
-    covering.algebra._require(d)
-    cols = np.fromiter(sorted(v.members), dtype=np.intp)
-    hit = covering.table[:, cols, d].any(axis=1)
-    return FilterOrIdeal(covering.algebra, frozenset(np.flatnonzero(hit).tolist()), "ideal")
-
-
-@dataclass(frozen=True)
-class FilterSeparation:
-    """Three ways of saying two filters avoid each other over a cover d."""
-
-    no_covered_pair: bool
-    left_set_misses_v: bool
-    right_set_misses_u: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.no_covered_pair == self.left_set_misses_v == self.right_set_misses_u
-
-
-def check_filter_separation_equivalence(
-    covering: CoveringRelation, u: FilterOrIdeal, v: FilterOrIdeal, d: int
-) -> FilterSeparation:
-    """Evaluate, for filters u and v, the three conditions that are
-    equivalent over a weak extended contact algebra: no pair from u x v is
-    covered by d; the left set of u misses v; the right set of v misses u."""
-    for filt in (u, v):
-        if filt.kind != "filter":
-            raise ValueError("separation is defined for filters")
-        if filt.algebra != covering.algebra:
-            raise ValueError("filter and covering live on different algebras")
-    covering.algebra._require(d)
-    table = covering.table
-    rows = np.fromiter(sorted(u.members), dtype=np.intp)
-    cols = np.fromiter(sorted(v.members), dtype=np.intp)
-    no_pair = not table[np.ix_(rows, cols, np.array([d], dtype=np.intp))].any()
-    left = frozenset(np.flatnonzero(table[rows, :, d].any(axis=0)).tolist())
-    right = frozenset(np.flatnonzero(table[:, cols, d].any(axis=1)).tolist())
-    return FilterSeparation(
-        no_covered_pair=no_pair,
-        left_set_misses_v=not (left & v.members),
-        right_set_misses_u=not (u.members & right),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1189,13 +1104,6 @@ def covering_from_json(raw: bytes, *, cap_elements: int) -> CoveringRelation | N
     if (values >= n).any():
         return None
     return _covering_of_entries(k, values)
-
-
-def covering_document(covering: CoveringRelation) -> dict:
-    return {
-        "atoms": covering.algebra.atom_count,
-        "covering": [list(t) for t in covering.true_triples()],
-    }
 
 
 # ---------------------------------------------------------------------------

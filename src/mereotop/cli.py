@@ -403,7 +403,7 @@ def cmd_represent(config: RunConfig) -> int:
             return 1
         source = ExtendedContactAlgebra(covering, "WECA")
         embedding = build_parametrized_frame(source)
-        report = verify_embedding(embedding, pipeline="parametrized", cap_elements=cap)
+        report = verify_embedding(embedding, pipeline="parametrized")
         out = verification_document(report, embedding)
     else:
         doc = _read_json(config.input_path)
@@ -419,16 +419,11 @@ def cmd_represent(config: RunConfig) -> int:
         labeled, teca = _topological_source(doc, config, verify=True)
         builder = build_type1 if config.kind == "type1" else build_type2
         embedding = builder(teca)
-        report = verify_embedding(embedding, pipeline=config.kind, cap_elements=cap)
+        report = verify_embedding(embedding, pipeline=config.kind)
         if config.kind == "type2":
             report = report.extended(verify_c_preservation(embedding))
         out = verification_document(report, embedding, labeled=labeled, teca=teca)
     out["command"] = "represent"
-    if report.mode == "sampled":
-        print(
-            "warning: source too large for exhaustive covering check; sampled",
-            file=sys.stderr,
-        )
     if config.output_json:
         _emit_json(out)
     else:
@@ -598,7 +593,7 @@ def _run_trial(config: RunConfig, trial: int) -> dict:
     failures += _failures_from("CONS", check_weca_consequences(covering, cap_elements=cap).results)
     for kind, builder in (("type1", build_type1), ("type2", build_type2)):
         embedding = builder(teca)
-        report = verify_embedding(embedding, pipeline=kind, cap_elements=cap)
+        report = verify_embedding(embedding, pipeline=kind)
         if kind == "type2":
             report = report.extended(verify_c_preservation(embedding))
         failures += _failures_from(kind, report.checks)

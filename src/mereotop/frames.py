@@ -10,9 +10,11 @@ an extended contact algebra — weak for parametrized frames, full for the
 equivalence kinds — which :func:`powerset_eca` tabulates and verifies.
 :func:`covering_table` tabulates a frame's covering over any family of
 subsets (all of them for the powerset, the images of an embedding for its
-verification).  A parametrized frame has one covering evaluator, the
-literal definition read through the superset union R*(d) of the relations,
-so it holds for every frame, antitone or not.
+verification), and it is each frame's one covering evaluator.  For an
+equivalence frame, (a, b) is covered by d iff a ∩ b ⊆ d and every class
+(composite class, for type 2) meeting both a and b also meets d.  For a
+parametrized frame it is the literal definition read through the superset
+union R*(d) of the relations, so it holds for every frame, antitone or not.
 """
 
 from __future__ import annotations
@@ -159,40 +161,6 @@ class EquivalenceFrame2:
         return self._composite[1]
 
 
-def r1r2_class(frame: EquivalenceFrame2, s: int) -> int:
-    """Mask of R1(R2(s)); always contains s."""
-    if not 0 <= s < frame.world_count:
-        raise ValueError(f"no world {s}")
-    mask = frame._composite[0][s]
-    if not mask >> s & 1:
-        raise AssertionError("composite class must contain its own world")
-    return mask
-
-
-def frame1_covering(frame: EquivalenceFrame1, a: int, b: int, d: int) -> bool:
-    """(a, b) is covered by d iff a ∩ b ⊆ d and every class meeting both a
-    and b also meets d."""
-    _require_masks(frame.world_count, a, b, d)
-    if a & b & ~d:
-        return False
-    for m in frame.distinct_class_masks:
-        if m & a and m & b and not m & d:
-            return False
-    return True
-
-
-def frame2_covering(frame: EquivalenceFrame2, a: int, b: int, d: int) -> bool:
-    """Like :func:`frame1_covering`, but quantifying over the composite
-    classes R1(R2(s))."""
-    _require_masks(frame.world_count, a, b, d)
-    if a & b & ~d:
-        return False
-    for m in frame.distinct_composite_masks:
-        if m & a and m & b and not m & d:
-            return False
-    return True
-
-
 def frame2_internally_connected(frame: EquivalenceFrame2, s_mask: int) -> bool:
     """True iff no pair of nonempty parts B, D with B ∪ D = s_mask is
     covered by the complement of s_mask.
@@ -206,28 +174,6 @@ def frame2_internally_connected(frame: EquivalenceFrame2, s_mask: int) -> bool:
     """
     _require_masks(frame.world_count, s_mask)
     return len(glued_components(s_mask, frame.distinct_composite_masks)) <= 1
-
-
-# ---------------------------------------------------------------------------
-# contact induced by a reflexive symmetric point relation
-
-
-def gv_contact(world_count: int, relation: np.ndarray, a: int, b: int) -> bool:
-    """Contact from a reflexive symmetric relation: some point of a relates
-    to some point of b."""
-    _require_masks(world_count, a, b)
-    rel = np.asarray(relation, dtype=bool)
-    if rel.shape != (world_count, world_count):
-        raise ValueError(f"relation has shape {rel.shape}")
-    if not rel.diagonal().all():
-        raise ValueError("relation must be reflexive")
-    if (rel != rel.T).any():
-        raise ValueError("relation must be symmetric")
-    rows = np.array(_mask_indices(a), dtype=np.intp)
-    cols = np.array(_mask_indices(b), dtype=np.intp)
-    if not len(rows) or not len(cols):
-        return False
-    return bool(rel[np.ix_(rows, cols)].any())
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +204,9 @@ def _meets(frame: EquivalenceFrame1 | EquivalenceFrame2, masks: Sequence[int]) -
     """G: one column per world w ("w is in the subset") and one per class
     mask m ("the subset meets m"), duplicate columns dropped.  (a, b) is
     covered by d iff no column c has G[a, c] and G[b, c] but not G[d, c]:
-    the world columns give a ∩ b ⊆ d, the class columns the rest of
-    :func:`frame1_covering` / :func:`frame2_covering`."""
+    the world columns give a ∩ b ⊆ d, and the class columns that every
+    class meeting both a and b also meets d — the classes of a type-1
+    frame, the composite classes R1(R2(s)) of a type-2 frame."""
     members = _membership(frame.world_count, masks)
     classes = _membership(frame.world_count, _class_masks(frame))
     meets = members.astype(np.float32) @ classes.T.astype(np.float32) > 0
@@ -299,23 +246,6 @@ def covering_table(
         both = (g[lo : lo + step, None, :] * g[None, :, :]).reshape(-1, k)
         table[lo : lo + step] = (both @ missing).reshape(-1, n, n) == 0
     return table
-
-
-def covering_entries(
-    frame: ParametrizedFrame | EquivalenceFrame1 | EquivalenceFrame2,
-    masks: Sequence[int],
-    a: np.ndarray,
-    b: np.ndarray,
-    d: np.ndarray,
-) -> np.ndarray:
-    """Entries [a[i], b[i], d[i]] of ``covering_table(frame, masks)`` for
-    index arrays a, b, d, evaluated on the same rows without the table."""
-    if isinstance(frame, ParametrizedFrame):
-        rows = _membership(frame.world_count, masks).astype(np.float32)
-        reach = _reach(frame).astype(np.float32)[np.asarray(masks)[d]]
-        return np.einsum("is,ist,it->i", rows[a], reach, rows[b]) == 0
-    g = _meets(frame, masks)
-    return ~(g[a] & g[b] & ~g[d]).any(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,23 @@
 """Representation builders: from covering algebras to frames, with the
 machinery that machine-checks each construction really is an embedding.
 
-Three pipelines.  ``build_parametrized_frame`` sends any weak extended
+Three pipelines.  ``build_parametrized_frame`` sends a weak extended
 contact algebra to the frame of maximal filters of its Boolean algebra,
 with R(U) defined by a witness-element condition and read straight off
-the covering table as one relation array.  ``build_type1`` and
-``build_type2`` send a regular closed algebra (through its covering) to an
-equivalence frame whose worlds are (atom, point) couples — one partition
-by point for type 1; partitions by atom and by point, read through the
-composite class, for type 2.  ``verify_embedding`` checks injectivity and
-preservation of zero, complement and join over all tuples, and covering by
-one comparison of the source's covering table with the frame's covering
-tabulated over the images (seeded random triples above a size cap);
+the atom slices of the covering as one relation array.  ``build_type1``
+and ``build_type2`` send a regular closed algebra (through its covering)
+to an equivalence frame whose worlds are (atom, point) couples — one
+partition by point for type 1; partitions by atom and by point, read
+through the composite class, for type 2.  ``verify_embedding`` checks
+injectivity and preservation of zero, complement and join over all
+tuples, and covering over all triples by one comparison of the source's
+covering table with the frame's covering tabulated over the images;
 ``verify_c_preservation`` adds the internal-connectedness biconditional
-for type 2; ``check_split_pullback`` pulls a frame-side split of an image
-back to a pair of algebra elements and checks the three facts that make
-the connectedness argument work.
+for type 2.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +26,7 @@ from .algebra import (
     CheckResult,
     ExtendedContactAlgebra,
     TopologicalEca,
-    _fold,
+    atom_slices,
     checks_document,
     internally_connected_algebraic,
     maximal_filters,
@@ -38,14 +35,10 @@ from .frames import (
     EquivalenceFrame1,
     EquivalenceFrame2,
     ParametrizedFrame,
-    covering_entries,
     covering_table,
-    frame2_covering,
     frame2_internally_connected,
 )
-from .topology import CapExceeded, LabeledTopology
-
-DEFAULT_VERIFY_CAP = 32
+from .topology import LabeledTopology
 
 
 @dataclass(frozen=True)
@@ -76,19 +69,17 @@ class Embedding:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Named checks for one pipeline run.  ``mode`` is "exhaustive" when
-    every tuple was checked, "sampled" above the cap (and labeled so)."""
+    """Named checks for one pipeline run, each over every tuple."""
 
     pipeline: str
     checks: tuple[CheckResult, ...]
-    mode: str = "exhaustive"
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def extended(self, *extra: CheckResult) -> "VerificationReport":
-        return VerificationReport(self.pipeline, self.checks + tuple(extra), self.mode)
+        return VerificationReport(self.pipeline, self.checks + tuple(extra))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +87,7 @@ class VerificationReport:
 
 
 def build_parametrized_frame(eca: ExtendedContactAlgebra) -> Embedding:
-    """The frame of maximal filters of the algebra of a (weak or full)
+    """The frame of maximal filters of the algebra of a weak (or full)
     extended contact algebra.
 
     World s is the filter of atom s, and h sends an element a to the
@@ -105,17 +96,14 @@ def build_parametrized_frame(eca: ExtendedContactAlgebra) -> Embedding:
     filter t admits a witness element e that is not above d and belongs to
     every filter in U, i.e. e ⊇ U.  U itself is the least such e, so a
     witness exists iff d ⊄ U, and R(U)(s, t) holds iff no (a, b) ⊢ d has
-    bit s in a, bit t in b and d ⊆ U — for any covering table, with no
-    axiom assumed.  That is two matmuls against the atom-membership
-    matrix (over a, then over b) and one subset fold over d.
+    bit s in a, bit t in b and d ⊆ U.  On a weak algebra that is
+    ¬(atom s, atom t) ⊢ U, the negated atom slice R_U: WECA1 shrinks a
+    covered pair to its two atoms, and WECA4 grows its cover d up to U.
+    The caller checks the weak axioms first; on any other table the
+    relations are not the frame's.
     """
-    k = eca.algebra.atom_count
     n = eca.algebra.size
-    members = (np.arange(n) >> np.arange(k)[:, None] & 1).astype(np.float32)
-    v = eca.covering.table.astype(np.float32)
-    left = (members @ v.reshape(n, n * n)).reshape(k, n, n)  # [s, b, d]
-    pairs = (left.transpose(0, 2, 1) @ members.T).transpose(1, 0, 2)  # [d, s, t]
-    frame = ParametrizedFrame(~_fold(pairs > 0, 0, k, subsets=True))
+    frame = ParametrizedFrame(~atom_slices(eca.covering))
     return Embedding(eca, frame, tuple(range(n)), maximal_filters(eca.algebra))
 
 
@@ -166,14 +154,7 @@ def build_type2(teca: TopologicalEca) -> Embedding:
 # verification
 
 
-def verify_embedding(
-    embedding: Embedding,
-    *,
-    pipeline: str,
-    cap_elements: int = DEFAULT_VERIFY_CAP,
-    sample_size: int = 20000,
-    seed: int = 0,
-) -> VerificationReport:
+def verify_embedding(embedding: Embedding, *, pipeline: str) -> VerificationReport:
     """Check the five embedding facts: injectivity, and preservation of
     zero, complement, join, and covering (a biconditional, both ways).
 
@@ -181,11 +162,10 @@ def verify_embedding(
     masks once (:func:`~mereotop.frames.covering_table`) and comparing that
     table with the source's in one array operation; the witness is the
     first mismatch in C order (``np.argwhere``), i.e. the lex-first
-    (a, b, d).  Above ``cap_elements`` source elements the comparison runs
-    on ``sample_size`` seeded random triples instead, the witness is the
-    first mismatching one in draw order, and the report is labeled
-    "sampled".  The other witnesses are the first violating tuples in
-    ascending element order.
+    (a, b, d).  The other witnesses are the first violating tuples in
+    ascending element order.  The commands bound the source by their
+    element cap before building it, so the frame's table is no larger than
+    the source's own.
     """
     source = embedding.source
     n = source.algebra.size
@@ -214,17 +194,7 @@ def verify_embedding(
             if img[a | b] != img[a] | img[b]:
                 join = (a, b)
                 break
-    table = source.covering.table
-    if n <= cap_elements:
-        mode = "exhaustive"
-        found = np.argwhere(covering_table(embedding.frame, img) != table)
-    else:
-        mode = "sampled"
-        rng = random.Random(seed)
-        drawn = [rng.randrange(n) for _ in range(3 * sample_size)]
-        triples = np.array(drawn, dtype=np.intp).reshape(-1, 3)
-        a, b, d = triples.T
-        found = triples[covering_entries(embedding.frame, img, a, b, d) != table[a, b, d]]
+    found = np.argwhere(covering_table(embedding.frame, img) != source.covering.table)
     cov = tuple(int(i) for i in found[0]) if len(found) else None
     checks = (
         CheckResult("injective", inj is None, inj),
@@ -233,7 +203,7 @@ def verify_embedding(
         CheckResult("preserves-join", join is None, join),
         CheckResult("preserves-covering", cov is None, cov),
     )
-    return VerificationReport(pipeline, checks, mode)
+    return VerificationReport(pipeline, checks)
 
 
 def verify_c_preservation(embedding: Embedding) -> CheckResult:
@@ -251,110 +221,6 @@ def verify_c_preservation(embedding: Embedding) -> CheckResult:
             witness = (a,)
             break
     return CheckResult("preserves-internal-connectedness", witness is None, witness)
-
-
-# ---------------------------------------------------------------------------
-# split pullback
-
-
-@dataclass(frozen=True)
-class SplitPullback:
-    """The algebra-side pair pulled back from a frame-side split, plus the
-    three facts checked about it."""
-
-    a1: int
-    a2: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def find_admissible_splits(
-    embedding: Embedding, a: int, *, cap_size: int = 12
-) -> list[tuple[int, int]]:
-    """All ordered pairs of nonempty world sets whose union is the image of
-    a and that are covered by the image's complement (type-2 frames)."""
-    if not isinstance(embedding.frame, EquivalenceFrame2):
-        raise TypeError("splits are searched on type-2 frames")
-    embedding.source.algebra._require(a)
-    s_mask = embedding.image_masks[a]
-    if s_mask.bit_count() > cap_size:
-        raise CapExceeded(
-            f"split search over {s_mask.bit_count()} worlds exceeds cap {cap_size}"
-        )
-    complement = ((1 << embedding.frame.world_count) - 1) & ~s_mask
-    found = []
-    b = s_mask
-    while b:
-        rest = s_mask & ~b
-        extra = b
-        while True:
-            d = rest | extra
-            if d and frame2_covering(embedding.frame, b, d, complement):
-                found.append((b, d))
-            if extra == 0:
-                break
-            extra = (extra - 1) & b
-        b = (b - 1) & s_mask
-    return sorted(found)
-
-
-def check_split_pullback(
-    teca: TopologicalEca, embedding: Embedding, a: int, split1: int, split2: int
-) -> SplitPullback:
-    """Pull a frame-side split of h'(a) back to algebra elements.
-
-    For each side, collect the atoms occurring in its worlds, take the
-    union P of their point sets, and let a_i be the join of every element
-    whose point set lies inside P.  Check that both parts are nonzero,
-    that they join back to a, and that the pair is covered by the
-    complement of a.
-    """
-    if not isinstance(embedding.frame, EquivalenceFrame2):
-        raise TypeError("split pullback is defined on type-2 frames")
-    algebra = embedding.source.algebra
-    algebra._require(a)
-    s_mask = embedding.image_masks[a]
-    full_w = (1 << embedding.frame.world_count) - 1
-    if not split1 or not split2:
-        raise ValueError("both sides of the split must be nonempty")
-    if split1 | split2 != s_mask:
-        raise ValueError("the split must union to the image of a")
-    if not frame2_covering(embedding.frame, split1, split2, full_w & ~s_mask):
-        raise ValueError("the split is not covered by the image's complement")
-
-    a1 = _join_inside(teca, _occurring_union(teca, embedding, split1))
-    a2 = _join_inside(teca, _occurring_union(teca, embedding, split2))
-    star = algebra.complement(a)
-    nonzero = None if (a1 != 0 and a2 != 0) else (a1, a2)
-    joins = None if (a1 | a2) == a else (a1, a2)
-    covered = None if bool(teca.covering.table[a1, a2, star]) else (a1, a2, star)
-    checks = (
-        CheckResult("parts-nonzero", nonzero is None, nonzero),
-        CheckResult("parts-join-to-whole", joins is None, joins),
-        CheckResult("parts-covered-by-complement", covered is None, covered),
-    )
-    return SplitPullback(a1, a2, checks)
-
-
-def _occurring_union(teca: TopologicalEca, embedding: Embedding, split: int):
-    """Union of the point sets of the atoms occurring in the split's worlds."""
-    region = teca.element_sets[0]
-    for w in range(embedding.frame.world_count):
-        if split >> w & 1:
-            region = region | teca.source.atoms[embedding.worlds[w].atom_index]
-    return region
-
-
-def _join_inside(teca: TopologicalEca, region) -> int:
-    """Join of every element whose point set lies inside the region."""
-    out = 0
-    for b in range(teca.eca.algebra.size):
-        if teca.element_sets[b].issubset(region):
-            out |= b
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +265,7 @@ def verification_document(
         frame_doc["worlds_detail"] = detail
     return {
         "pipeline": report.pipeline,
-        "mode": report.mode,
+        "mode": "exhaustive",
         "checks": checks_document(report.checks),
         "frame": frame_doc,
         "embedding": {

@@ -8,10 +8,8 @@ unions of the U_x, Int(A) = {x : U_x inside A}, Cl(A) = {x : U_x meets A},
 and neither the regular closed algebra nor the count of open sets lists
 the open family (up to 2^n sets).  The regular closed algebra is its
 atoms, the closures of the minimal U_x, checked once; the carrier (every
-union of atoms) is derived from them.  Contact, covering and internal
-connectedness, the mirror algebra of regular open sets and the
-isomorphism between the two follow.  JSON documents use human labels;
-indices never leak.
+union of atoms) is derived from them.  Contact and internal connectedness
+follow.  JSON documents use human labels; indices never leak.
 """
 
 from __future__ import annotations
@@ -245,14 +243,6 @@ def closure(topology: FiniteTopology, a: PointSet) -> PointSet:
     return PointSet(topology.universe_size, bits)
 
 
-def is_regular_closed(topology: FiniteTopology, a: PointSet) -> bool:
-    return closure(topology, interior(topology, a)) == a
-
-
-def is_regular_open(topology: FiniteTopology, a: PointSet) -> bool:
-    return interior(topology, closure(topology, a)) == a
-
-
 @dataclass(frozen=True)
 class RegularClosedAlgebra:
     """The Boolean algebra of regular closed sets of a finite space, stored
@@ -382,12 +372,6 @@ def rc_contact(alg: RegularClosedAlgebra, a: PointSet, b: PointSet) -> bool:
     return not a.isdisjoint(b)
 
 
-def rc_covering(alg: RegularClosedAlgebra, a: PointSet, b: PointSet, d: PointSet) -> bool:
-    """Covering: the (plain) intersection of a and b is included in d."""
-    alg._require(a, b, d)
-    return (a & b).issubset(d)
-
-
 def glued_components(mask: int, blocks: Iterable[int]) -> list[int]:
     """The points of ``mask`` split into components, where two points are
     joined when some block inside ``mask`` holds both; blocks reaching
@@ -414,104 +398,6 @@ def rc_internally_connected(alg: RegularClosedAlgebra, a: PointSet) -> bool:
     alg._require(a)
     inner = interior(alg.topology, a).bits
     return len(glued_components(inner, alg.topology._neighbourhood_points)) <= 1
-
-
-@dataclass(frozen=True)
-class RegularOpenAlgebra:
-    """The mirror algebra of regular open sets (Int(Cl(A)) = A).
-
-    Zero is the empty set, complement of A is Int(X minus A), join is
-    Int(Cl(A union B)), meet is plain intersection, and contact holds when
-    the closures intersect.
-    """
-
-    topology: FiniteTopology
-    carrier: tuple[PointSet, ...]
-
-    def __post_init__(self) -> None:
-        bits = [c.bits for c in self.carrier]
-        if bits != sorted(set(bits)):
-            raise ValueError("carrier must be distinct and sorted by bit pattern")
-        family = set(bits)
-        for x in self.carrier:
-            if not is_regular_open(self.topology, x):
-                raise ValueError(f"{x} is not regular open")
-            if self.star(x).bits not in family:
-                raise ValueError("carrier not closed under complement")
-            for y in self.carrier:
-                if self.join(x, y).bits not in family or (x.bits & y.bits) not in family:
-                    raise ValueError("carrier not closed under join/meet")
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {c.bits: i for i, c in enumerate(self.carrier)}
-
-    def contains(self, a: PointSet) -> bool:
-        return a.universe_size == self.topology.universe_size and a.bits in self._index
-
-    def star(self, a: PointSet) -> PointSet:
-        return interior(self.topology, a.complement())
-
-    def join(self, a: PointSet, b: PointSet) -> PointSet:
-        return interior(self.topology, closure(self.topology, a | b))
-
-    def meet(self, a: PointSet, b: PointSet) -> PointSet:
-        return a & b
-
-    def contact(self, a: PointSet, b: PointSet) -> bool:
-        return not closure(self.topology, a).isdisjoint(closure(self.topology, b))
-
-
-def ro_algebra(topology: FiniteTopology) -> RegularOpenAlgebra:
-    """The regular open algebra, with carrier {Int(F) : F closed}, taken as
-    the interiors of the regular closed sets: for closed F, Int(F) =
-    Int(Cl(Int(F))), and Cl(Int(F)) is regular closed.  So the open family
-    is never listed."""
-    carrier_bits = sorted({interior(topology, a).bits for a in rc_algebra(topology).carrier})
-    carrier = tuple(PointSet(topology.universe_size, b) for b in carrier_bits)
-    return RegularOpenAlgebra(topology, carrier)
-
-
-@dataclass(frozen=True)
-class IsomorphismCheck:
-    """Result of checking that A -> Int(A) maps the regular closed algebra
-    isomorphically onto the regular open algebra (inverse B -> Cl(B))."""
-
-    ok: bool
-    mapping: tuple[tuple[PointSet, PointSet], ...]
-    failures: tuple[str, ...]
-
-
-def rc_ro_isomorphism_check(topology: FiniteTopology) -> IsomorphismCheck:
-    rc = rc_algebra(topology)
-    ro = ro_algebra(topology)
-    failures: list[str] = []
-    image = {a: interior(topology, a) for a in rc.carrier}
-    if sorted(b.bits for b in image.values()) != [c.bits for c in ro.carrier]:
-        failures.append("not a bijection onto the regular open carrier")
-    for a in rc.carrier:
-        if closure(topology, image[a]) != a:
-            failures.append(f"Cl(Int(.)) does not invert the map at {a.points()}")
-            break
-    if image[rc.zero] != PointSet.empty(topology.universe_size):
-        failures.append("zero not preserved")
-    for a in rc.carrier:
-        if image[rc.star(a)] != ro.star(image[a]):
-            failures.append(f"complement not preserved at {a.points()}")
-            break
-    for a in rc.carrier:
-        for b in rc.carrier:
-            if image[rc.join(a, b)] != ro.join(image[a], image[b]):
-                failures.append(f"join not preserved at {a.points()}, {b.points()}")
-                break
-            if rc_contact(rc, a, b) != ro.contact(image[a], image[b]):
-                failures.append(f"contact not preserved at {a.points()}, {b.points()}")
-                break
-        else:
-            continue
-        break
-    mapping = tuple((a, image[a]) for a in rc.carrier)
-    return IsomorphismCheck(not failures, mapping, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +452,3 @@ def labeled_topology_from_document(doc: object) -> LabeledTopology:
     topo = generate_topology(len(labels), sets)
     return LabeledTopology(labels, tuple(sets), topo)
 
-
-def topology_document(labeled: LabeledTopology) -> dict:
-    return {
-        "universe": list(labeled.labels),
-        "subbasis": [labeled.labels_of(s) for s in labeled.subbasis],
-    }

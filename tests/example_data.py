@@ -1,5 +1,7 @@
 """Golden data for the built-in two-space demonstration, frozen from a hand
-computation and re-derivable through the oracles.
+computation and re-derivable through the oracles; the writers of the
+covering and topology documents the tests feed to the command line; and
+seeded weak covering tables generated from atom slices.
 
 Point encoding: label list order gives the bit index, so in the seven-point
 space the label "1" is bit 0, ..., "7" is bit 6; in the six-point companion
@@ -8,7 +10,11 @@ space "2" is bit 0, ..., "7" is bit 5.
 
 from __future__ import annotations
 
-from mereotop import PointSet, generate_topology
+import random
+
+import numpy as np
+
+from mereotop import CoveringRelation, FiniteBooleanAlgebra, PointSet, covering_from_slices, generate_topology
 
 X_DOC = {
     "universe": ["1", "2", "3", "4", "5", "6", "7"],
@@ -39,6 +45,22 @@ XP_REGION_MASK = 31  # {2,3,4,5,6}: not internally connected
 WORLD_COUNT = 12  # both equivalence-frame constructions over the 7-point space
 
 
+def covering_document(covering) -> dict:
+    """The {"atoms": k, "covering": [[a, b, d], ...]} document of a covering."""
+    return {
+        "atoms": covering.algebra.atom_count,
+        "covering": [list(t) for t in covering.true_triples()],
+    }
+
+
+def topology_document(labeled) -> dict:
+    """The {"universe", "subbasis"} document of a labelled topology."""
+    return {
+        "universe": list(labeled.labels),
+        "subbasis": [labeled.labels_of(s) for s in labeled.subbasis],
+    }
+
+
 def build(n: int, masks) -> "FiniteTopology":
     return generate_topology(n, [PointSet(n, m) for m in masks])
 
@@ -49,3 +71,22 @@ def example_topology():
 
 def example_topology_prime():
     return build(XP_N, XP_SUBBASIS_MASKS)
+
+
+def slice_generated_covering(k: int, flips: int, rng: random.Random) -> CoveringRelation:
+    """The table generated by random atom slices R_f, each the union of its
+    own random pairs and those of every f' inside f: (a, b) |- f iff
+    R_f(p, q) for all atoms p in a and q in b.  It satisfies the weak
+    axioms and, unless the slices happen to be those of a space, fails the
+    full ones; ``flips`` seeded flips then break it further."""
+    n = 1 << k
+    own = [{(p, q) for p in range(k) for q in range(k) if rng.random() < 0.3} for _ in range(n)]
+    slices = np.zeros((n, k, k), dtype=bool)
+    for f in range(n):
+        for p, q in set().union(*(own[g] for g in range(n) if g & ~f == 0)):
+            slices[f, p, q] = True
+    table = covering_from_slices(k, slices).table.copy()
+    for _ in range(flips):
+        a, b, d = (rng.randrange(n) for _ in range(3))
+        table[a, b, d] = not table[a, b, d]
+    return CoveringRelation(FiniteBooleanAlgebra(k), table)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from example_data import X_REGION_MASK, build, example_topology
+from example_data import X_REGION_MASK, build, covering_document, example_topology, slice_generated_covering
 from mereotop import (
     AxiomViolation,
     CapExceeded,
@@ -25,15 +26,12 @@ from mereotop import (
     FilterOrIdeal,
     FiniteBooleanAlgebra,
     PointSet,
-    all_filters,
     atom_slices,
     check_ca,
     check_eca,
-    check_filter_separation_equivalence,
     check_relative_contact_laws,
     check_weca,
     check_weca_consequences,
-    covering_document,
     covering_from_document,
     covering_from_json,
     covering_from_signatures,
@@ -43,14 +41,10 @@ from mereotop import (
     eca_from_rc,
     generate_topology,
     internally_connected_algebraic,
-    left_set,
     maximal_filters,
     principal_filter,
     rc_algebra,
-    rc_covering,
     rc_internally_connected,
-    relative_contact,
-    right_set,
     signatures,
 )
 from mereotop import algebra as algebra_module
@@ -64,6 +58,7 @@ from mereotop.algebra import (
     verified_eca,
     verified_weca,
 )
+from paper_claims import check_filter_separation_equivalence, left_set, relative_contact, right_set
 
 
 def random_covering(atom_count: int, rng: random.Random, density: float = 0.5):
@@ -286,25 +281,6 @@ def sublattice_covering(k: int, rng: random.Random) -> CoveringRelation:
         in_a = (p & ~e == 0) & (e & ~q == 0)
         in_b = (r & ~e == 0) & (e & ~s == 0)
         table[:, :, f] = in_a[:, None] & in_b[None, :]
-    return CoveringRelation(FiniteBooleanAlgebra(k), table)
-
-
-def slice_generated_covering(k: int, flips: int, rng: random.Random) -> CoveringRelation:
-    """The table generated by random atom slices R_f, each the union of its
-    own random pairs and those of every f' inside f: (a, b) |- f iff
-    R_f(p, q) for all atoms p in a and q in b.  It satisfies the weak
-    axioms and, unless the slices happen to be those of a space, fails the
-    full ones; ``flips`` seeded flips then break it further."""
-    n = 1 << k
-    own = [{(p, q) for p in range(k) for q in range(k) if rng.random() < 0.3} for _ in range(n)]
-    slices = np.zeros((n, k, k), dtype=bool)
-    for f in range(n):
-        for p, q in set().union(*(own[g] for g in range(n) if g & ~f == 0)):
-            slices[f, p, q] = True
-    table = covering_from_slices(k, slices).table.copy()
-    for _ in range(flips):
-        a, b, d = (rng.randrange(n) for _ in range(3))
-        table[a, b, d] = not table[a, b, d]
     return CoveringRelation(FiniteBooleanAlgebra(k), table)
 
 
@@ -538,6 +514,30 @@ class TestConsequencesOnFailingTables:
         assert report.as_dict() == {**expected, "CONS5": (63, 63, 1, 0), "CONS6": (63, 63, 1, 0)}
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_shrink_witnesses_match_oracle(self, k):
+        # the discrete table with the full pair covered by zero: CONS5 and
+        # CONS6 fail at the last (a, b) only
+        n = 1 << k
+        table = discrete_covering(k).table.copy()
+        table[n - 1, n - 1, 0] = True
+        report = check_weca_consequences(CoveringRelation(FiniteBooleanAlgebra(k), table), cap_elements=n)
+        assert report.as_dict() == oracles.naive_weca_consequences(n, table.tolist())
+
+    def test_shrink_search_runs_on_the_failing_pair_only(self):
+        # a search over every (a, b) row before the failing one takes about
+        # 0.2 s per side at k = 6; the fold leaves one row to search
+        table = discrete_covering(6).table.copy()
+        table[63, 63, 0] = True
+        cov = CoveringRelation(FiniteBooleanAlgebra(6), table)
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            report = check_weca_consequences(cov, cap_elements=64)
+            times.append(time.perf_counter() - started)
+        assert report.as_dict()["CONS5"] == report.as_dict()["CONS6"] == (63, 63, 1, 0)
+        assert min(times) < 0.2
+
 
 # ---------------------------------------------------------------------------
 # the generators: signatures S* and atom slices R_f
@@ -661,12 +661,8 @@ def assert_matches_pointwise(algebra):
         assert teca.mask_of(teca.element_sets[a]) == a
         for b in range(n):
             for d in range(n):
-                assert teca.covering.holds(a, b, d) == rc_covering(
-                    algebra,
-                    teca.element_sets[a],
-                    teca.element_sets[b],
-                    teca.element_sets[d],
-                )
+                meet = teca.element_sets[a] & teca.element_sets[b]
+                assert teca.covering.holds(a, b, d) == meet.issubset(teca.element_sets[d])
 
 
 class TestEcaFromRc:
@@ -743,6 +739,10 @@ class TestInternallyConnectedAlgebraic:
 # filters and ideals
 
 
+def every_filter(algebra):
+    return [FilterOrIdeal(algebra, m, "filter") for m in oracles.all_filters(algebra.size)]
+
+
 class TestFiltersAndIdeals:
     def test_constructor_validates(self):
         algebra = FiniteBooleanAlgebra(2)
@@ -793,14 +793,10 @@ class TestFiltersAndIdeals:
                 assert accepted == oracle(algebra.size, members), (kind, sorted(members))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_all_filters_match_oracle(self, k):
+    def test_every_filter_is_principal(self, k):
         algebra = FiniteBooleanAlgebra(k)
-        ours = {f.members for f in all_filters(algebra)}
-        assert ours == set(oracles.all_filters(algebra.size))
-        for f in all_filters(algebra):
+        for f in every_filter(algebra):
             assert f.members == principal_filter(algebra, f.generator).members
-        # the improper filter (generated by 0) is included
-        assert frozenset(range(algebra.size)) in ours
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_maximal_filters(self, k):
@@ -815,7 +811,7 @@ class TestFiltersAndIdeals:
     def test_left_right_sets_are_ideals(self):
         cov = discrete_covering(3)
         algebra = cov.algebra
-        for f in all_filters(algebra):
+        for f in every_filter(algebra):
             for d in range(algebra.size):
                 left = left_set(cov, f, d)
                 right = right_set(cov, f, d)
@@ -847,7 +843,7 @@ class TestFiltersAndIdeals:
         for k in (1, 2):
             cov = discrete_covering(k)
             algebra = cov.algebra
-            filters = all_filters(algebra)
+            filters = every_filter(algebra)
             for u in filters:
                 for v in filters:
                     for d in range(algebra.size):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -13,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from example_data import X_DOC, X_OPEN_COUNT, XP_DOC
+from example_data import X_DOC, X_OPEN_COUNT, XP_DOC, covering_document, slice_generated_covering
 from mereotop import (
     FiniteTopology,
-    covering_document,
     eca_from_rc,
     labeled_topology_from_document,
     rc_algebra,
@@ -539,6 +539,21 @@ class TestRepresentCommand:
         )
         assert code == 0
         assert doc["mode"] == "exhaustive" and doc["frame"]["worlds"] == k
+        assert len(doc["checks"]) == 5 and all(c["pass"] for c in doc["checks"])
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_parametrized_on_weak_tables(self, k, seed, tmp_path, capsys):
+        # a weak algebra that fails the full axioms: its frame is read off
+        # its atom slices
+        covering = slice_generated_covering(k, 0, random.Random(f"{k}:{seed}"))
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps(covering_document(covering)))
+        code, doc = run_json(
+            capsys, ["represent", "--kind", "parametrized", "--input", str(path), "--json"]
+        )
+        assert code == 0
+        assert doc["frame"]["worlds"] == k
         assert len(doc["checks"]) == 5 and all(c["pass"] for c in doc["checks"])
 
     def test_type_pipelines_reject_covering(self, discrete_file, capsys):

@@ -19,14 +19,10 @@ from mereotop import (
     ParametrizedFrame,
     check_eca,
     check_weca,
-    frame1_covering,
-    frame2_covering,
     frame2_internally_connected,
-    gv_contact,
     powerset_eca,
-    r1r2_class,
 )
-from mereotop.frames import _reach, covering_entries, covering_table
+from mereotop.frames import _reach, covering_table
 
 
 def random_relation_tables(world_count: int, rng: random.Random) -> np.ndarray:
@@ -72,13 +68,11 @@ def oracle_reach(frame: ParametrizedFrame) -> np.ndarray:
 
 
 def assert_covering_matches_oracle(frame: ParametrizedFrame) -> None:
-    """covering_table and covering_entries over every subset triple equal
-    the literal superset quantifier of tests/oracles.py."""
+    """covering_table over every subset triple equals the literal superset
+    quantifier of tests/oracles.py."""
     w = frame.world_count
     n = 1 << w
     table = covering_table(frame, range(n))
-    a, b, d = np.indices((n, n, n)).reshape(3, -1)
-    assert np.array_equal(covering_entries(frame, range(n), a, b, d), table[a, b, d])
     for a in range(n):
         for b in range(n):
             for d in range(n):
@@ -180,8 +174,7 @@ class TestEquivalenceFrames:
         # three worlds; first partition {0,1}|{2}, second {0}|{1,2}:
         # the composite class of world 2 reaches every world
         frame = EquivalenceFrame2(3, (0, 0, 1), (1, 0, 0))
-        assert r1r2_class(frame, 2) == 0b111
-        assert r1r2_class(frame, 0) == 0b011
+        assert frame.distinct_composite_masks == (0b011, 0b111)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_r1r2_matches_oracle(self, seed):
@@ -189,34 +182,30 @@ class TestEquivalenceFrames:
         w = rng.randint(1, 6)
         c1, c2 = random_classes(w, rng), random_classes(w, rng)
         frame = EquivalenceFrame2(w, c1, c2)
-        for s in range(w):
-            assert r1r2_class(frame, s) == oracles.naive_r1r2(c1, c2, s)
+        expected = {oracles.naive_r1r2(c1, c2, s) for s in range(w)}
+        assert set(frame.distinct_composite_masks) == expected
 
     @pytest.mark.parametrize("seed", range(10))
     def test_frame1_covering_matches_oracle(self, seed):
         rng = random.Random(seed)
         w = rng.randint(1, 5)
         classes = random_classes(w, rng)
-        frame = EquivalenceFrame1(w, classes)
+        table = covering_table(EquivalenceFrame1(w, classes), range(1 << w))
         for a in range(1 << w):
             for b in range(1 << w):
                 for d in range(1 << w):
-                    assert frame1_covering(frame, a, b, d) == (
-                        oracles.naive_frame1_covering(classes, a, b, d)
-                    )
+                    assert table[a, b, d] == oracles.naive_frame1_covering(classes, a, b, d)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_frame2_covering_matches_oracle(self, seed):
         rng = random.Random(seed)
         w = rng.randint(1, 5)
         c1, c2 = random_classes(w, rng), random_classes(w, rng)
-        frame = EquivalenceFrame2(w, c1, c2)
+        table = covering_table(EquivalenceFrame2(w, c1, c2), range(1 << w))
         for a in range(1 << w):
             for b in range(1 << w):
                 for d in range(1 << w):
-                    assert frame2_covering(frame, a, b, d) == (
-                        oracles.naive_frame2_covering(c1, c2, a, b, d)
-                    )
+                    assert table[a, b, d] == oracles.naive_frame2_covering(c1, c2, a, b, d)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_frame2_connectedness_matches_split_enumeration(self, seed):
@@ -235,12 +224,8 @@ class TestEquivalenceFrames:
             classes = random_classes(w, rng)
             f1 = EquivalenceFrame1(w, classes)
             f2 = EquivalenceFrame2(w, classes, tuple(range(w)))
-            for a in range(1 << w):
-                for b in range(1 << w):
-                    for d in range(1 << w):
-                        assert frame1_covering(f1, a, b, d) == frame2_covering(
-                            f2, a, b, d
-                        )
+            masks = range(1 << w)
+            assert np.array_equal(covering_table(f1, masks), covering_table(f2, masks))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -252,41 +237,6 @@ class TestEquivalenceFrames:
 
 
 # ---------------------------------------------------------------------------
-# point-relation contact
-
-
-class TestGvContact:
-    def test_identity_relation_is_overlap(self):
-        eye = np.eye(4, dtype=bool)
-        for a in range(16):
-            for b in range(16):
-                assert gv_contact(4, eye, a, b) == (a & b != 0)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_oracle(self, seed):
-        rng = random.Random(seed)
-        w = rng.randint(1, 5)
-        rel = np.zeros((w, w), dtype=bool)
-        for s in range(w):
-            rel[s, s] = True
-            for t in range(s):
-                rel[s, t] = rel[t, s] = rng.random() < 0.5
-        for a in range(1 << w):
-            for b in range(1 << w):
-                assert gv_contact(w, rel, a, b) == oracles.naive_gv_contact(
-                    rel.tolist(), a, b
-                )
-
-    def test_rejects_non_reflexive_or_asymmetric(self):
-        with pytest.raises(ValueError):
-            gv_contact(2, np.zeros((2, 2), dtype=bool), 1, 1)
-        rel = np.eye(2, dtype=bool)
-        rel[0, 1] = True
-        with pytest.raises(ValueError):
-            gv_contact(2, rel, 1, 1)
-
-
-# ---------------------------------------------------------------------------
 # powerset algebras of frames
 
 
@@ -295,28 +245,28 @@ class TestPowersetEca:
     def test_frame1_table_matches_covering(self, seed):
         rng = random.Random(seed)
         w = rng.randint(1, 4)
-        frame = EquivalenceFrame1(w, random_classes(w, rng))
-        fa = powerset_eca(frame, verify=False)
+        classes = random_classes(w, rng)
+        fa = powerset_eca(EquivalenceFrame1(w, classes), verify=False)
         assert fa.eca.strength == "ECA"
         cov = fa.covering
         for a in range(1 << w):
             for b in range(1 << w):
                 for d in range(1 << w):
-                    assert cov.holds(a, b, d) == frame1_covering(frame, a, b, d)
+                    assert cov.holds(a, b, d) == oracles.naive_frame1_covering(classes, a, b, d)
         assert check_eca(cov, cap_elements=1 << w).all_passed
 
     @pytest.mark.parametrize("seed", range(6))
     def test_frame2_table_matches_covering(self, seed):
         rng = random.Random(seed)
         w = rng.randint(1, 4)
-        frame = EquivalenceFrame2(w, random_classes(w, rng), random_classes(w, rng))
-        fa = powerset_eca(frame, verify=False)
+        c1, c2 = random_classes(w, rng), random_classes(w, rng)
+        fa = powerset_eca(EquivalenceFrame2(w, c1, c2), verify=False)
         assert fa.eca.strength == "ECA"
         cov = fa.covering
         for a in range(1 << w):
             for b in range(1 << w):
                 for d in range(1 << w):
-                    assert cov.holds(a, b, d) == frame2_covering(frame, a, b, d)
+                    assert cov.holds(a, b, d) == oracles.naive_frame2_covering(c1, c2, a, b, d)
         assert check_eca(cov, cap_elements=1 << w).all_passed
 
     @pytest.mark.parametrize("seed", range(6))

@@ -1,14 +1,17 @@
 """Library invariants must be raised, not asserted: ``python -O`` strips
-``assert`` statements, and the checks must survive it."""
+``assert`` statements, and the checks must survive it.  The README's
+library quickstart must run against the library as it is."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "mereotop").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "mereotop").glob("*.py"))
 
 
 def test_sources_found():
@@ -20,3 +23,9 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} uses assert at lines {lines}"
+
+
+def test_readme_quickstart_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

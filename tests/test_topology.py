@@ -26,6 +26,7 @@ from example_data import (
     build,
     example_topology,
     example_topology_prime,
+    topology_document,
 )
 from mereotop import (
     DocumentError,
@@ -35,17 +36,12 @@ from mereotop import (
     closure,
     generate_topology,
     interior,
-    is_regular_closed,
-    is_regular_open,
     labeled_topology_from_document,
     rc_algebra,
     rc_contact,
-    rc_covering,
     rc_internally_connected,
-    rc_ro_isomorphism_check,
-    ro_algebra,
-    topology_document,
 )
+from paper_claims import is_regular_open, rc_ro_isomorphism_check, ro_algebra
 
 
 @st.composite
@@ -221,8 +217,10 @@ class TestInteriorClosure:
     def test_regular_flags_match_definitions(self, case, data):
         n, masks = case
         topo = build(n, masks)
+        opens = [o.bits for o in topo.opens]
         a = PointSet(n, data.draw(st.integers(0, (1 << n) - 1), label="a"))
-        assert is_regular_closed(topo, a) == (closure(topo, interior(topo, a)) == a)
+        regular_closed = closure(topo, interior(topo, a)) == a
+        assert regular_closed == (a.bits in oracles.brute_force_rc(n, opens))
         assert is_regular_open(topo, a) == (interior(topo, closure(topo, a)) == a)
 
 
@@ -341,13 +339,11 @@ class TestRegularClosedAlgebra:
         with pytest.raises(ValueError):
             rc_contact(algebra, not_member, algebra.one)
         with pytest.raises(ValueError):
-            rc_covering(algebra, algebra.one, algebra.one, not_member)
-        with pytest.raises(ValueError):
             rc_internally_connected(algebra, not_member)
 
 
 # ---------------------------------------------------------------------------
-# contact, covering, internal connectedness
+# contact and internal connectedness
 
 
 class TestContactCovering:
@@ -357,11 +353,6 @@ class TestContactCovering:
             for a in algebra.carrier:
                 for b in algebra.carrier:
                     assert rc_contact(algebra, a, b) == (not (a & b).is_empty)
-                    assert rc_contact(algebra, a, b) == (
-                        not rc_covering(algebra, a, b, algebra.zero)
-                    )
-                    for d in algebra.carrier:
-                        assert rc_covering(algebra, a, b, d) == (a & b).issubset(d)
 
     @given(space_masks(max_n=4))
     @settings(max_examples=100, deadline=None)
