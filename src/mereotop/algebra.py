@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from operator import and_, or_
-from typing import Callable, Iterable, Literal
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -127,29 +127,6 @@ class CoveringRelation:
         n = self.algebra.size
         object.__setattr__(self, "table", _frozen_table(self.table, (n, n, n)))
 
-    @classmethod
-    def from_predicate(
-        cls, algebra: FiniteBooleanAlgebra, predicate: Callable[[int, int, int], bool]
-    ) -> "CoveringRelation":
-        n = algebra.size
-        table = np.empty((n, n, n), dtype=bool)
-        for a in range(n):
-            for b in range(n):
-                for d in range(n):
-                    table[a, b, d] = bool(predicate(a, b, d))
-        return cls(algebra, table)
-
-    @classmethod
-    def from_true_triples(
-        cls, algebra: FiniteBooleanAlgebra, triples: Iterable[tuple[int, int, int]]
-    ) -> "CoveringRelation":
-        n = algebra.size
-        table = np.zeros((n, n, n), dtype=bool)
-        for a, b, d in triples:
-            algebra._require(a, b, d)
-            table[a, b, d] = True
-        return cls(algebra, table)
-
     def true_triples(self) -> list[tuple[int, int, int]]:
         return [tuple(int(x) for x in row) for row in np.argwhere(self.table)]
 
@@ -168,17 +145,6 @@ class ContactRelation:
     def __post_init__(self) -> None:
         n = self.algebra.size
         object.__setattr__(self, "table", _frozen_table(self.table, (n, n)))
-
-    @classmethod
-    def from_predicate(
-        cls, algebra: FiniteBooleanAlgebra, predicate: Callable[[int, int], bool]
-    ) -> "ContactRelation":
-        n = algebra.size
-        table = np.empty((n, n), dtype=bool)
-        for a in range(n):
-            for b in range(n):
-                table[a, b] = bool(predicate(a, b))
-        return cls(algebra, table)
 
     def holds(self, a: int, b: int) -> bool:
         self.algebra._require(a, b)
@@ -228,10 +194,6 @@ class AxiomReport:
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(r for r in self.results if not r.passed)
-
-    def as_dict(self) -> dict[str, tuple | None]:
-        """Name -> witness (None when the check passed)."""
-        return {r.name: r.witness for r in self.results}
 
 
 class AxiomViolation(ValueError):
@@ -1129,9 +1091,6 @@ class TopologicalEca:
     @property
     def element_sets(self) -> tuple[PointSet, ...]:
         return self.source.element_sets
-
-    def mask_of(self, a: PointSet) -> int:
-        return self.source.atom_mask(a)
 
 
 def eca_from_rc(

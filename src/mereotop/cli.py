@@ -203,31 +203,41 @@ def _input_covering(config: RunConfig, frame_error: str) -> tuple[CoveringRelati
     raise DocumentError(frame_error)
 
 
-def _json_text(value: object, indent: str) -> str:
+def _json_text(value: object, indent: str, memo: dict | None = None) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for a value nested at
     ``indent``.  With ``indent`` set the stdlib runs its pure-Python encoder;
     here a list of exact ``str`` or exact ``int`` is written by one join, and
-    a scalar the stdlib writes in a fixed form is written in that form."""
+    a scalar the stdlib writes in a fixed form is written in that form.  A
+    list object met again at the same indent, such as the label list a
+    verification report shares among an atom's worlds, is written once:
+    ``memo`` maps (id, indent) to its text for one top-level call, while
+    the document holds every list alive."""
     if type(value) is str:
         return _quote(value)
+    if memo is None:
+        memo = {}
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = indent + "  "
-        body = [_quote(key) + ": " + _json_text(item, inner) for key, item in sorted(value.items())]
+        body = [_quote(key) + ": " + _json_text(item, inner, memo) for key, item in sorted(value.items())]
         return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        inner = indent + "  "
-        kinds = set(map(type, value))
-        if kinds == {str}:
-            body = map(_quote, value)
-        elif kinds == {int}:
-            body = map(int.__repr__, value)
-        else:
-            body = [_json_text(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
+        key = (id(value), indent)
+        text = memo.get(key)
+        if text is None:
+            inner = indent + "  "
+            kinds = set(map(type, value))
+            if kinds == {str}:
+                body = map(_quote, value)
+            elif kinds == {int}:
+                body = map(int.__repr__, value)
+            else:
+                body = [_json_text(item, inner, memo) for item in value]
+            text = memo[key] = "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
+        return text
     if value is None:
         return "null"
     if value is True:

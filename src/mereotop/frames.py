@@ -33,7 +33,7 @@ from .algebra import (
     verified_eca,
     verified_weca,
 )
-from .topology import CapExceeded, glued_components
+from .topology import CapExceeded, bit_matrix, glued_components
 
 DEFAULT_POWERSET_CAP = 5
 
@@ -45,7 +45,13 @@ def _require_masks(world_count: int, *masks: int) -> None:
 
 
 def _mask_indices(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The positions of the set bits of ``mask``, lowest first."""
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,18 +116,8 @@ class EquivalenceFrame1:
             raise ValueError("need exactly one class id per world")
 
     @cached_property
-    def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return _partition_masks(self.classes)
-
-    def r_class(self, s: int) -> int:
-        """Mask of the class of world s."""
-        if not 0 <= s < self.world_count:
-            raise ValueError(f"no world {s}")
-        return self._masks[0][s]
-
-    @property
     def distinct_class_masks(self) -> tuple[int, ...]:
-        return self._masks[1]
+        return _partition_masks(self.classes)[1]
 
 
 @dataclass(frozen=True)
@@ -141,9 +137,10 @@ class EquivalenceFrame2:
             raise ValueError("need exactly one class id per world in each partition")
 
     @cached_property
-    def _composite(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def distinct_composite_masks(self) -> tuple[int, ...]:
+        """The distinct composite classes R1(R2(s)), in order of first world."""
         masks1, _ = _partition_masks(self.classes1)
-        _, distinct2 = _partition_masks(self.classes2)
+        masks2, distinct2 = _partition_masks(self.classes2)
         by_class2: dict[int, int] = {}
         for c2 in distinct2:
             union = 0
@@ -152,13 +149,7 @@ class EquivalenceFrame2:
             if c2 & ~union:
                 raise AssertionError("composite class lost a world of its own class")
             by_class2[c2] = union
-        masks2, _ = _partition_masks(self.classes2)
-        per_world = tuple(by_class2[masks2[s]] for s in range(self.world_count))
-        return per_world, tuple(dict.fromkeys(per_world))
-
-    @property
-    def distinct_composite_masks(self) -> tuple[int, ...]:
-        return self._composite[1]
+        return tuple(dict.fromkeys(by_class2[c2] for c2 in masks2))
 
 
 def frame2_internally_connected(frame: EquivalenceFrame2, s_mask: int) -> bool:
@@ -183,13 +174,9 @@ _TABLE_CHUNK_ELEMENTS = 1 << 20  # float32 entries per chunk of rows: about 4 Mi
 
 
 def _membership(world_count: int, masks: Sequence[int]) -> np.ndarray:
-    """Row i holds the worlds of masks[i] as booleans.  Masks go through
-    bytes, never a fixed-width integer, so any world count fits."""
+    """Row i holds the worlds of masks[i] as booleans."""
     _require_masks(world_count, *masks)
-    width = (world_count + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, bitorder="little")
-    return bits[:, :world_count].astype(bool)
+    return bit_matrix(world_count, masks).astype(bool)
 
 
 def _class_masks(frame: EquivalenceFrame1 | EquivalenceFrame2) -> tuple[int, ...]:

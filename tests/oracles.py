@@ -42,6 +42,39 @@ def least_topology(n: int, subbasis_masks) -> set[int]:
     return opens
 
 
+def minimal_neighbourhoods(n: int, subbasis_masks) -> list[int]:
+    """U_x for each point x of the least topology: the intersection of the
+    members that hold x, or the whole universe when none does."""
+    full = (1 << n) - 1
+    out = []
+    for x in range(n):
+        u = full
+        for s in subbasis_masks:
+            if s >> x & 1:
+                u &= s
+        out.append(u)
+    return out
+
+
+def neighbourhood_fault(neighbourhoods) -> str | None:
+    """The message of the first fault that keeps a tuple of masks (U_x for
+    point x) from being the minimal neighbourhoods of a topology, or None
+    when it is.  The distinct U_x are visited in order of first appearance;
+    each must hold its own points, and every U_y of a point y inside it."""
+    points: dict[int, int] = {}
+    for x, u in enumerate(neighbourhoods):
+        points[u] = points.get(u, 0) | 1 << x
+    for u, own in points.items():
+        if own & ~u:
+            x = (own & ~u).bit_length() - 1
+            return f"point {x} is not in its own neighbourhood U_{x}"
+        for v, inside in points.items():
+            if inside & u and v & ~u:
+                y = (inside & u).bit_length() - 1
+                return f"point {y} is in a neighbourhood without U_{y} inside it"
+    return None
+
+
 def is_topology_family(n: int, family) -> bool:
     full = (1 << n) - 1
     fam = set(family)

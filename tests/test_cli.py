@@ -702,6 +702,27 @@ class TestCanonicalJson:
         doc = {"top": value, "nested": [{"again": value}, [value]]}
         assert cli_module._json_text(doc, "") == stdlib_text(doc)
 
+    @given(st.lists(JSON_TEXT, min_size=1, max_size=4) | st.lists(JSON_VALUES, min_size=1, max_size=3))
+    def test_one_list_at_two_depths_under_two_keys(self, shared):
+        # the shape of a verification report, whose worlds share their atom's label list
+        doc = {
+            "a": shared,
+            "b": shared,
+            "nested": [{"a": shared, "c": shared}, [shared, shared]],
+            "worlds": [{"atom": shared, "point": str(p)} for p in range(3)],
+        }
+        assert cli_module._json_text(doc, "") == stdlib_text(doc)
+
+    def test_shared_list_mutated_between_reports(self, capsys):
+        labels = ["a", "b"]
+        doc = {"worlds": [{"atom": labels}, {"atom": labels}]}
+        cli_module._emit_json(doc)
+        before = stdlib_text(doc)
+        labels.append("c")
+        cli_module._emit_json(doc)
+        assert capsys.readouterr().out == before + "\n" + stdlib_text(doc) + "\n"
+        assert '"c"' in stdlib_text(doc) and '"c"' not in before
+
     @pytest.mark.parametrize(
         "value",
         [{}, [], (), [[]], [{}], {"": {}}, [True, False], [True, 1, 0, False], [1, -2, 10**30], ["", "a"]],

@@ -164,11 +164,9 @@ class TestParametrizedFrame:
 
 
 class TestEquivalenceFrames:
-    def test_r_class(self):
-        frame = EquivalenceFrame1(4, (0, 0, 1, 1))
-        assert frame.r_class(0) == 0b0011
-        assert frame.r_class(2) == 0b1100
-        assert frame.distinct_class_masks == (0b0011, 0b1100)
+    def test_class_masks(self):
+        assert EquivalenceFrame1(4, (0, 0, 1, 1)).distinct_class_masks == (0b0011, 0b1100)
+        assert EquivalenceFrame1(4, (7, 3, 7, 3)).distinct_class_masks == (0b0101, 0b1010)
 
     def test_r1r2_frozen_case(self):
         # three worlds; first partition {0,1}|{2}, second {0}|{1,2}:

@@ -415,7 +415,7 @@ class TestVerificationDocument:
             assert isinstance(detail["point"], str)
         emb_doc = doc["embedding"]
         assert set(emb_doc) == {str(m) for m in range(len(embedding.image_masks))}
-        region_mask = teca.mask_of(PointSet(7, X_REGION_MASK))
+        region_mask = teca.element_sets.index(PointSet(7, X_REGION_MASK))
         listed = emb_doc[str(region_mask)]
         assert listed == sorted(
             w for w in range(WORLD_COUNT)

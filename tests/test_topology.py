@@ -124,7 +124,7 @@ class TestGenerateTopology:
         topo = build(3, [0b011])
         assert topo.is_open(PointSet(3, 0b011))
         assert not topo.is_open(PointSet(3, 0b001))
-        assert topo.is_closed(PointSet(3, 0b100))
+        assert topo.is_open(PointSet(3, 0b100).complement())
 
     def test_rejects_wrong_universe_subbasis(self):
         with pytest.raises(ValueError):
@@ -157,6 +157,68 @@ class TestGenerateTopology:
     def test_constructor_rejects_non_neighbourhoods(self, n, masks, message):
         with pytest.raises(ValueError, match=message):
             FiniteTopology(n, tuple(PointSet(n, m) for m in masks))
+
+
+@st.composite
+def neighbourhood_tuples(draw):
+    """n masks over n points: a topology's U_x with up to two bits
+    flipped, or n masks drawn freely (almost never a topology)."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 8, 9, 17, 64, 65]))
+    if draw(st.booleans()):
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+        us = oracles.minimal_neighbourhoods(n, masks)
+        for _ in range(draw(st.integers(0, 2))):
+            us[draw(st.integers(0, n - 1))] ^= 1 << draw(st.integers(0, n - 1))
+    else:
+        us = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    return n, us
+
+
+class TestNeighbourhoodKernels:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
+    def test_neighbourhoods_are_literal_intersections(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        some = [rng.getrandbits(n) for _ in range(6)]
+        families = {
+            "empty subbasis": [],
+            "empty member": [0],
+            "empty and full members": [0, full, 0],
+            "duplicate members": some[:2] + some,
+            "chain": [(1 << i) - 1 for i in range(1, n + 1)],
+            "singletons": [1 << i for i in range(n)],
+            "sparse": [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)],
+        }
+        for name, masks in families.items():
+            topo = build(n, masks)
+            us = [u.bits for u in topo.neighbourhoods]
+            assert us == oracles.minimal_neighbourhoods(n, masks), name
+            # generate_topology skips the constructor's check, which must accept its output
+            assert oracles.neighbourhood_fault(us) is None, name
+            assert FiniteTopology(n, topo.neighbourhoods) == topo, name
+
+    @given(neighbourhood_tuples())
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_accepts_what_the_literal_check_accepts(self, case):
+        n, us = case
+        family = tuple(PointSet(n, u) for u in us)
+        fault = oracles.neighbourhood_fault(us)
+        if fault is None:
+            assert FiniteTopology(n, family).neighbourhoods == family
+        else:
+            with pytest.raises(ValueError) as raised:
+                FiniteTopology(n, family)
+            assert str(raised.value) == fault
+
+    @given(space_masks(max_n=9, max_subbasis=6))
+    @settings(max_examples=100)
+    def test_rc_atoms_are_closures_of_minimal_neighbourhoods(self, case):
+        n, masks = case
+        us = set(oracles.minimal_neighbourhoods(n, masks))
+        minimal = [u for u in us if not any(v != u and v & ~u == 0 for v in us)]
+        topo = build(n, masks)
+        atoms = sorted(closure(topo, PointSet(n, u)).bits for u in minimal)
+        assert [a.bits for a in rc_algebra(topo).atoms] == atoms
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +264,7 @@ class TestInteriorClosure:
         assert interior(topo, inner) == inner
         assert closure(topo, outer) == outer
         assert closure(topo, a) == ~interior(topo, ~a)
-        assert topo.is_open(inner) and topo.is_closed(outer)
+        assert topo.is_open(inner) and topo.is_open(outer.complement())
 
     @given(space_masks(max_n=10, max_subbasis=4), st.data())
     @settings(max_examples=60)
@@ -461,3 +523,27 @@ class TestDocuments:
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(DocumentError):
             labeled_topology_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "subbasis,label",
+        [
+            ([["a"], ["b", "zz", "yy"]], "'zz'"),
+            ([["a", 3, "zz"]], "3"),
+            ([["b"], ["a", ["a"], "zz"]], "['a']"),
+            ([["a", {"x": 1}]], "{'x': 1}"),
+            ([[None, "zz"]], "None"),
+            ([["a", True]], "True"),
+            ([["a", 1.5, []]], "1.5"),
+        ],
+        ids=["unknown", "number", "list", "object", "null", "bool", "float"],
+    )
+    def test_first_bad_label_is_reported(self, subbasis, label):
+        with pytest.raises(DocumentError) as raised:
+            labeled_topology_from_document({"universe": ["a", "b"], "subbasis": subbasis})
+        assert str(raised.value) == f"unknown point label {label} in subbasis"
+
+    def test_repeated_labels_in_a_member(self):
+        labeled = labeled_topology_from_document(
+            {"universe": ["a", "b", "c"], "subbasis": [["c", "a", "c"], [], ["b", "b"]]}
+        )
+        assert [s.bits for s in labeled.subbasis] == [0b101, 0, 0b010]
