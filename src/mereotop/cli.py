@@ -209,9 +209,11 @@ def _json_text(value: object, indent: str, memo: dict | None = None) -> str:
     here a list of exact ``str`` or exact ``int`` is written by one join, and
     a scalar the stdlib writes in a fixed form is written in that form.  A
     list object met again at the same indent, such as the label list a
-    verification report shares among an atom's worlds, is written once:
-    ``memo`` maps (id, indent) to its text for one top-level call, while
-    the document holds every list alive."""
+    verification report shares among an atom's worlds, is written at most
+    twice: ``memo`` maps (id, indent) to "" when a list is first met and
+    to its text when it is met again, for one top-level call, while the
+    document holds every list alive.  So only shared lists keep their
+    text until the call returns."""
     if type(value) is str:
         return _quote(value)
     if memo is None:
@@ -227,16 +229,18 @@ def _json_text(value: object, indent: str, memo: dict | None = None) -> str:
             return "[]"
         key = (id(value), indent)
         text = memo.get(key)
-        if text is None:
-            inner = indent + "  "
-            kinds = set(map(type, value))
-            if kinds == {str}:
-                body = map(_quote, value)
-            elif kinds == {int}:
-                body = map(int.__repr__, value)
-            else:
-                body = [_json_text(item, inner, memo) for item in value]
-            text = memo[key] = "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
+        if text:
+            return text
+        inner = indent + "  "
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            body = map(_quote, value)
+        elif kinds == {int}:
+            body = map(int.__repr__, value)
+        else:
+            body = [_json_text(item, inner, memo) for item in value]
+        text = "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
+        memo[key] = text if key in memo else ""
         return text
     if value is None:
         return "null"

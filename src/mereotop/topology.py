@@ -15,11 +15,12 @@ Reading a document of n points and m subbasis members costs one pass over
 its labels (each member's mask is one C-level reduction over a label map)
 and one float32 product of the m x n member matrix with its complement,
 which gives every U_x: O(m·n²) multiply-adds in BLAS and O(n + m)
-interpreter steps, where the direct loops took O(n·m + d²) steps for d
-distinct U_x.  U_x so built always form a preorder; a family handed to
-:class:`FiniteTopology` directly is checked by one more product over its
-distinct U_x, O(d·n²).  Each product is a handful of NumPy calls, so a
-small space pays a fixed cost of some microseconds.
+interpreter steps, where the direct loops and the preorder check took
+O(n·m + d²) steps for d distinct U_x.  U_x so built form a preorder by
+construction and are not checked again.  The product is taken in chunks of
+rows of about 4 MiB, so its memory is O(m·n) plus one chunk; it is a
+handful of NumPy calls, so a small space pays a fixed cost of some
+microseconds.
 """
 
 from __future__ import annotations
@@ -146,26 +147,6 @@ class FiniteTopology:
             raise ValueError(f"{len(self.neighbourhoods)} neighbourhoods for {n} points")
         if any(u.universe_size != n for u in self.neighbourhoods):
             raise ValueError("neighbourhood over the wrong universe")
-        if not self._is_preorder():
-            self._name_fault()
-
-    def _is_preorder(self) -> bool:
-        """x in U_x for every x, and y in U_x implies U_y inside U_x, in
-        one matrix product over the distinct U_x.  Row u of the product
-        counts, per point z, the y in u with z in U_y; with x in U_x its
-        support holds u, and it is u exactly when the U_y of the points of
-        u lie inside u, so the nonzero counts must sum to the sizes of u."""
-        nbhd = self._neighbourhood_points
-        if any(points & ~u for u, points in nbhd.items()):
-            return False
-        rows = bit_matrix(self.universe_size, [u.bits for u in self.neighbourhoods]).astype(np.float32)
-        lowest = [(points & -points).bit_length() - 1 for points in nbhd.values()]
-        reach = rows.take(lowest, axis=0).dot(rows)
-        return np.count_nonzero(reach) == sum(u.bit_count() for u in nbhd)
-
-    def _name_fault(self) -> None:
-        """Raise for the first U_x, in order of first appearance, that
-        misses its own point or holds a point y without holding U_y."""
         for u, points in self._neighbourhood_points.items():
             if points & ~u:
                 x = (points & ~u).bit_length() - 1
@@ -174,7 +155,6 @@ class FiniteTopology:
                 if inside & u and v & ~u:
                     y = (inside & u).bit_length() - 1
                     raise ValueError(f"point {y} is in a neighbourhood without U_{y} inside it")
-        raise AssertionError("the preorder check failed on a valid family")
 
     @classmethod
     def _of_intersections(cls, universe_size: int, neighbourhoods: tuple[PointSet, ...]) -> "FiniteTopology":
@@ -249,6 +229,9 @@ def bit_matrix(size: int, masks: Sequence[int]) -> np.ndarray:
     return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=size, bitorder="little")
 
 
+_PRODUCT_CHUNK_ELEMENTS = 1 << 20  # float32 entries per chunk of rows: about 4 MiB
+
+
 def generate_topology(universe_size: int, subbasis: Sequence[PointSet]) -> FiniteTopology:
     """Least topology on the universe containing every subbasis member.
 
@@ -266,8 +249,12 @@ def generate_topology(universe_size: int, subbasis: Sequence[PointSet]) -> Finit
         if s.universe_size != n:
             raise ValueError("subbasis member over the wrong universe")
     member = bit_matrix(n, [s.bits for s in subbasis]).astype(np.float32)
-    outside = member.T.dot(1 - member)
-    rows = np.packbits(np.logical_not(outside), axis=1, bitorder="little").tobytes()
+    holds, misses = member.T, 1 - member
+    step = max(1, _PRODUCT_CHUNK_ELEMENTS // n)
+    rows = b"".join(
+        np.packbits(holds[i : i + step].dot(misses) == 0, axis=1, bitorder="little").tobytes()
+        for i in range(0, n, step)
+    )
     width = (n + 7) // 8
     return FiniteTopology._of_intersections(
         n,
@@ -283,7 +270,11 @@ def interior(topology: FiniteTopology, a: PointSet) -> PointSet:
     union of the U_x inside A, since y in U_x makes U_y inside U_x."""
     if a.universe_size != topology.universe_size:
         raise ValueError("argument over the wrong universe")
-    return PointSet(topology.universe_size, _interior_bits(topology, a.bits))
+    bits = 0
+    for u in topology._neighbourhood_points:
+        if u & ~a.bits == 0:
+            bits |= u
+    return PointSet(topology.universe_size, bits)
 
 
 def closure(topology: FiniteTopology, a: PointSet) -> PointSet:
@@ -291,14 +282,6 @@ def closure(topology: FiniteTopology, a: PointSet) -> PointSet:
     if a.universe_size != topology.universe_size:
         raise ValueError("argument over the wrong universe")
     return PointSet(topology.universe_size, _closure_bits(topology, a.bits))
-
-
-def _interior_bits(topology: FiniteTopology, a: int) -> int:
-    bits = 0
-    for u in topology._neighbourhood_points:
-        if u & ~a == 0:
-            bits |= u
-    return bits
 
 
 def _closure_bits(topology: FiniteTopology, a: int) -> int:
@@ -342,14 +325,12 @@ class RegularClosedAlgebra:
             raise ValueError("atoms must be nonempty")
         inner = 0
         for atom in self.atoms:
-            if atom.universe_size != self.topology.universe_size:
-                raise ValueError("argument over the wrong universe")
-            core = _interior_bits(self.topology, atom.bits)
-            if _closure_bits(self.topology, core) != atom.bits:
+            core = interior(self.topology, atom)
+            if closure(self.topology, core) != atom:
                 raise ValueError(f"{atom} is not regular closed")
-            if core & inner:
+            if core.bits & inner:
                 raise ValueError("atom interiors overlap")
-            inner |= core
+            inner |= core.bits
         if reduce(or_, bits, 0) != self.topology.universe.bits:
             raise ValueError("atoms do not cover the universe")
 
@@ -457,7 +438,7 @@ def rc_internally_connected(alg: RegularClosedAlgebra, a: PointSet) -> bool:
     opens is vacuous for it).
     """
     alg._require(a)
-    inner = _interior_bits(alg.topology, a.bits)
+    inner = interior(alg.topology, a).bits
     return len(glued_components(inner, alg.topology._neighbourhood_points)) <= 1
 
 

@@ -715,13 +715,21 @@ class TestCanonicalJson:
 
     def test_shared_list_mutated_between_reports(self, capsys):
         labels = ["a", "b"]
-        doc = {"worlds": [{"atom": labels}, {"atom": labels}]}
+        doc = {"worlds": [{"atom": labels}, {"atom": labels}, {"atom": labels}]}
         cli_module._emit_json(doc)
         before = stdlib_text(doc)
         labels.append("c")
         cli_module._emit_json(doc)
         assert capsys.readouterr().out == before + "\n" + stdlib_text(doc) + "\n"
         assert '"c"' in stdlib_text(doc) and '"c"' not in before
+
+    def test_only_shared_lists_keep_their_text(self):
+        shared, alone = ["a", "b"], ["c"]
+        doc = {"worlds": [{"atom": shared, "own": alone}, {"atom": shared, "own": ["c"]}]}
+        memo: dict = {}
+        assert cli_module._json_text(doc, "", memo) == stdlib_text(doc)
+        kept = {key[0] for key, text in memo.items() if text}
+        assert kept == {id(shared)}
 
     @pytest.mark.parametrize(
         "value",

@@ -40,6 +40,7 @@ from mereotop import (
     rc_algebra,
     rc_contact,
     rc_internally_connected,
+    topology,
 )
 from paper_claims import is_regular_open, rc_ro_isomorphism_check, ro_algebra
 
@@ -196,6 +197,16 @@ class TestNeighbourhoodKernels:
             # generate_topology skips the constructor's check, which must accept its output
             assert oracles.neighbourhood_fault(us) is None, name
             assert FiniteTopology(n, topo.neighbourhoods) == topo, name
+
+    @pytest.mark.parametrize("chunk", [1, 200, 1000])
+    @pytest.mark.parametrize("n", [9, 65, 130])
+    def test_chunked_product_matches_literal_intersections(self, n, chunk, monkeypatch):
+        # a chunk smaller than a row gives one row per chunk; others leave a short last chunk
+        monkeypatch.setattr(topology, "_PRODUCT_CHUNK_ELEMENTS", chunk)
+        rng = random.Random(n + chunk)
+        masks = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(n // 2)]
+        us = [u.bits for u in build(n, masks).neighbourhoods]
+        assert us == oracles.minimal_neighbourhoods(n, masks)
 
     @given(neighbourhood_tuples())
     @settings(max_examples=300, deadline=None)
