@@ -260,6 +260,15 @@ def _tables(atom_count: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, n
     return n, e, and_t, or_t, le_t
 
 
+@lru_cache(maxsize=None)
+def _zero_and_atoms(atom_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``np.ix_`` index of the rows and columns of zero and the atoms
+    (read-only)."""
+    base = np.array([0] + [1 << i for i in range(atom_count)])
+    base.setflags(write=False)
+    return np.ix_(base, base)
+
+
 def _fold(
     table: np.ndarray, axis: int, bits: int, op: np.ufunc = np.bitwise_or, *, subsets: bool = False
 ) -> np.ndarray:
@@ -359,9 +368,13 @@ def covering_from_signatures(atom_count: int, family: Iterable[int]) -> Covering
     point of the model, and a point lies in the region a iff σ meets a."""
     algebra = FiniteBooleanAlgebra(atom_count)
     members = list(family)
-    algebra._require(*members)
+    index = np.array(members)
+    # a negative member wraps above every mask when read as unsigned
+    if index.dtype.kind != "i" or (members and index.astype(np.uint64).max() >= algebra.size):
+        algebra._require(*members)  # names the first bad member
+        index = members
     flags = np.zeros(algebra.size, dtype=bool)
-    flags[members] = True
+    flags[index] = True
     return CoveringRelation(algebra, _covering_of_signatures(flags, atom_count).transpose(1, 2, 0))
 
 
@@ -394,9 +407,9 @@ def _ca12_mismatch(c: np.ndarray, k: int) -> np.ndarray:
     """Where c (over axes 0 and 1) differs from the join-extension of its
     restriction to zero and the atoms: nowhere iff CA1 and CA2 hold.  The
     zero is needed, since the all-true relation passes both."""
-    base = np.array([0] + [1 << i for i in range(k)])
+    base = _zero_and_atoms(k)
     restricted = np.zeros_like(c)
-    restricted[np.ix_(base, base)] = c[np.ix_(base, base)]
+    restricted[base] = c[base]
     return _fold(_fold(restricted, 0, k, subsets=True), 1, k, subsets=True) != c
 
 
@@ -838,29 +851,22 @@ def check_relative_contact_laws(
 # internal connectedness, algebraically
 
 
-def internally_connected_algebraic(covering: CoveringRelation, a: int) -> bool:
-    """True iff no pair of nonzero parts b, d with b join d = a has (b, d)
-    covered by the complement of a.  Zero is internally connected: the
-    quantification over nonzero parts is vacuous for it."""
-    algebra = covering.algebra
-    algebra._require(a)
-    if a == 0:
-        return True
-    star = algebra.complement(a)
-    v = covering.table
-    b = a
-    while b:  # nonzero submasks of a
-        rest = a & ~b
-        extra = b
-        while True:  # d = rest | (submask of b), giving b | d == a
-            d = rest | extra
-            if d and v[b, d, star]:
-                return False
-            if extra == 0:
-                break
-            extra = (extra - 1) & b
-        b = (b - 1) & a
-    return True
+def internally_connected_algebraic(covering: CoveringRelation) -> tuple[bool, ...]:
+    """For every element a, whether no pair of nonzero parts b, d with
+    b join d = a has (b, d) covered by the complement of a.  Zero is
+    internally connected: the quantification over nonzero parts is vacuous
+    for it.
+
+    Every pair (b, d) of nonzero elements is such a pair for exactly one a,
+    namely b | d, so one gather reads v[b, d, ~(b | d)] for all pairs and
+    one scatter by b | d marks the elements some pair splits.
+    """
+    n, e, _, or_t, _ = _tables(covering.algebra.atom_count)
+    split = covering.table[e[:, None], e, n - 1 - or_t]
+    split[0] = split[:, 0] = False
+    disconnected = np.zeros(n, dtype=bool)
+    disconnected[or_t[split]] = True
+    return tuple((~disconnected).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ an extended contact algebra — weak for parametrized frames, full for the
 equivalence kinds — which :func:`powerset_eca` tabulates and verifies.
 :func:`covering_table` tabulates a frame's covering over any family of
 subsets (all of them for the powerset, the images of an embedding for its
-verification), and it is each frame's one covering evaluator.  For an
+verification); :func:`atom_covering_table` tabulates an equivalence
+frame's covering over the joins of k atom images from the images' atom
+signatures, for an embedding that preserves zero and join.  For an
 equivalence frame, (a, b) is covered by d iff a ∩ b ⊆ d and every class
 (composite class, for type 2) meeting both a and b also meets d.  For a
 parametrized frame it is the literal definition read through the superset
@@ -29,6 +31,7 @@ from .algebra import (
     CoveringRelation,
     ExtendedContactAlgebra,
     FiniteBooleanAlgebra,
+    _covering_of_signatures,
     _fold,
     verified_eca,
     verified_weca,
@@ -233,6 +236,41 @@ def covering_table(
         both = (g[lo : lo + step, None, :] * g[None, :, :]).reshape(-1, k)
         table[lo : lo + step] = (both @ missing).reshape(-1, n, n) == 0
     return table
+
+
+def atom_covering_table(
+    frame: EquivalenceFrame1 | EquivalenceFrame2, atom_images: Sequence[int]
+) -> np.ndarray:
+    """The equivalence frame's covering tabulated over the joins of k atom
+    images: entry [a, b, d] tells whether (A(a), A(b)) is covered by A(d),
+    with A(x) the union of atom_images[i] over the bits i of x.
+
+    A(x) meets a column subset c of :func:`_meets` (a world, or a class)
+    iff x meets σ_c = {i : atom_images[i] meets c}.  So the table is the
+    covering of the family {σ_c}, which the signature kernel of
+    :mod:`mereotop.algebra` folds in O(k·N³).  The σ of the worlds come from
+    splitting the worlds by each image in turn: a world's σ is the set of
+    images it lies in.  The table is a view in (a, b, d) order.
+    """
+    _require_masks(frame.world_count, *atom_images)
+    k = len(atom_images)
+    regions = {0: (1 << frame.world_count) - 1}  # σ -> the worlds with that σ
+    for i, image in enumerate(atom_images):
+        split: dict[int, int] = {}
+        for sigma, worlds in regions.items():
+            if worlds & image:
+                split[sigma | 1 << i] = worlds & image
+            if worlds & ~image:
+                split[sigma] = worlds & ~image
+        regions = split
+    family = list(regions)
+    family += [
+        sum(1 << i for i, image in enumerate(atom_images) if image & c)
+        for c in _class_masks(frame)
+    ]
+    flags = np.zeros(1 << k, dtype=bool)
+    flags[family] = True
+    return _covering_of_signatures(flags, k).transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,22 +10,25 @@ to an equivalence frame whose worlds are (atom, point) couples — one
 partition by point for type 1; partitions by atom and by point, read
 through the composite class, for type 2.  ``verify_embedding`` checks
 injectivity and preservation of zero, complement and join over all
-tuples, and covering over all triples by one comparison of the source's
-covering table with the frame's covering tabulated over the images;
+tuples, and covering over all triples, by closed forms: N distinct
+images, the images rebuilt from the images of zero and the atoms, and one
+comparison of the source's covering table with the frame's covering
+tabulated over the images, which for images that are unions of atom
+images is the covering of the atom sets that meet each world and class.
 ``verify_c_preservation`` adds the internal-connectedness biconditional
-for type 2.
+for type 2, with the algebraic side decided for every element at once.
+Only a failing verdict runs the literal loop that names its witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import (
     CheckResult,
     ExtendedContactAlgebra,
     TopologicalEca,
+    _first,
     atom_slices,
     checks_document,
     internally_connected_algebraic,
@@ -35,6 +38,7 @@ from .frames import (
     EquivalenceFrame1,
     EquivalenceFrame2,
     ParametrizedFrame,
+    atom_covering_table,
     covering_table,
     frame2_internally_connected,
 )
@@ -158,44 +162,63 @@ def verify_embedding(embedding: Embedding, *, pipeline: str) -> VerificationRepo
     """Check the five embedding facts: injectivity, and preservation of
     zero, complement, join, and covering (a biconditional, both ways).
 
-    Covering is checked by tabulating the frame's covering over the image
-    masks once (:func:`~mereotop.frames.covering_table`) and comparing that
-    table with the source's in one array operation; the witness is the
-    first mismatch in C order (``np.argwhere``), i.e. the lex-first
-    (a, b, d).  The other witnesses are the first violating tuples in
-    ascending element order.  The commands bound the source by their
-    element cap before building it, so the frame's table is no larger than
-    the source's own.
+    A passing embedding is confirmed in O(N) steps.  Injectivity is N
+    distinct images.  Join holds for every (a, b) iff each image is the
+    image of zero joined with the images of the atoms below it (take
+    (0, x), then split x at its low bit), so the images are rebuilt from
+    zero and the atoms and compared.  Covering is one comparison of the
+    source's table with the frame's covering tabulated over the images:
+    when zero and join hold, the images are unions of atom images and the
+    table comes from their signatures
+    (:func:`~mereotop.frames.atom_covering_table`); otherwise, and for
+    parametrized frames, from :func:`~mereotop.frames.covering_table`.
+    Only a failing verdict runs the literal search, so each witness is the
+    first violating tuple in ascending element order, the lex-first
+    (a, b, d) for covering.  The commands bound the source by their element
+    cap before building it, so the frame's table is no larger than the
+    source's own.
     """
     source = embedding.source
     n = source.algebra.size
+    k = source.algebra.atom_count
+    frame = embedding.frame
     img = embedding.image_masks
-    full = (1 << embedding.frame.world_count) - 1
+    full = (1 << frame.world_count) - 1
 
     inj = None
-    for i in range(n):
-        if inj:
-            break
-        for j in range(i + 1, n):
-            if img[i] == img[j]:
-                inj = (i, j)
+    if len(set(img)) < n:
+        for i in range(n):
+            if inj:
                 break
+            for j in range(i + 1, n):
+                if img[i] == img[j]:
+                    inj = (i, j)
+                    break
     zero = None if img[0] == 0 else (0,)
     comp = None
     for a in range(n):
-        if img[source.algebra.complement(a)] != full & ~img[a]:
+        if img[(n - 1) ^ a] != full & ~img[a]:
             comp = (a,)
             break
     join = None
-    for a in range(n):
-        if join:
-            break
-        for b in range(n):
-            if img[a | b] != img[a] | img[b]:
-                join = (a, b)
+    generated = [img[0]]
+    for i in range(k):
+        atom = img[1 << i]
+        generated += [m | atom for m in generated]
+    if tuple(generated) != img:
+        for a in range(n):
+            if join:
                 break
-    found = np.argwhere(covering_table(embedding.frame, img) != source.covering.table)
-    cov = tuple(int(i) for i in found[0]) if len(found) else None
+            for b in range(n):
+                if img[a | b] != img[a] | img[b]:
+                    join = (a, b)
+                    break
+    if zero is None and join is None and not isinstance(frame, ParametrizedFrame):
+        table = atom_covering_table(frame, [img[1 << i] for i in range(k)])
+    else:
+        table = covering_table(frame, img)
+    mismatch = table != source.covering.table
+    cov = _first(mismatch) if mismatch.any() else None
     checks = (
         CheckResult("injective", inj is None, inj),
         CheckResult("preserves-zero", zero is None, zero),
@@ -209,15 +232,15 @@ def verify_embedding(embedding: Embedding, *, pipeline: str) -> VerificationRepo
 def verify_c_preservation(embedding: Embedding) -> CheckResult:
     """Check, for every source element, that the algebraic internal
     connectedness of the element matches the frame-side internal
-    connectedness of its image (type-2 frames only)."""
+    connectedness of its image (type-2 frames only).  The algebraic side
+    is decided for every element at once
+    (:func:`~mereotop.algebra.internally_connected_algebraic`)."""
     if not isinstance(embedding.frame, EquivalenceFrame2):
         raise TypeError("internal connectedness transfers along type-2 frames")
-    source = embedding.source
+    own = internally_connected_algebraic(embedding.source.covering)
     witness = None
-    for a in range(source.algebra.size):
-        own = internally_connected_algebraic(source.covering, a)
-        framed = frame2_internally_connected(embedding.frame, embedding.image_masks[a])
-        if own != framed:
+    for a, connected in enumerate(own):
+        if connected != frame2_internally_connected(embedding.frame, embedding.image_masks[a]):
             witness = (a,)
             break
     return CheckResult("preserves-internal-connectedness", witness is None, witness)

@@ -436,6 +436,42 @@ def submasks(m: int):
     return sorted(out)
 
 
+def naive_homomorphism_witnesses(img, world_count: int) -> dict[str, tuple | None]:
+    """The first violating tuple, in ascending element order, of each
+    homomorphism fact of an image map over the 2^k elements: one literal
+    loop per fact."""
+    n = len(img)
+    full = (1 << world_count) - 1
+    inj = None
+    for i in range(n):
+        if inj:
+            break
+        for j in range(i + 1, n):
+            if img[i] == img[j]:
+                inj = (i, j)
+                break
+    zero = None if img[0] == 0 else (0,)
+    comp = None
+    for a in range(n):
+        if img[(n - 1) & ~a] != full & ~img[a]:
+            comp = (a,)
+            break
+    join = None
+    for a in range(n):
+        if join:
+            break
+        for b in range(n):
+            if img[a | b] != img[a] | img[b]:
+                join = (a, b)
+                break
+    return {
+        "injective": inj,
+        "preserves-zero": zero,
+        "preserves-complement": comp,
+        "preserves-join": join,
+    }
+
+
 def naive_pframe_covering(world_count: int, relation_of, a: int, b: int, d: int) -> bool:
     """Literal evaluation: for all supersets U of d and all s in a, t in b,
     not R(U)(s,t)."""

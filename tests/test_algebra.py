@@ -614,6 +614,28 @@ class TestGenerators:
         with pytest.raises(ValueError):
             covering_from_slices(2, np.zeros((4, 2, 3), dtype=bool))
 
+    @pytest.mark.parametrize(
+        "family,bad",
+        [
+            ([1, 4], 4),
+            ([3, -1], -1),
+            ([3, -1, 9], -1),
+            ([2, 1 << 63], 1 << 63),
+            ([1 << 70, -5], 1 << 70),
+            ([0, 2, 5, 4], 5),
+        ],
+    )
+    def test_names_the_first_member_out_of_range(self, family, bad):
+        with pytest.raises(ValueError) as caught:
+            covering_from_signatures(2, family)
+        assert str(caught.value) == f"{bad} is not an element mask of a 2-atom algebra"
+
+    def test_accepts_empty_and_generated_families(self):
+        assert covering_from_signatures(2, []).table.all()  # no member splits a pair
+        assert covering_from_signatures(2, iter([3, 0, 3])).table.tolist() == (
+            covering_from_signatures(2, [3]).table.tolist()
+        )
+
 
 # ---------------------------------------------------------------------------
 # verified algebra factories and the derived relations
@@ -719,10 +741,18 @@ class TestInternallyConnectedAlgebraic:
     def test_matches_naive_on_arbitrary_tables(self, k, seed, density):
         cov = random_covering(k, random.Random(seed * 13 + k), density)
         n = cov.algebra.size
+        connected = internally_connected_algebraic(cov)
+        assert len(connected) == n
         for a in range(n):
-            assert internally_connected_algebraic(cov, a) == oracles.naive_internally_connected(
-                n, cov.table, a
-            )
+            assert connected[a] == oracles.naive_internally_connected(n, cov.table, a)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_naive_at_four_atoms(self, seed):
+        cov = random_covering(4, random.Random(seed), 0.1)
+        connected = internally_connected_algebraic(cov)
+        assert connected == tuple(
+            oracles.naive_internally_connected(16, cov.table, a) for a in range(16)
+        )
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -732,23 +762,22 @@ class TestInternallyConnectedAlgebraic:
         masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]
         algebra = rc_algebra(build(n, masks))
         teca = eca_from_rc(algebra, verify=False)
+        connected = internally_connected_algebraic(teca.covering)
         for mask, element in enumerate(teca.element_sets):
-            assert internally_connected_algebraic(
-                teca.covering, mask
-            ) == rc_internally_connected(algebra, element)
+            assert connected[mask] == rc_internally_connected(algebra, element)
 
     def test_example_region_connected(self):
         algebra = rc_algebra(example_topology())
         teca = eca_from_rc(algebra, verify=False)
         mask = teca.element_sets.index(PointSet(7, X_REGION_MASK))
-        assert internally_connected_algebraic(teca.covering, mask)
+        assert internally_connected_algebraic(teca.covering)[mask]
 
     def test_empty_is_connected(self):
-        assert internally_connected_algebraic(discrete_covering(2), 0)
+        assert internally_connected_algebraic(discrete_covering(2))[0]
 
     def test_discrete_split_detected(self):
         # two atoms side by side: their join is internally disconnected
-        assert not internally_connected_algebraic(discrete_covering(2), 0b11)
+        assert internally_connected_algebraic(discrete_covering(2)) == (True, True, True, False)
 
 
 # ---------------------------------------------------------------------------

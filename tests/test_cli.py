@@ -4,6 +4,7 @@ byte-identical reruns."""
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -662,6 +663,30 @@ class TestRandomCommand:
         code, doc = run_json(capsys, ["random", "--trials", "0", "--json"])
         assert code == 0
         assert doc["total"] == 0 and doc["all_passed"] is True
+
+
+# SHA-256 of "<exit code>\n<stdout>", pinned from the release before the
+# closed-form verification: a change to a verdict or a witness shows here.
+PINNED_OUTPUT_SHA256 = {
+    ("random", "--seed", "0", "--trials", "50", "--json"): "1873ab82b37e0a90e158ace52cf275136174a14cea7b3c34efe539d88d94c646",
+    ("random", "--seed", "1", "--trials", "50", "--json"): "338d1f29ca0266f2cf809af58439e562a16921d65c4bf496b21a9b48e35ff9a6",
+    ("random", "--seed", "2", "--trials", "50", "--json"): "55dc80e51391018c0ece0b9da81ee3625c7cde4ee339e04f5cf2b49a6bdaae4d",
+    ("represent", "--kind", "type1", "--json"): "b8166c81b6a35e3f1178cc450eb9054fc51620211a2e7be5e3a174174eac4071",
+    ("represent", "--kind", "type2", "--json"): "5880a21ccfce6378c45779a457d6947e07a47b2d8fa7edd5e051ea0861daae0d",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv", sorted(PINNED_OUTPUT_SHA256), ids=" ".join)
+    def test_exit_code_and_stdout(self, argv, tmp_path, capsys):
+        args = list(argv)
+        if argv[0] == "represent":
+            path = tmp_path / "example.json"
+            path.write_text(json.dumps(cli_module.EXAMPLE_SPACE))
+            args += ["--input", str(path)]
+        code = main(args)
+        text = f"{code}\n{capsys.readouterr().out}"
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_OUTPUT_SHA256[argv]
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from mereotop.algebra import (
     check_weca,
     verified_eca,
 )
+from mereotop.frames import atom_covering_table, covering_table
 from mereotop.topology import labeled_topology_from_document
 from paper_claims import check_split_pullback, find_admissible_splits
 
@@ -328,6 +329,229 @@ class TestCoveringWitnessMatchesOracles:
         expected = literal_covering_witness(broken)
         assert expected is not None
         assert covering_witness(verify_embedding(broken, pipeline="type2")) == expected
+
+
+HOMOMORPHISM_CHECKS = ("injective", "preserves-zero", "preserves-complement", "preserves-join")
+
+
+def with_images(embedding, img):
+    return Embedding(embedding.source, embedding.frame, tuple(img), embedding.worlds)
+
+
+def from_atom_images(embedding, atoms):
+    """The embedding with the image of x replaced by the union of the given
+    atom images over the bits of x."""
+    img = [0]
+    for atom in atoms:
+        img += [m | atom for m in img]
+    return with_images(embedding, img)
+
+
+def assert_matches_literal_loops(embedding, kind):
+    """Every witness of the report equals the literal loop's: the
+    homomorphism facts from tests/oracles.py, covering from the oracle
+    frame evaluators."""
+    report = verify_embedding(embedding, pipeline=kind)
+    got = {c.name: c.witness for c in report.checks}
+    expected = oracles.naive_homomorphism_witnesses(
+        embedding.image_masks, embedding.frame.world_count
+    )
+    assert {name: got[name] for name in HOMOMORPHISM_CHECKS} == expected
+    assert covering_witness(report) == literal_covering_witness(embedding)
+    assert all(c.passed == (c.witness is None) for c in report.checks)
+    return got
+
+
+EQUIVALENCE_BUILDERS = {"type1": build_type1, "type2": build_type2}
+
+
+class TestHomomorphismVerdicts:
+    """The closed-form verdicts report the witnesses of the literal loops."""
+
+    @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_BUILDERS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_all_images_zero(self, kind, seed):
+        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed))
+        got = assert_matches_literal_loops(with_images(embedding, [0] * len(embedding.image_masks)), kind)
+        assert got["injective"] == (0, 1)
+        assert got["preserves-zero"] is None and got["preserves-join"] is None
+
+    @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_BUILDERS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nonzero_image_of_zero_keeps_join(self, kind, seed):
+        # one world added to every image: join still holds, zero does not
+        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed))
+        world = 1 << random.Random(seed).randrange(embedding.frame.world_count)
+        broken = with_images(embedding, [m | world for m in embedding.image_masks])
+        got = assert_matches_literal_loops(broken, kind)
+        assert got["preserves-zero"] == (0,)
+        assert got["preserves-join"] is None
+
+    @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_BUILDERS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_images_swapped(self, kind, seed):
+        broken = with_swapped_images(EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed)), random.Random(seed))
+        got = assert_matches_literal_loops(broken, kind)
+        assert got["injective"] is None and got["preserves-join"] is not None
+
+    @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_BUILDERS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_world_dropped_from_an_atom(self, kind, seed):
+        rng = random.Random(seed)
+        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed))
+        k = embedding.source.algebra.atom_count
+        atoms = [embedding.image_masks[1 << i] for i in range(k)]
+        i = rng.randrange(k)
+        atoms[i] &= ~(1 << rng.choice([w for w in range(embedding.frame.world_count) if atoms[i] >> w & 1]))
+        got = assert_matches_literal_loops(from_atom_images(embedding, atoms), kind)
+        assert got["preserves-complement"] == (0,)
+        assert got["preserves-zero"] is None and got["preserves-join"] is None
+
+    @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_BUILDERS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complement_broken_alone(self, kind, seed):
+        # one atom's image also takes one world of another atom, which keeps
+        # a second world, so the images stay distinct
+        rng = random.Random(seed)
+        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed))
+        k = embedding.source.algebra.atom_count
+        atoms = [embedding.image_masks[1 << i] for i in range(k)]
+        j = rng.choice([j for j in range(k) if atoms[j].bit_count() >= 2])
+        i = rng.choice([i for i in range(k) if i != j])
+        atoms[i] |= atoms[j] & -atoms[j]
+        got = assert_matches_literal_loops(from_atom_images(embedding, atoms), kind)
+        assert [name for name in HOMOMORPHISM_CHECKS if got[name] is not None] == ["preserves-complement"]
+
+    @given(
+        st.sampled_from(sorted(EQUIVALENCE_BUILDERS)),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_image_tuples(self, kind, k, worlds, rng):
+        n = 1 << k
+        classes1 = tuple(rng.randrange(worlds) for _ in range(worlds))
+        classes2 = tuple(rng.randrange(worlds) for _ in range(worlds))
+        frame = (
+            EquivalenceFrame1(worlds, classes1)
+            if kind == "type1"
+            else EquivalenceFrame2(worlds, classes1, classes2)
+        )
+        source = ExtendedContactAlgebra(
+            CoveringRelation(
+                discrete_covering(k).algebra,
+                np.array([rng.random() < 0.5 for _ in range(n**3)]).reshape(n, n, n),
+            ),
+            "ECA",
+        )
+        if rng.random() < 0.5:  # unions of atom images: the closed-form covering path
+            img = [0]
+            for _ in range(k):
+                atom = rng.getrandbits(worlds)
+                img += [m | atom for m in img]
+        else:
+            img = [rng.getrandbits(worlds) for _ in range(n)]
+        assert_matches_literal_loops(Embedding(source, frame, tuple(img)), kind)
+
+
+def equivalence_embeddings():
+    """Every type-1 and type-2 embedding of the sweeps in this file."""
+    tecas = [eca_from_rc(rc_algebra(example_topology()))]
+    tecas += [random_teca(seed) for seed in range(10)]
+    tecas += [multi_atom_teca(seed) for seed in range(4)]
+    tecas.append(eca_from_rc(rc_algebra(build(64, [(1 << 29) - 1, ((1 << 29) - 1) << 29]))))
+    return [builder(teca) for teca in tecas for builder in (build_type1, build_type2)]
+
+
+class TestAtomCoveringTable:
+    """The covering from the atom images' signatures equals the frame's
+    covering tabulated over the images themselves."""
+
+    def test_matches_covering_table_on_the_sweeps(self):
+        embeddings = equivalence_embeddings()
+        assert max(e.frame.world_count for e in embeddings) == 70
+        for embedding in embeddings:
+            img = embedding.image_masks
+            atoms = [img[1 << i] for i in range(embedding.source.algebra.atom_count)]
+            table = atom_covering_table(embedding.frame, atoms)
+            assert (table == covering_table(embedding.frame, img)).all()
+            assert (table == embedding.source.covering.table).all()
+
+    @given(st.integers(1, 3), st.integers(1, 6), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_covering_table_on_overlapping_images(self, k, worlds, type2, rng):
+        classes = [tuple(rng.randrange(worlds) for _ in range(worlds)) for _ in range(2)]
+        frame = EquivalenceFrame2(worlds, *classes) if type2 else EquivalenceFrame1(worlds, classes[0])
+        atoms = [rng.getrandbits(worlds) for _ in range(k)]
+        img = [0]
+        for atom in atoms:
+            img += [m | atom for m in img]
+        assert (atom_covering_table(frame, atoms) == covering_table(frame, img)).all()
+
+    def test_rejects_masks_outside_the_worlds(self):
+        with pytest.raises(ValueError):
+            atom_covering_table(EquivalenceFrame1(2, (0, 1)), [1, 4])
+
+
+class TestCPreservationWitness:
+    """verify_c_preservation reports the first element whose algebraic and
+    frame-side verdicts differ, as a literal loop over the oracles does."""
+
+    @staticmethod
+    def literal_witness(embedding):
+        n = embedding.source.algebra.size
+        table = embedding.source.covering.table
+        frame = embedding.frame
+        for a in range(n):
+            own = oracles.naive_internally_connected(n, table, a)
+            framed = oracles.naive_frame2_internally_connected(
+                frame.classes1, frame.classes2, embedding.image_masks[a]
+            )
+            if own != framed:
+                return (a,)
+        return None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_corrupted_source(self, seed):
+        rng = random.Random(seed)
+        embedding = build_type2(multi_atom_teca(seed))
+        n = embedding.source.algebra.size
+        table = embedding.source.covering.table.copy()
+        for _ in range(rng.randint(1, 4)):
+            b, d = rng.randrange(1, n), rng.randrange(1, n)
+            table[b, d, (n - 1) ^ (b | d)] ^= True
+        broken = Embedding(
+            ExtendedContactAlgebra(CoveringRelation(embedding.source.algebra, table), "ECA"),
+            embedding.frame,
+            embedding.image_masks,
+            embedding.worlds,
+        )
+        check = verify_c_preservation(broken)
+        assert check.witness == self.literal_witness(broken)
+        assert check.passed == (check.witness is None)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_split_atoms(self, seed):
+        # an atom covered by its own complement is split algebraically but
+        # not in the frame; two such atoms give two mismatches
+        embedding = build_type2(multi_atom_teca(seed))
+        n = embedding.source.algebra.size
+        first, second = sorted(
+            1 << i for i in random.Random(seed).sample(range(embedding.source.algebra.atom_count), 2)
+        )
+        table = embedding.source.covering.table.copy()
+        for atom in (first, second):
+            table[atom, atom, (n - 1) ^ atom] = True
+        broken = Embedding(
+            ExtendedContactAlgebra(CoveringRelation(embedding.source.algebra, table), "ECA"),
+            embedding.frame,
+            embedding.image_masks,
+            embedding.worlds,
+        )
+        expected = self.literal_witness(broken)
+        assert expected is not None and expected[0] <= first
+        assert verify_c_preservation(broken).witness == expected
 
 
 # ---------------------------------------------------------------------------
