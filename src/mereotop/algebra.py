@@ -368,13 +368,9 @@ def covering_from_signatures(atom_count: int, family: Iterable[int]) -> Covering
     point of the model, and a point lies in the region a iff σ meets a."""
     algebra = FiniteBooleanAlgebra(atom_count)
     members = list(family)
-    index = np.array(members)
-    # a negative member wraps above every mask when read as unsigned
-    if index.dtype.kind != "i" or (members and index.astype(np.uint64).max() >= algebra.size):
-        algebra._require(*members)  # names the first bad member
-        index = members
+    algebra._require(*members)
     flags = np.zeros(algebra.size, dtype=bool)
-    flags[index] = True
+    flags[members] = True
     return CoveringRelation(algebra, _covering_of_signatures(flags, atom_count).transpose(1, 2, 0))
 
 

@@ -205,7 +205,7 @@ def verify_embedding(embedding: Embedding, *, pipeline: str) -> VerificationRepo
     for i in range(k):
         atom = img[1 << i]
         generated += [m | atom for m in generated]
-    if tuple(generated) != img:
+    if tuple(generated) != tuple(img):
         for a in range(n):
             if join:
                 break

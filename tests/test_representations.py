@@ -422,6 +422,24 @@ class TestHomomorphismVerdicts:
         got = assert_matches_literal_loops(from_atom_images(embedding, atoms), kind)
         assert [name for name in HOMOMORPHISM_CHECKS if got[name] is not None] == ["preserves-complement"]
 
+    @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_BUILDERS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_list_of_images_takes_the_closed_form(self, kind, seed):
+        class CountingList(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                CountingList.reads += 1
+                return super().__getitem__(i)
+
+        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed))
+        n = len(embedding.image_masks)
+        images = CountingList(embedding.image_masks)
+        as_list = Embedding(embedding.source, embedding.frame, images, embedding.worlds)
+        report = verify_embedding(as_list, pipeline=kind)
+        assert report == verify_embedding(embedding, pipeline=kind) and report.all_passed
+        assert CountingList.reads < n * n  # the literal (a, b) join loop never ran
+
     @given(
         st.sampled_from(sorted(EQUIVALENCE_BUILDERS)),
         st.integers(1, 3),
