@@ -6,30 +6,35 @@ or/and/not and the order is bitmask inclusion.  A covering relation is a
 dense boolean table of shape (N, N, N) with entry [a, b, d] true when the
 pair (a, b) is covered by d; a contact relation is an (N, N) table.
 
-Two generators build a covering from small data, each by subset-or folds
-in O(k·N³): ``covering_from_signatures`` from a family of atom sets (the
-atom signatures of the points of the representation theorem's space), and
-``covering_from_slices`` from atom slices R_f, an (N, k, k) array.
-``signatures`` and ``atom_slices`` read that data off a table.  A finite
-table satisfies the extended contact axioms exactly when it is the covering
-of its own signatures S* and every single atom is in S*, and the weak ones
-exactly when its atom slices grow with f and generate it.  So check_eca,
-check_weca and check_weca_consequences (whose six laws follow from the weak
-axioms) generate the table once and, when it matches, report every axiom
-passed without any per-axiom work.  Otherwise, or in a checker without a
-rebuild, each axiom is decided by an exact reduced form where one exists:
-ECA1 by a greatest-fixpoint fold of one-atom growth steps, in O(k·N³); CA1
-with CA2, and RCL1 with RCL2 for every g, by equality with the
-join-extension from zero and the atoms; WECA3, with no other axiom assumed,
-by each cover's slice being a sublattice of B x B^op (one superset-and fold
-over pair words).  Only a failing verdict runs the literal search, which
-reports the lexicographically first violating tuple — the one a direct
-nested loop over ascending element values would find.  The ECA1 search runs
-on the first failing (a, b) alone; the WECA3 search tests all (d, e, f) of
-one (a, b) at once and stops at the first (a, b) that has a hit.  A plain
-triple-list covering document is read straight from its bytes; any other
-goes through the JSON parser and covering_from_document, which alone
-reports faults.
+One generator builds every covering from small data:
+``covering_from_slices`` is the table generated by atom slices R_f, an
+(N, k, k) array, in two float32 products with the atom membership rows,
+O(k·N³) multiply-adds.  ``covering_from_signatures``, the covering of a
+family of atom sets (the atom signatures of the points of the
+representation theorem's space), goes through it, since that covering's
+slices are R_c(p, q) = no member inside ¬c holds both p and q.
+``signatures`` and ``atom_slices`` read that data off a table; read off
+the slices of a family's covering, the family comes back closed, so the
+round trip F → slices → family is F's closure.  A finite table satisfies
+the extended contact axioms exactly when every single atom is in the
+family read off its slices and it is the covering of that family, and
+the weak ones exactly when its atom slices grow with f and generate it.
+So check_eca, check_weca and check_weca_consequences (whose six laws
+follow from the weak axioms) generate the table once and, when it
+matches, report every axiom passed without any per-axiom work.
+Otherwise, or in a checker without a rebuild, each axiom is decided by an
+exact reduced form where one exists: ECA1 by a greatest-fixpoint fold of
+one-atom growth steps, in O(k·N³); CA1 with CA2, and RCL1 with RCL2 for
+every g, by equality with the join-extension from zero and the atoms;
+WECA3, with no other axiom assumed, by each cover's slice being a
+sublattice of B x B^op (one superset-and fold over pair words).  Only a
+failing verdict runs the literal search, which reports the
+lexicographically first violating tuple — the one a direct nested loop over
+ascending element values would find.  The ECA1 search runs on the first
+failing (a, b) alone; the WECA3 search tests all (d, e, f) of one (a, b) at
+once and stops at the first (a, b) that has a hit.  A plain triple-list
+covering document is read straight from its bytes; any other goes through
+the JSON parser and covering_from_document, which alone reports faults.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .topology import CapExceeded, DocumentError, PointSet, RegularClosedAlgebra, check_carrier_cap
+from .topology import _PRODUCT_CHUNK_ELEMENTS, DocumentError, PointSet, RegularClosedAlgebra, check_cap
 
 DEFAULT_CHECK_CAP = 32
 
@@ -211,8 +216,8 @@ class ExtendedContactAlgebra:
 
     ``strength`` records which axiom family the covering is claimed to
     satisfy ("ECA" for the extended contact axioms, "WECA" for the weak
-    ones).  Construct through :func:`verified_eca` / :func:`verified_weca`
-    to have the claim machine-checked; direct construction skips the check.
+    ones).  Construct through :func:`verified_eca` to have an ECA claim
+    machine-checked; direct construction skips the check.
     """
 
     covering: CoveringRelation
@@ -234,15 +239,6 @@ def verified_eca(
     if not report.all_passed:
         raise AxiomViolation("extended contact axioms", report)
     return ExtendedContactAlgebra(covering, "ECA")
-
-
-def verified_weca(
-    covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_CAP
-) -> ExtendedContactAlgebra:
-    report = check_weca(covering, cap_elements=cap_elements)
-    if not report.all_passed:
-        raise AxiomViolation("weak extended contact axioms", report)
-    return ExtendedContactAlgebra(covering, "WECA")
 
 
 # ---------------------------------------------------------------------------
@@ -293,42 +289,43 @@ def _first(viol: np.ndarray) -> tuple[int, ...]:
     return tuple(int(x) for x in np.argwhere(viol)[0])
 
 
-def _check_cap(atom_count: int, cap_elements: int) -> None:
-    # 2^k > cap iff k reaches the cap's bit length, so a huge k costs nothing
-    if atom_count >= max(cap_elements, 0).bit_length():
-        size = 1 << atom_count if atom_count < 64 else f"2^{atom_count}"
-        raise CapExceeded(
-            f"{size} elements exceed the exhaustive-check cap of {cap_elements}; "
-            "pass a larger cap_elements to force the check"
-        )
-
-
 # ---------------------------------------------------------------------------
-# the generators: atom signatures S* and atom slices R_f
+# the generator: atom slices R_f, and the families of atom sets whose
+# coverings they generate
 
 
 @lru_cache(maxsize=None)
-def _meets_both(atom_count: int) -> np.ndarray:
-    """[σ, a, b]: the atom set σ meets both a and b (read-only)."""
-    meets = _tables(atom_count)[2] != 0
-    out = meets[:, :, None] & meets[:, None, :]
-    out.setflags(write=False)
+def _atom_matrices(atom_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(under, pairs, disjoint), read-only: under[x, p] = 1 when atom p is
+    below x, as (N, k) float32; pairs[σ, p, q] = σ holds atoms p and q;
+    disjoint[c, σ] = 1 when σ lies inside the complement of c, as (N, N)
+    float32."""
+    held = np.arange(1 << atom_count)[:, None] >> np.arange(atom_count) & 1 == 1
+    out = (
+        held.astype(np.float32),
+        held[:, :, None] & held[:, None, :],
+        (_tables(atom_count)[2] == 0).astype(np.float32),
+    )
+    for arr in out:
+        arr.setflags(write=False)
     return out
 
 
-def _signature_flags(by_cover: np.ndarray, k: int) -> np.ndarray:
-    """flags[σ] (flags[0] always holds) of a table in (c, a, b) layout.
-    ``below[x]`` is the pairs covered by some c inside x; σ misses c iff c
-    lies inside the complement of σ, row N - 1 - σ."""
-    below = _fold(by_cover, 0, k, subsets=True)
-    return ~(below[::-1] & _meets_both(k)).any(axis=(1, 2))
+def _slices_of_family(flags: np.ndarray, k: int) -> np.ndarray:
+    """The atom slices [c, p, q] of the covering of {σ : flags[σ]}: R_c(p, q)
+    iff no member inside the complement of c holds both p and q.  One product
+    of "σ inside ¬c" with the members' atom pairs counts those members
+    (exactly: at most N of them)."""
+    n = 1 << k
+    _, pairs, disjoint = _atom_matrices(k)
+    held = (pairs & flags[:, None, None]).reshape(n, k * k).astype(np.float32)
+    return (disjoint @ held == 0).reshape(n, k, k)
 
 
-def _covering_of_signatures(flags: np.ndarray, k: int) -> np.ndarray:
-    """The covering of {σ : flags[σ]} in (c, a, b) layout.  ``split[x]`` is
-    the pairs that some σ inside x meets on both sides, read at N - 1 - c."""
-    split = _fold(_meets_both(k) & flags[:, None, None], 0, k, subsets=True)
-    return ~split[::-1]
+def _family_of_slices(slices: np.ndarray, k: int) -> np.ndarray:
+    """flags[σ] (flags[0] always holds): no pair of atoms of σ, one atom
+    twice allowed, is covered by the complement of σ, slice N - 1 - σ."""
+    return ~(slices[::-1] & _atom_matrices(k)[1]).any(axis=(1, 2))
 
 
 def _atom_slices(v: np.ndarray, k: int) -> np.ndarray:
@@ -337,24 +334,31 @@ def _atom_slices(v: np.ndarray, k: int) -> np.ndarray:
 
 
 def _covering_of_slices(slices: np.ndarray, k: int) -> np.ndarray:
-    """The table generated by slices [f, p, q], in (a, b, f) layout: the
-    complement of "some atom pair under (a, b) is outside R_f", an or over
-    the atoms of a, then over those of b, each a fold from the atom rows."""
+    """The table generated by slices [f, p, q], in (a, b, f) layout: (a, b) |- f
+    iff no atom pair under (a, b) lies outside R_f.  Two float32 products with
+    the atom membership rows count those pairs (exactly: at most k² of them),
+    over the atoms of b and then over the atoms of a, the second in chunks of
+    rows of about 4 MiB."""
     n = 1 << k
-    atoms = 1 << np.arange(k)
-    gap = np.zeros((n, k, n), dtype=bool)
-    gap[atoms] = ~slices.transpose(1, 2, 0)
-    gap = _fold(gap, 0, k, subsets=True)  # [a, q, f]
-    spread = np.zeros((n, n, n), dtype=bool)
-    spread[:, atoms] = gap
-    return ~_fold(spread, 1, k, subsets=True)
+    under = _atom_matrices(k)[0]
+    gaps = (~slices).transpose(1, 2, 0).astype(np.float32)  # [p, q, f]
+    by_b = (under @ gaps).reshape(k, n * n)  # [p, (b, f)]
+    table = np.empty((n, n, n), dtype=bool)
+    step = max(1, _PRODUCT_CHUNK_ELEMENTS // (n * n))
+    for lo in range(0, n, step):
+        table[lo : lo + step] = (under[lo : lo + step] @ by_b == 0).reshape(-1, n, n)
+    return table
 
 
 def signatures(covering: CoveringRelation) -> tuple[int, ...]:
-    """S*, as ascending atom masks: the nonempty atom sets σ such that no
-    covered (a, b, c) has σ meeting a and b and missing c."""
-    by_cover = np.ascontiguousarray(covering.table.transpose(2, 0, 1))
-    flags = _signature_flags(by_cover, covering.algebra.atom_count)
+    """The nonempty atom sets σ such that no pair of atoms of σ is covered
+    by the complement of σ, as ascending masks.  On a table that is
+    antitone in the pair and monotone in the cover (WECA1 and WECA4, which
+    the covering of every family satisfies) that is S*, the sets σ such
+    that no covered (a, b, c) has σ meeting a and b and missing c.  On
+    other tables it can be a strict superset of S*."""
+    k = covering.algebra.atom_count
+    flags = _family_of_slices(_atom_slices(covering.table, k), k)
     return tuple((np.flatnonzero(flags[1:]) + 1).tolist())
 
 
@@ -371,7 +375,7 @@ def covering_from_signatures(atom_count: int, family: Iterable[int]) -> Covering
     algebra._require(*members)
     flags = np.zeros(algebra.size, dtype=bool)
     flags[members] = True
-    return CoveringRelation(algebra, _covering_of_signatures(flags, atom_count).transpose(1, 2, 0))
+    return CoveringRelation(algebra, _covering_of_slices(_slices_of_family(flags, atom_count), atom_count))
 
 
 def atom_slices(covering: CoveringRelation) -> np.ndarray:
@@ -464,7 +468,7 @@ def check_ca(contact: ContactRelation, *, cap_elements: int = DEFAULT_CHECK_CAP)
     distribution over joins, no contact with zero, reflexivity away from
     zero, and symmetry."""
     k = contact.algebra.atom_count
-    _check_cap(k, cap_elements)
+    check_cap(k, cap_elements)
     n, _, _, or_t, le_t = _tables(k)
     c = contact.table
     reduced_pass = not _ca12_mismatch(c, k).any()
@@ -483,13 +487,18 @@ def check_ca(contact: ContactRelation, *, cap_elements: int = DEFAULT_CHECK_CAP)
 
 
 def _eca_rebuilt(v: np.ndarray, k: int) -> bool:
-    """The five extended contact axioms hold (see covering_from_signatures);
-    a table lies inside the covering of its S*, but both ways are compared."""
-    by_cover = np.ascontiguousarray(v.transpose(2, 0, 1))
-    flags = _signature_flags(by_cover, k)
-    if not flags[1 << np.arange(k)].all():
+    """The five extended contact axioms hold.  With G the family read off
+    v's atom slices (see signatures), v is an ECA iff every single atom is
+    in G and v is the covering of G.  (⇐) The covering of a family that
+    holds every single atom is an ECA (see covering_from_signatures).
+    (⇒) An ECA is the covering of its S*, and it is antitone in the pair
+    and monotone in the cover, where G = S*.  The covering of G has the
+    slices of G, so the slices are compared before the whole table."""
+    slices = _atom_slices(v, k)
+    family = _family_of_slices(slices, k)
+    if not family[1 << np.arange(k)].all() or (slices != _slices_of_family(family, k)).any():
         return False
-    return bool((by_cover == _covering_of_signatures(flags, k)).all())
+    return bool((v == _covering_of_slices(slices, k)).all())
 
 
 def _eca1(v: np.ndarray, n: int, k: int, or_t: np.ndarray) -> tuple | None:
@@ -574,7 +583,7 @@ def check_eca(covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_C
     covered pair, covering by anything above either member, covered pairs
     meet inside the cover, and symmetry."""
     k = covering.algebra.atom_count
-    _check_cap(k, cap_elements)
+    check_cap(k, cap_elements)
     n, _, and_t, or_t, le_t = _tables(k)
     v = covering.table
     if _eca_rebuilt(v, k):
@@ -702,7 +711,7 @@ def check_weca(covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_
     covered pair, coverage of pairs with an empty member, the two mixed
     meet/join combinations, and monotonicity in the cover."""
     k = covering.algebra.atom_count
-    _check_cap(k, cap_elements)
+    check_cap(k, cap_elements)
     n, _, and_t, or_t, le_t = _tables(k)
     v = covering.table
     if _weca_rebuilt(v, k):
@@ -783,7 +792,7 @@ def check_weca_consequences(
     antitone in each member separately.  All six follow from the weak
     axioms, so a table that passes the slice rebuild passes them."""
     k = covering.algebra.atom_count
-    _check_cap(k, cap_elements)
+    check_cap(k, cap_elements)
     n, _, _, or_t, _ = _tables(k)
     v = covering.table
     if _weca_rebuilt(v, k):
@@ -820,7 +829,7 @@ def check_relative_contact_laws(
     monotonicity, distribution over joins, no contact for parts of g,
     reflexivity outside g, and symmetry.  Witnesses carry g first."""
     k = covering.algebra.atom_count
-    _check_cap(k, cap_elements)
+    check_cap(k, cap_elements)
     n, _, _, or_t, le_t = _tables(k)
     q = ~covering.table  # q[a, b, g]: a and b in contact relative to g
     rcl1 = rcl2 = None
@@ -977,7 +986,7 @@ def covering_from_document(doc: object, *, cap_elements: int | None = None) -> C
     if not discrete and not isinstance(triples, list):
         raise DocumentError('"covering" must be an array of [a, b, d] triples')
     if cap_elements is not None:
-        _check_cap(atoms, cap_elements)
+        check_cap(atoms, cap_elements)
     if discrete:
         return discrete_covering(atoms)
     return _covering_of_entries(atoms, _triple_entries(triples, atoms))
@@ -1103,7 +1112,7 @@ def eca_from_rc(
     intersection of the point sets of a and b is inside the point set of d.
     """
     k = len(source.atoms)
-    check_carrier_cap(k, cap_elements)
+    check_cap(k, cap_elements)
     # A point lies in the set of mask m iff m meets the atoms through it, so
     # (a, b) |- d fails iff some point's atom signature meets a and b, not d.
     covering = covering_from_signatures(

@@ -1,22 +1,23 @@
-"""Relational frames and the covering structure each puts on its powerset.
+"""Relational frames and the covering structure each puts on subsets of
+their worlds.
 
 Three frame kinds over a finite world set W (worlds 0..|W|-1, subsets as
 int bitmasks): parametrized frames, which attach a binary relation R(U) to
 every subset U of W and store them as one (2^|W|, |W|, |W|) boolean array;
 equivalence frames of type 1 (one partition); and equivalence frames of
 type 2 (two partitions, read through the composite class R1(R2(s))).  Each
-induces a covering on subsets of W, and the powerset with that covering is
-an extended contact algebra — weak for parametrized frames, full for the
-equivalence kinds — which :func:`powerset_eca` tabulates and verifies.
-:func:`covering_table` tabulates a frame's covering over any family of
-subsets (all of them for the powerset, the images of an embedding for its
-verification); :func:`atom_covering_table` tabulates an equivalence
-frame's covering over the joins of k atom images from the images' atom
-signatures, for an embedding that preserves zero and join.  For an
-equivalence frame, (a, b) is covered by d iff a ∩ b ⊆ d and every class
-(composite class, for type 2) meeting both a and b also meets d.  For a
-parametrized frame it is the literal definition read through the superset
-union R*(d) of the relations, so it holds for every frame, antitone or not.
+induces a covering on subsets of W: on the powerset it is a weak extended
+contact algebra for parametrized frames and a full one for the
+equivalence kinds.  :func:`covering_table` tabulates a frame's covering
+over any family of subsets (all of them for the powerset, the images of an
+embedding for its verification); :func:`atom_covering_table` tabulates an
+equivalence frame's covering over the joins of k atom images as the
+covering of the images' atom signatures, for an embedding that preserves
+zero and join.  For an equivalence frame, (a, b) is covered by d iff
+a ∩ b ⊆ d and every class (composite class, for type 2) meeting both a
+and b also meets d.  For a parametrized frame it is the literal definition
+read through the superset union R*(d) of the relations, so it holds for
+every frame, antitone or not.
 """
 
 from __future__ import annotations
@@ -27,18 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (
-    CoveringRelation,
-    ExtendedContactAlgebra,
-    FiniteBooleanAlgebra,
-    _covering_of_signatures,
-    _fold,
-    verified_eca,
-    verified_weca,
-)
-from .topology import CapExceeded, bit_matrix, glued_components
-
-DEFAULT_POWERSET_CAP = 5
+from .algebra import _covering_of_slices, _fold, _slices_of_family
+from .topology import _PRODUCT_CHUNK_ELEMENTS, bit_matrix, glued_components
 
 
 def _require_masks(world_count: int, *masks: int) -> None:
@@ -78,11 +69,6 @@ class ParametrizedFrame:
         relations.setflags(write=False)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "world_count", w)
-
-    def relation(self, u_mask: int) -> np.ndarray:
-        """R(U) as a read-only |W| x |W| boolean matrix."""
-        _require_masks(self.world_count, u_mask)
-        return self.relations[u_mask]
 
 
 def _reach(frame: ParametrizedFrame) -> np.ndarray:
@@ -173,9 +159,6 @@ def frame2_internally_connected(frame: EquivalenceFrame2, s_mask: int) -> bool:
 # ---------------------------------------------------------------------------
 # the covering tabulated over a family of subsets
 
-_TABLE_CHUNK_ELEMENTS = 1 << 20  # float32 entries per chunk of rows: about 4 MiB
-
-
 def _membership(world_count: int, masks: Sequence[int]) -> np.ndarray:
     """Row i holds the worlds of masks[i] as booleans."""
     _require_masks(world_count, *masks)
@@ -231,7 +214,7 @@ def covering_table(
     g = _meets(frame, masks).astype(np.float32)
     k = g.shape[1]
     missing = (1 - g).T
-    step = max(1, _TABLE_CHUNK_ELEMENTS // (n * (n + k)))
+    step = max(1, _PRODUCT_CHUNK_ELEMENTS // (n * (n + k)))
     for lo in range(0, n, step):
         both = (g[lo : lo + step, None, :] * g[None, :, :]).reshape(-1, k)
         table[lo : lo + step] = (both @ missing).reshape(-1, n, n) == 0
@@ -247,10 +230,10 @@ def atom_covering_table(
 
     A(x) meets a column subset c of :func:`_meets` (a world, or a class)
     iff x meets σ_c = {i : atom_images[i] meets c}.  So the table is the
-    covering of the family {σ_c}, which the signature kernel of
-    :mod:`mereotop.algebra` folds in O(k·N³).  The σ of the worlds come from
+    covering of the family {σ_c}, built from its atom slices by the one
+    generator of :mod:`mereotop.algebra`.  The σ of the worlds come from
     splitting the worlds by each image in turn: a world's σ is the set of
-    images it lies in.  The table is a view in (a, b, d) order.
+    images it lies in.
     """
     _require_masks(frame.world_count, *atom_images)
     k = len(atom_images)
@@ -270,49 +253,4 @@ def atom_covering_table(
     ]
     flags = np.zeros(1 << k, dtype=bool)
     flags[family] = True
-    return _covering_of_signatures(flags, k).transpose(1, 2, 0)
-
-
-# ---------------------------------------------------------------------------
-# the powerset algebra of a frame
-
-
-@dataclass(frozen=True, eq=False)
-class FrameAlgebra:
-    """A frame together with its tabulated powerset extended contact
-    algebra: elements are subsets of W (atoms = singleton worlds), zero is
-    the empty set, complement and join are setwise, and the covering is the
-    frame's."""
-
-    frame: object
-    eca: ExtendedContactAlgebra
-
-    @property
-    def covering(self) -> CoveringRelation:
-        return self.eca.covering
-
-
-def powerset_eca(
-    frame: ParametrizedFrame | EquivalenceFrame1 | EquivalenceFrame2,
-    *,
-    cap_worlds: int = DEFAULT_POWERSET_CAP,
-    verify: bool = True,
-) -> FrameAlgebra:
-    """Tabulate the frame's covering over all subset triples and wrap it as
-    an extended contact algebra — verified full strength for equivalence
-    frames, verified weak strength for parametrized frames."""
-    w = frame.world_count
-    if w > cap_worlds:
-        raise CapExceeded(
-            f"{w} worlds give a {1 << w}-element powerset, over cap_worlds={cap_worlds}"
-        )
-    covering = CoveringRelation(FiniteBooleanAlgebra(w), covering_table(frame, range(1 << w)))
-    if isinstance(frame, ParametrizedFrame):
-        strength, verified = "WECA", verified_weca
-    else:
-        strength, verified = "ECA", verified_eca
-    if verify:
-        eca = verified(covering, cap_elements=1 << w)
-    else:
-        eca = ExtendedContactAlgebra(covering, strength)
-    return FrameAlgebra(frame, eca)
+    return _covering_of_slices(_slices_of_family(flags, k), k)

@@ -383,11 +383,15 @@ class RegularClosedAlgebra:
         return closure(self.topology, interior(self.topology, a & b))
 
 
-def check_carrier_cap(atom_count: int, cap_elements: int) -> None:
-    """Raise :class:`CapExceeded` when 2^atom_count elements exceed the cap."""
-    if 1 << atom_count > cap_elements:
+def check_cap(atom_count: int, cap_elements: int) -> None:
+    """Raise :class:`CapExceeded` when 2^atom_count elements exceed the cap.
+    2^k > cap iff k reaches the cap's bit length, so a huge k costs nothing,
+    and from k = 64 the message writes the size as 2^k."""
+    if atom_count >= max(cap_elements, 0).bit_length():
+        size = 1 << atom_count if atom_count < 64 else f"2^{atom_count}"
         raise CapExceeded(
-            f"{1 << atom_count} elements exceed cap_elements={cap_elements}; raise the cap to force"
+            f"{size} elements exceed the exhaustive-check cap of {cap_elements}; "
+            "pass a larger cap_elements to force the check"
         )
 
 
@@ -403,7 +407,7 @@ def rc_algebra(topology: FiniteTopology, *, cap_elements: int | None = None) -> 
     # every point of U_x has U_x as its own neighbourhood
     minimal = [u for u, points in topology._neighbourhood_points.items() if points == u]
     if cap_elements is not None:
-        check_carrier_cap(len(minimal), cap_elements)
+        check_cap(len(minimal), cap_elements)
     atoms = sorted(_closure_bits(topology, u) for u in minimal)
     return RegularClosedAlgebra(topology, tuple(PointSet(n, a) for a in atoms))
 

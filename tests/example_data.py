@@ -1,7 +1,8 @@
 """Golden data for the built-in two-space demonstration, frozen from a hand
 computation and re-derivable through the oracles; the writers of the
 covering and topology documents the tests feed to the command line; and
-seeded weak covering tables generated from atom slices.
+seeded weak covering tables generated from atom slices; and the covering
+a frame puts on the powerset of its worlds.
 
 Point encoding: label list order gives the bit index, so in the seven-point
 space the label "1" is bit 0, ..., "7" is bit 6; in the six-point companion
@@ -15,6 +16,7 @@ import random
 import numpy as np
 
 from mereotop import CoveringRelation, FiniteBooleanAlgebra, PointSet, covering_from_slices, generate_topology
+from mereotop.frames import covering_table
 
 X_DOC = {
     "universe": ["1", "2", "3", "4", "5", "6", "7"],
@@ -90,3 +92,10 @@ def slice_generated_covering(k: int, flips: int, rng: random.Random) -> Covering
         a, b, d = (rng.randrange(n) for _ in range(3))
         table[a, b, d] = not table[a, b, d]
     return CoveringRelation(FiniteBooleanAlgebra(k), table)
+
+
+def powerset_covering(frame) -> CoveringRelation:
+    """The frame's covering over every subset of its worlds, as a covering
+    of the powerset algebra, whose atoms are the single worlds."""
+    w = frame.world_count
+    return CoveringRelation(FiniteBooleanAlgebra(w), covering_table(frame, range(1 << w)))

@@ -354,6 +354,38 @@ def naive_covering_of_signatures(N: int, family) -> list:
     ]
 
 
+def naive_signatures(N: int, V) -> tuple[int, ...]:
+    """S*: the nonempty atom sets σ such that no covered (a, b, c) has σ
+    meeting a and b and missing c, ascending."""
+    return tuple(
+        s
+        for s in range(1, N)
+        if not any(
+            V[a][b][c] and s & a and s & b and not s & c
+            for a in range(N)
+            for b in range(N)
+            for c in range(N)
+        )
+    )
+
+
+def naive_signature_closure(k: int, family) -> tuple[int, ...]:
+    """The closure of a family of atom sets, ascending: the nonempty σ such
+    that each pair of atoms of σ (one atom twice allowed) lies in some
+    member inside σ.  It is S* of the family's covering."""
+    return tuple(
+        s
+        for s in range(1, 1 << k)
+        if all(
+            any(t & ~s == 0 and t >> p & 1 and t >> q & 1 for t in family)
+            for p in range(k)
+            if s >> p & 1
+            for q in range(k)
+            if s >> q & 1
+        )
+    )
+
+
 def naive_covering_of_slices(N: int, k: int, slices) -> list:
     """V[a][b][f]: slices[f][p][q] for every atom p in a and q in b."""
     return [

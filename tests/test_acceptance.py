@@ -179,13 +179,13 @@ def test_criterion_6b_antitone_shortcut_equals_naive_on_filter_frames():
         w = frame.world_count
         assert w <= 4
         for d in range(1 << w):
-            assert oracles.naive_pframe_reach(w, frame.relation, d) == frame.relation(d).tolist()
+            assert oracles.naive_pframe_reach(w, frame.relations.__getitem__, d) == frame.relations[d].tolist()
         table = covering_table(frame, range(1 << w))
         for a in range(1 << w):
             for b in range(1 << w):
                 for d in range(1 << w):
                     assert table[a, b, d] == oracles.naive_pframe_covering(
-                        w, frame.relation, a, b, d
+                        w, frame.relations.__getitem__, a, b, d
                     ), (a, b, d)
 
 

@@ -57,7 +57,6 @@ from mereotop.algebra import (
     _weca3_holds,
     _weca_rebuilt,
     verified_eca,
-    verified_weca,
 )
 from paper_claims import check_filter_separation_equivalence, left_set, relative_contact, right_set
 
@@ -585,18 +584,85 @@ class TestGenerators:
         n = 1 << k
         for bits in range(1 << (n - 1)):
             family = [s for s in range(1, n) if bits >> (s - 1) & 1]
-            closed = tuple(
-                s
-                for s in range(1, n)
-                if all(
-                    any(t & ~s == 0 and t >> p & 1 and t >> q & 1 for t in family)
-                    for p in range(k)
-                    if s >> p & 1
-                    for q in range(k)
-                    if s >> q & 1
-                )
-            )
+            closed = oracles.naive_signature_closure(k, family)
             assert signatures(covering_from_signatures(k, family)) == closed
+
+    @pytest.mark.parametrize("k,seed", [(k, s) for k in (4, 5) for s in range(6)])
+    def test_round_trip_is_the_closure(self, k, seed):
+        # family -> slices -> family is the lemma's closure, on sampled families
+        n, rng = 1 << k, random.Random(seed * 19 + k)
+        for _ in range(8):
+            family = [s for s in range(1, n) if rng.random() < (0.05, 0.15, 0.4)[seed % 3]]
+            assert signatures(covering_from_signatures(k, family)) == oracles.naive_signature_closure(k, family)
+
+    @pytest.mark.parametrize("k,seed", [(k, s) for k in (1, 2, 3) for s in range(6)])
+    def test_eca_verdict_matches_oracle_where_the_family_is_not_s_star(self, k, seed):
+        # G, the family read off the slices, contains S* and equals it on
+        # tables antitone in the pair and monotone in the cover; flipped and
+        # random tables leave that domain, and the verdict stays exact
+        n, rng = 1 << k, random.Random(seed * 23 + k)
+        family = [s for s in range(1, n) if rng.random() < 0.5]
+        if seed % 2:
+            family += [1 << i for i in range(k)]
+        tables = [covering_from_signatures(k, family).table]
+        for flips in (1, 2, 3):
+            table = tables[0].copy()
+            for _ in range(flips):
+                a, b, d = (rng.randrange(n) for _ in range(3))
+                table[a, b, d] = not table[a, b, d]
+            tables.append(table)
+        tables += [np.array([rng.random() < p for _ in range(n**3)]).reshape(n, n, n) for p in (0.7, 0.9)]
+        for table in tables:
+            cov = CoveringRelation(FiniteBooleanAlgebra(k), table)
+            lists = table.tolist()
+            assert check_eca(cov).all_passed == all_none(oracles.naive_check_eca(n, lists))
+            assert _eca_rebuilt(table, k) == all_none(oracles.naive_check_eca(n, lists))
+            s_star, weak = oracles.naive_signatures(n, lists), oracles.naive_check_weca(n, lists)
+            assert set(signatures(cov)) >= set(s_star)
+            if weak["WECA1"] is None and weak["WECA4"] is None:
+                assert signatures(cov) == s_star
+
+    def test_signatures_off_the_antitone_domain(self):
+        # only (3, 3) |- 0: not antitone, since (1, 1) is not covered by 0.
+        # No pair of atoms is covered, so every set is read off the slices,
+        # while (3, 3, 0) keeps every nonempty set out of S*
+        table = np.zeros((4, 4, 4), dtype=bool)
+        table[3, 3, 0] = True
+        cov = CoveringRelation(FiniteBooleanAlgebra(2), table)
+        assert signatures(cov) == (1, 2, 3)
+        assert oracles.naive_signatures(4, table.tolist()) == ()
+
+    @pytest.mark.parametrize("chunk", [1, 100, 3000])
+    def test_chunked_kernel_matches_oracle(self, chunk, monkeypatch):
+        # one row per chunk, and chunks that leave a short last one
+        monkeypatch.setattr(algebra_module, "_PRODUCT_CHUNK_ELEMENTS", chunk)
+        k, n, rng = 4, 16, random.Random(chunk)
+        slices = np.array([rng.random() < 0.8 for _ in range(n * k * k)]).reshape(n, k, k)
+        table = covering_from_slices(k, slices).table
+        assert (table == np.array(oracles.naive_covering_of_slices(n, k, slices.tolist()))).all()
+
+    def test_eight_atoms_through_the_chunked_kernel(self):
+        # k^2 = 64 counts per entry, in chunks of 16 rows of 65 536 entries
+        discrete = discrete_covering(8).table
+        atoms = [1 << i for i in range(8)]
+        assert (covering_from_signatures(8, atoms).table == discrete).all()
+        assert (covering_from_slices(8, atom_slices(discrete_covering(8))).table == discrete).all()
+
+    @pytest.mark.parametrize("k,count", [(1, 1), (2, 2), (3, 15), (4, 1218)])
+    def test_census_of_closed_families(self, k, count):
+        # the closed families holding every single atom are the ECAs: each
+        # is its own round trip, and each covering passes both axiom systems
+        n = 1 << k
+        singletons = [1 << i for i in range(k)]
+        larger = [s for s in range(1, n) if s.bit_count() > 1]
+        closed = 0
+        for bits in range(1 << len(larger)):
+            family = singletons + [s for i, s in enumerate(larger) if bits >> i & 1]
+            cov = covering_from_signatures(k, family)
+            if signatures(cov) == tuple(sorted(family)):
+                closed += 1
+                assert check_eca(cov).all_passed and check_weca(cov).all_passed
+        assert closed == count
 
     def test_discrete_and_space_coverings(self):
         assert signatures(discrete_covering(3)) == (1, 2, 4)
@@ -645,8 +711,10 @@ class TestVerifiedAlgebras:
     def test_factories(self):
         eca = verified_eca(discrete_covering(2))
         assert eca.strength == "ECA"
-        weca = verified_weca(discrete_covering(2))
+        weca = ExtendedContactAlgebra(discrete_covering(2), "WECA")
         assert weca.strength == "WECA"
+        with pytest.raises(ValueError):
+            ExtendedContactAlgebra(discrete_covering(2), "CA")
 
     def test_violation_carries_report(self):
         empty = CoveringRelation(
@@ -664,7 +732,7 @@ class TestVerifiedAlgebras:
             assert check_weca(cov).all_passed
 
     def test_derived_contact_requires_eca(self):
-        weca = verified_weca(discrete_covering(2))
+        weca = ExtendedContactAlgebra(discrete_covering(2), "WECA")
         with pytest.raises(ValueError):
             derived_contact(weca)
 

@@ -11,12 +11,23 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from example_data import X_DOC, X_OPEN_COUNT, XP_DOC, covering_document, slice_generated_covering
+from example_data import (
+    X_DOC,
+    X_OPEN_COUNT,
+    X_SUBBASIS_MASKS,
+    XP_DOC,
+    build,
+    covering_document,
+    slice_generated_covering,
+)
 from mereotop import (
+    CoveringRelation,
+    FiniteBooleanAlgebra,
     FiniteTopology,
     eca_from_rc,
     labeled_topology_from_document,
@@ -200,7 +211,22 @@ class TestOversizedInputFailsFast:
         path.write_text(json.dumps({"universe": names, "subbasis": [[p] for p in names]}))
         assert main([*argv, "--input", str(path)]) == 2
         assert capsys.readouterr().err == (
-            "error: 4096 elements exceed cap_elements=64; raise the cap to force\n"
+            "error: 4096 elements exceed the exhaustive-check cap of 64; "
+            "pass a larger cap_elements to force the check\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["rc"], ["check-axioms"], ["represent", "--kind", "type2"]], ids=["rc", "axioms", "type2"]
+    )
+    def test_wide_discrete_space_names_its_size_as_a_power(self, argv, tmp_path, capsys):
+        # 300 atoms: the message writes 2^300, not its 91 digits
+        names = [f"p{i}" for i in range(300)]
+        path = tmp_path / "discrete300.json"
+        path.write_text(json.dumps({"universe": names, "subbasis": [[p] for p in names]}))
+        assert main([*argv, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 2^300 elements exceed the exhaustive-check cap of 64; "
+            "pass a larger cap_elements to force the check\n"
         )
 
 
@@ -687,6 +713,80 @@ class TestPinnedOutput:
         code = main(args)
         text = f"{code}\n{capsys.readouterr().out}"
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_OUTPUT_SHA256[argv]
+
+
+def axioms_documents() -> dict[str, dict]:
+    """check-axioms inputs at k = 2..4: discrete tables, a space and the
+    coverings derived from spaces, zero-sided and slice-generated tables
+    (weak only), flips that break ECA3 or ECA4, seeded flips of derived
+    tables, and seeded random tables, which are not antitone."""
+    docs: dict[str, dict] = {f"discrete{k}": {"atoms": k, "covering_mode": "discrete"} for k in (2, 3, 4)}
+    docs["space3"] = X_DOC
+    derived = {}
+    for k, n, masks in ((2, 4, [3, 6, 12]), (3, 7, X_SUBBASIS_MASKS), (4, 6, [3, 6, 12, 24, 48])):
+        derived[k] = eca_from_rc(rc_algebra(build(n, masks))).covering.table
+        docs[f"derived{k}"] = covering_document(CoveringRelation(FiniteBooleanAlgebra(k), derived[k]))
+    tables = {}
+    for k in (2, 3, 4):
+        zero_sided = np.zeros((1 << k,) * 3, dtype=bool)
+        zero_sided[0] = zero_sided[:, 0] = True
+        tables[f"zero{k}"] = zero_sided
+    eca3 = derived[3].copy()
+    eca3[1, 2, 1] = eca3[2, 1, 1] = False  # 1 <= 1, so (1, 2) must be covered by 1
+    eca4 = derived[4].copy()
+    eca4[3, 3, 0] = True  # 3 & 3 is not below 0
+    tables.update(eca3flip3=eca3, eca4flip4=eca4)
+    for k in (2, 3, 4):
+        rng = random.Random(k)
+        tables[f"weak{k}"] = slice_generated_covering(k, 0, rng).table
+        flipped = derived[k].copy()
+        for _ in range(3):
+            a, b, d = (rng.randrange(1 << k) for _ in range(3))
+            flipped[a, b, d] = not flipped[a, b, d]
+        tables[f"flips{k}"] = flipped
+    for k in (2, 3):
+        rng = random.Random(k)
+        tables[f"random{k}"] = np.array([rng.random() < 0.8 for _ in range(1 << 3 * k)]).reshape((1 << k,) * 3)
+    for name, table in tables.items():
+        k = len(table).bit_length() - 1
+        docs[name] = covering_document(CoveringRelation(FiniteBooleanAlgebra(k), table))
+    return docs
+
+
+# SHA-256 of "<exit code>\n<stdout>" of check-axioms --json, pinned from the
+# release before the ECA rebuild read its family off the atom slices.
+PINNED_AXIOMS_SHA256 = {
+    "derived2": "715556ce08bfd552f4c4011b4bdfde9055358c384bdd115ce3fda960a3eccc91",
+    "derived3": "ad3a5f807915a583cc2990ccee2420a473257a43ecd0cba1b035e790c79eec04",
+    "derived4": "123f69c97b8a1512878f8e38d74d2e3908ffe37242b5e758ee98a1906656b7dd",
+    "discrete2": "715556ce08bfd552f4c4011b4bdfde9055358c384bdd115ce3fda960a3eccc91",
+    "discrete3": "ad3a5f807915a583cc2990ccee2420a473257a43ecd0cba1b035e790c79eec04",
+    "discrete4": "123f69c97b8a1512878f8e38d74d2e3908ffe37242b5e758ee98a1906656b7dd",
+    "eca3flip3": "a5aad69793eef262098a960354254abcb8665c9bcd1c47c975648ec25485f5a5",
+    "eca4flip4": "ccba5c4de056fc0cf75aae636cfcd25d53bf0a79b0b4021968ef053ee0ca6ff0",
+    "flips2": "0a428f5d4cf9e27edaa14ed04e25e326a4d60a9621479aeb314ddf18b1abc629",
+    "flips3": "195a4a51c3fabcb136df7d721284d3014c951dcc507ae75bca730df203e005b5",
+    "flips4": "0cd98e469fe8b4487cff4604fcb1fab155a8a411b076b5523883b5c14f1ac786",
+    "random2": "32f5448724e9bd766d090de4ef6298f5928e2207527bd1720be928732b6dd969",
+    "random3": "1c8d15c2c7706e56075d27257970821354ca9914e6aaa334393a65ef62ebf197",
+    "space3": "226224ed7753344df08785a33dccf1eb250b618c109e7aead2907b9dcfc7e205",
+    "weak2": "b7912fbbb60f21c3cc0d50136ef80ff665400d85479a2482dcdd2b404aea1b85",
+    "weak3": "fee722110c862f7f515ac17ce4921f249e1fcd1d80760f7065b0743e714ea66b",
+    "weak4": "be88370bb5ca9990045e7451dee30503480145c54cab87b1c4f2156d69e4a224",
+    "zero2": "c55b3d25a0272260ffacbc2a6f2a7a37b8d6f2eaffcab2522c2010d3f6231749",
+    "zero3": "7b462ac4f213a840f6725703aae4339811d383c8e8a003ca1a8436e77d75b1bc",
+    "zero4": "b382dc1ec02f2f09e2c6c6246124df2ddad9f8c0828edf17bd05fb6340bd2a9b",
+}
+
+
+class TestPinnedAxioms:
+    @pytest.mark.parametrize("name", sorted(PINNED_AXIOMS_SHA256))
+    def test_exit_code_and_stdout(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(axioms_documents()[name]))
+        code = main(["check-axioms", "--json", "--input", str(path)])
+        text = f"{code}\n{capsys.readouterr().out}"
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_AXIOMS_SHA256[name]
 
 
 # ---------------------------------------------------------------------------

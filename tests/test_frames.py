@@ -1,6 +1,7 @@
 """Parametrized and equivalence frames: covering evaluators against the
 naive oracles, antitone and non-antitone relation arrays, internal
-connectedness on the frame side, and the powerset algebras of frames."""
+connectedness on the frame side, and the coverings frames put on their
+powersets."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from example_data import powerset_covering
 from mereotop import (
     CapExceeded,
     EquivalenceFrame1,
@@ -20,7 +22,6 @@ from mereotop import (
     check_eca,
     check_weca,
     frame2_internally_connected,
-    powerset_eca,
 )
 from mereotop.frames import _reach, covering_table
 
@@ -62,7 +63,7 @@ def non_antitone_tables() -> np.ndarray:
 def oracle_reach(frame: ParametrizedFrame) -> np.ndarray:
     w = frame.world_count
     return np.array(
-        [oracles.naive_pframe_reach(w, frame.relation, d) for d in range(1 << w)],
+        [oracles.naive_pframe_reach(w, frame.relations.__getitem__, d) for d in range(1 << w)],
         dtype=bool,
     ).reshape(1 << w, w, w)
 
@@ -76,7 +77,7 @@ def assert_covering_matches_oracle(frame: ParametrizedFrame) -> None:
     for a in range(n):
         for b in range(n):
             for d in range(n):
-                expected = oracles.naive_pframe_covering(w, frame.relation, a, b, d)
+                expected = oracles.naive_pframe_covering(w, frame.relations.__getitem__, a, b, d)
                 assert table[a, b, d] == expected, (a, b, d)
 
 
@@ -94,15 +95,11 @@ class TestParametrizedFrame:
         frame = ParametrizedFrame(tables)
         assert frame.world_count == 2
         for u in range(4):
-            assert np.array_equal(frame.relation(u), tables[u])
+            assert np.array_equal(frame.relations[u], tables[u])
         with pytest.raises(ValueError):
-            frame.relation(0)[0, 0] = True  # read-only view
-        with pytest.raises(ValueError):
-            frame.relations[0, 0, 0] = True
-        with pytest.raises(ValueError):
-            frame.relation(4)  # out of range
+            frame.relations[0][0, 0] = True  # read-only
         tables[0, 0, 0] = not tables[0, 0, 0]
-        assert frame.relation(0)[0, 0] != tables[0, 0, 0]  # the frame owns a copy
+        assert frame.relations[0, 0, 0] != tables[0, 0, 0]  # the frame owns a copy
 
     def test_from_tables_validates_shape(self):
         for shape in ((3, 2, 2), (4, 3, 3), (4, 2), (1, 0, 0), (4, 2, 3)):
@@ -138,7 +135,7 @@ class TestParametrizedFrame:
             for b in range(1 << w):
                 for d in range(1 << w):
                     shortcut = not any(
-                        frame.relation(d)[s, t]
+                        frame.relations[d, s, t]
                         for s in range(w)
                         for t in range(w)
                         if a >> s & 1 and b >> t & 1
@@ -235,7 +232,7 @@ class TestEquivalenceFrames:
 
 
 # ---------------------------------------------------------------------------
-# powerset algebras of frames
+# the coverings frames put on their powersets
 
 
 class TestPowersetEca:
@@ -244,9 +241,7 @@ class TestPowersetEca:
         rng = random.Random(seed)
         w = rng.randint(1, 4)
         classes = random_classes(w, rng)
-        fa = powerset_eca(EquivalenceFrame1(w, classes), verify=False)
-        assert fa.eca.strength == "ECA"
-        cov = fa.covering
+        cov = powerset_covering(EquivalenceFrame1(w, classes))
         for a in range(1 << w):
             for b in range(1 << w):
                 for d in range(1 << w):
@@ -258,9 +253,7 @@ class TestPowersetEca:
         rng = random.Random(seed)
         w = rng.randint(1, 4)
         c1, c2 = random_classes(w, rng), random_classes(w, rng)
-        fa = powerset_eca(EquivalenceFrame2(w, c1, c2), verify=False)
-        assert fa.eca.strength == "ECA"
-        cov = fa.covering
+        cov = powerset_covering(EquivalenceFrame2(w, c1, c2))
         for a in range(1 << w):
             for b in range(1 << w):
                 for d in range(1 << w):
@@ -273,14 +266,12 @@ class TestPowersetEca:
         rng = random.Random(seed)
         w = rng.randint(1, 3)
         frame = ParametrizedFrame(random_relation_tables(w, rng))
-        fa = powerset_eca(frame, verify=False)
-        assert fa.eca.strength == "WECA"
-        cov = fa.covering
+        cov = powerset_covering(frame)
         for a in range(1 << w):
             for b in range(1 << w):
                 for d in range(1 << w):
                     assert cov.holds(a, b, d) == oracles.naive_pframe_covering(
-                        w, frame.relation, a, b, d
+                        w, frame.relations.__getitem__, a, b, d
                     )
 
     def test_parametrized_powerset_is_weak_algebra(self):
@@ -288,10 +279,11 @@ class TestPowersetEca:
         for tables in [antitone_tables(3, rng) for _ in range(4)] + [
             random_relation_tables(3, rng) for _ in range(4)
         ]:
-            fa = powerset_eca(ParametrizedFrame(tables), verify=True)
-            assert check_weca(fa.covering, cap_elements=8).all_passed
+            assert check_weca(powerset_covering(ParametrizedFrame(tables)), cap_elements=8).all_passed
 
     def test_cap(self):
-        frame = EquivalenceFrame1(6, (0,) * 6)
+        # six worlds give a 64-element powerset, over the checkers' default cap
+        cov = powerset_covering(EquivalenceFrame1(6, (0,) * 6))
         with pytest.raises(CapExceeded):
-            powerset_eca(frame)
+            check_eca(cov)
+        assert check_eca(cov, cap_elements=64).all_passed

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from example_data import WORLD_COUNT, X_REGION_MASK, build, example_topology, slice_generated_covering
+from example_data import (
+    WORLD_COUNT,
+    X_REGION_MASK,
+    build,
+    example_topology,
+    powerset_covering,
+    slice_generated_covering,
+)
 from mereotop import (
     Embedding,
     EquivalenceFrame1,
@@ -24,7 +31,6 @@ from mereotop import (
     build_type2,
     discrete_covering,
     eca_from_rc,
-    powerset_eca,
     rc_algebra,
     verification_document,
     verify_c_preservation,
@@ -58,7 +64,7 @@ def assert_relation_matches_closed_form(eca) -> None:
         expected = oracles.pframe_relation_closed_form(
             eca.algebra.size, eca.covering.table, k, u
         )
-        assert frame.relation(u).tolist() == expected, u
+        assert frame.relations[u].tolist() == expected, u
 
 
 def random_teca(seed: int, max_n: int = 4):
@@ -94,7 +100,7 @@ class TestParametrizedPipeline:
         eca = verified_eca(discrete_covering(k), cap_elements=1 << k)
         frame = build_parametrized_frame(eca).frame
         for d in range(1 << k):
-            assert oracles.naive_pframe_reach(k, frame.relation, d) == frame.relation(d).tolist()
+            assert oracles.naive_pframe_reach(k, frame.relations.__getitem__, d) == frame.relations[d].tolist()
 
     def test_image_is_atom_membership(self):
         # world i is the up-set of atom i, so h(a) is exactly the bit
@@ -112,10 +118,11 @@ class TestParametrizedPipeline:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_verifies_on_weak_algebras_from_frames(self, seed):
-        # powerset algebras of parametrized frames are verified weak
-        # algebras that need not satisfy the full axioms
-        weca = powerset_eca(intersection_frame(random.Random(seed)), verify=True).eca
-        embedding = build_parametrized_frame(weca)
+        # powerset algebras of parametrized frames are weak algebras that
+        # need not satisfy the full axioms
+        covering = powerset_covering(intersection_frame(random.Random(seed)))
+        assert check_weca(covering).all_passed
+        embedding = build_parametrized_frame(ExtendedContactAlgebra(covering, "WECA"))
         report = verify_embedding(embedding, pipeline="parametrized")
         assert report.all_passed
 
@@ -214,7 +221,7 @@ def oracle_covering(frame):
             frame.classes1, frame.classes2, a, b, d
         )
     return lambda a, b, d: oracles.naive_pframe_covering(
-        frame.world_count, frame.relation, a, b, d
+        frame.world_count, frame.relations.__getitem__, a, b, d
     )
 
 
@@ -308,7 +315,8 @@ class TestCoveringWitnessMatchesOracles:
         # own powerset algebra
         rng = random.Random(seed)
         frame = intersection_frame(rng)
-        embedding = Embedding(powerset_eca(frame, verify=False).eca, frame, tuple(range(8)))
+        source = ExtendedContactAlgebra(powerset_covering(frame), "WECA")
+        embedding = Embedding(source, frame, tuple(range(8)))
         assert verify_embedding(embedding, pipeline="parametrized").all_passed
         for broken in (
             with_flipped_source(embedding, rng, rng.randint(1, 6)),
