@@ -19,20 +19,23 @@ round trip F → slices → family is F's closure.  A finite table satisfies
 the extended contact axioms exactly when every single atom is in the
 family read off its slices and it is the covering of that family, and
 the weak ones exactly when its atom slices grow with f and generate it.
-So check_eca, check_weca and check_weca_consequences (whose six laws
-follow from the weak axioms) generate the table once and, when it
-matches, report every axiom passed without any per-axiom work.
-Otherwise, or in a checker without a rebuild, each axiom is decided by an
-exact reduced form where one exists: ECA1 by a greatest-fixpoint fold of
-one-atom growth steps, in O(k·N³); CA1 with CA2, and RCL1 with RCL2 for
-every g, by equality with the join-extension from zero and the atoms;
-WECA3, with no other axiom assumed, by each cover's slice being a
-sublattice of B x B^op (one superset-and fold over pair words).  Only a
-failing verdict runs the literal search, which reports the
-lexicographically first violating tuple — the one a direct nested loop over
-ascending element values would find.  The ECA1 search runs on the first
-failing (a, b) alone; the WECA3 search tests all (d, e, f) of one (a, b) at
-once and stops at the first (a, b) that has a hit.  A plain triple-list
+That verdict is memoised on the table, so one generation serves
+check_eca, check_weca, check_weca_consequences (six laws that follow from
+the weak axioms) and check_relative_contact_laws (laws of every such
+covering of a family), which return a shared all-passed report on a pass.
+check_ca passes a contact in closed form: the join-extension of its
+restriction to zero and the atoms (one small product), symmetric, with an
+empty zero row and a full atom diagonal.  Otherwise each axiom is decided
+by an exact reduced form where one exists: ECA1 by a greatest-fixpoint
+fold of one-atom growth steps, in O(k·N³); CA1 with CA2, and RCL1 with
+RCL2 for every g, by equality with that join-extension; WECA3, with no
+other axiom assumed, by each cover's slice being a sublattice of B x B^op
+(one superset-and fold over pair words).  Only a failing verdict runs the
+literal search, which reports the lexicographically first violating tuple
+— the one a direct nested loop over ascending element values would find.
+The ECA1 search runs on the first failing (a, b) alone; the WECA3 search
+tests all (d, e, f) of one (a, b) at once and stops at the first (a, b)
+that has a hit.  A plain triple-list
 covering document is read straight from its bytes; any other goes through
 the JSON parser and covering_from_document, which alone reports faults.
 """
@@ -111,14 +114,21 @@ class FiniteBooleanAlgebra:
 
 def _frozen_table(table: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """A dense relation table as a read-only bool array of the given shape,
-    never the caller's own array, which stays writable."""
-    arr = np.ascontiguousarray(np.asarray(table, dtype=bool))
-    if isinstance(table, np.ndarray) and np.may_share_memory(arr, table):
-        arr = arr.copy()
+    always a copy: the caller's own array stays writable."""
+    arr = np.array(table, dtype=bool, order="C")
     if arr.shape != shape:
         raise ValueError(f"table has shape {arr.shape}, expected {shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _owning(cls, algebra: FiniteBooleanAlgebra, table: np.ndarray):
+    """A relation on a C-contiguous bool table of the right shape that this
+    module has just allocated and holds nowhere else, frozen in place."""
+    table.setflags(write=False)
+    relation = object.__new__(cls)
+    relation.__dict__.update(algebra=algebra, table=table)
+    return relation
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +149,23 @@ class CoveringRelation:
         self.algebra._require(a, b, d)
         return bool(self.table[a, b, d])
 
+    @cached_property
+    def _strength(self) -> Strength | None:
+        """The verdict "ECA", else "WECA", or None, from the atom slices and at
+        most one generation.  A WECA's slices grow with f and generate it (see
+        covering_from_slices); an ECA is the covering of the family G read
+        off its slices (see signatures), which holds every single atom.  The
+        covering of G has G's slices, which grow with f, so only slices that
+        differ from G's take the fold that tests growth."""
+        k = self.algebra.atom_count
+        slices = _atom_slices(self.table, k)
+        family = _family_of_slices(slices, k)
+        closed = (slices == _slices_of_family(family, k)).all()
+        grows = closed or not (_fold(slices, 0, k, subsets=True) & ~slices).any()
+        if not grows or not (self.table == _covering_of_slices(slices, k)).all():
+            return None
+        return "ECA" if closed and family[_atom_matrices(k)[0][1:]].all() else "WECA"
+
 
 @dataclass(frozen=True, eq=False)
 class ContactRelation:
@@ -158,9 +185,8 @@ class ContactRelation:
 
 def discrete_covering(atom_count: int) -> CoveringRelation:
     """The covering (a, b) |- d iff a meet b <= d (contact = overlap)."""
-    algebra = FiniteBooleanAlgebra(atom_count)
     _, _, and_t, _, le_t = _tables(atom_count)
-    return CoveringRelation(algebra, le_t[and_t])
+    return _owning(CoveringRelation, FiniteBooleanAlgebra(atom_count), le_t[and_t])
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +225,12 @@ class AxiomReport:
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(r for r in self.results if not r.passed)
+
+
+_PASSED = {  # the report of a table that passes a whole system, shared (frozen)
+    system: AxiomReport.of(dict.fromkeys(f"{system}{i}" for i in range(1, count + 1)))
+    for system, count in (("CA", 5), ("ECA", 5), ("WECA", 4), ("CONS", 6), ("RCL", 5))
+}
 
 
 class AxiomViolation(ValueError):
@@ -256,15 +288,6 @@ def _tables(atom_count: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, n
     return n, e, and_t, or_t, le_t
 
 
-@lru_cache(maxsize=None)
-def _zero_and_atoms(atom_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``np.ix_`` index of the rows and columns of zero and the atoms
-    (read-only)."""
-    base = np.array([0] + [1 << i for i in range(atom_count)])
-    base.setflags(write=False)
-    return np.ix_(base, base)
-
-
 def _fold(
     table: np.ndarray, axis: int, bits: int, op: np.ufunc = np.bitwise_or, *, subsets: bool = False
 ) -> np.ndarray:
@@ -295,15 +318,18 @@ def _first(viol: np.ndarray) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _atom_matrices(atom_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(under, pairs, disjoint), read-only: under[x, p] = 1 when atom p is
-    below x, as (N, k) float32; pairs[σ, p, q] = σ holds atoms p and q;
-    disjoint[c, σ] = 1 when σ lies inside the complement of c, as (N, N)
-    float32."""
-    held = np.arange(1 << atom_count)[:, None] >> np.arange(atom_count) & 1 == 1
+def _atom_matrices(atom_count: int) -> tuple[np.ndarray, ...]:
+    """(base, below, under, pairs, disjoint), read-only: base = zero and the
+    atom masks; below[x, i] = 1 when base[i] is below x, (N, k + 1) float32,
+    and under the same without zero; pairs[σ, p, q] = σ holds atoms p and q;
+    disjoint[c, σ] = 1 when σ lies inside the complement of c, as float32."""
+    base = np.array([0] + [1 << i for i in range(atom_count)])
+    held = np.arange(1 << atom_count)[:, None] & base == base
     out = (
+        base,
         held.astype(np.float32),
-        held[:, :, None] & held[:, None, :],
+        held[:, 1:].astype(np.float32),
+        held[:, 1:, None] & held[:, None, 1:],
         (_tables(atom_count)[2] == 0).astype(np.float32),
     )
     for arr in out:
@@ -317,7 +343,7 @@ def _slices_of_family(flags: np.ndarray, k: int) -> np.ndarray:
     of "σ inside ¬c" with the members' atom pairs counts those members
     (exactly: at most N of them)."""
     n = 1 << k
-    _, pairs, disjoint = _atom_matrices(k)
+    _, _, _, pairs, disjoint = _atom_matrices(k)
     held = (pairs & flags[:, None, None]).reshape(n, k * k).astype(np.float32)
     return (disjoint @ held == 0).reshape(n, k, k)
 
@@ -325,11 +351,11 @@ def _slices_of_family(flags: np.ndarray, k: int) -> np.ndarray:
 def _family_of_slices(slices: np.ndarray, k: int) -> np.ndarray:
     """flags[σ] (flags[0] always holds): no pair of atoms of σ, one atom
     twice allowed, is covered by the complement of σ, slice N - 1 - σ."""
-    return ~(slices[::-1] & _atom_matrices(k)[1]).any(axis=(1, 2))
+    return ~(slices[::-1] & _atom_matrices(k)[3]).any(axis=(1, 2))
 
 
 def _atom_slices(v: np.ndarray, k: int) -> np.ndarray:
-    atoms = 1 << np.arange(k)
+    atoms = _atom_matrices(k)[0][1:]
     return np.ascontiguousarray(v[atoms][:, atoms].transpose(2, 0, 1))
 
 
@@ -340,7 +366,7 @@ def _covering_of_slices(slices: np.ndarray, k: int) -> np.ndarray:
     over the atoms of b and then over the atoms of a, the second in chunks of
     rows of about 4 MiB."""
     n = 1 << k
-    under = _atom_matrices(k)[0]
+    under = _atom_matrices(k)[2]
     gaps = (~slices).transpose(1, 2, 0).astype(np.float32)  # [p, q, f]
     by_b = (under @ gaps).reshape(k, n * n)  # [p, (b, f)]
     table = np.empty((n, n, n), dtype=bool)
@@ -375,7 +401,7 @@ def covering_from_signatures(atom_count: int, family: Iterable[int]) -> Covering
     algebra._require(*members)
     flags = np.zeros(algebra.size, dtype=bool)
     flags[members] = True
-    return CoveringRelation(algebra, _covering_of_slices(_slices_of_family(flags, atom_count), atom_count))
+    return _owning(CoveringRelation, algebra, _covering_of_slices(_slices_of_family(flags, atom_count), atom_count))
 
 
 def atom_slices(covering: CoveringRelation) -> np.ndarray:
@@ -396,7 +422,7 @@ def covering_from_slices(atom_count: int, slices: np.ndarray) -> CoveringRelatio
     shape = (algebra.size, atom_count, atom_count)
     if slices.shape != shape:
         raise ValueError(f"slices have shape {slices.shape}, expected {shape}")
-    return CoveringRelation(algebra, _covering_of_slices(slices, atom_count))
+    return _owning(CoveringRelation, algebra, _covering_of_slices(slices, atom_count))
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +431,13 @@ def covering_from_slices(atom_count: int, slices: np.ndarray) -> CoveringRelatio
 
 def _ca12_mismatch(c: np.ndarray, k: int) -> np.ndarray:
     """Where c (over axes 0 and 1) differs from the join-extension of its
-    restriction to zero and the atoms: nowhere iff CA1 and CA2 hold.  The
-    zero is needed, since the all-true relation passes both."""
-    base = _zero_and_atoms(k)
-    restricted = np.zeros_like(c)
-    restricted[base] = c[base]
-    return _fold(_fold(restricted, 0, k, subsets=True), 1, k, subsets=True) != c
+    restriction R to zero and the atoms: nowhere iff CA1 and CA2 hold.  The
+    zero is needed, since the all-true relation passes both.  The extension
+    is below @ R @ below.T > 0 (the counts are exact: at most (k + 1)²)."""
+    base, below = _atom_matrices(k)[:2]
+    m = c.ndim - 2  # further axes, leading in the products
+    restricted = c[base][:, base].transpose(*range(2, c.ndim), 0, 1).astype(np.float32)
+    return (below @ restricted @ below.T > 0).transpose(m, m + 1, *range(m)) != c
 
 
 def _ca1(c: np.ndarray, n: int, k: int, le_t: np.ndarray) -> tuple | None:
@@ -466,12 +493,19 @@ def _ca5(c: np.ndarray) -> tuple | None:
 def check_ca(contact: ContactRelation, *, cap_elements: int = DEFAULT_CHECK_CAP) -> AxiomReport:
     """Check the five contact axioms: monotonicity in both arguments,
     distribution over joins, no contact with zero, reflexivity away from
-    zero, and symmetry."""
+    zero, and symmetry.  All five hold iff c is the join-extension of its
+    restriction R to zero and the atoms and R is symmetric, with an empty
+    zero row and every atom in contact with itself; only a relation that
+    fails this closed form runs the per-axiom code."""
     k = contact.algebra.atom_count
     check_cap(k, cap_elements)
-    n, _, _, or_t, le_t = _tables(k)
     c = contact.table
     reduced_pass = not _ca12_mismatch(c, k).any()
+    base = _atom_matrices(k)[0]
+    r = c[base][:, base].tolist()
+    if reduced_pass and r == [list(col) for col in zip(*r)] and not any(r[0]) and all(r[i][i] for i in range(1, k + 1)):
+        return _PASSED["CA"]
+    n, _, _, or_t, le_t = _tables(k)
     witnesses = {
         "CA1": None if reduced_pass else _ca1(c, n, k, le_t),
         "CA2": None if reduced_pass else _ca2(c, n, or_t),
@@ -484,21 +518,6 @@ def check_ca(contact: ContactRelation, *, cap_elements: int = DEFAULT_CHECK_CAP)
 
 # ---------------------------------------------------------------------------
 # extended contact axioms
-
-
-def _eca_rebuilt(v: np.ndarray, k: int) -> bool:
-    """The five extended contact axioms hold.  With G the family read off
-    v's atom slices (see signatures), v is an ECA iff every single atom is
-    in G and v is the covering of G.  (⇐) The covering of a family that
-    holds every single atom is an ECA (see covering_from_signatures).
-    (⇒) An ECA is the covering of its S*, and it is antitone in the pair
-    and monotone in the cover, where G = S*.  The covering of G has the
-    slices of G, so the slices are compared before the whole table."""
-    slices = _atom_slices(v, k)
-    family = _family_of_slices(slices, k)
-    if not family[1 << np.arange(k)].all() or (slices != _slices_of_family(family, k)).any():
-        return False
-    return bool((v == _covering_of_slices(slices, k)).all())
 
 
 def _eca1(v: np.ndarray, n: int, k: int, or_t: np.ndarray) -> tuple | None:
@@ -584,10 +603,10 @@ def check_eca(covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_C
     meet inside the cover, and symmetry."""
     k = covering.algebra.atom_count
     check_cap(k, cap_elements)
+    if covering._strength == "ECA":
+        return _PASSED["ECA"]
     n, _, and_t, or_t, le_t = _tables(k)
     v = covering.table
-    if _eca_rebuilt(v, k):
-        return AxiomReport.of(dict.fromkeys(("ECA1", "ECA2", "ECA3", "ECA4", "ECA5")))
     witnesses = {
         "ECA1": _eca1(v, n, k, or_t),
         "ECA2": _eca2(v, n),
@@ -600,14 +619,6 @@ def check_eca(covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_C
 
 # ---------------------------------------------------------------------------
 # weak extended contact axioms
-
-
-def _weca_rebuilt(v: np.ndarray, k: int) -> bool:
-    """The four weak axioms hold (see covering_from_slices)."""
-    slices = _atom_slices(v, k)
-    if (_fold(slices, 0, k, subsets=True) & ~slices).any():
-        return False
-    return bool((v == _covering_of_slices(slices, k)).all())
 
 
 def _weca1(v: np.ndarray, n: int, k: int) -> tuple | None:
@@ -712,10 +723,10 @@ def check_weca(covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_
     meet/join combinations, and monotonicity in the cover."""
     k = covering.algebra.atom_count
     check_cap(k, cap_elements)
+    if covering._strength is not None:
+        return _PASSED["WECA"]
     n, _, and_t, or_t, le_t = _tables(k)
     v = covering.table
-    if _weca_rebuilt(v, k):
-        return AxiomReport.of(dict.fromkeys(("WECA1", "WECA2", "WECA3", "WECA4")))
     witnesses = {
         "WECA1": _weca1(v, n, k),
         "WECA2": _weca2(v),
@@ -790,13 +801,13 @@ def check_weca_consequences(
     """Check six consequences of the weak axioms: the zero pairs are covered
     by everything, covering is additive in each member separately, and it is
     antitone in each member separately.  All six follow from the weak
-    axioms, so a table that passes the slice rebuild passes them."""
+    axioms, so a table whose verdict is WECA or ECA passes them."""
     k = covering.algebra.atom_count
     check_cap(k, cap_elements)
+    if covering._strength is not None:
+        return _PASSED["CONS"]
     n, _, _, or_t, _ = _tables(k)
     v = covering.table
-    if _weca_rebuilt(v, k):
-        return AxiomReport.of(dict.fromkeys(("CONS1", "CONS2", "CONS3", "CONS4", "CONS5", "CONS6")))
     cons1, cons2 = _cons12(v, n)
     witnesses = {
         "CONS1": cons1,
@@ -819,7 +830,7 @@ def derived_contact(eca: ExtendedContactAlgebra) -> ContactRelation:
     contact axioms, so weaker inputs are rejected."""
     if eca.strength != "ECA":
         raise ValueError("derived contact needs the full extended contact axioms")
-    return ContactRelation(eca.algebra, ~eca.covering.table[:, :, 0])
+    return _owning(ContactRelation, eca.algebra, ~eca.covering.table[:, :, 0])
 
 
 def check_relative_contact_laws(
@@ -827,9 +838,18 @@ def check_relative_contact_laws(
 ) -> AxiomReport:
     """Check, for every region g, the five laws of contact relative to g:
     monotonicity, distribution over joins, no contact for parts of g,
-    reflexivity outside g, and symmetry.  Witnesses carry g first."""
+    reflexivity outside g, and symmetry.  Witnesses carry g first.
+
+    A table whose verdict is ECA is the covering of a family F that holds
+    every single atom, where a and b are in contact relative to g iff some
+    σ in F meets a and b and misses g.  So it passes: RCL1 is antitonicity;
+    RCL2 holds because "some σ meets a and b | d and misses g" splits over
+    the join; RCL3 because a σ that meets a <= g meets g; RCL4 by the
+    singleton of an atom in a & ~g; RCL5 is symmetry."""
     k = covering.algebra.atom_count
     check_cap(k, cap_elements)
+    if covering._strength == "ECA":
+        return _PASSED["RCL"]
     n, _, _, or_t, le_t = _tables(k)
     q = ~covering.table  # q[a, b, g]: a and b in contact relative to g
     rcl1 = rcl2 = None
@@ -999,7 +1019,7 @@ def _covering_of_entries(atoms: int, entries: np.ndarray) -> CoveringRelation:
     table = np.zeros((n, n, n), dtype=bool)
     a, b, d = entries.T
     table.reshape(-1)[(a * n + b) * n + d] = True
-    return CoveringRelation(FiniteBooleanAlgebra(atoms), table)
+    return _owning(CoveringRelation, FiniteBooleanAlgebra(atoms), table)
 
 
 def _triple_entries(triples: list, atoms: int) -> np.ndarray:

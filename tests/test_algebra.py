@@ -50,12 +50,11 @@ from mereotop import (
 )
 from mereotop import algebra as algebra_module
 from mereotop.algebra import (
+    _PASSED,
     _ca12_mismatch,
     _eca1,
     _eca2,
-    _eca_rebuilt,
     _weca3_holds,
-    _weca_rebuilt,
     verified_eca,
 )
 from paper_claims import check_filter_separation_equivalence, left_set, relative_contact, right_set
@@ -310,10 +309,25 @@ def up_closed_contact(k: int, rng: random.Random) -> ContactRelation:
     )
 
 
+def atom_extended_contact(k: int, pairs) -> ContactRelation:
+    """The join-extension of a relation on zero and the atoms, given as
+    index pairs into (0, 1, 2, 4, ...): a C b iff some pair (i, j) has its
+    i-th element below a and its j-th below b."""
+    base = [0] + [1 << i for i in range(k)]
+    return contact_of(
+        FiniteBooleanAlgebra(k),
+        lambda a, b: any(base[i] & ~a == 0 and base[j] & ~b == 0 for i, j in pairs),
+    )
+
+
 def assert_contact_checker_matches(contact: ContactRelation) -> None:
+    """The checker gives the oracle's report, and its closed form (which
+    returns the shared all-passed report) is exact."""
     n, k = contact.algebra.size, contact.algebra.atom_count
     naive = oracles.naive_check_ca(n, contact.table.tolist())
-    assert witnesses(check_ca(contact)) == naive
+    report = check_ca(contact)
+    assert witnesses(report) == naive
+    assert (report is _PASSED["CA"]) == all_none(naive)
     assert _ca12_mismatch(contact.table, k).any() == ((naive["CA1"], naive["CA2"]) != (None, None))
 
 
@@ -322,20 +336,21 @@ def all_none(report: dict) -> bool:
 
 
 def assert_covering_checkers_match(cov: CoveringRelation) -> None:
-    """The checkers give the oracles' reports, and each rebuild and reduced
-    verdict is exact, so a passing table never reaches the literal search."""
+    """The checkers give the oracles' reports, and the memoised verdict and
+    each reduced verdict are exact, so a passing table never reaches the
+    literal search."""
     n, k = cov.algebra.size, cov.algebra.atom_count
     or_t = algebra_module._tables(k)[3]
     table = cov.table.tolist()
     naive = oracles.naive_check_eca(n, table)
     assert witnesses(check_eca(cov)) == naive
-    assert _eca_rebuilt(cov.table, k) == all_none(naive)
+    assert (cov._strength == "ECA") == all_none(naive)
     if all_none(naive):
         assert (covering_from_signatures(k, signatures(cov)).table == cov.table).all()
     assert _eca1(cov.table, n, k, or_t) == naive["ECA1"]
     naive = oracles.naive_check_weca(n, table)
     assert witnesses(check_weca(cov)) == naive
-    assert _weca_rebuilt(cov.table, k) == all_none(naive)
+    assert (cov._strength is not None) == all_none(naive)
     if all_none(naive):
         assert (covering_from_slices(k, atom_slices(cov)).table == cov.table).all()
     assert _weca3_holds(cov.table, k) == (naive["WECA3"] is None)
@@ -460,6 +475,20 @@ class TestReducedVerdictsMatchNaive:
         empty = CoveringRelation(FiniteBooleanAlgebra(k), np.zeros((n, n, n), dtype=bool))
         assert_covering_checkers_match(empty)
 
+    @pytest.mark.parametrize(
+        "failing,added,dropped",
+        [("CA3", [(0, 1), (1, 0)], []), ("CA4", [], [(1, 1)]), ("CA5", [(1, 2)], [])],
+    )
+    def test_one_conjunct_of_the_closed_form_fails(self, failing, added, dropped):
+        # the join-extension of the atoms' overlap, so CA1 and CA2 hold,
+        # changed on zero and the atoms: contact with zero, one atom not in
+        # contact with itself, or one asymmetric atom pair
+        pairs = [(i, i) for i in range(1, 4) if (i, i) not in dropped] + added
+        contact = atom_extended_contact(3, pairs)
+        report = witnesses(check_ca(contact))
+        assert [name for name, w in report.items() if w is not None] == [failing]
+        assert_contact_checker_matches(contact)
+
 
 class TestFailingTablesMatchThePerPairSearch:
     """Past three atoms the naive loops take too long; the per-pair searches
@@ -494,14 +523,15 @@ class TestFailingTablesMatchThePerPairSearch:
 
 class TestPassingTablesSkipTheLiteralSearch:
     """At k = 7 the literal searches take seconds; a passing table is
-    decided by the rebuild and the join-closure folds alone."""
+    decided by its one verdict, and its derived contact by CA's closed
+    form."""
 
     @pytest.mark.parametrize("source", ["discrete", "topology"])
     def test_seven_atoms(self, source, monkeypatch):
         def literal(*args):
             raise AssertionError("a literal search ran on a passing table")
 
-        for name in ("_eca1", "_eca2", "_weca1", "_weca3", "_cons3", "_cons4"):
+        for name in ("_eca1", "_eca2", "_weca1", "_weca3", "_cons3", "_cons4", "_ca1", "_ca2"):
             monkeypatch.setattr(algebra_module, name, literal)
         if source == "discrete":
             cov = discrete_covering(7)
@@ -509,6 +539,84 @@ class TestPassingTablesSkipTheLiteralSearch:
             cov = alexandrov_covering(7, 0, random.Random(7))
         for check in (check_eca, check_weca, check_weca_consequences):
             assert check(cov, cap_elements=128).all_passed
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra_module, "_ca12_mismatch", literal)
+            assert check_relative_contact_laws(cov, cap_elements=128).all_passed
+        contact = derived_contact(ExtendedContactAlgebra(cov, "ECA"))
+        assert check_ca(contact, cap_elements=128).all_passed
+
+
+class TestOneVerdictPerTable:
+    """The four covering checkers share one memoised verdict, so a table is
+    generated from its slices at most once, whichever of them runs."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list[int]:
+        calls: list[int] = []
+        generate = algebra_module._covering_of_slices
+
+        def counted(slices, k):
+            calls.append(k)
+            return generate(slices, k)
+
+        monkeypatch.setattr(algebra_module, "_covering_of_slices", counted)
+        return calls
+
+    @pytest.mark.parametrize("source", ["discrete", "topology", "weak", "flipped"])
+    def test_one_generation_per_table(self, source, monkeypatch):
+        rng = random.Random(5)
+        cov = {
+            "discrete": lambda: discrete_covering(4),
+            "topology": lambda: alexandrov_covering(4, 0, rng),
+            "weak": lambda: slice_generated_covering(4, 0, rng),
+            "flipped": lambda: alexandrov_covering(3, 2, rng),
+        }[source]()
+        calls = self.spy(monkeypatch)
+        checks = (check_weca, check_eca, check_weca_consequences, check_relative_contact_laws)
+        reports = [check(cov) for check in checks] + [check(cov) for check in checks]
+        passed = {"discrete": [True] * 8, "topology": [True] * 8, "weak": [True, False, True, False] * 2}
+        if source in passed:
+            assert [r.all_passed for r in reports] == passed[source]
+            assert calls == [4]
+        else:
+            assert cov._strength is None and len(calls) <= 1
+
+    def test_one_verdict_per_random_trial(self, monkeypatch, capsys):
+        # each trial generates its covering from the points' signatures
+        # once, and the four checkers share one verdict on it
+        from mereotop.cli import main
+
+        calls = self.spy(monkeypatch)
+        for trials in (1, 4):
+            calls.clear()
+            assert main(["random", "--seed", "7", "--trials", str(trials), "--json"]) == 0
+            assert len(calls) == 2 * trials
+        capsys.readouterr()
+
+    def test_caller_arrays_are_copied(self):
+        # a table the caller still holds cannot change the relation or
+        # its memoised verdict
+        arr = discrete_covering(2).table.copy()
+        cov = CoveringRelation(FiniteBooleanAlgebra(2), arr)
+        assert cov._strength == "ECA"
+        arr[3, 3, 0] = True
+        assert not cov.table[3, 3, 0] and cov._strength == "ECA"
+        assert check_eca(cov).all_passed
+
+    def test_fresh_tables_are_frozen_in_place(self, monkeypatch):
+        def copied(*args):
+            raise AssertionError("a table the library allocated was copied")
+
+        monkeypatch.setattr(algebra_module, "_frozen_table", copied)
+        cov = discrete_covering(2)
+        for relation in (
+            cov,
+            covering_from_signatures(2, [1, 2]),
+            covering_from_slices(2, atom_slices(cov)),
+            covering_from_document({"atoms": 1, "covering": [[0, 0, 0]]}),
+            derived_contact(ExtendedContactAlgebra(cov, "ECA")),
+        ):
+            assert not relation.table.flags.writeable
 
 
 class TestConsequencesOnFailingTables:
@@ -616,7 +724,7 @@ class TestGenerators:
             cov = CoveringRelation(FiniteBooleanAlgebra(k), table)
             lists = table.tolist()
             assert check_eca(cov).all_passed == all_none(oracles.naive_check_eca(n, lists))
-            assert _eca_rebuilt(table, k) == all_none(oracles.naive_check_eca(n, lists))
+            assert (cov._strength == "ECA") == all_none(oracles.naive_check_eca(n, lists))
             s_star, weak = oracles.naive_signatures(n, lists), oracles.naive_check_weca(n, lists)
             assert set(signatures(cov)) >= set(s_star)
             if weak["WECA1"] is None and weak["WECA4"] is None:
