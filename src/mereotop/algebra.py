@@ -150,6 +150,14 @@ class CoveringRelation:
         return bool(self.table[a, b, d])
 
     @cached_property
+    def _slices(self) -> np.ndarray:
+        """The atom slices [f, p, q] (see atom_slices), read-only."""
+        atoms = _atom_matrices(self.algebra.atom_count)[0][1:]
+        slices = np.ascontiguousarray(self.table[atoms][:, atoms].transpose(2, 0, 1))
+        slices.setflags(write=False)
+        return slices
+
+    @cached_property
     def _strength(self) -> Strength | None:
         """The verdict "ECA", else "WECA", or None, from the atom slices and at
         most one generation.  A WECA's slices grow with f and generate it (see
@@ -158,7 +166,7 @@ class CoveringRelation:
         covering of G has G's slices, which grow with f, so only slices that
         differ from G's take the fold that tests growth."""
         k = self.algebra.atom_count
-        slices = _atom_slices(self.table, k)
+        slices = self._slices
         family = _family_of_slices(slices, k)
         closed = (slices == _slices_of_family(family, k)).all()
         grows = closed or not (_fold(slices, 0, k, subsets=True) & ~slices).any()
@@ -354,11 +362,6 @@ def _family_of_slices(slices: np.ndarray, k: int) -> np.ndarray:
     return ~(slices[::-1] & _atom_matrices(k)[3]).any(axis=(1, 2))
 
 
-def _atom_slices(v: np.ndarray, k: int) -> np.ndarray:
-    atoms = _atom_matrices(k)[0][1:]
-    return np.ascontiguousarray(v[atoms][:, atoms].transpose(2, 0, 1))
-
-
 def _covering_of_slices(slices: np.ndarray, k: int) -> np.ndarray:
     """The table generated by slices [f, p, q], in (a, b, f) layout: (a, b) |- f
     iff no atom pair under (a, b) lies outside R_f.  Two float32 products with
@@ -383,8 +386,7 @@ def signatures(covering: CoveringRelation) -> tuple[int, ...]:
     the covering of every family satisfies) that is S*, the sets σ such
     that no covered (a, b, c) has σ meeting a and b and missing c.  On
     other tables it can be a strict superset of S*."""
-    k = covering.algebra.atom_count
-    flags = _family_of_slices(_atom_slices(covering.table, k), k)
+    flags = _family_of_slices(covering._slices, covering.algebra.atom_count)
     return tuple((np.flatnonzero(flags[1:]) + 1).tolist())
 
 
@@ -405,8 +407,9 @@ def covering_from_signatures(atom_count: int, family: Iterable[int]) -> Covering
 
 
 def atom_slices(covering: CoveringRelation) -> np.ndarray:
-    """R_f(p, q) = (atom p, atom q) |- f, as an (N, k, k) bool array [f, p, q]."""
-    return _atom_slices(covering.table, covering.algebra.atom_count)
+    """R_f(p, q) = (atom p, atom q) |- f, as a read-only (N, k, k) bool array
+    [f, p, q], read off the table once per covering."""
+    return covering._slices
 
 
 def covering_from_slices(atom_count: int, slices: np.ndarray) -> CoveringRelation:
@@ -1104,6 +1107,15 @@ def covering_from_json(raw: bytes, *, cap_elements: int) -> CoveringRelation | N
 
 
 @dataclass(frozen=True)
+class WorldAtomPoint:
+    """A world of the type-1/type-2 constructions: an atom index paired
+    with one of the atom's points."""
+
+    atom_index: int
+    point: int
+
+
+@dataclass(frozen=True)
 class TopologicalEca:
     """An extended contact algebra built from a regular closed algebra,
     together with the dictionary between element masks and point sets.
@@ -1122,6 +1134,24 @@ class TopologicalEca:
     @property
     def element_sets(self) -> tuple[PointSet, ...]:
         return self.source.element_sets
+
+    @cached_property
+    def _couple_worlds(self) -> tuple[tuple[WorldAtomPoint, ...], tuple[int, ...]]:
+        """Worlds (one per point of each atom, ordered by atom then point)
+        and the image map h'(a) = {(A, s) : A's point set inside the point
+        set of a}, shared by the type-1 and type-2 constructions.  An atom
+        lies inside the point set of mask a exactly when a selects it, so
+        h'(a) is the union of the worlds of the atoms that a selects."""
+        worlds = tuple(
+            WorldAtomPoint(i, point) for i, atom in enumerate(self.source.atoms) for point in atom.points()
+        )
+        atom_world_mask = [0] * len(self.source.atoms)
+        for w, wap in enumerate(worlds):
+            atom_world_mask[wap.atom_index] |= 1 << w
+        image = [0]
+        for worlds_of_atom in atom_world_mask:
+            image += [m | worlds_of_atom for m in image]
+        return worlds, tuple(image)
 
 
 def eca_from_rc(

@@ -10,10 +10,10 @@ induces a covering on subsets of W: on the powerset it is a weak extended
 contact algebra for parametrized frames and a full one for the
 equivalence kinds.  :func:`covering_table` tabulates a frame's covering
 over any family of subsets (all of them for the powerset, the images of an
-embedding for its verification); :func:`atom_covering_table` tabulates an
-equivalence frame's covering over the joins of k atom images as the
-covering of the images' atom signatures, for an embedding that preserves
-zero and join.  For an equivalence frame, (a, b) is covered by d iff
+embedding for its verification).  :func:`atom_family` reads off the atom
+sets whose covering is an equivalence frame's covering over the joins of
+k atom images, so an embedding that preserves zero and join is checked on
+atom-level data.  For an equivalence frame, (a, b) is covered by d iff
 a ∩ b ⊆ d and every class (composite class, for type 2) meeting both a
 and b also meets d.  For a parametrized frame it is the literal definition
 read through the superset union R*(d) of the relations, so it holds for
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import _covering_of_slices, _fold, _slices_of_family
+from .algebra import _fold
 from .topology import _PRODUCT_CHUNK_ELEMENTS, bit_matrix, glued_components
 
 
@@ -221,22 +221,23 @@ def covering_table(
     return table
 
 
-def atom_covering_table(
+def atom_family(
     frame: EquivalenceFrame1 | EquivalenceFrame2, atom_images: Sequence[int]
-) -> np.ndarray:
-    """The equivalence frame's covering tabulated over the joins of k atom
-    images: entry [a, b, d] tells whether (A(a), A(b)) is covered by A(d),
-    with A(x) the union of atom_images[i] over the bits i of x.
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The atom sets σ_c = {i : atom_images[i] meets c} of the column subsets
+    c of :func:`_meets`, as masks: the distinct σ of the worlds (the set of
+    images a world lies in), and the σ of each class mask of the frame, in
+    the order of ``distinct_class_masks`` (``distinct_composite_masks`` for
+    type 2).
 
-    A(x) meets a column subset c of :func:`_meets` (a world, or a class)
-    iff x meets σ_c = {i : atom_images[i] meets c}.  So the table is the
-    covering of the family {σ_c}, built from its atom slices by the one
-    generator of :mod:`mereotop.algebra`.  The σ of the worlds come from
-    splitting the worlds by each image in turn: a world's σ is the set of
-    images it lies in.
+    Over the joins A(x) of the atom images (the union of atom_images[i]
+    over the bits i of x), the frame's covering is the covering of this
+    family: A(x) meets a column subset c iff x meets σ_c, so (A(a), A(b))
+    is covered by A(d) iff no σ of the family meets a and b and misses d
+    (:func:`~mereotop.algebra.covering_from_signatures`).  The σ of the
+    worlds come from splitting the worlds by each image in turn.
     """
     _require_masks(frame.world_count, *atom_images)
-    k = len(atom_images)
     regions = {0: (1 << frame.world_count) - 1}  # σ -> the worlds with that σ
     for i, image in enumerate(atom_images):
         split: dict[int, int] = {}
@@ -246,11 +247,7 @@ def atom_covering_table(
             if worlds & ~image:
                 split[sigma] = worlds & ~image
         regions = split
-    family = list(regions)
-    family += [
-        sum(1 << i for i, image in enumerate(atom_images) if image & c)
-        for c in _class_masks(frame)
-    ]
-    flags = np.zeros(1 << k, dtype=bool)
-    flags[family] = True
-    return _covering_of_slices(_slices_of_family(flags, k), k)
+    classes = tuple(
+        sum(1 << i for i, image in enumerate(atom_images) if image & c) for c in _class_masks(frame)
+    )
+    return tuple(regions), classes

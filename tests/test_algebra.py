@@ -603,6 +603,16 @@ class TestOneVerdictPerTable:
         assert not cov.table[3, 3, 0] and cov._strength == "ECA"
         assert check_eca(cov).all_passed
 
+    def test_atom_slices_are_read_once_and_read_only(self):
+        # the verdict, signatures() and atom_slices() share one memoised
+        # array, which no caller can change
+        cov = discrete_covering(3)
+        slices = atom_slices(cov)
+        assert atom_slices(cov) is slices and not slices.flags.writeable
+        with pytest.raises(ValueError):
+            slices[0, 0, 0] = True
+        assert cov._strength == "ECA" and signatures(cov) == (1, 2, 4)
+
     def test_fresh_tables_are_frozen_in_place(self, monkeypatch):
         def copied(*args):
             raise AssertionError("a table the library allocated was copied")

@@ -36,13 +36,20 @@ from mereotop import (
     verify_c_preservation,
     verify_embedding,
 )
+from mereotop import algebra as algebra_module
+from mereotop import frames as frames_module
+from mereotop import representations as representations_module
+from mereotop import topology as topology_module
 from mereotop.algebra import (
     CoveringRelation,
     ExtendedContactAlgebra,
+    FiniteBooleanAlgebra,
     check_weca,
+    covering_from_signatures,
+    internally_connected_algebraic,
     verified_eca,
 )
-from mereotop.frames import atom_covering_table, covering_table
+from mereotop.frames import atom_family, covering_table
 from mereotop.topology import labeled_topology_from_document
 from paper_claims import check_split_pullback, find_admissible_splits
 
@@ -142,6 +149,8 @@ class TestEquivalencePipelines:
         assert isinstance(emb2.frame, EquivalenceFrame2)
         assert emb1.worlds == emb2.worlds
         assert emb1.image_masks == emb2.image_masks
+        # the source builds its worlds and image map once for both frames
+        assert emb1.worlds is emb2.worlds and emb1.image_masks is emb2.image_masks
         # worlds are (atom, point) couples with the point inside the atom
         for wap in emb1.worlds:
             assert wap.point in teca.source.atoms[wap.atom_index]
@@ -268,6 +277,26 @@ def covering_witness(report):
     return check.witness
 
 
+def assert_slice_verdict_matches_tables(embedding):
+    """Where the atom slices decide covering, they decide it as comparing
+    the source's table with the frame's covering tabulated over the
+    images does.  Returns the slice verdict (None: not decided)."""
+    verdict = embedding._covering_by_slices
+    if verdict is not None:
+        frame_table = covering_table(embedding.frame, embedding.image_masks)
+        assert verdict == (frame_table == embedding.source.covering.table).all()
+    return verdict
+
+
+def verified_against_literal_covering(embedding, kind):
+    """verify_embedding's report, after checking its covering witness
+    against the literal scan and the slice verdict against the tables."""
+    assert_slice_verdict_matches_tables(embedding)
+    report = verify_embedding(embedding, pipeline=kind)
+    assert covering_witness(report) == literal_covering_witness(embedding)
+    return report
+
+
 BUILDERS = {
     "type1": build_type1,
     "type2": build_type2,
@@ -296,18 +325,15 @@ class TestCoveringWitnessMatchesOracles:
         rng = random.Random(seed)
         embedding = BUILDERS[kind](multi_atom_teca(seed))
         broken = with_flipped_source(embedding, rng, rng.randint(1, 6))
-        expected = literal_covering_witness(broken)
-        assert expected is not None
-        report = verify_embedding(broken, pipeline=kind)
-        assert covering_witness(report) == expected
+        assert literal_covering_witness(broken) is not None
+        verified_against_literal_covering(broken, kind)
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     @pytest.mark.parametrize("seed", range(4))
     def test_swapped_images(self, kind, seed):
         rng = random.Random(seed)
         broken = with_swapped_images(BUILDERS[kind](multi_atom_teca(seed)), rng)
-        report = verify_embedding(broken, pipeline=kind)
-        assert covering_witness(report) == literal_covering_witness(broken)
+        verified_against_literal_covering(broken, kind)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_asymmetric_parametrized_frame(self, seed):
@@ -334,9 +360,8 @@ class TestCoveringWitnessMatchesOracles:
         assert embedding.frame.world_count == 70
         assert verify_embedding(embedding, pipeline="type2").all_passed
         broken = with_flipped_source(embedding, random.Random(3), 1)
-        expected = literal_covering_witness(broken)
-        assert expected is not None
-        assert covering_witness(verify_embedding(broken, pipeline="type2")) == expected
+        assert literal_covering_witness(broken) is not None
+        verified_against_literal_covering(broken, "type2")
 
 
 HOMOMORPHISM_CHECKS = ("injective", "preserves-zero", "preserves-complement", "preserves-join")
@@ -358,14 +383,13 @@ def from_atom_images(embedding, atoms):
 def assert_matches_literal_loops(embedding, kind):
     """Every witness of the report equals the literal loop's: the
     homomorphism facts from tests/oracles.py, covering from the oracle
-    frame evaluators."""
-    report = verify_embedding(embedding, pipeline=kind)
+    frame evaluators; and the slice verdict agrees with the tables."""
+    report = verified_against_literal_covering(embedding, kind)
     got = {c.name: c.witness for c in report.checks}
     expected = oracles.naive_homomorphism_witnesses(
         embedding.image_masks, embedding.frame.world_count
     )
     assert {name: got[name] for name in HOMOMORPHISM_CHECKS} == expected
-    assert covering_witness(report) == literal_covering_witness(embedding)
     assert all(c.passed == (c.witness is None) for c in report.checks)
     return got
 
@@ -490,9 +514,21 @@ def equivalence_embeddings():
     return [builder(teca) for teca in tecas for builder in (build_type1, build_type2)]
 
 
-class TestAtomCoveringTable:
-    """The covering from the atom images' signatures equals the frame's
-    covering tabulated over the images themselves."""
+def family_table(frame, atoms):
+    """The covering of the atom family of the given atom images, tabulated."""
+    worlds, classes = atom_family(frame, atoms)
+    return covering_from_signatures(len(atoms), worlds + classes).table
+
+
+def drawn_frame(rng, worlds, type2):
+    classes = [tuple(rng.randrange(worlds) for _ in range(worlds)) for _ in range(2)]
+    return EquivalenceFrame2(worlds, *classes) if type2 else EquivalenceFrame1(worlds, classes[0])
+
+
+class TestAtomFamily:
+    """The covering of the atom images' family equals the frame's covering
+    tabulated over the images themselves, and its atom slices decide the
+    covering check as the tables do."""
 
     def test_matches_covering_table_on_the_sweeps(self):
         embeddings = equivalence_embeddings()
@@ -500,24 +536,178 @@ class TestAtomCoveringTable:
         for embedding in embeddings:
             img = embedding.image_masks
             atoms = [img[1 << i] for i in range(embedding.source.algebra.atom_count)]
-            table = atom_covering_table(embedding.frame, atoms)
+            table = family_table(embedding.frame, atoms)
             assert (table == covering_table(embedding.frame, img)).all()
             assert (table == embedding.source.covering.table).all()
+            assert assert_slice_verdict_matches_tables(embedding) is True
 
     @given(st.integers(1, 3), st.integers(1, 6), st.booleans(), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_matches_covering_table_on_overlapping_images(self, k, worlds, type2, rng):
-        classes = [tuple(rng.randrange(worlds) for _ in range(worlds)) for _ in range(2)]
-        frame = EquivalenceFrame2(worlds, *classes) if type2 else EquivalenceFrame1(worlds, classes[0])
+        frame = drawn_frame(rng, worlds, type2)
         atoms = [rng.getrandbits(worlds) for _ in range(k)]
         img = [0]
         for atom in atoms:
             img += [m | atom for m in img]
-        assert (atom_covering_table(frame, atoms) == covering_table(frame, img)).all()
+        assert (family_table(frame, atoms) == covering_table(frame, img)).all()
 
     def test_rejects_masks_outside_the_worlds(self):
         with pytest.raises(ValueError):
-            atom_covering_table(EquivalenceFrame1(2, (0, 1)), [1, 4])
+            atom_family(EquivalenceFrame1(2, (0, 1)), [1, 4])
+
+    def test_slice_verdict_on_drawn_frames(self):
+        # the source is the frame's covering over perturbed atom images
+        # (a world dropped or added), with 0-3 entries flipped
+        verdicts = {True: 0, False: 0, None: 0}
+        for seed in range(600):
+            rng = random.Random(seed)
+            k, worlds = rng.randint(1, 3), rng.randint(1, 6)
+            frame = drawn_frame(rng, worlds, rng.random() < 0.5)
+            atoms = [rng.getrandbits(worlds) for _ in range(k)]
+            perturbed = [a ^ (1 << rng.randrange(worlds)) if rng.random() < 0.3 else a for a in atoms]
+            table = family_table(frame, perturbed).copy()
+            n = 1 << k
+            for cell in rng.sample(range(n**3), min(rng.randint(0, 3), n**3)):
+                table[cell // (n * n), cell // n % n, cell % n] ^= True
+            source = ExtendedContactAlgebra(CoveringRelation(FiniteBooleanAlgebra(k), table), "ECA")
+            embedding = from_atom_images(Embedding(source, frame, (0,) * n), atoms)
+            verdicts[assert_slice_verdict_matches_tables(embedding)] += 1
+        assert min(verdicts.values()) >= 40, verdicts
+
+
+def c_witness_from_oracles(embedding):
+    """The first element whose literal algebraic and frame-side internal
+    connectedness differ, from tests/oracles.py."""
+    n = embedding.source.algebra.size
+    table = embedding.source.covering.table
+    frame = embedding.frame
+    for a in range(n):
+        own = oracles.naive_internally_connected(n, table, a)
+        framed = oracles.naive_frame2_internally_connected(frame.classes1, frame.classes2, embedding.image_masks[a])
+        if own != framed:
+            return (a,)
+    return None
+
+
+def frame_embedding(frame, atoms):
+    """The embedding of the frame's own covering over the joins of the
+    given atom images, so covering is preserved."""
+    img = [0]
+    for atom in atoms:
+        img += [m | atom for m in img]
+    covering = CoveringRelation(FiniteBooleanAlgebra(len(atoms)), covering_table(frame, img))
+    return Embedding(ExtendedContactAlgebra(covering, "ECA"), frame, tuple(img))
+
+
+class TestCPreservationOnAtoms:
+    """c° decided from the atom images: where the closed form is taken it
+    agrees with the literal oracles, and each broken condition falls back
+    to the element-by-element comparison and its witness."""
+
+    def test_closed_form_agrees_with_the_oracles_on_drawn_frames(self):
+        hits = 0
+        for seed in range(1500):
+            rng = random.Random(seed)
+            k, worlds = rng.randint(1, 3), rng.randint(1, 6)
+            blocks = [rng.randrange(k) for _ in range(worlds)]
+            atoms = [sum(1 << w for w in range(worlds) if blocks[w] == i) for i in range(k)]
+            if rng.random() < 0.2:
+                atoms[rng.randrange(k)] ^= 1 << rng.randrange(worlds)
+            classes1 = tuple(blocks) if rng.random() < 0.5 else tuple(rng.randrange(worlds) for _ in range(worlds))
+            classes2 = tuple(rng.randrange(worlds) for _ in range(worlds))
+            embedding = frame_embedding(EquivalenceFrame2(worlds, classes1, classes2), atoms)
+            if representations_module._c_preserved_on_atoms(embedding):
+                hits += 1
+                algebraic = internally_connected_algebraic(embedding.source.covering)
+                for a, m in enumerate(embedding.image_masks):
+                    assert algebraic[a] == oracles.naive_frame2_internally_connected(classes1, classes2, m)
+            check = verify_c_preservation(embedding)
+            assert check.witness == c_witness_from_oracles(embedding)
+        assert hits >= 200, hits
+
+    @staticmethod
+    def fallback_witness(embedding, monkeypatch):
+        calls = []
+        algebraic = representations_module.internally_connected_algebraic
+
+        def counted(covering):
+            calls.append(covering)
+            return algebraic(covering)
+
+        monkeypatch.setattr(representations_module, "internally_connected_algebraic", counted)
+        assert not representations_module._c_preserved_on_atoms(embedding)
+        # covering holds on atom slices in each frame but the one without a
+        # verdict, so the fallback comes from the condition that is broken
+        assert embedding._covering_by_slices is not False
+        check = verify_c_preservation(embedding)
+        assert len(calls) == 1  # the element-by-element comparison ran
+        assert check.passed == (check.witness is None)
+        return check.witness
+
+    def test_multi_world_atom_without_its_class(self, monkeypatch):
+        # atom 0 has worlds 0 and 1, and the one composite class is every
+        # world: atom 0 is connected algebraically but split in the frame
+        embedding = frame_embedding(EquivalenceFrame2(3, (0, 0, 1), (0, 0, 0)), [0b011, 0b100])
+        assert verify_embedding(embedding, pipeline="type2").all_passed
+        assert self.fallback_witness(embedding, monkeypatch) == c_witness_from_oracles(embedding) == (1,)
+
+    def test_class_not_a_union_of_atom_images(self, monkeypatch):
+        # the composite class {2} is half of atom 1's image, which no class
+        # glues: split in the frame, connected algebraically
+        embedding = frame_embedding(EquivalenceFrame2(3, (0, 0, 1), (0, 0, 1)), [0b001, 0b110])
+        assert embedding.frame.distinct_composite_masks == (0b011, 0b100)
+        assert self.fallback_witness(embedding, monkeypatch) == c_witness_from_oracles(embedding) == (2,)
+
+    def test_overlapping_atom_images(self, monkeypatch):
+        # atoms 0 and 1 share their one world: atom 0 is connected in the
+        # frame but covered by its complement, which holds that world
+        embedding = frame_embedding(EquivalenceFrame2(2, (0, 1), (0, 1)), [0b10, 0b10, 0b01])
+        assert self.fallback_witness(embedding, monkeypatch) == c_witness_from_oracles(embedding) == (1,)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_source_without_a_verdict(self, seed, monkeypatch):
+        # a built embedding whose source table, with one atom covered by
+        # its complement, is no covering of a family
+        embedding = build_type2(multi_atom_teca(seed))
+        n = embedding.source.algebra.size
+        atom = 1 << random.Random(seed).randrange(embedding.source.algebra.atom_count)
+        table = embedding.source.covering.table.copy()
+        table[atom, atom, (n - 1) ^ atom] = True
+        broken = Embedding(
+            ExtendedContactAlgebra(CoveringRelation(embedding.source.algebra, table), "ECA"),
+            embedding.frame,
+            embedding.image_masks,
+            embedding.worlds,
+        )
+        assert broken.source.covering._strength is None and broken._covering_by_slices is None
+        witness = self.fallback_witness(broken, monkeypatch)
+        assert witness == c_witness_from_oracles(broken) and witness is not None
+
+    def test_passing_random_trial_builds_no_frame_table_and_glues_nothing(self, monkeypatch, capsys):
+        # the covering is generated twice per trial (the build and the
+        # verdict), and neither frame's table nor any gluing is computed
+        from mereotop.cli import main
+
+        generations, gluings = [], []
+        generate, glue = representations_module._covering_of_slices, topology_module.glued_components
+
+        def counted_generate(slices, k):
+            generations.append(k)
+            return generate(slices, k)
+
+        def counted_glue(mask, blocks):
+            gluings.append(mask)
+            return glue(mask, blocks)
+
+        for module in (algebra_module, representations_module):
+            monkeypatch.setattr(module, "_covering_of_slices", counted_generate)
+        for module in (topology_module, frames_module):
+            monkeypatch.setattr(module, "glued_components", counted_glue)
+        for seed in (3, 7):
+            generations.clear()
+            assert main(["random", "--seed", str(seed), "--trials", "1", "--json"]) == 0
+            assert len(generations) == 2 and gluings == []
+        capsys.readouterr()
 
 
 class TestCPreservationWitness:
