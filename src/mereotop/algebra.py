@@ -23,6 +23,8 @@ That verdict is memoised on the table, so one generation serves
 check_eca, check_weca, check_weca_consequences (six laws that follow from
 the weak axioms) and check_relative_contact_laws (laws of every such
 covering of a family), which return a shared all-passed report on a pass.
+It is the only record of a covering's axiom system: derived_contact
+refuses a table whose verdict fails the extended axioms.
 check_ca passes a contact in closed form: the join-extension of its
 restriction to zero and the atoms (one small product), symmetric, with an
 empty zero row and a full atom diagonal.  Otherwise each axiom is decided
@@ -46,7 +48,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
-from operator import and_, or_
+from operator import and_
 from typing import Iterable, Literal
 
 import numpy as np
@@ -248,37 +250,6 @@ class AxiomViolation(ValueError):
         parts = ", ".join(f"{r.name} at {r.witness}" for r in report.failures())
         super().__init__(f"{what} violated: {parts}")
         self.report = report
-
-
-@dataclass(frozen=True)
-class ExtendedContactAlgebra:
-    """A Boolean algebra with a covering relation of a declared strength.
-
-    ``strength`` records which axiom family the covering is claimed to
-    satisfy ("ECA" for the extended contact axioms, "WECA" for the weak
-    ones).  Construct through :func:`verified_eca` to have an ECA claim
-    machine-checked; direct construction skips the check.
-    """
-
-    covering: CoveringRelation
-    strength: Strength
-
-    def __post_init__(self) -> None:
-        if self.strength not in ("ECA", "WECA"):
-            raise ValueError(f"unknown strength {self.strength!r}")
-
-    @property
-    def algebra(self) -> FiniteBooleanAlgebra:
-        return self.covering.algebra
-
-
-def verified_eca(
-    covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_CAP
-) -> ExtendedContactAlgebra:
-    report = check_eca(covering, cap_elements=cap_elements)
-    if not report.all_passed:
-        raise AxiomViolation("extended contact axioms", report)
-    return ExtendedContactAlgebra(covering, "ECA")
 
 
 # ---------------------------------------------------------------------------
@@ -827,13 +798,14 @@ def check_weca_consequences(
 # contact relations derived from a covering
 
 
-def derived_contact(eca: ExtendedContactAlgebra) -> ContactRelation:
+def derived_contact(covering: CoveringRelation) -> ContactRelation:
     """Contact of an extended contact algebra: a and b are in contact when
-    (a, b) is not covered by zero.  Only the "ECA" strength guarantees the
-    contact axioms, so weaker inputs are rejected."""
-    if eca.strength != "ECA":
+    (a, b) is not covered by zero.  Only the extended contact axioms
+    guarantee the contact axioms, so a table whose verdict is not ECA is
+    rejected."""
+    if covering._strength != "ECA":
         raise ValueError("derived contact needs the full extended contact axioms")
-    return _owning(ContactRelation, eca.algebra, ~eca.covering.table[:, :, 0])
+    return _owning(ContactRelation, covering.algebra, ~covering.table[:, :, 0])
 
 
 def check_relative_contact_laws(
@@ -898,78 +870,59 @@ def internally_connected_algebraic(covering: CoveringRelation) -> tuple[bool, ..
 
 
 # ---------------------------------------------------------------------------
-# filters and ideals
+# filters
 
 
 @dataclass(frozen=True)
-class FilterOrIdeal:
-    """A filter (up-closed, meet-closed) or ideal (down-closed, join-closed)
-    of a finite Boolean algebra.  Improper ones — the whole algebra — are
-    allowed; emptiness is not."""
+class Filter:
+    """A filter (up-closed, meet-closed) of a finite Boolean algebra.  The
+    improper one — the whole algebra — is allowed; emptiness is not."""
 
     algebra: FiniteBooleanAlgebra
     members: frozenset[int]
-    kind: Literal["filter", "ideal"]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("filter", "ideal"):
-            raise ValueError(f"unknown kind {self.kind!r}")
         if not self.members:
-            raise ValueError(f"a {self.kind} must be nonempty")
+            raise ValueError("a filter must be nonempty")
         n = self.algebra.size
         for x in self.members:
             if not 0 <= x < n:
                 raise ValueError(f"{x} is not an element mask")
         # A filter is the up-set of the meet g of its members, which holds
-        # them all, so the members form one iff they number 2^(k - |g|); an
-        # ideal is the down-set of the join j, 2^|j| elements.  Only a fault
-        # runs the loops below, which name it.
-        free = self.generator.bit_count()
-        if self.kind == "filter":
-            free = self.algebra.atom_count - free
-        if len(self.members) == 1 << free:
+        # them all, so the members form one iff they number 2^(k - |g|).
+        # Only a fault runs the loops below, which name it.
+        if len(self.members) == 1 << (self.algebra.atom_count - self.generator.bit_count()):
             return
-        if self.kind == "filter":
-            for x in self.members:
-                for y in range(n):
-                    if x & ~y == 0 and y not in self.members:
-                        raise ValueError(f"not up-closed: {x} in, superset {y} out")
-            for x in self.members:
-                for y in self.members:
-                    if (x & y) not in self.members:
-                        raise ValueError(f"not meet-closed: {x} and {y} in, {x & y} out")
-        else:
-            for x in self.members:
-                for y in range(n):
-                    if y & ~x == 0 and y not in self.members:
-                        raise ValueError(f"not down-closed: {x} in, subset {y} out")
-            for x in self.members:
-                for y in self.members:
-                    if (x | y) not in self.members:
-                        raise ValueError(f"not join-closed: {x} and {y} in, {x | y} out")
-        raise AssertionError(f"the size test rejected a {self.kind} that the loops accept")
+        for x in self.members:
+            for y in range(n):
+                if x & ~y == 0 and y not in self.members:
+                    raise ValueError(f"not up-closed: {x} in, superset {y} out")
+        for x in self.members:
+            for y in self.members:
+                if (x & y) not in self.members:
+                    raise ValueError(f"not meet-closed: {x} and {y} in, {x & y} out")
+        raise AssertionError("the size test rejected a filter that the loops accept")
 
     @cached_property
     def generator(self) -> int:
-        """The principal generator: meet of a filter, join of an ideal."""
-        return int(reduce(and_ if self.kind == "filter" else or_, self.members))
+        """The principal generator: the meet of the members."""
+        return int(reduce(and_, self.members))
 
     @property
     def is_proper(self) -> bool:
-        boundary = 0 if self.kind == "filter" else self.algebra.one
-        return boundary not in self.members
+        return 0 not in self.members
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
 
 
-def principal_filter(algebra: FiniteBooleanAlgebra, g: int) -> FilterOrIdeal:
+def principal_filter(algebra: FiniteBooleanAlgebra, g: int) -> Filter:
     algebra._require(g)
     members = frozenset(x for x in range(algebra.size) if g & ~x == 0)
-    return FilterOrIdeal(algebra, members, "filter")
+    return Filter(algebra, members)
 
 
-def maximal_filters(algebra: FiniteBooleanAlgebra) -> tuple[FilterOrIdeal, ...]:
+def maximal_filters(algebra: FiniteBooleanAlgebra) -> tuple[Filter, ...]:
     """The maximal proper filters, one per atom, ordered by atom index.
 
     Each candidate is checked to be a proper filter that cannot be
@@ -1124,12 +1077,8 @@ class TopologicalEca:
     map is a Boolean isomorphism onto the regular closed carrier.
     """
 
-    eca: ExtendedContactAlgebra
+    covering: CoveringRelation
     source: RegularClosedAlgebra
-
-    @property
-    def covering(self) -> CoveringRelation:
-        return self.eca.covering
 
     @property
     def element_sets(self) -> tuple[PointSet, ...]:
@@ -1154,12 +1103,11 @@ class TopologicalEca:
         return worlds, tuple(image)
 
 
-def eca_from_rc(
-    source: RegularClosedAlgebra, *, cap_elements: int = 64, verify: bool = True
-) -> TopologicalEca:
+def eca_from_rc(source: RegularClosedAlgebra, *, cap_elements: int = 64) -> TopologicalEca:
     """The extended contact algebra of a regular closed algebra: element
     masks name joins of atoms, and (a, b) |- d holds when the plain
     intersection of the point sets of a and b is inside the point set of d.
+    Nothing is checked here; check_eca reads the covering's verdict.
     """
     k = len(source.atoms)
     check_cap(k, cap_elements)
@@ -1172,8 +1120,4 @@ def eca_from_rc(
             for x in range(source.topology.universe_size)
         },
     )
-    if verify:
-        eca = verified_eca(covering, cap_elements=cap_elements)
-    else:
-        eca = ExtendedContactAlgebra(covering, "ECA")
-    return TopologicalEca(eca, source)
+    return TopologicalEca(covering, source)

@@ -29,9 +29,9 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Sequence
 
 from .algebra import (
+    AxiomViolation,
     CheckResult,
     CoveringRelation,
-    ExtendedContactAlgebra,
     TopologicalEca,
     check_ca,
     check_eca,
@@ -177,13 +177,10 @@ def _document_kind(doc: object) -> str:
     )
 
 
-def _topological_source(
-    doc: object, config: RunConfig, *, verify: bool
-) -> tuple[LabeledTopology, TopologicalEca]:
+def _topological_source(doc: object, config: RunConfig) -> tuple[LabeledTopology, TopologicalEca]:
     labeled = labeled_topology_from_document(doc)
     algebra = rc_algebra(labeled.topology, cap_elements=config.elements_cap())
-    teca = eca_from_rc(algebra, cap_elements=config.elements_cap(), verify=verify)
-    return labeled, teca
+    return labeled, eca_from_rc(algebra, cap_elements=config.elements_cap())
 
 
 def _input_covering(config: RunConfig, frame_error: str) -> tuple[CoveringRelation, str]:
@@ -199,7 +196,7 @@ def _input_covering(config: RunConfig, frame_error: str) -> tuple[CoveringRelati
     if kind == "covering":
         return covering_from_document(doc, cap_elements=config.elements_cap()), kind
     if kind == "topology":
-        return _topological_source(doc, config, verify=False)[1].covering, kind
+        return _topological_source(doc, config)[1].covering, kind
     raise DocumentError(frame_error)
 
 
@@ -300,7 +297,7 @@ def cmd_rc(config: RunConfig) -> int:
             [rc_contact(algebra, x, y) for y in algebra.carrier] for x in algebra.carrier
         ]
         if size <= 32:
-            teca = eca_from_rc(algebra, cap_elements=config.elements_cap(), verify=False)
+            teca = eca_from_rc(algebra, cap_elements=config.elements_cap())
             translate = [algebra.index_of(ps) for ps in algebra.element_sets]
             out["covering"] = sorted(
                 [translate[a], translate[b], translate[d]]
@@ -351,7 +348,7 @@ def cmd_check_axioms(config: RunConfig) -> int:
     ]
     executed = [weca, eca]
     if eca.all_passed:
-        ca = check_ca(derived_contact(ExtendedContactAlgebra(covering, "ECA")), cap_elements=cap)
+        ca = check_ca(derived_contact(covering), cap_elements=cap)
         systems.append({"name": "CA", "checks": checks_document(ca.results)})
         executed.append(ca)
     else:
@@ -415,8 +412,7 @@ def cmd_represent(config: RunConfig) -> int:
                     if not check["pass"]:
                         print(f"  {check['name']}: FAIL at {tuple(check['witness'])}")
             return 1
-        source = ExtendedContactAlgebra(covering, "WECA")
-        embedding = build_parametrized_frame(source)
+        embedding = build_parametrized_frame(covering)
         report = verify_embedding(embedding, pipeline="parametrized")
         out = verification_document(report, embedding)
     else:
@@ -430,7 +426,10 @@ def cmd_represent(config: RunConfig) -> int:
             )
         if kind != "topology":
             raise DocumentError("represent takes a topology or covering document")
-        labeled, teca = _topological_source(doc, config, verify=True)
+        labeled, teca = _topological_source(doc, config)
+        eca = check_eca(teca.covering, cap_elements=cap)
+        if not eca.all_passed:
+            raise AxiomViolation("extended contact axioms", eca)
         builder = build_type1 if config.kind == "type1" else build_type2
         embedding = builder(teca)
         report = verify_embedding(embedding, pipeline=config.kind)
@@ -597,12 +596,12 @@ def _run_trial(config: RunConfig, trial: int) -> dict:
     topo = generate_topology(n, [PointSet(n, m) for m in subbasis])
     cap = config.elements_cap()
     algebra = rc_algebra(topo, cap_elements=cap)
-    teca = eca_from_rc(algebra, cap_elements=cap, verify=False)
+    teca = eca_from_rc(algebra, cap_elements=cap)
     covering = teca.covering
-    contact = derived_contact(ExtendedContactAlgebra(covering, "ECA"))
-    failures: list[dict] = []
-    failures += _failures_from("ECA", check_eca(covering, cap_elements=cap).results)
-    failures += _failures_from("CA", check_ca(contact, cap_elements=cap).results)
+    eca = check_eca(covering, cap_elements=cap)
+    failures = _failures_from("ECA", eca.results)
+    if eca.all_passed:
+        failures += _failures_from("CA", check_ca(derived_contact(covering), cap_elements=cap).results)
     failures += _failures_from("RCL", check_relative_contact_laws(covering, cap_elements=cap).results)
     failures += _failures_from("CONS", check_weca_consequences(covering, cap_elements=cap).results)
     for kind, builder in (("type1", build_type1), ("type2", build_type2)):

@@ -1,10 +1,12 @@
 """Representation builders: from covering algebras to frames, with the
 machinery that machine-checks each construction really is an embedding.
 
-Three pipelines.  ``build_parametrized_frame`` sends a weak extended
-contact algebra to the frame of maximal filters of its Boolean algebra,
-with R(U) defined by a witness-element condition and read straight off
-the atom slices of the covering as one relation array.  ``build_type1``
+Three pipelines, each embedding a ``CoveringRelation`` whose axiom system
+is the checkers' shared verdict on it.  ``build_parametrized_frame``
+sends a weak extended contact algebra to the frame of maximal filters of
+its Boolean algebra, with R(U) defined by a witness-element condition and
+read straight off the atom slices of the covering as one relation array;
+it refuses a table whose verdict fails the weak axioms.  ``build_type1``
 and ``build_type2`` send a regular closed algebra (through its covering)
 to an equivalence frame whose worlds are (atom, point) couples — one
 partition by point for type 1; partitions by atom and by point, read
@@ -35,7 +37,7 @@ import numpy as np
 
 from .algebra import (
     CheckResult,
-    ExtendedContactAlgebra,
+    CoveringRelation,
     TopologicalEca,
     WorldAtomPoint,
     _covering_of_slices,
@@ -76,12 +78,12 @@ def _family_slices(family: tuple[tuple[int, ...], ...], k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Embedding:
-    """A source algebra, a target frame, and the image of every element as
+    """A source covering, a target frame, and the image of every element as
     a subset mask over the frame's worlds.  ``worlds`` documents what the
     worlds are: maximal filters for the parametrized construction,
     :class:`WorldAtomPoint` couples for the equivalence constructions."""
 
-    source: ExtendedContactAlgebra
+    source: CoveringRelation
     frame: ParametrizedFrame | EquivalenceFrame1 | EquivalenceFrame2
     image_masks: tuple[int, ...]
     worlds: tuple = ()
@@ -113,11 +115,10 @@ class Embedding:
         injective on slices, since the slices of the generation of S are
         S, so the two tables are equal iff their slices are."""
         family = self._atom_family
-        covering = self.source.covering
-        if family is None or covering._strength is None:
+        if family is None or self.source._strength is None:
             return None
         k = self.source.algebra.atom_count
-        return bool((_family_slices(family, k) == covering._slices).all())
+        return bool((_family_slices(family, k) == self.source._slices).all())
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ class VerificationReport:
 # the maximal-filter construction
 
 
-def build_parametrized_frame(eca: ExtendedContactAlgebra) -> Embedding:
+def build_parametrized_frame(covering: CoveringRelation) -> Embedding:
     """The frame of maximal filters of the algebra of a weak (or full)
     extended contact algebra.
 
@@ -152,12 +153,13 @@ def build_parametrized_frame(eca: ExtendedContactAlgebra) -> Embedding:
     bit s in a, bit t in b and d ⊆ U.  On a weak algebra that is
     ¬(atom s, atom t) ⊢ U, the negated atom slice R_U: WECA1 shrinks a
     covered pair to its two atoms, and WECA4 grows its cover d up to U.
-    The caller checks the weak axioms first; on any other table the
-    relations are not the frame's.
+    On any other table the relations are not the frame's, so a table whose
+    verdict fails the weak axioms is rejected.
     """
-    n = eca.algebra.size
-    frame = ParametrizedFrame(~atom_slices(eca.covering))
-    return Embedding(eca, frame, tuple(range(n)), maximal_filters(eca.algebra))
+    if covering._strength is None:
+        raise ValueError("the maximal-filter frame needs the weak extended contact axioms")
+    frame = ParametrizedFrame(~atom_slices(covering))
+    return Embedding(covering, frame, tuple(range(covering.algebra.size)), maximal_filters(covering.algebra))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +171,7 @@ def build_type1(teca: TopologicalEca) -> Embedding:
     worlds are (atom, point) couples, related when they share the point."""
     worlds, image = teca._couple_worlds
     frame = EquivalenceFrame1(len(worlds), tuple(w.point for w in worlds))
-    return Embedding(teca.eca, frame, image, worlds)
+    return Embedding(teca.covering, frame, image, worlds)
 
 
 def build_type2(teca: TopologicalEca) -> Embedding:
@@ -181,7 +183,7 @@ def build_type2(teca: TopologicalEca) -> Embedding:
         tuple(w.atom_index for w in worlds),
         tuple(w.point for w in worlds),
     )
-    return Embedding(teca.eca, frame, image, worlds)
+    return Embedding(teca.covering, frame, image, worlds)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +251,7 @@ def verify_embedding(embedding: Embedding, *, pipeline: str) -> VerificationRepo
             table = _covering_of_slices(_family_slices(family, k), k)
         else:
             table = covering_table(frame, img)
-        mismatch = table != source.covering.table
+        mismatch = table != source.table
         cov = _first(mismatch) if mismatch.any() else None
     checks = (
         CheckResult("injective", inj is None, inj),
@@ -317,7 +319,7 @@ def verify_c_preservation(embedding: Embedding) -> CheckResult:
         raise TypeError("internal connectedness transfers along type-2 frames")
     witness = None
     if not _c_preserved_on_atoms(embedding):
-        own = internally_connected_algebraic(embedding.source.covering)
+        own = internally_connected_algebraic(embedding.source)
         for a, connected in enumerate(own):
             if connected != frame2_internally_connected(embedding.frame, embedding.image_masks[a]):
                 witness = (a,)

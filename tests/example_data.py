@@ -1,8 +1,9 @@
 """Golden data for the built-in two-space demonstration, frozen from a hand
 computation and re-derivable through the oracles; the writers of the
 covering and topology documents the tests feed to the command line; and
-seeded weak covering tables generated from atom slices; and the covering
-a frame puts on the powerset of its worlds.
+seeded weak covering tables generated from atom slices, and the zero-sided
+weak-only table of scripts/search_weca_not_eca.py; and the covering a frame
+puts on the powerset of its worlds.
 
 Point encoding: label list order gives the bit index, so in the seven-point
 space the label "1" is bit 0, ..., "7" is bit 6; in the six-point companion
@@ -12,6 +13,8 @@ space "2" is bit 0, ..., "7" is bit 5.
 from __future__ import annotations
 
 import random
+import runpy
+from pathlib import Path
 
 import numpy as np
 
@@ -53,6 +56,13 @@ def covering_document(covering) -> dict:
         "atoms": covering.algebra.atom_count,
         "covering": [list(t) for t in covering.true_triples()],
     }
+
+
+def zero_sided_covering(atom_count: int) -> CoveringRelation:
+    """(a, b) |- f iff a = 0 or b = 0: weak but not full, as built by
+    scripts/search_weca_not_eca.py."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "search_weca_not_eca.py"
+    return runpy.run_path(str(script))["zero_sided_covering"](atom_count)
 
 
 def topology_document(labeled) -> dict:

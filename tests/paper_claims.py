@@ -28,7 +28,7 @@ from mereotop import (
     CoveringRelation,
     Embedding,
     EquivalenceFrame2,
-    FilterOrIdeal,
+    Filter,
     FiniteTopology,
     PointSet,
     TopologicalEca,
@@ -55,30 +55,24 @@ def relative_contact(covering: CoveringRelation, g: int) -> ContactRelation:
     return ContactRelation(covering.algebra, ~covering.table[:, :, g])
 
 
-def left_set(covering: CoveringRelation, u: FilterOrIdeal, d: int) -> FilterOrIdeal:
+def left_set(covering: CoveringRelation, u: Filter, d: int) -> frozenset[int]:
     """The set of all b covered together with some member of the filter u:
     {b : exists a in u with (a, b) |- d}.  Over a weak extended contact
-    algebra this is an ideal, which the constructor verifies."""
-    if u.kind != "filter":
-        raise ValueError("left set is defined for filters")
+    algebra this is an ideal (``oracles.is_ideal``)."""
     if u.algebra != covering.algebra:
         raise ValueError("filter and covering live on different algebras")
     covering.algebra._require(d)
     rows = np.fromiter(sorted(u.members), dtype=np.intp)
-    hit = covering.table[rows, :, d].any(axis=0)
-    return FilterOrIdeal(covering.algebra, frozenset(np.flatnonzero(hit).tolist()), "ideal")
+    return frozenset(np.flatnonzero(covering.table[rows, :, d].any(axis=0)).tolist())
 
 
-def right_set(covering: CoveringRelation, v: FilterOrIdeal, d: int) -> FilterOrIdeal:
+def right_set(covering: CoveringRelation, v: Filter, d: int) -> frozenset[int]:
     """Mirror of :func:`left_set`: {a : exists b in v with (a, b) |- d}."""
-    if v.kind != "filter":
-        raise ValueError("right set is defined for filters")
     if v.algebra != covering.algebra:
         raise ValueError("filter and covering live on different algebras")
     covering.algebra._require(d)
     cols = np.fromiter(sorted(v.members), dtype=np.intp)
-    hit = covering.table[:, cols, d].any(axis=1)
-    return FilterOrIdeal(covering.algebra, frozenset(np.flatnonzero(hit).tolist()), "ideal")
+    return frozenset(np.flatnonzero(covering.table[:, cols, d].any(axis=1)).tolist())
 
 
 @dataclass(frozen=True)
@@ -95,14 +89,12 @@ class FilterSeparation:
 
 
 def check_filter_separation_equivalence(
-    covering: CoveringRelation, u: FilterOrIdeal, v: FilterOrIdeal, d: int
+    covering: CoveringRelation, u: Filter, v: Filter, d: int
 ) -> FilterSeparation:
     """Evaluate, for filters u and v, the three conditions that are
     equivalent over a weak extended contact algebra: no pair from u x v is
     covered by d; the left set of u misses v; the right set of v misses u."""
     for filt in (u, v):
-        if filt.kind != "filter":
-            raise ValueError("separation is defined for filters")
         if filt.algebra != covering.algebra:
             raise ValueError("filter and covering live on different algebras")
     covering.algebra._require(d)
@@ -217,7 +209,7 @@ def _occurring_union(teca: TopologicalEca, embedding: Embedding, split: int):
 def _join_inside(teca: TopologicalEca, region) -> int:
     """Join of every element whose point set lies inside the region."""
     out = 0
-    for b in range(teca.eca.algebra.size):
+    for b in range(teca.covering.algebra.size):
         if teca.element_sets[b].issubset(region):
             out |= b
     return out

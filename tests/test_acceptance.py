@@ -22,7 +22,7 @@ from example_data import (
     example_topology_prime,
 )
 from mereotop import (
-    FilterOrIdeal,
+    Filter,
     PointSet,
     build_parametrized_frame,
     build_type1,
@@ -43,7 +43,6 @@ from mereotop import (
     verify_c_preservation,
     verify_embedding,
 )
-from mereotop.algebra import ExtendedContactAlgebra, verified_eca
 from mereotop.frames import covering_table
 from mereotop.cli import TRIAL_SEED_STRIDE, _sample_subbasis, main
 from paper_claims import (
@@ -97,9 +96,9 @@ def test_criterion_2_axiom_systems_on_100_random_spaces():
     started = time.perf_counter()
     for trial in range(100):
         topo = seeded_topology(trial)
-        covering = eca_from_rc(rc_algebra(topo), verify=False).covering
+        covering = eca_from_rc(rc_algebra(topo)).covering
         assert check_eca(covering).all_passed, trial
-        contact = derived_contact(ExtendedContactAlgebra(covering, "ECA"))
+        contact = derived_contact(covering)
         assert check_ca(contact).all_passed, trial
         assert check_relative_contact_laws(covering).all_passed, trial
         assert check_weca_consequences(covering).all_passed, trial
@@ -108,8 +107,8 @@ def test_criterion_2_axiom_systems_on_100_random_spaces():
 
 def test_criterion_3_parametrized_representation_of_weak_algebras():
     started = time.perf_counter()
-    sources = [verified_eca(discrete_covering(k)) for k in (1, 2, 3)]
-    sources += [eca_from_rc(topo_alg, verify=False).eca
+    sources = [discrete_covering(k) for k in (1, 2, 3)]
+    sources += [eca_from_rc(topo_alg).covering
                 for topo_alg in map(rc_algebra, all_small_spaces())]
     assert len(sources) > 30
     for eca in sources:
@@ -129,7 +128,7 @@ def _pipeline_inputs():
 def test_criterion_4_type1_representation():
     started = time.perf_counter()
     for topo in _pipeline_inputs():
-        teca = eca_from_rc(rc_algebra(topo), verify=False)
+        teca = eca_from_rc(rc_algebra(topo))
         report = verify_embedding(build_type1(teca), pipeline="type1")
         assert report.all_passed, report
     assert time.perf_counter() - started < 120.0
@@ -138,7 +137,7 @@ def test_criterion_4_type1_representation():
 def test_criterion_5_type2_representation_preserves_connectedness():
     started = time.perf_counter()
     for topo in _pipeline_inputs():
-        teca = eca_from_rc(rc_algebra(topo), verify=False)
+        teca = eca_from_rc(rc_algebra(topo))
         embedding = build_type2(teca)
         report = verify_embedding(embedding, pipeline="type2").extended(
             verify_c_preservation(embedding)
@@ -169,10 +168,10 @@ def test_criterion_6a_regular_closed_carriers_match_brute_force():
 
 
 def test_criterion_6b_antitone_shortcut_equals_naive_on_filter_frames():
-    sources = [verified_eca(discrete_covering(k)) for k in (1, 2, 3, 4)]
-    sources.append(eca_from_rc(rc_algebra(example_topology()), verify=False).eca)
+    sources = [discrete_covering(k) for k in (1, 2, 3, 4)]
+    sources.append(eca_from_rc(rc_algebra(example_topology())).covering)
     sources.append(
-        eca_from_rc(rc_algebra(build(4, [1 << i for i in range(4)])), verify=False).eca
+        eca_from_rc(rc_algebra(build(4, [1 << i for i in range(4)]))).covering
     )
     for eca in sources:
         frame = build_parametrized_frame(eca).frame
@@ -194,7 +193,7 @@ def test_criterion_6c_algebraic_connectedness_matches_topological():
     spaces += [example_topology(), example_topology_prime()]
     for topo in spaces:
         algebra = rc_algebra(topo)
-        teca = eca_from_rc(algebra, verify=False)
+        teca = eca_from_rc(algebra)
         assert len(teca.element_sets) <= 32
         connected = internally_connected_algebraic(teca.covering)
         for mask, element in enumerate(teca.element_sets):
@@ -204,18 +203,17 @@ def test_criterion_6c_algebraic_connectedness_matches_topological():
 def test_criterion_7a_separation_sets_are_ideals_and_three_way_equivalent():
     coverings = [discrete_covering(k) for k in (1, 2, 3)]
     coverings += [
-        eca_from_rc(rc_algebra(topo), verify=False).covering
+        eca_from_rc(rc_algebra(topo)).covering
         for topo in all_small_spaces()
     ]
     for covering in coverings:
         algebra = covering.algebra
         assert algebra.atom_count <= 3
-        filters = [FilterOrIdeal(algebra, m, "filter") for m in oracles.all_filters(algebra.size)]
+        filters = [Filter(algebra, m) for m in oracles.all_filters(algebra.size)]
         for u in filters:
             for d in algebra.elements():
-                # the constructor re-validates ideality on every call
-                assert oracles.is_ideal(algebra.size, left_set(covering, u, d).members)
-                assert oracles.is_ideal(algebra.size, right_set(covering, u, d).members)
+                assert oracles.is_ideal(algebra.size, left_set(covering, u, d))
+                assert oracles.is_ideal(algebra.size, right_set(covering, u, d))
         for u in filters:
             for v in filters:
                 for d in algebra.elements():
@@ -228,12 +226,12 @@ def test_criterion_7b_split_pullbacks_on_small_frames():
         seeded_topology(trial, max_universe=4) for trial in range(30)
     ]
     for topo in sources:
-        teca = eca_from_rc(rc_algebra(topo), verify=False)
+        teca = eca_from_rc(rc_algebra(topo))
         embedding = build_type2(teca)
         if embedding.frame.world_count > 6:
             continue
         processed += 1
-        for a in teca.eca.algebra.elements():
+        for a in teca.covering.algebra.elements():
             for split1, split2 in find_admissible_splits(embedding, a):
                 result = check_split_pullback(teca, embedding, a, split1, split2)
                 assert result.all_passed, (topo, a, split1, split2)

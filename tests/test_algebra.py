@@ -1,5 +1,5 @@
 """Boolean algebras, covering/contact relations, the axiom checkers
-(cross-checked against the naive oracle loops), filters/ideals, and the
+(cross-checked against the naive oracle loops), filters, and the
 algebraic internal-connectedness evaluator."""
 
 from __future__ import annotations
@@ -16,15 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from example_data import X_REGION_MASK, build, covering_document, example_topology, slice_generated_covering
+from example_data import (
+    X_REGION_MASK,
+    build,
+    covering_document,
+    example_topology,
+    slice_generated_covering,
+    zero_sided_covering,
+)
 from mereotop import (
     AxiomViolation,
     CapExceeded,
     ContactRelation,
     CoveringRelation,
     DocumentError,
-    ExtendedContactAlgebra,
-    FilterOrIdeal,
+    Filter,
     FiniteBooleanAlgebra,
     PointSet,
     atom_slices,
@@ -55,7 +61,6 @@ from mereotop.algebra import (
     _eca1,
     _eca2,
     _weca3_holds,
-    verified_eca,
 )
 from paper_claims import check_filter_separation_equivalence, left_set, relative_contact, right_set
 
@@ -205,7 +210,7 @@ class TestCheckersMatchNaive:
             assert check_weca(cov).all_passed
             assert check_weca_consequences(cov).all_passed
             assert check_relative_contact_laws(cov).all_passed
-            assert check_ca(derived_contact(verified_eca(cov))).all_passed
+            assert check_ca(derived_contact(cov)).all_passed
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceeded):
@@ -241,7 +246,7 @@ def alexandrov_covering(k: int, flips: int, rng: random.Random) -> CoveringRelat
     masks = [1 << i for i in range(k)] + [
         1 << (k + j) | sum(1 << i for i in cores) for j, cores in enumerate(boundary)
     ]
-    table = eca_from_rc(rc_algebra(build(k + len(boundary), masks)), cap_elements=1 << k, verify=False)
+    table = eca_from_rc(rc_algebra(build(k + len(boundary), masks)), cap_elements=1 << k)
     table = table.covering.table.copy()
     n = len(table)
     for _ in range(flips):
@@ -381,7 +386,7 @@ class TestReducedVerdictsMatchNaive:
         algebra = rc_algebra(build(n, masks))
         if len(algebra.atoms) > 3:
             return
-        cov = eca_from_rc(algebra, verify=False).covering
+        cov = eca_from_rc(algebra).covering
         assert check_eca(cov).all_passed
         assert_covering_checkers_match(cov)
 
@@ -542,7 +547,7 @@ class TestPassingTablesSkipTheLiteralSearch:
         with monkeypatch.context() as patch:
             patch.setattr(algebra_module, "_ca12_mismatch", literal)
             assert check_relative_contact_laws(cov, cap_elements=128).all_passed
-        contact = derived_contact(ExtendedContactAlgebra(cov, "ECA"))
+        contact = derived_contact(cov)
         assert check_ca(contact, cap_elements=128).all_passed
 
 
@@ -624,7 +629,7 @@ class TestOneVerdictPerTable:
             covering_from_signatures(2, [1, 2]),
             covering_from_slices(2, atom_slices(cov)),
             covering_from_document({"atoms": 1, "covering": [[0, 0, 0]]}),
-            derived_contact(ExtendedContactAlgebra(cov, "ECA")),
+            derived_contact(cov),
         ):
             assert not relation.table.flags.writeable
 
@@ -822,42 +827,40 @@ class TestGenerators:
 
 
 # ---------------------------------------------------------------------------
-# verified algebra factories and the derived relations
+# the verdict that names a covering's axiom system, and the derived relations
 
 
 class TestVerifiedAlgebras:
-    def test_factories(self):
-        eca = verified_eca(discrete_covering(2))
-        assert eca.strength == "ECA"
-        weca = ExtendedContactAlgebra(discrete_covering(2), "WECA")
-        assert weca.strength == "WECA"
-        with pytest.raises(ValueError):
-            ExtendedContactAlgebra(discrete_covering(2), "CA")
-
     def test_violation_carries_report(self):
         empty = CoveringRelation(
             FiniteBooleanAlgebra(1), np.zeros((2, 2, 2), dtype=bool)
         )
-        with pytest.raises(AxiomViolation) as err:
-            verified_eca(empty)
-        assert not err.value.report.all_passed
+        report = check_eca(empty)
+        err = AxiomViolation("extended contact axioms", report)
+        assert err.report is report and not report.all_passed
+        assert str(err) == "extended contact axioms violated: ECA3 at (0, 0, 0)"
 
     def test_every_eca_is_a_weca(self):
         for masks in ([()], [(0b011,)], [(0b001,), (0b110,)], [(0b01,), (0b10,)]):
             n = max(3, max((m[0].bit_length() for m in masks if m), default=1))
             topo = build(n, [m[0] for m in masks if m])
-            cov = eca_from_rc(rc_algebra(topo), verify=True).covering
+            cov = eca_from_rc(rc_algebra(topo)).covering
+            assert check_eca(cov).all_passed
             assert check_weca(cov).all_passed
 
-    def test_derived_contact_requires_eca(self):
-        weca = ExtendedContactAlgebra(discrete_covering(2), "WECA")
-        with pytest.raises(ValueError):
-            derived_contact(weca)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_derived_contact_requires_eca(self, k):
+        # weak only, and not even weak: both verdicts fail the full axioms
+        empty = CoveringRelation(FiniteBooleanAlgebra(k), np.zeros((1 << k,) * 3, dtype=bool))
+        for cov in (zero_sided_covering(k), empty):
+            assert not check_eca(cov).all_passed
+            with pytest.raises(ValueError, match="full extended contact axioms"):
+                derived_contact(cov)
 
     def test_derived_contact_table(self):
-        eca = verified_eca(discrete_covering(2))
+        eca = discrete_covering(2)
         contact = derived_contact(eca)
-        assert np.array_equal(contact.table, ~eca.covering.table[:, :, 0])
+        assert np.array_equal(contact.table, ~eca.table[:, :, 0])
         for a in range(4):
             for b in range(4):
                 assert contact.holds(a, b) == (a & b != 0)
@@ -875,7 +878,7 @@ class TestVerifiedAlgebras:
 
 def assert_matches_pointwise(algebra):
     teca = eca_from_rc(algebra)
-    assert teca.eca.strength == "ECA"
+    assert teca.covering._strength == "ECA"
     n = len(teca.element_sets)
     assert n == len(algebra.carrier)
     assert sorted(ps.bits for ps in teca.element_sets) == sorted(
@@ -908,7 +911,7 @@ class TestEcaFromRc:
         rng = random.Random(seed)
         n = rng.randint(1, 4)
         masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]
-        teca = eca_from_rc(rc_algebra(build(n, masks)), verify=False)
+        teca = eca_from_rc(rc_algebra(build(n, masks)))
         assert check_eca(teca.covering).all_passed
         assert check_weca(teca.covering).all_passed
 
@@ -947,14 +950,14 @@ class TestInternallyConnectedAlgebraic:
         n = rng.randint(1, 5)
         masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]
         algebra = rc_algebra(build(n, masks))
-        teca = eca_from_rc(algebra, verify=False)
+        teca = eca_from_rc(algebra)
         connected = internally_connected_algebraic(teca.covering)
         for mask, element in enumerate(teca.element_sets):
             assert connected[mask] == rc_internally_connected(algebra, element)
 
     def test_example_region_connected(self):
         algebra = rc_algebra(example_topology())
-        teca = eca_from_rc(algebra, verify=False)
+        teca = eca_from_rc(algebra)
         mask = teca.element_sets.index(PointSet(7, X_REGION_MASK))
         assert internally_connected_algebraic(teca.covering)[mask]
 
@@ -967,47 +970,39 @@ class TestInternallyConnectedAlgebraic:
 
 
 # ---------------------------------------------------------------------------
-# filters and ideals
+# filters
 
 
 def every_filter(algebra):
-    return [FilterOrIdeal(algebra, m, "filter") for m in oracles.all_filters(algebra.size)]
+    return [Filter(algebra, m) for m in oracles.all_filters(algebra.size)]
 
 
 class TestFiltersAndIdeals:
     def test_constructor_validates(self):
         algebra = FiniteBooleanAlgebra(2)
-        FilterOrIdeal(algebra, frozenset({3}), "filter")
-        FilterOrIdeal(algebra, frozenset({1, 3}), "filter")
-        FilterOrIdeal(algebra, frozenset({0, 1, 2, 3}), "filter")  # improper
-        FilterOrIdeal(algebra, frozenset({0}), "ideal")
-        FilterOrIdeal(algebra, frozenset({0, 1}), "ideal")
+        Filter(algebra, frozenset({3}))
+        Filter(algebra, frozenset({1, 3}))
+        Filter(algebra, frozenset({0, 1, 2, 3}))  # improper
         with pytest.raises(ValueError):
-            FilterOrIdeal(algebra, frozenset(), "filter")
+            Filter(algebra, frozenset())
         with pytest.raises(ValueError):
-            FilterOrIdeal(algebra, frozenset({1}), "filter")  # not upward closed
+            Filter(algebra, frozenset({1}))  # not upward closed
         with pytest.raises(ValueError):
-            FilterOrIdeal(algebra, frozenset({1, 2, 3}), "filter")  # no meet
-        with pytest.raises(ValueError):
-            FilterOrIdeal(algebra, frozenset({1, 3}), "ideal")  # not downward closed
+            Filter(algebra, frozenset({1, 2, 3}))  # no meet
 
     @pytest.mark.parametrize(
-        "k,members,kind,message",
+        "k,members,message",
         [
-            (2, {1}, "filter", "not up-closed: 1 in, superset 3 out"),
-            (2, {1, 2, 3}, "filter", "not meet-closed: 1 and 2 in, 0 out"),
-            (3, {3, 5, 7}, "filter", "not meet-closed: 3 and 5 in, 1 out"),
-            (2, {1, 3}, "ideal", "not down-closed: 1 in, subset 0 out"),
-            (3, {0, 1, 3}, "ideal", "not down-closed: 3 in, subset 2 out"),
-            (2, {0, 1, 2}, "ideal", "not join-closed: 1 and 2 in, 3 out"),
-            (3, {0, 1, 2, 4}, "ideal", "not join-closed: 1 and 2 in, 3 out"),
-            (2, {4}, "filter", "4 is not an element mask"),
-            (2, set(), "ideal", "a ideal must be nonempty"),
+            (2, {1}, "not up-closed: 1 in, superset 3 out"),
+            (2, {1, 2, 3}, "not meet-closed: 1 and 2 in, 0 out"),
+            (3, {3, 5, 7}, "not meet-closed: 3 and 5 in, 1 out"),
+            (2, {4}, "4 is not an element mask"),
+            (2, set(), "a filter must be nonempty"),
         ],
     )
-    def test_rejection_names_the_fault(self, k, members, kind, message):
+    def test_rejection_names_the_fault(self, k, members, message):
         with pytest.raises(ValueError) as err:
-            FilterOrIdeal(FiniteBooleanAlgebra(k), frozenset(members), kind)
+            Filter(FiniteBooleanAlgebra(k), frozenset(members))
         assert str(err.value) == message
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -1015,13 +1010,12 @@ class TestFiltersAndIdeals:
         algebra = FiniteBooleanAlgebra(k)
         for bits in range(1, 1 << algebra.size):
             members = frozenset(x for x in range(algebra.size) if bits >> x & 1)
-            for kind, oracle in (("filter", oracles.is_filter), ("ideal", oracles.is_ideal)):
-                try:
-                    FilterOrIdeal(algebra, members, kind)
-                    accepted = True
-                except ValueError:
-                    accepted = False
-                assert accepted == oracle(algebra.size, members), (kind, sorted(members))
+            try:
+                Filter(algebra, members)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == oracles.is_filter(algebra.size, members), sorted(members)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_every_filter_is_principal(self, k):
@@ -1046,29 +1040,22 @@ class TestFiltersAndIdeals:
             for d in range(algebra.size):
                 left = left_set(cov, f, d)
                 right = right_set(cov, f, d)
-                assert left.kind == "ideal" and right.kind == "ideal"
-                assert oracles.is_ideal(algebra.size, left.members)
-                assert oracles.is_ideal(algebra.size, right.members)
+                assert oracles.is_ideal(algebra.size, left)
+                assert oracles.is_ideal(algebra.size, right)
                 expected_left = {
                     b
                     for b in range(algebra.size)
                     if any(cov.holds(a, b, d) for a in f.members)
                 }
-                assert left.members == expected_left
+                assert left == expected_left
 
     def test_left_set_frozen_case(self):
         # two-atom subset covering, filter generated by the first atom,
         # d = 0: exactly the zero element and the other atom land left
         cov = discrete_covering(2)
         u = principal_filter(cov.algebra, 0b01)
-        assert left_set(cov, u, 0).members == {0, 0b10}
-        assert right_set(cov, u, 0).members == {0, 0b10}
-
-    def test_left_set_rejects_ideal_input(self):
-        cov = discrete_covering(2)
-        ideal = FilterOrIdeal(cov.algebra, frozenset({0}), "ideal")
-        with pytest.raises(ValueError):
-            left_set(cov, ideal, 0)
+        assert left_set(cov, u, 0) == {0, 0b10}
+        assert right_set(cov, u, 0) == {0, 0b10}
 
     def test_separation_three_ways_agree(self):
         for k in (1, 2):

@@ -29,6 +29,7 @@ from mereotop import (
     CoveringRelation,
     FiniteBooleanAlgebra,
     FiniteTopology,
+    TopologicalEca,
     eca_from_rc,
     labeled_topology_from_document,
     rc_algebra,
@@ -588,6 +589,26 @@ class TestRepresentCommand:
         err = capsys.readouterr().err
         assert "topological model" in err
 
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_type_pipelines_refuse_a_source_that_is_no_eca(self, kind, topo_file, monkeypatch, capsys):
+        # a space's covering is always an ECA, so the check is reached through
+        # a source with one entry flipped: the atom 1 meets itself, yet (1, 1)
+        # is covered by zero
+        def flipped(algebra, **kwargs):
+            teca = eca_from_rc(algebra, **kwargs)
+            table = teca.covering.table.copy()
+            table[1, 1, 0] = True
+            return TopologicalEca(CoveringRelation(teca.covering.algebra, table), teca.source)
+
+        monkeypatch.setattr(cli_module, "eca_from_rc", flipped)
+        assert main(["represent", "--kind", kind, "--input", topo_file, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: extended contact axioms violated: "
+            "ECA1 at (1, 1, 0, 2, 0), ECA2 at (1, 1, 0, 0, 2), ECA4 at (1, 1, 0)\n"
+        )
+
     def test_parametrized_rejects_weak_axiom_failure(self, broken_covering_file, capsys):
         code, doc = run_json(
             capsys,
@@ -699,6 +720,8 @@ PINNED_OUTPUT_SHA256 = {
     ("random", "--seed", "2", "--trials", "50", "--json"): "55dc80e51391018c0ece0b9da81ee3625c7cde4ee339e04f5cf2b49a6bdaae4d",
     ("represent", "--kind", "type1", "--json"): "b8166c81b6a35e3f1178cc450eb9054fc51620211a2e7be5e3a174174eac4071",
     ("represent", "--kind", "type2", "--json"): "5880a21ccfce6378c45779a457d6947e07a47b2d8fa7edd5e051ea0861daae0d",
+    ("represent", "--kind", "parametrized", "--json"): "e715b88d55ec127bb33225f910ed4247bb9fdf5aeaef6eabdde847a8b021c143",
+    ("rc", "--json", "--verbose"): "36b37a489bcc2e088e176d02a10dcf4d68e2b4b9d98b3186120aa8a4f31cc951",
 }
 
 
@@ -706,7 +729,7 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("argv", sorted(PINNED_OUTPUT_SHA256), ids=" ".join)
     def test_exit_code_and_stdout(self, argv, tmp_path, capsys):
         args = list(argv)
-        if argv[0] == "represent":
+        if argv[0] != "random":
             path = tmp_path / "example.json"
             path.write_text(json.dumps(cli_module.EXAMPLE_SPACE))
             args += ["--input", str(path)]

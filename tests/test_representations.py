@@ -42,12 +42,11 @@ from mereotop import representations as representations_module
 from mereotop import topology as topology_module
 from mereotop.algebra import (
     CoveringRelation,
-    ExtendedContactAlgebra,
     FiniteBooleanAlgebra,
+    check_eca,
     check_weca,
     covering_from_signatures,
     internally_connected_algebraic,
-    verified_eca,
 )
 from mereotop.frames import atom_family, covering_table
 from mereotop.topology import labeled_topology_from_document
@@ -63,13 +62,13 @@ def intersection_frame(rng: random.Random, w: int = 3) -> ParametrizedFrame:
     )
 
 
-def assert_relation_matches_closed_form(eca) -> None:
-    k = eca.algebra.atom_count
-    frame = build_parametrized_frame(eca).frame
+def assert_relation_matches_closed_form(covering) -> None:
+    k = covering.algebra.atom_count
+    frame = build_parametrized_frame(covering).frame
     assert frame.world_count == k
     for u in range(1 << k):
         expected = oracles.pframe_relation_closed_form(
-            eca.algebra.size, eca.covering.table, k, u
+            covering.algebra.size, covering.table, k, u
         )
         assert frame.relations[u].tolist() == expected, u
 
@@ -78,7 +77,7 @@ def random_teca(seed: int, max_n: int = 4):
     rng = random.Random(seed)
     n = rng.randint(1, max_n)
     masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]
-    return eca_from_rc(rc_algebra(build(n, masks)), verify=False)
+    return eca_from_rc(rc_algebra(build(n, masks)))
 
 
 # ---------------------------------------------------------------------------
@@ -88,38 +87,42 @@ def random_teca(seed: int, max_n: int = 4):
 class TestParametrizedPipeline:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_relation_matches_closed_form_oracle(self, k):
-        assert_relation_matches_closed_form(verified_eca(discrete_covering(k)))
+        assert_relation_matches_closed_form(discrete_covering(k))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_relation_matches_closed_form_on_topological_sources(self, seed):
-        assert_relation_matches_closed_form(random_teca(seed, max_n=4).eca)
+        assert_relation_matches_closed_form(random_teca(seed, max_n=4).covering)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_relation_matches_closed_form_on_slice_generated_weak_tables(self, k, seed):
         covering = slice_generated_covering(k, 0, random.Random(f"{k}:{seed}"))
-        assert check_weca(covering).all_passed
-        assert_relation_matches_closed_form(ExtendedContactAlgebra(covering, "WECA"))
+        assert check_weca(covering).all_passed and not check_eca(covering).all_passed
+        assert_relation_matches_closed_form(covering)
+
+    def test_refuses_a_table_that_fails_the_weak_axioms(self):
+        # the all-false one-atom table fails WECA2 only: (0, 0) is not covered by 0
+        empty = CoveringRelation(FiniteBooleanAlgebra(1), np.zeros((2, 2, 2), dtype=bool))
+        assert [r.name for r in check_weca(empty).failures()] == ["WECA2"]
+        with pytest.raises(ValueError, match="weak extended contact axioms"):
+            build_parametrized_frame(empty)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_certificate_agrees_with_audit(self, k):
         # filter frames are antitone: R*(d) = R(d) for every d
-        eca = verified_eca(discrete_covering(k), cap_elements=1 << k)
-        frame = build_parametrized_frame(eca).frame
+        frame = build_parametrized_frame(discrete_covering(k)).frame
         for d in range(1 << k):
             assert oracles.naive_pframe_reach(k, frame.relations.__getitem__, d) == frame.relations[d].tolist()
 
     def test_image_is_atom_membership(self):
         # world i is the up-set of atom i, so h(a) is exactly the bit
         # pattern of a
-        eca = verified_eca(discrete_covering(3))
-        embedding = build_parametrized_frame(eca)
+        embedding = build_parametrized_frame(discrete_covering(3))
         assert embedding.image_masks == tuple(range(8))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_verifies_on_discrete(self, k):
-        eca = verified_eca(discrete_covering(k), cap_elements=1 << k)
-        embedding = build_parametrized_frame(eca)
+        embedding = build_parametrized_frame(discrete_covering(k))
         report = verify_embedding(embedding, pipeline="parametrized")
         assert report.all_passed
 
@@ -129,7 +132,7 @@ class TestParametrizedPipeline:
         # need not satisfy the full axioms
         covering = powerset_covering(intersection_frame(random.Random(seed)))
         assert check_weca(covering).all_passed
-        embedding = build_parametrized_frame(ExtendedContactAlgebra(covering, "WECA"))
+        embedding = build_parametrized_frame(covering)
         report = verify_embedding(embedding, pipeline="parametrized")
         assert report.all_passed
 
@@ -170,7 +173,7 @@ class TestEquivalencePipelines:
     def test_image_is_subset_collection(self, seed):
         teca = eca_from_rc(rc_algebra(example_topology())) if seed is None else random_teca(seed)
         embedding = build_type1(teca)
-        n = teca.eca.algebra.size
+        n = teca.covering.algebra.size
         for a in range(n):
             target = teca.element_sets[a]
             expected = 0
@@ -207,9 +210,9 @@ class TestVerifyEmbedding:
     def test_injectivity_witness_is_lexicographically_first(self):
         teca = eca_from_rc(rc_algebra(build(2, [0b01])))
         real = build_type1(teca)
-        n = teca.eca.algebra.size
+        n = teca.covering.algebra.size
         broken = Embedding(
-            source=teca.eca,
+            source=teca.covering,
             frame=real.frame,
             image_masks=tuple(0 for _ in range(n)),
             worlds=real.worlds,
@@ -238,7 +241,7 @@ def literal_covering_witness(embedding):
     """First (a, b, d) in ascending order where the source covering and the
     oracle's frame covering of the images disagree."""
     holds = oracle_covering(embedding.frame)
-    table = embedding.source.covering.table
+    table = embedding.source.table
     img = embedding.image_masks
     n = len(img)
     for a in range(n):
@@ -252,14 +255,12 @@ def literal_covering_witness(embedding):
 def with_flipped_source(embedding, rng, flips):
     """The embedding with `flips` distinct seeded source covering entries
     negated."""
-    table = embedding.source.covering.table.copy()
+    table = embedding.source.table.copy()
     n = len(table)
     for cell in rng.sample(range(n**3), flips):
         index = (cell // (n * n), cell // n % n, cell % n)
         table[index] = not table[index]
-    source = ExtendedContactAlgebra(
-        CoveringRelation(embedding.source.algebra, table), embedding.source.strength
-    )
+    source = CoveringRelation(embedding.source.algebra, table)
     return Embedding(source, embedding.frame, embedding.image_masks, embedding.worlds)
 
 
@@ -284,7 +285,7 @@ def assert_slice_verdict_matches_tables(embedding):
     verdict = embedding._covering_by_slices
     if verdict is not None:
         frame_table = covering_table(embedding.frame, embedding.image_masks)
-        assert verdict == (frame_table == embedding.source.covering.table).all()
+        assert verdict == (frame_table == embedding.source.table).all()
     return verdict
 
 
@@ -300,7 +301,7 @@ def verified_against_literal_covering(embedding, kind):
 BUILDERS = {
     "type1": build_type1,
     "type2": build_type2,
-    "parametrized": lambda teca: build_parametrized_frame(teca.eca),
+    "parametrized": lambda teca: build_parametrized_frame(teca.covering),
 }
 
 
@@ -310,8 +311,8 @@ def multi_atom_teca(seed):
     while True:
         n = rng.randint(3, 6)
         masks = [rng.getrandbits(n) for _ in range(rng.randint(2, 5))]
-        teca = eca_from_rc(rc_algebra(build(n, masks)), verify=False)
-        if 3 <= teca.eca.algebra.atom_count <= 4:
+        teca = eca_from_rc(rc_algebra(build(n, masks)))
+        if 3 <= teca.covering.algebra.atom_count <= 4:
             return teca
 
 
@@ -341,7 +342,7 @@ class TestCoveringWitnessMatchesOracles:
         # own powerset algebra
         rng = random.Random(seed)
         frame = intersection_frame(rng)
-        source = ExtendedContactAlgebra(powerset_covering(frame), "WECA")
+        source = powerset_covering(frame)
         embedding = Embedding(source, frame, tuple(range(8)))
         assert verify_embedding(embedding, pipeline="parametrized").all_passed
         for broken in (
@@ -488,12 +489,9 @@ class TestHomomorphismVerdicts:
             if kind == "type1"
             else EquivalenceFrame2(worlds, classes1, classes2)
         )
-        source = ExtendedContactAlgebra(
-            CoveringRelation(
-                discrete_covering(k).algebra,
-                np.array([rng.random() < 0.5 for _ in range(n**3)]).reshape(n, n, n),
-            ),
-            "ECA",
+        source = CoveringRelation(
+            discrete_covering(k).algebra,
+            np.array([rng.random() < 0.5 for _ in range(n**3)]).reshape(n, n, n),
         )
         if rng.random() < 0.5:  # unions of atom images: the closed-form covering path
             img = [0]
@@ -538,7 +536,7 @@ class TestAtomFamily:
             atoms = [img[1 << i] for i in range(embedding.source.algebra.atom_count)]
             table = family_table(embedding.frame, atoms)
             assert (table == covering_table(embedding.frame, img)).all()
-            assert (table == embedding.source.covering.table).all()
+            assert (table == embedding.source.table).all()
             assert assert_slice_verdict_matches_tables(embedding) is True
 
     @given(st.integers(1, 3), st.integers(1, 6), st.booleans(), st.randoms(use_true_random=False))
@@ -569,7 +567,7 @@ class TestAtomFamily:
             n = 1 << k
             for cell in rng.sample(range(n**3), min(rng.randint(0, 3), n**3)):
                 table[cell // (n * n), cell // n % n, cell % n] ^= True
-            source = ExtendedContactAlgebra(CoveringRelation(FiniteBooleanAlgebra(k), table), "ECA")
+            source = CoveringRelation(FiniteBooleanAlgebra(k), table)
             embedding = from_atom_images(Embedding(source, frame, (0,) * n), atoms)
             verdicts[assert_slice_verdict_matches_tables(embedding)] += 1
         assert min(verdicts.values()) >= 40, verdicts
@@ -579,7 +577,7 @@ def c_witness_from_oracles(embedding):
     """The first element whose literal algebraic and frame-side internal
     connectedness differ, from tests/oracles.py."""
     n = embedding.source.algebra.size
-    table = embedding.source.covering.table
+    table = embedding.source.table
     frame = embedding.frame
     for a in range(n):
         own = oracles.naive_internally_connected(n, table, a)
@@ -596,7 +594,7 @@ def frame_embedding(frame, atoms):
     for atom in atoms:
         img += [m | atom for m in img]
     covering = CoveringRelation(FiniteBooleanAlgebra(len(atoms)), covering_table(frame, img))
-    return Embedding(ExtendedContactAlgebra(covering, "ECA"), frame, tuple(img))
+    return Embedding(covering, frame, tuple(img))
 
 
 class TestCPreservationOnAtoms:
@@ -618,7 +616,7 @@ class TestCPreservationOnAtoms:
             embedding = frame_embedding(EquivalenceFrame2(worlds, classes1, classes2), atoms)
             if representations_module._c_preserved_on_atoms(embedding):
                 hits += 1
-                algebraic = internally_connected_algebraic(embedding.source.covering)
+                algebraic = internally_connected_algebraic(embedding.source)
                 for a, m in enumerate(embedding.image_masks):
                     assert algebraic[a] == oracles.naive_frame2_internally_connected(classes1, classes2, m)
             check = verify_c_preservation(embedding)
@@ -671,15 +669,15 @@ class TestCPreservationOnAtoms:
         embedding = build_type2(multi_atom_teca(seed))
         n = embedding.source.algebra.size
         atom = 1 << random.Random(seed).randrange(embedding.source.algebra.atom_count)
-        table = embedding.source.covering.table.copy()
+        table = embedding.source.table.copy()
         table[atom, atom, (n - 1) ^ atom] = True
         broken = Embedding(
-            ExtendedContactAlgebra(CoveringRelation(embedding.source.algebra, table), "ECA"),
+            CoveringRelation(embedding.source.algebra, table),
             embedding.frame,
             embedding.image_masks,
             embedding.worlds,
         )
-        assert broken.source.covering._strength is None and broken._covering_by_slices is None
+        assert broken.source._strength is None and broken._covering_by_slices is None
         witness = self.fallback_witness(broken, monkeypatch)
         assert witness == c_witness_from_oracles(broken) and witness is not None
 
@@ -717,7 +715,7 @@ class TestCPreservationWitness:
     @staticmethod
     def literal_witness(embedding):
         n = embedding.source.algebra.size
-        table = embedding.source.covering.table
+        table = embedding.source.table
         frame = embedding.frame
         for a in range(n):
             own = oracles.naive_internally_connected(n, table, a)
@@ -733,12 +731,12 @@ class TestCPreservationWitness:
         rng = random.Random(seed)
         embedding = build_type2(multi_atom_teca(seed))
         n = embedding.source.algebra.size
-        table = embedding.source.covering.table.copy()
+        table = embedding.source.table.copy()
         for _ in range(rng.randint(1, 4)):
             b, d = rng.randrange(1, n), rng.randrange(1, n)
             table[b, d, (n - 1) ^ (b | d)] ^= True
         broken = Embedding(
-            ExtendedContactAlgebra(CoveringRelation(embedding.source.algebra, table), "ECA"),
+            CoveringRelation(embedding.source.algebra, table),
             embedding.frame,
             embedding.image_masks,
             embedding.worlds,
@@ -756,11 +754,11 @@ class TestCPreservationWitness:
         first, second = sorted(
             1 << i for i in random.Random(seed).sample(range(embedding.source.algebra.atom_count), 2)
         )
-        table = embedding.source.covering.table.copy()
+        table = embedding.source.table.copy()
         for atom in (first, second):
             table[atom, atom, (n - 1) ^ atom] = True
         broken = Embedding(
-            ExtendedContactAlgebra(CoveringRelation(embedding.source.algebra, table), "ECA"),
+            CoveringRelation(embedding.source.algebra, table),
             embedding.frame,
             embedding.image_masks,
             embedding.worlds,
@@ -779,7 +777,7 @@ class TestSplitPullback:
         for seed in range(10):
             teca = random_teca(seed, max_n=4)
             embedding = build_type2(teca)
-            n = teca.eca.algebra.size
+            n = teca.covering.algebra.size
             for a in range(n):
                 if embedding.image_masks[a].bit_count() > 10:
                     continue
