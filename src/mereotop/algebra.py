@@ -53,7 +53,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .topology import _PRODUCT_CHUNK_ELEMENTS, DocumentError, PointSet, RegularClosedAlgebra, check_cap
+from .topology import _PRODUCT_CHUNK_ELEMENTS, DocumentError, PointSet, RegularClosedAlgebra, check_cap, joins_by_mask
 
 DEFAULT_CHECK_CAP = 32
 
@@ -1097,10 +1097,7 @@ class TopologicalEca:
         atom_world_mask = [0] * len(self.source.atoms)
         for w, wap in enumerate(worlds):
             atom_world_mask[wap.atom_index] |= 1 << w
-        image = [0]
-        for worlds_of_atom in atom_world_mask:
-            image += [m | worlds_of_atom for m in image]
-        return worlds, tuple(image)
+        return worlds, joins_by_mask(0, atom_world_mask)
 
 
 def eca_from_rc(source: RegularClosedAlgebra, *, cap_elements: int = 64) -> TopologicalEca:

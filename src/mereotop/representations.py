@@ -2,45 +2,49 @@
 machinery that machine-checks each construction really is an embedding.
 
 Three pipelines, each embedding a ``CoveringRelation`` whose axiom system
-is the checkers' shared verdict on it.  ``build_parametrized_frame``
-sends a weak extended contact algebra to the frame of maximal filters of
-its Boolean algebra, with R(U) defined by a witness-element condition and
-read straight off the atom slices of the covering as one relation array;
-it refuses a table whose verdict fails the weak axioms.  ``build_type1``
-and ``build_type2`` send a regular closed algebra (through its covering)
-to an equivalence frame whose worlds are (atom, point) couples — one
-partition by point for type 1; partitions by atom and by point, read
-through the composite class, for type 2; both read the worlds and the
-image map that the source builds once.  ``verify_embedding`` checks
+is the checkers' shared verdict on it, and each named after the class of
+its frame.  ``build_parametrized_frame`` sends a weak extended contact
+algebra to the frame of maximal filters of its Boolean algebra, with R(U)
+defined by a witness-element condition and read straight off the atom
+slices of the covering as one relation array; it refuses a table whose
+verdict fails the weak axioms.  ``build_type1`` and ``build_type2`` send
+a regular closed algebra (through its covering) to an equivalence frame
+whose worlds are (atom, point) couples — one partition by point for
+type 1; partitions by atom and by point, read through the composite
+class, for type 2; both read the worlds and the image map that the
+source builds once.
+
+``verify_embedding`` is the one verification call.  It checks
 injectivity and preservation of zero, complement and join over all
 tuples, and covering over all triples, by closed forms: N distinct
 images, and the images rebuilt from the images of zero and the atoms.
 For images that are unions of atom images, the frame's covering over
 them is the covering of the atom sets that meet each world and class,
 so covering is decided by comparing that family's atom slices with the
-source's; other images, parametrized frames and a mismatch tabulate the
-frame's covering and compare tables.  ``verify_c_preservation`` adds the
-internal-connectedness biconditional for type 2.  It passes at once when
-the atom images partition the worlds, every composite class is the image
-of its atom set, and every atom image of two or more worlds is a class;
-otherwise the algebraic side is decided for every element at once and
-compared with the frame's gluing element by element.  Only a failing
-verdict runs the literal loop that names its witness.
+source's; any covering the slices do not confirm is tabulated over the
+images and compared table to table.  For a type-2 frame the report ends
+with the internal-connectedness biconditional
+(:func:`verify_c_preservation`), which passes at once when the covering
+passed on slices, the atom images partition the worlds, every composite
+class is the image of its atom set, and every atom image of two or more
+worlds is a class; otherwise the algebraic side is decided for every
+element at once and compared with the frame's gluing element by
+element.  Only a failing verdict runs the literal loop that names its
+witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .algebra import (
+    AxiomReport,
     CheckResult,
     CoveringRelation,
     TopologicalEca,
     WorldAtomPoint,
-    _covering_of_slices,
     _first,
     _slices_of_family,
     atom_slices,
@@ -56,24 +60,13 @@ from .frames import (
     covering_table,
     frame2_internally_connected,
 )
-from .topology import LabeledTopology
+from .topology import LabeledTopology, joins_by_mask
 
 
-def _joins_of_atoms(img, k: int) -> tuple[int, ...]:
-    """The image of zero joined with the images of the atoms below each
-    element, in element order."""
-    generated = [img[0]]
-    for i in range(k):
-        atom = img[1 << i]
-        generated += [m | atom for m in generated]
-    return tuple(generated)
-
-
-def _family_slices(family: tuple[tuple[int, ...], ...], k: int) -> np.ndarray:
-    """The atom slices of the covering of the atom sets in ``family``."""
-    flags = np.zeros(1 << k, dtype=bool)
-    flags[[sigma for part in family for sigma in part]] = True
-    return _slices_of_family(flags, k)
+# the pipeline each frame class runs, named in reports as the frame's kind
+_PIPELINES = {ParametrizedFrame: "parametrized", EquivalenceFrame1: "type1", EquivalenceFrame2: "type2"}
+# the σ of the worlds and of the classes (see frames.atom_family)
+AtomFamily = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -91,49 +84,6 @@ class Embedding:
     def __post_init__(self) -> None:
         if len(self.image_masks) != self.source.algebra.size:
             raise ValueError("image map must be total over source elements")
-
-    @cached_property
-    def _atom_family(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """For an equivalence frame whose images preserve zero and join, so
-        that each image is the union of the atom images below it: the σ of
-        the worlds and of the classes over the atom images
-        (:func:`~mereotop.frames.atom_family`).  None otherwise."""
-        img = self.image_masks
-        k = self.source.algebra.atom_count
-        if isinstance(self.frame, ParametrizedFrame) or img[0] or _joins_of_atoms(img, k) != tuple(img):
-            return None
-        return atom_family(self.frame, [img[1 << i] for i in range(k)])
-
-    @cached_property
-    def _covering_by_slices(self) -> bool | None:
-        """Whether the frame's covering over the images equals the source's
-        covering, decided on atom slices; None where they cannot decide it.
-
-        The frame's table is the generation of the slices of its atom
-        family.  A source whose verdict is not None is the generation of
-        its own slices (``CoveringRelation._strength``).  Generation is
-        injective on slices, since the slices of the generation of S are
-        S, so the two tables are equal iff their slices are."""
-        family = self._atom_family
-        if family is None or self.source._strength is None:
-            return None
-        k = self.source.algebra.atom_count
-        return bool((_family_slices(family, k) == self.source._slices).all())
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Named checks for one pipeline run, each over every tuple."""
-
-    pipeline: str
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def extended(self, *extra: CheckResult) -> "VerificationReport":
-        return VerificationReport(self.pipeline, self.checks + tuple(extra))
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +140,11 @@ def build_type2(teca: TopologicalEca) -> Embedding:
 # verification
 
 
-def verify_embedding(embedding: Embedding, *, pipeline: str) -> VerificationReport:
+def verify_embedding(embedding: Embedding) -> AxiomReport:
     """Check the five embedding facts: injectivity, and preservation of
-    zero, complement, join, and covering (a biconditional, both ways).
+    zero, complement, join, and covering (a biconditional, both ways); for
+    a type-2 frame, also preservation of internal connectedness
+    (:func:`verify_c_preservation`).
 
     A passing embedding is confirmed in O(N) steps.  Injectivity is N
     distinct images.  Join holds for every (a, b) iff each image is the
@@ -201,24 +153,26 @@ def verify_embedding(embedding: Embedding, *, pipeline: str) -> VerificationRepo
     zero and the atoms and compared.  When zero and join hold in an
     equivalence frame, the images are unions of atom images, and the
     frame's covering over them is the covering of the atom sets that meet
-    each world and class (:func:`~mereotop.frames.atom_family`).  Covering
-    then holds iff that family's atom slices equal the source's, for a
-    source that is the generation of its own slices (its verdict is not
-    None; see ``Embedding._covering_by_slices``).  Otherwise the frame's
-    covering is tabulated, from that family or, for other images and for
-    parametrized frames, by :func:`~mereotop.frames.covering_table`, and
-    compared with the source's table.  Only a failing verdict runs the
-    literal search, so each witness is the first violating tuple in
-    ascending element order, the lex-first (a, b, d) for covering.  The
-    commands bound the source by their element cap before building it, so
-    the frame's table is no larger than the source's own.
+    each world and class (:func:`~mereotop.frames.atom_family`).  For a
+    source whose verdict is not None, the source is the generation of its
+    own slices (``CoveringRelation._strength``), and generation is
+    injective on slices, since the slices of the generation of S are S;
+    so the two tables are equal iff the family's atom slices equal the
+    source's.  Any covering the slices do not confirm is tabulated by
+    :func:`~mereotop.frames.covering_table` and compared with the source's
+    table.  Only a failing verdict runs the literal search, so each
+    witness is the first violating tuple in ascending element order, the
+    lex-first (a, b, d) for covering.  The commands bound the source by
+    their element cap before building it, so the frame's table is no
+    larger than the source's own.
     """
     source = embedding.source
     n = source.algebra.size
     k = source.algebra.atom_count
     frame = embedding.frame
-    img = embedding.image_masks
+    img = tuple(embedding.image_masks)
     full = (1 << frame.world_count) - 1
+    atoms = [img[1 << i] for i in range(k)]
 
     inj = None
     if len(set(img)) < n:
@@ -236,8 +190,7 @@ def verify_embedding(embedding: Embedding, *, pipeline: str) -> VerificationRepo
             comp = (a,)
             break
     join = None
-    family = embedding._atom_family
-    if family is None and _joins_of_atoms(img, k) != tuple(img):
+    if joins_by_mask(img[0], atoms) != img:
         for a in range(n):
             if join:
                 break
@@ -245,32 +198,40 @@ def verify_embedding(embedding: Embedding, *, pipeline: str) -> VerificationRepo
                 if img[a | b] != img[a] | img[b]:
                     join = (a, b)
                     break
+    family = None  # the atom family, kept only where covering passes on its slices
+    if zero is None and join is None and not isinstance(frame, ParametrizedFrame) and source._strength:
+        family = atom_family(frame, atoms)
+        flags = np.zeros(n, dtype=bool)
+        flags[[sigma for part in family for sigma in part]] = True
+        if (_slices_of_family(flags, k) != source._slices).any():
+            family = None
     cov = None
-    if not embedding._covering_by_slices:
-        if family is not None:
-            table = _covering_of_slices(_family_slices(family, k), k)
-        else:
-            table = covering_table(frame, img)
-        mismatch = table != source.table
+    if family is None:
+        mismatch = covering_table(frame, img) != source.table
         cov = _first(mismatch) if mismatch.any() else None
-    checks = (
-        CheckResult("injective", inj is None, inj),
-        CheckResult("preserves-zero", zero is None, zero),
-        CheckResult("preserves-complement", comp is None, comp),
-        CheckResult("preserves-join", join is None, join),
-        CheckResult("preserves-covering", cov is None, cov),
-    )
-    return VerificationReport(pipeline, checks)
+    results = AxiomReport.of(
+        {
+            "injective": inj,
+            "preserves-zero": zero,
+            "preserves-complement": comp,
+            "preserves-join": join,
+            "preserves-covering": cov,
+        }
+    ).results
+    if isinstance(frame, EquivalenceFrame2):
+        results += (verify_c_preservation(embedding, family),)
+    return AxiomReport(results)
 
 
-def _c_preserved_on_atoms(embedding: Embedding) -> bool:
+def _c_preserved_on_atoms(embedding: Embedding, family: AtomFamily | None) -> bool:
     """Whether c° holds for every element of a type-2 embedding by its atom
     images alone.  Write A(i) for the image of atom i, A(x) for the union
     of A(i) over the bits i of x, and σ_c = {i : A(i) meets c} for a
     composite class c.  The verdict is true when all of these hold:
 
-    1. covering is preserved, decided on atom slices, with zero and join
-       (``Embedding._covering_by_slices``), so A(x) is the image of x;
+    1. covering is preserved, decided on atom slices, with zero and join,
+       so A(x) is the image of x: ``family`` is the atom family that
+       :func:`verify_embedding` kept, not None;
     2. the A(i) are nonempty, pairwise disjoint and cover the worlds, i.e.
        the σ of the worlds are exactly the single atoms;
     3. each composite class c equals A(σ_c);
@@ -294,9 +255,9 @@ def _c_preserved_on_atoms(embedding: Embedding) -> bool:
     σ ⊆ a links b to d.  So the algebraic and the frame-side verdicts agree
     on every element.
     """
-    if not embedding._covering_by_slices:
+    if family is None:
         return False
-    worlds, sigmas = embedding._atom_family
+    worlds, sigmas = family
     img = embedding.image_masks
     k = embedding.source.algebra.atom_count
     held = set(sigmas)
@@ -307,18 +268,20 @@ def _c_preserved_on_atoms(embedding: Embedding) -> bool:
     )
 
 
-def verify_c_preservation(embedding: Embedding) -> CheckResult:
+def verify_c_preservation(embedding: Embedding, family: AtomFamily | None) -> CheckResult:
     """Check, for every source element, that the algebraic internal
     connectedness of the element matches the frame-side internal
-    connectedness of its image (type-2 frames only).  An embedding whose
-    atom images pass the conditions of :func:`_c_preserved_on_atoms`
-    passes at once.  Otherwise the algebraic side is decided for every
-    element at once (:func:`~mereotop.algebra.internally_connected_algebraic`)
-    and compared with the frame side element by element."""
+    connectedness of its image (type-2 frames only; :func:`verify_embedding`
+    calls it).  ``family`` is the atom family of the images when covering
+    passed on atom slices, None otherwise.  An embedding whose atom images
+    pass the conditions of :func:`_c_preserved_on_atoms` passes at once.
+    Otherwise the algebraic side is decided for every element at once
+    (:func:`~mereotop.algebra.internally_connected_algebraic`) and compared
+    with the frame side element by element."""
     if not isinstance(embedding.frame, EquivalenceFrame2):
         raise TypeError("internal connectedness transfers along type-2 frames")
     witness = None
-    if not _c_preserved_on_atoms(embedding):
+    if not _c_preserved_on_atoms(embedding, family):
         own = internally_connected_algebraic(embedding.source)
         for a, connected in enumerate(own):
             if connected != frame2_internally_connected(embedding.frame, embedding.image_masks[a]):
@@ -332,30 +295,22 @@ def verify_c_preservation(embedding: Embedding) -> CheckResult:
 
 
 def verification_document(
-    report: VerificationReport,
+    report: AxiomReport,
     embedding: Embedding,
     *,
     labeled: LabeledTopology | None = None,
     teca: TopologicalEca | None = None,
 ) -> dict:
-    """The JSON shape of a verification run: pipeline, checks, frame,
-    embedding (element mask -> sorted world indices)."""
+    """The JSON shape of a verification run: pipeline (the frame's kind),
+    checks, frame, embedding (element mask -> sorted world indices)."""
     frame = embedding.frame
+    kind = _PIPELINES[type(frame)]
+    frame_doc: dict = {"kind": kind, "worlds": frame.world_count}
     if isinstance(frame, EquivalenceFrame1):
-        frame_doc: dict = {
-            "kind": "type1",
-            "worlds": frame.world_count,
-            "classes": list(frame.classes),
-        }
+        frame_doc["classes"] = list(frame.classes)
     elif isinstance(frame, EquivalenceFrame2):
-        frame_doc = {
-            "kind": "type2",
-            "worlds": frame.world_count,
-            "classes": list(frame.classes1),
-            "classes2": list(frame.classes2),
-        }
-    else:
-        frame_doc = {"kind": "parametrized", "worlds": frame.world_count}
+        frame_doc["classes"] = list(frame.classes1)
+        frame_doc["classes2"] = list(frame.classes2)
     if embedding.worlds and all(isinstance(w, WorldAtomPoint) for w in embedding.worlds):
         if labeled is not None and teca is not None:
             # one label list per atom, shared by the entries of its worlds
@@ -368,9 +323,9 @@ def verification_document(
             detail = [{"atom_index": wap.atom_index, "point": wap.point} for wap in embedding.worlds]
         frame_doc["worlds_detail"] = detail
     return {
-        "pipeline": report.pipeline,
+        "pipeline": kind,
         "mode": "exhaustive",
-        "checks": checks_document(report.checks),
+        "checks": checks_document(report.results),
         "frame": frame_doc,
         "embedding": {
             str(mask): [w for w in range(frame.world_count) if m >> w & 1]

@@ -292,6 +292,15 @@ def _closure_bits(topology: FiniteTopology, a: int) -> int:
     return bits
 
 
+def joins_by_mask(zero, parts: Sequence) -> tuple:
+    """Entry m is ``zero`` joined with the parts selected by the bits of m,
+    for every mask m over ``parts`` in ascending order."""
+    joins = [zero]
+    for part in parts:
+        joins += [m | part for m in joins]
+    return tuple(joins)
+
+
 @dataclass(frozen=True)
 class RegularClosedAlgebra:
     """The Boolean algebra of regular closed sets of a finite space, stored
@@ -336,10 +345,7 @@ class RegularClosedAlgebra:
 
     @cached_property
     def element_sets(self) -> tuple[PointSet, ...]:
-        sets = [PointSet.empty(self.topology.universe_size)]
-        for atom in self.atoms:
-            sets += [s | atom for s in sets]
-        return tuple(sets)
+        return joins_by_mask(PointSet.empty(self.topology.universe_size), self.atoms)
 
     @cached_property
     def carrier(self) -> tuple[PointSet, ...]:

@@ -40,7 +40,6 @@ from mereotop import (
     rc_algebra,
     rc_contact,
     rc_internally_connected,
-    verify_c_preservation,
     verify_embedding,
 )
 from mereotop.frames import covering_table
@@ -113,7 +112,7 @@ def test_criterion_3_parametrized_representation_of_weak_algebras():
     assert len(sources) > 30
     for eca in sources:
         embedding = build_parametrized_frame(eca)
-        report = verify_embedding(embedding, pipeline="parametrized")
+        report = verify_embedding(embedding)
         assert report.all_passed, report
     assert time.perf_counter() - started < 120.0
 
@@ -129,7 +128,7 @@ def test_criterion_4_type1_representation():
     started = time.perf_counter()
     for topo in _pipeline_inputs():
         teca = eca_from_rc(rc_algebra(topo))
-        report = verify_embedding(build_type1(teca), pipeline="type1")
+        report = verify_embedding(build_type1(teca))
         assert report.all_passed, report
     assert time.perf_counter() - started < 120.0
 
@@ -139,10 +138,9 @@ def test_criterion_5_type2_representation_preserves_connectedness():
     for topo in _pipeline_inputs():
         teca = eca_from_rc(rc_algebra(topo))
         embedding = build_type2(teca)
-        report = verify_embedding(embedding, pipeline="type2").extended(
-            verify_c_preservation(embedding)
-        )
+        report = verify_embedding(embedding)
         assert report.all_passed, report
+        assert report.results[-1].name == "preserves-internal-connectedness"
     assert time.perf_counter() - started < 180.0
 
 

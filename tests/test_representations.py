@@ -5,6 +5,7 @@ connectedness preservation, and split pullbacks."""
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from mereotop import (
     eca_from_rc,
     rc_algebra,
     verification_document,
-    verify_c_preservation,
     verify_embedding,
 )
 from mereotop import algebra as algebra_module
@@ -49,7 +49,8 @@ from mereotop.algebra import (
     internally_connected_algebraic,
 )
 from mereotop.frames import atom_family, covering_table
-from mereotop.topology import labeled_topology_from_document
+from mereotop.representations import verify_c_preservation
+from mereotop.topology import joins_by_mask, labeled_topology_from_document
 from paper_claims import check_split_pullback, find_admissible_splits
 
 
@@ -123,7 +124,7 @@ class TestParametrizedPipeline:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_verifies_on_discrete(self, k):
         embedding = build_parametrized_frame(discrete_covering(k))
-        report = verify_embedding(embedding, pipeline="parametrized")
+        report = verify_embedding(embedding)
         assert report.all_passed
 
     @pytest.mark.parametrize("seed", range(8))
@@ -133,7 +134,7 @@ class TestParametrizedPipeline:
         covering = powerset_covering(intersection_frame(random.Random(seed)))
         assert check_weca(covering).all_passed
         embedding = build_parametrized_frame(covering)
-        report = verify_embedding(embedding, pipeline="parametrized")
+        report = verify_embedding(embedding)
         assert report.all_passed
 
 
@@ -162,12 +163,9 @@ class TestEquivalencePipelines:
 
     def test_example_verifies(self):
         teca = eca_from_rc(rc_algebra(example_topology()))
-        for pipeline, builder in (("type1", build_type1), ("type2", build_type2)):
-            embedding = builder(teca)
-            report = verify_embedding(embedding, pipeline=pipeline)
+        for builder in (build_type1, build_type2):
+            report = verify_embedding(builder(teca))
             assert report.all_passed, report
-        check = verify_c_preservation(build_type2(teca))
-        assert check.passed
 
     @pytest.mark.parametrize("seed", [None, *range(10)], ids=["example", *map(str, range(10))])
     def test_image_is_subset_collection(self, seed):
@@ -187,19 +185,16 @@ class TestEquivalencePipelines:
         teca = random_teca(seed, max_n=4)
         emb1 = build_type1(teca)
         emb2 = build_type2(teca)
-        assert verify_embedding(emb1, pipeline="type1").all_passed
-        report2 = verify_embedding(emb2, pipeline="type2").extended(
-            verify_c_preservation(emb2)
-        )
-        assert report2.all_passed
+        assert verify_embedding(emb1).all_passed
+        assert verify_embedding(emb2).all_passed
         assert emb1.image_masks == emb2.image_masks
 
     def test_degenerate_single_point(self):
         teca = eca_from_rc(rc_algebra(build(1, [])))
         emb = build_type2(teca)
         assert emb.frame.world_count == 1
-        assert verify_embedding(emb, pipeline="type2").all_passed
-        assert verify_c_preservation(emb).passed
+        report = verify_embedding(emb)
+        assert report.all_passed and report.results[-1].name == "preserves-internal-connectedness"
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +212,8 @@ class TestVerifyEmbedding:
             image_masks=tuple(0 for _ in range(n)),
             worlds=real.worlds,
         )
-        report = verify_embedding(broken, pipeline="type1")
-        by_name = {c.name: c for c in report.checks}
+        report = verify_embedding(broken)
+        by_name = {c.name: c for c in report.results}
         assert not by_name["injective"].passed
         assert by_name["injective"].witness == (0, 1)
         assert by_name["preserves-zero"].passed
@@ -273,28 +268,44 @@ def with_swapped_images(embedding, rng):
 
 
 def covering_witness(report):
-    (check,) = [c for c in report.checks if c.name == "preserves-covering"]
+    (check,) = [c for c in report.results if c.name == "preserves-covering"]
     assert check.passed == (check.witness is None)
     return check.witness
+
+
+def verified_with_slice_verdict(embedding):
+    """verify_embedding's report and its slice verdict, read off spies:
+    None where the atom family was not built (the slices decided
+    nothing), else True where the slices confirmed covering and no frame
+    table was tabulated, False where the covering_table fallback ran."""
+    with (
+        mock.patch.object(representations_module, "atom_family", wraps=atom_family) as family,
+        mock.patch.object(representations_module, "covering_table", wraps=covering_table) as table,
+    ):
+        report = verify_embedding(embedding)
+    assert family.call_count <= 1 and table.call_count <= 1 and (family.called or table.called)
+    return report, (not table.called if family.called else None)
 
 
 def assert_slice_verdict_matches_tables(embedding):
     """Where the atom slices decide covering, they decide it as comparing
     the source's table with the frame's covering tabulated over the
-    images does.  Returns the slice verdict (None: not decided)."""
-    verdict = embedding._covering_by_slices
+    images does.  Returns the report and the slice verdict."""
+    report, verdict = verified_with_slice_verdict(embedding)
     if verdict is not None:
         frame_table = covering_table(embedding.frame, embedding.image_masks)
         assert verdict == (frame_table == embedding.source.table).all()
-    return verdict
+    return report, verdict
 
 
-def verified_against_literal_covering(embedding, kind):
+def verified_against_literal_covering(embedding):
     """verify_embedding's report, after checking its covering witness
-    against the literal scan and the slice verdict against the tables."""
-    assert_slice_verdict_matches_tables(embedding)
-    report = verify_embedding(embedding, pipeline=kind)
-    assert covering_witness(report) == literal_covering_witness(embedding)
+    against the literal scan and the slice verdict against the tables; a
+    failing covering check always comes from the covering_table fallback."""
+    report, verdict = assert_slice_verdict_matches_tables(embedding)
+    witness = covering_witness(report)
+    assert witness == literal_covering_witness(embedding)
+    assert witness is None or verdict is not True
     return report
 
 
@@ -327,14 +338,14 @@ class TestCoveringWitnessMatchesOracles:
         embedding = BUILDERS[kind](multi_atom_teca(seed))
         broken = with_flipped_source(embedding, rng, rng.randint(1, 6))
         assert literal_covering_witness(broken) is not None
-        verified_against_literal_covering(broken, kind)
+        verified_against_literal_covering(broken)
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     @pytest.mark.parametrize("seed", range(4))
     def test_swapped_images(self, kind, seed):
         rng = random.Random(seed)
         broken = with_swapped_images(BUILDERS[kind](multi_atom_teca(seed)), rng)
-        verified_against_literal_covering(broken, kind)
+        verified_against_literal_covering(broken)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_asymmetric_parametrized_frame(self, seed):
@@ -344,13 +355,12 @@ class TestCoveringWitnessMatchesOracles:
         frame = intersection_frame(rng)
         source = powerset_covering(frame)
         embedding = Embedding(source, frame, tuple(range(8)))
-        assert verify_embedding(embedding, pipeline="parametrized").all_passed
+        assert verify_embedding(embedding).all_passed
         for broken in (
             with_flipped_source(embedding, rng, rng.randint(1, 6)),
             with_swapped_images(embedding, rng),
         ):
-            report = verify_embedding(broken, pipeline="parametrized")
-            assert covering_witness(report) == literal_covering_witness(broken)
+            verified_against_literal_covering(broken)
 
     def test_type2_wider_than_64_worlds(self):
         # two open blocks of 29 points and 6 points in the closure of both:
@@ -359,10 +369,10 @@ class TestCoveringWitnessMatchesOracles:
         teca = eca_from_rc(rc_algebra(build(n, [(1 << 29) - 1, ((1 << 29) - 1) << 29])))
         embedding = build_type2(teca)
         assert embedding.frame.world_count == 70
-        assert verify_embedding(embedding, pipeline="type2").all_passed
+        assert verify_embedding(embedding).all_passed
         broken = with_flipped_source(embedding, random.Random(3), 1)
         assert literal_covering_witness(broken) is not None
-        verified_against_literal_covering(broken, "type2")
+        verified_against_literal_covering(broken)
 
 
 HOMOMORPHISM_CHECKS = ("injective", "preserves-zero", "preserves-complement", "preserves-join")
@@ -375,23 +385,20 @@ def with_images(embedding, img):
 def from_atom_images(embedding, atoms):
     """The embedding with the image of x replaced by the union of the given
     atom images over the bits of x."""
-    img = [0]
-    for atom in atoms:
-        img += [m | atom for m in img]
-    return with_images(embedding, img)
+    return with_images(embedding, joins_by_mask(0, atoms))
 
 
-def assert_matches_literal_loops(embedding, kind):
+def assert_matches_literal_loops(embedding):
     """Every witness of the report equals the literal loop's: the
     homomorphism facts from tests/oracles.py, covering from the oracle
     frame evaluators; and the slice verdict agrees with the tables."""
-    report = verified_against_literal_covering(embedding, kind)
-    got = {c.name: c.witness for c in report.checks}
+    report = verified_against_literal_covering(embedding)
+    got = {c.name: c.witness for c in report.results}
     expected = oracles.naive_homomorphism_witnesses(
         embedding.image_masks, embedding.frame.world_count
     )
     assert {name: got[name] for name in HOMOMORPHISM_CHECKS} == expected
-    assert all(c.passed == (c.witness is None) for c in report.checks)
+    assert all(c.passed == (c.witness is None) for c in report.results)
     return got
 
 
@@ -405,7 +412,7 @@ class TestHomomorphismVerdicts:
     @pytest.mark.parametrize("seed", range(4))
     def test_all_images_zero(self, kind, seed):
         embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed))
-        got = assert_matches_literal_loops(with_images(embedding, [0] * len(embedding.image_masks)), kind)
+        got = assert_matches_literal_loops(with_images(embedding, [0] * len(embedding.image_masks)))
         assert got["injective"] == (0, 1)
         assert got["preserves-zero"] is None and got["preserves-join"] is None
 
@@ -416,7 +423,7 @@ class TestHomomorphismVerdicts:
         embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed))
         world = 1 << random.Random(seed).randrange(embedding.frame.world_count)
         broken = with_images(embedding, [m | world for m in embedding.image_masks])
-        got = assert_matches_literal_loops(broken, kind)
+        got = assert_matches_literal_loops(broken)
         assert got["preserves-zero"] == (0,)
         assert got["preserves-join"] is None
 
@@ -424,7 +431,7 @@ class TestHomomorphismVerdicts:
     @pytest.mark.parametrize("seed", range(4))
     def test_two_images_swapped(self, kind, seed):
         broken = with_swapped_images(EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed)), random.Random(seed))
-        got = assert_matches_literal_loops(broken, kind)
+        got = assert_matches_literal_loops(broken)
         assert got["injective"] is None and got["preserves-join"] is not None
 
     @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_BUILDERS))
@@ -436,7 +443,7 @@ class TestHomomorphismVerdicts:
         atoms = [embedding.image_masks[1 << i] for i in range(k)]
         i = rng.randrange(k)
         atoms[i] &= ~(1 << rng.choice([w for w in range(embedding.frame.world_count) if atoms[i] >> w & 1]))
-        got = assert_matches_literal_loops(from_atom_images(embedding, atoms), kind)
+        got = assert_matches_literal_loops(from_atom_images(embedding, atoms))
         assert got["preserves-complement"] == (0,)
         assert got["preserves-zero"] is None and got["preserves-join"] is None
 
@@ -452,7 +459,7 @@ class TestHomomorphismVerdicts:
         j = rng.choice([j for j in range(k) if atoms[j].bit_count() >= 2])
         i = rng.choice([i for i in range(k) if i != j])
         atoms[i] |= atoms[j] & -atoms[j]
-        got = assert_matches_literal_loops(from_atom_images(embedding, atoms), kind)
+        got = assert_matches_literal_loops(from_atom_images(embedding, atoms))
         assert [name for name in HOMOMORPHISM_CHECKS if got[name] is not None] == ["preserves-complement"]
 
     @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_BUILDERS))
@@ -469,8 +476,8 @@ class TestHomomorphismVerdicts:
         n = len(embedding.image_masks)
         images = CountingList(embedding.image_masks)
         as_list = Embedding(embedding.source, embedding.frame, images, embedding.worlds)
-        report = verify_embedding(as_list, pipeline=kind)
-        assert report == verify_embedding(embedding, pipeline=kind) and report.all_passed
+        report = verify_embedding(as_list)
+        assert report == verify_embedding(embedding) and report.all_passed
         assert CountingList.reads < n * n  # the literal (a, b) join loop never ran
 
     @given(
@@ -494,13 +501,10 @@ class TestHomomorphismVerdicts:
             np.array([rng.random() < 0.5 for _ in range(n**3)]).reshape(n, n, n),
         )
         if rng.random() < 0.5:  # unions of atom images: the closed-form covering path
-            img = [0]
-            for _ in range(k):
-                atom = rng.getrandbits(worlds)
-                img += [m | atom for m in img]
+            img = joins_by_mask(0, [rng.getrandbits(worlds) for _ in range(k)])
         else:
             img = [rng.getrandbits(worlds) for _ in range(n)]
-        assert_matches_literal_loops(Embedding(source, frame, tuple(img)), kind)
+        assert_matches_literal_loops(Embedding(source, frame, tuple(img)))
 
 
 def equivalence_embeddings():
@@ -537,17 +541,14 @@ class TestAtomFamily:
             table = family_table(embedding.frame, atoms)
             assert (table == covering_table(embedding.frame, img)).all()
             assert (table == embedding.source.table).all()
-            assert assert_slice_verdict_matches_tables(embedding) is True
+            assert assert_slice_verdict_matches_tables(embedding)[1] is True
 
     @given(st.integers(1, 3), st.integers(1, 6), st.booleans(), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_matches_covering_table_on_overlapping_images(self, k, worlds, type2, rng):
         frame = drawn_frame(rng, worlds, type2)
         atoms = [rng.getrandbits(worlds) for _ in range(k)]
-        img = [0]
-        for atom in atoms:
-            img += [m | atom for m in img]
-        assert (family_table(frame, atoms) == covering_table(frame, img)).all()
+        assert (family_table(frame, atoms) == covering_table(frame, joins_by_mask(0, atoms))).all()
 
     def test_rejects_masks_outside_the_worlds(self):
         with pytest.raises(ValueError):
@@ -569,7 +570,7 @@ class TestAtomFamily:
                 table[cell // (n * n), cell // n % n, cell % n] ^= True
             source = CoveringRelation(FiniteBooleanAlgebra(k), table)
             embedding = from_atom_images(Embedding(source, frame, (0,) * n), atoms)
-            verdicts[assert_slice_verdict_matches_tables(embedding)] += 1
+            verdicts[assert_slice_verdict_matches_tables(embedding)[1]] += 1
         assert min(verdicts.values()) >= 40, verdicts
 
 
@@ -587,14 +588,32 @@ def c_witness_from_oracles(embedding):
     return None
 
 
+def verified_with_c_family(embedding):
+    """verify_embedding's report on a type-2 embedding and the atom family
+    it handed to verify_c_preservation, read off a spy (None: covering
+    did not pass on atom slices)."""
+    calls = []
+
+    def spy(embedding, family):
+        calls.append((embedding, family, verify_c_preservation(embedding, family)))
+        return calls[-1][2]
+
+    with mock.patch.object(representations_module, "verify_c_preservation", spy):
+        report = verify_embedding(embedding)
+    ((handed, family, check),) = calls
+    assert handed is embedding and report.results[-1] is check
+    assert check.name == "preserves-internal-connectedness"
+    if not report.results[4].passed:
+        assert family is None
+    return report, family
+
+
 def frame_embedding(frame, atoms):
     """The embedding of the frame's own covering over the joins of the
     given atom images, so covering is preserved."""
-    img = [0]
-    for atom in atoms:
-        img += [m | atom for m in img]
+    img = joins_by_mask(0, atoms)
     covering = CoveringRelation(FiniteBooleanAlgebra(len(atoms)), covering_table(frame, img))
-    return Embedding(covering, frame, tuple(img))
+    return Embedding(covering, frame, img)
 
 
 class TestCPreservationOnAtoms:
@@ -614,13 +633,13 @@ class TestCPreservationOnAtoms:
             classes1 = tuple(blocks) if rng.random() < 0.5 else tuple(rng.randrange(worlds) for _ in range(worlds))
             classes2 = tuple(rng.randrange(worlds) for _ in range(worlds))
             embedding = frame_embedding(EquivalenceFrame2(worlds, classes1, classes2), atoms)
-            if representations_module._c_preserved_on_atoms(embedding):
+            report, family = verified_with_c_family(embedding)
+            if representations_module._c_preserved_on_atoms(embedding, family):
                 hits += 1
                 algebraic = internally_connected_algebraic(embedding.source)
                 for a, m in enumerate(embedding.image_masks):
                     assert algebraic[a] == oracles.naive_frame2_internally_connected(classes1, classes2, m)
-            check = verify_c_preservation(embedding)
-            assert check.witness == c_witness_from_oracles(embedding)
+            assert report.results[-1].witness == c_witness_from_oracles(embedding)
         assert hits >= 200, hits
 
     @staticmethod
@@ -633,11 +652,12 @@ class TestCPreservationOnAtoms:
             return algebraic(covering)
 
         monkeypatch.setattr(representations_module, "internally_connected_algebraic", counted)
-        assert not representations_module._c_preserved_on_atoms(embedding)
+        report, family = verified_with_c_family(embedding)
+        assert not representations_module._c_preserved_on_atoms(embedding, family)
         # covering holds on atom slices in each frame but the one without a
         # verdict, so the fallback comes from the condition that is broken
-        assert embedding._covering_by_slices is not False
-        check = verify_c_preservation(embedding)
+        assert (family is None) == (embedding.source._strength is None)
+        check = report.results[-1]
         assert len(calls) == 1  # the element-by-element comparison ran
         assert check.passed == (check.witness is None)
         return check.witness
@@ -646,7 +666,7 @@ class TestCPreservationOnAtoms:
         # atom 0 has worlds 0 and 1, and the one composite class is every
         # world: atom 0 is connected algebraically but split in the frame
         embedding = frame_embedding(EquivalenceFrame2(3, (0, 0, 1), (0, 0, 0)), [0b011, 0b100])
-        assert verify_embedding(embedding, pipeline="type2").all_passed
+        assert all(r.passed for r in verify_embedding(embedding).results[:-1])
         assert self.fallback_witness(embedding, monkeypatch) == c_witness_from_oracles(embedding) == (1,)
 
     def test_class_not_a_union_of_atom_images(self, monkeypatch):
@@ -677,17 +697,18 @@ class TestCPreservationOnAtoms:
             embedding.image_masks,
             embedding.worlds,
         )
-        assert broken.source._strength is None and broken._covering_by_slices is None
+        assert broken.source._strength is None
         witness = self.fallback_witness(broken, monkeypatch)
         assert witness == c_witness_from_oracles(broken) and witness is not None
 
     def test_passing_random_trial_builds_no_frame_table_and_glues_nothing(self, monkeypatch, capsys):
         # the covering is generated twice per trial (the build and the
-        # verdict), and neither frame's table nor any gluing is computed
+        # verdict), each frame's atom family is read once, and neither
+        # frame's table nor any gluing is computed
         from mereotop.cli import main
 
         generations, gluings = [], []
-        generate, glue = representations_module._covering_of_slices, topology_module.glued_components
+        generate, glue = algebra_module._covering_of_slices, topology_module.glued_components
 
         def counted_generate(slices, k):
             generations.append(k)
@@ -697,20 +718,25 @@ class TestCPreservationOnAtoms:
             gluings.append(mask)
             return glue(mask, blocks)
 
-        for module in (algebra_module, representations_module):
-            monkeypatch.setattr(module, "_covering_of_slices", counted_generate)
+        monkeypatch.setattr(algebra_module, "_covering_of_slices", counted_generate)
         for module in (topology_module, frames_module):
             monkeypatch.setattr(module, "glued_components", counted_glue)
         for seed in (3, 7):
             generations.clear()
-            assert main(["random", "--seed", str(seed), "--trials", "1", "--json"]) == 0
+            with (
+                mock.patch.object(representations_module, "atom_family", wraps=atom_family) as family,
+                mock.patch.object(representations_module, "covering_table", wraps=covering_table) as table,
+            ):
+                assert main(["random", "--seed", str(seed), "--trials", "1", "--json"]) == 0
             assert len(generations) == 2 and gluings == []
+            assert family.call_count == 2 and not table.called
         capsys.readouterr()
 
 
 class TestCPreservationWitness:
-    """verify_c_preservation reports the first element whose algebraic and
-    frame-side verdicts differ, as a literal loop over the oracles does."""
+    """The c° check reports the first element whose algebraic and
+    frame-side verdicts differ, as a literal loop over the oracles does,
+    beside the covering witness of the covering_table fallback."""
 
     @staticmethod
     def literal_witness(embedding):
@@ -741,7 +767,7 @@ class TestCPreservationWitness:
             embedding.image_masks,
             embedding.worlds,
         )
-        check = verify_c_preservation(broken)
+        check = verified_against_literal_covering(broken).results[-1]
         assert check.witness == self.literal_witness(broken)
         assert check.passed == (check.witness is None)
 
@@ -765,7 +791,67 @@ class TestCPreservationWitness:
         )
         expected = self.literal_witness(broken)
         assert expected is not None and expected[0] <= first
-        assert verify_c_preservation(broken).witness == expected
+        assert verified_against_literal_covering(broken).results[-1].witness == expected
+
+
+EMBEDDING_CHECKS = (*HOMOMORPHISM_CHECKS, "preserves-covering")
+
+
+class TestOneVerificationCall:
+    """verify_embedding is the only verification call: the report names
+    its pipeline after the frame class, ends with c° for type 2 only, and
+    reads the atom family once for each equivalence embedding."""
+
+    @pytest.mark.parametrize("seed", [None, *range(6)], ids=["example", *map(str, range(6))])
+    def test_names_the_pipeline_and_its_checks_after_the_frame_class(self, seed):
+        teca = eca_from_rc(rc_algebra(example_topology())) if seed is None else random_teca(seed)
+        for kind, builder in BUILDERS.items():
+            embedding = builder(teca)
+            report = verify_embedding(embedding)
+            doc = verification_document(report, embedding)
+            assert doc["pipeline"] == doc["frame"]["kind"] == kind
+            expected = list(EMBEDDING_CHECKS) + ["preserves-internal-connectedness"] * (kind == "type2")
+            assert [r.name for r in report.results] == [c["name"] for c in doc["checks"]] == expected
+            assert report.all_passed
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_family_read_per_equivalence_embedding(self, seed):
+        teca = multi_atom_teca(seed)
+        for kind, builder in BUILDERS.items():
+            embedding = builder(teca)
+            with mock.patch.object(representations_module, "atom_family", wraps=atom_family) as family:
+                verify_embedding(embedding)
+            assert family.call_count == (kind != "parametrized"), kind
+
+    def test_c_gets_a_family_only_when_covering_passed_on_slices(self):
+        # type-2 embeddings of the sweeps, whole and broken: the family is
+        # handed on iff zero, join and covering hold and the source has a
+        # verdict, and then it is the atom family of the images
+        handed = {True: 0, False: 0}
+        for i, embedding in enumerate(equivalence_embeddings()[1::2]):
+            rng = random.Random(i)
+            k = embedding.source.algebra.atom_count
+            variants = [embedding, with_flipped_source(embedding, rng, 1)]
+            if k >= 2:
+                variants.append(with_swapped_images(embedding, rng))
+                atoms = [embedding.image_masks[1 << j] for j in range(k)]
+                variants.append(frame_embedding(embedding.frame, atoms[::-1]))
+            for variant in variants:
+                report, family = verified_with_c_family(variant)
+                passed = {r.name: r.passed for r in report.results}
+                confirmed = all(passed[name] for name in ("preserves-zero", "preserves-join", "preserves-covering"))
+                assert (family is not None) == (confirmed and variant.source._strength is not None)
+                if family is not None:
+                    atoms = [variant.image_masks[1 << j] for j in range(k)]
+                    assert family == atom_family(variant.frame, atoms)
+                handed[family is not None] += 1
+        assert min(handed.values()) >= 10, handed
+
+    @pytest.mark.parametrize("kind", ["type1", "parametrized"])
+    def test_c_preservation_refuses_other_frames(self, kind):
+        embedding = BUILDERS[kind](eca_from_rc(rc_algebra(example_topology())))
+        with pytest.raises(TypeError, match="type-2 frames"):
+            verify_c_preservation(embedding, None)
 
 
 # ---------------------------------------------------------------------------
@@ -827,10 +913,7 @@ class TestVerificationDocument:
         labeled = labeled_topology_from_document(doc_in)
         teca = eca_from_rc(rc_algebra(labeled.topology))
         embedding = build_type2(teca)
-        report = verify_embedding(embedding, pipeline="type2").extended(
-            verify_c_preservation(embedding)
-        )
-        doc = verification_document(report, embedding, labeled=labeled, teca=teca)
+        doc = verification_document(verify_embedding(embedding), embedding, labeled=labeled, teca=teca)
         assert doc["pipeline"] == "type2"
         assert doc["mode"] == "exhaustive"
         assert [c["name"] for c in doc["checks"]] == [
@@ -863,8 +946,7 @@ class TestVerificationDocument:
     def test_document_without_labels_uses_indices(self):
         teca = eca_from_rc(rc_algebra(build(2, [0b01])))
         embedding = build_type1(teca)
-        report = verify_embedding(embedding, pipeline="type1")
-        doc = verification_document(report, embedding)
+        doc = verification_document(verify_embedding(embedding), embedding)
         for detail in doc["frame"]["worlds_detail"]:
             assert set(detail) == {"atom_index", "point"}
             assert isinstance(detail["point"], int)
