@@ -6,25 +6,26 @@ or/and/not and the order is bitmask inclusion.  A covering relation is a
 dense boolean table of shape (N, N, N) with entry [a, b, d] true when the
 pair (a, b) is covered by d; a contact relation is an (N, N) table.
 
-One generator builds every covering from small data:
+One generator builds every covering table from small data:
 ``covering_from_slices`` is the table generated by atom slices R_f, an
 (N, k, k) array, in two float32 products with the atom membership rows,
-O(k·N³) multiply-adds.  ``covering_from_signatures``, the covering of a
-family of atom sets (the atom signatures of the points of the
-representation theorem's space), goes through it, since that covering's
-slices are R_c(p, q) = no member inside ¬c holds both p and q.
-``signatures`` and ``atom_slices`` read that data off a table; read off
-the slices of a family's covering, the family comes back closed, so the
-round trip F → slices → family is F's closure.  A finite table satisfies
-the extended contact axioms exactly when every single atom is in the
-family read off its slices and it is the covering of that family, and
+O(k·N³) multiply-adds.  ``covering_from_signatures`` (and ``eca_from_rc``,
+the covering of its points' atom signatures) holds a family of atom sets
+and its slices R_c(p, q) = no member inside ¬c holds both p and q, and
+generates its table only when first read; documents and tests give a table.
+``signatures`` and ``atom_slices`` read the small data off either kind;
+read off the slices of a family's covering, the family comes back closed,
+so the round trip F → slices → family is F's closure.  A finite table
+satisfies the extended contact axioms exactly when every single atom is in
+the family read off its slices and it is the covering of that family, and
 the weak ones exactly when its atom slices grow with f and generate it.
-That verdict is memoised on the table, so one generation serves
-check_eca, check_weca, check_weca_consequences (six laws that follow from
-the weak axioms) and check_relative_contact_laws (laws of every such
-covering of a family), which return a shared all-passed report on a pass.
+That verdict is memoised on the covering, from one generation for a table
+and none for a family, so it serves check_eca, check_weca,
+check_weca_consequences (six laws that follow from the weak axioms) and
+check_relative_contact_laws (laws of every such covering of a family),
+which return a shared all-passed report on a pass.
 It is the only record of a covering's axiom system: derived_contact
-refuses a table whose verdict fails the extended axioms.
+refuses a covering whose verdict fails the extended axioms.
 check_ca passes a contact in closed form: the join-extension of its
 restriction to zero and the atoms (one small product), symmetric, with an
 empty zero row and a full atom diagonal.  Otherwise each axiom is decided
@@ -37,9 +38,9 @@ literal search, which reports the lexicographically first violating tuple
 — the one a direct nested loop over ascending element values would find.
 The ECA1 search runs on the first failing (a, b) alone; the WECA3 search
 tests all (d, e, f) of one (a, b) at once and stops at the first (a, b)
-that has a hit.  A plain triple-list
-covering document is read straight from its bytes; any other goes through
-the JSON parser and covering_from_document, which alone reports faults.
+that has a hit.  A plain triple-list covering document is read straight
+from its bytes; any other goes through the JSON parser and
+covering_from_document, which alone reports faults.
 """
 
 from __future__ import annotations
@@ -75,19 +76,8 @@ class FiniteBooleanAlgebra:
         return 1 << self.atom_count
 
     @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return self.size - 1
-
-    @property
     def atom_masks(self) -> tuple[int, ...]:
         return tuple(1 << i for i in range(self.atom_count))
-
-    def elements(self) -> range:
-        return range(self.size)
 
     def contains(self, a: int) -> bool:
         return 0 <= a < self.size
@@ -96,22 +86,6 @@ class FiniteBooleanAlgebra:
         for a in elements:
             if not self.contains(a):
                 raise ValueError(f"{a} is not an element mask of a {self.atom_count}-atom algebra")
-
-    def le(self, a: int, b: int) -> bool:
-        self._require(a, b)
-        return a & ~b == 0
-
-    def join(self, a: int, b: int) -> int:
-        self._require(a, b)
-        return a | b
-
-    def meet(self, a: int, b: int) -> int:
-        self._require(a, b)
-        return a & b
-
-    def complement(self, a: int) -> int:
-        self._require(a)
-        return self.one & ~a
 
 
 def _frozen_table(table: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -124,32 +98,38 @@ def _frozen_table(table: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _owning(cls, algebra: FiniteBooleanAlgebra, table: np.ndarray):
-    """A relation on a C-contiguous bool table of the right shape that this
-    module has just allocated and holds nowhere else, frozen in place."""
-    table.setflags(write=False)
+def _owning(cls, algebra: FiniteBooleanAlgebra, **arrays: np.ndarray):
+    """A relation on arrays this module has just allocated and holds nowhere
+    else (a C-contiguous bool table, or a family's flags and slices), frozen."""
+    for arr in arrays.values():
+        arr.setflags(write=False)
     relation = object.__new__(cls)
-    relation.__dict__.update(algebra=algebra, table=table)
+    relation.__dict__.update(algebra=algebra, **arrays)
     return relation
 
 
 @dataclass(frozen=True, eq=False)
 class CoveringRelation:
-    """A ternary relation (a, b) |- d over a finite Boolean algebra."""
+    """A ternary relation (a, b) |- d over a finite Boolean algebra.  One
+    built from a family of atom sets generates its table on first read."""
 
     algebra: FiniteBooleanAlgebra
     table: np.ndarray
+    _family = None  # flags[σ] of the family a covering was built from
 
     def __post_init__(self) -> None:
         n = self.algebra.size
         object.__setattr__(self, "table", _frozen_table(self.table, (n, n, n)))
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name != "table" or self._family is None:
+            raise AttributeError(name)
+        self.__dict__["table"] = table = _covering_of_slices(self._slices, self.algebra.atom_count)
+        table.setflags(write=False)
+        return table
+
     def true_triples(self) -> list[tuple[int, int, int]]:
         return [tuple(int(x) for x in row) for row in np.argwhere(self.table)]
-
-    def holds(self, a: int, b: int, d: int) -> bool:
-        self.algebra._require(a, b, d)
-        return bool(self.table[a, b, d])
 
     @cached_property
     def _slices(self) -> np.ndarray:
@@ -161,20 +141,31 @@ class CoveringRelation:
 
     @cached_property
     def _strength(self) -> Strength | None:
-        """The verdict "ECA", else "WECA", or None, from the atom slices and at
-        most one generation.  A WECA's slices grow with f and generate it (see
-        covering_from_slices); an ECA is the covering of the family G read
-        off its slices (see signatures), which holds every single atom.  The
-        covering of G has G's slices, which grow with f, so only slices that
-        differ from G's take the fold that tests growth."""
+        """The verdict "ECA", else "WECA", or None, from the atom slices and,
+        for a table, at most one generation.  A WECA's slices grow with f and
+        generate it (see covering_from_slices); an ECA is the covering of the
+        family G read off its slices (see signatures), which holds every
+        single atom.  The covering of G has G's slices, which grow with f, so
+        only slices that differ from G's take the fold that tests growth.
+
+        A family's covering v_F needs no generation: it is a WECA, and an ECA
+        iff G = cl(F) holds every single atom.  Proof: its slices R_c(p, q) =
+        "no σ ∈ F inside ¬c holds p and q" grow with c, and generate v_F,
+        since σ meets a and b iff it holds an atom of each.  And v_F = v_G:
+        G ⊇ F, and a τ ∈ G that meets a and b and misses c holds the atom
+        pair it meets them at in some σ ∈ F inside τ, which does the same.
+        So v_F is the covering of G, and the paragraph above decides it."""
         k = self.algebra.atom_count
         slices = self._slices
         family = _family_of_slices(slices, k)
+        singletons = family[_atom_matrices(k)[0][1:]].all()
+        if self._family is not None:
+            return "ECA" if singletons else "WECA"
         closed = (slices == _slices_of_family(family, k)).all()
         grows = closed or not (_fold(slices, 0, k, subsets=True) & ~slices).any()
         if not grows or not (self.table == _covering_of_slices(slices, k)).all():
             return None
-        return "ECA" if closed and family[_atom_matrices(k)[0][1:]].all() else "WECA"
+        return "ECA" if closed and singletons else "WECA"
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,15 +179,11 @@ class ContactRelation:
         n = self.algebra.size
         object.__setattr__(self, "table", _frozen_table(self.table, (n, n)))
 
-    def holds(self, a: int, b: int) -> bool:
-        self.algebra._require(a, b)
-        return bool(self.table[a, b])
-
 
 def discrete_covering(atom_count: int) -> CoveringRelation:
     """The covering (a, b) |- d iff a meet b <= d (contact = overlap)."""
     _, _, and_t, _, le_t = _tables(atom_count)
-    return _owning(CoveringRelation, FiniteBooleanAlgebra(atom_count), le_t[and_t])
+    return _owning(CoveringRelation, FiniteBooleanAlgebra(atom_count), table=le_t[and_t])
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +355,26 @@ def covering_from_signatures(atom_count: int, family: Iterable[int]) -> Covering
     A table passes the extended contact axioms iff it is the covering of
     its own S* and every single atom is in S*.  That is the finite
     representation theorem: σ is the set of atoms whose closures hold a
-    point of the model, and a point lies in the region a iff σ meets a."""
+    point of the model, and a point lies in the region a iff σ meets a.
+
+    It holds the family's flags and atom slices (N·k² bools, one product),
+    which give its verdict (see CoveringRelation._strength).  The N³ table
+    is generated only when first read: by a failing checker's literal
+    search, verify_embedding's tabulated fallback (parametrized frames,
+    and frames whose slices do not confirm covering),
+    internally_connected_algebraic (c° off its closed form), or
+    true_triples (``rc --verbose``)."""
     algebra = FiniteBooleanAlgebra(atom_count)
     members = list(family)
     algebra._require(*members)
     flags = np.zeros(algebra.size, dtype=bool)
     flags[members] = True
-    return _owning(CoveringRelation, algebra, _covering_of_slices(_slices_of_family(flags, atom_count), atom_count))
+    return _owning(CoveringRelation, algebra, _family=flags, _slices=_slices_of_family(flags, atom_count))
 
 
 def atom_slices(covering: CoveringRelation) -> np.ndarray:
     """R_f(p, q) = (atom p, atom q) |- f, as a read-only (N, k, k) bool array
-    [f, p, q], read off the table once per covering."""
+    [f, p, q], memoised on the covering (read off its table, if it has one)."""
     return covering._slices
 
 
@@ -396,7 +391,7 @@ def covering_from_slices(atom_count: int, slices: np.ndarray) -> CoveringRelatio
     shape = (algebra.size, atom_count, atom_count)
     if slices.shape != shape:
         raise ValueError(f"slices have shape {slices.shape}, expected {shape}")
-    return _owning(CoveringRelation, algebra, _covering_of_slices(slices, atom_count))
+    return _owning(CoveringRelation, algebra, table=_covering_of_slices(slices, atom_count))
 
 
 # ---------------------------------------------------------------------------
@@ -802,10 +797,13 @@ def derived_contact(covering: CoveringRelation) -> ContactRelation:
     """Contact of an extended contact algebra: a and b are in contact when
     (a, b) is not covered by zero.  Only the extended contact axioms
     guarantee the contact axioms, so a table whose verdict is not ECA is
-    rejected."""
+    rejected.  An ECA is generated by its slices, so the contact is the
+    join-extension of the atom pairs outside R_0: no table is read."""
     if covering._strength != "ECA":
         raise ValueError("derived contact needs the full extended contact axioms")
-    return _owning(ContactRelation, covering.algebra, ~covering.table[:, :, 0])
+    under = _atom_matrices(covering.algebra.atom_count)[2]
+    apart = (~covering._slices[0]).astype(np.float32)
+    return _owning(ContactRelation, covering.algebra, table=under @ apart @ under.T > 0)
 
 
 def check_relative_contact_laws(
@@ -975,7 +973,7 @@ def _covering_of_entries(atoms: int, entries: np.ndarray) -> CoveringRelation:
     table = np.zeros((n, n, n), dtype=bool)
     a, b, d = entries.T
     table.reshape(-1)[(a * n + b) * n + d] = True
-    return _owning(CoveringRelation, FiniteBooleanAlgebra(atoms), table)
+    return _owning(CoveringRelation, FiniteBooleanAlgebra(atoms), table=table)
 
 
 def _triple_entries(triples: list, atoms: int) -> np.ndarray:
@@ -1104,7 +1102,9 @@ def eca_from_rc(source: RegularClosedAlgebra, *, cap_elements: int = 64) -> Topo
     """The extended contact algebra of a regular closed algebra: element
     masks name joins of atoms, and (a, b) |- d holds when the plain
     intersection of the point sets of a and b is inside the point set of d.
-    Nothing is checked here; check_eca reads the covering's verdict.
+    Nothing is checked here, and no table is built: the covering is the
+    covering of the points' atom signatures, and check_eca reads its
+    verdict.
     """
     k = len(source.atoms)
     check_cap(k, cap_elements)

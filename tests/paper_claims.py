@@ -185,7 +185,7 @@ def check_split_pullback(
 
     a1 = _join_inside(teca, _occurring_union(teca, embedding, split1))
     a2 = _join_inside(teca, _occurring_union(teca, embedding, split2))
-    star = algebra.complement(a)
+    star = (algebra.size - 1) ^ a
     nonzero = None if (a1 != 0 and a2 != 0) else (a1, a2)
     joins = None if (a1 | a2) == a else (a1, a2)
     covered = None if bool(teca.covering.table[a1, a2, star]) else (a1, a2, star)

@@ -110,12 +110,7 @@ class TestFiniteBooleanAlgebra:
     def test_basics(self):
         algebra = FiniteBooleanAlgebra(3)
         assert algebra.size == 8
-        assert algebra.zero == 0 and algebra.one == 7
         assert algebra.atom_masks == (1, 2, 4)
-        assert algebra.le(0b001, 0b011) and not algebra.le(0b011, 0b001)
-        assert algebra.join(0b001, 0b010) == 0b011
-        assert algebra.meet(0b011, 0b110) == 0b010
-        assert algebra.complement(0b011) == 0b100
         assert algebra.contains(7) and not algebra.contains(8)
 
     def test_rejects_empty(self):
@@ -134,7 +129,7 @@ class TestRelationTables:
         for a in range(4):
             for b in range(4):
                 for d in range(4):
-                    assert cov.holds(a, b, d) == ((a, b, d) in triples)
+                    assert cov.table[a, b, d] == ((a, b, d) in triples)
 
     def test_table_is_frozen(self):
         cov = discrete_covering(2)
@@ -166,7 +161,7 @@ class TestRelationTables:
         for a in range(8):
             for b in range(8):
                 for d in range(8):
-                    assert cov.holds(a, b, d) == ((a & b) & ~d == 0)
+                    assert cov.table[a, b, d] == ((a & b) & ~d == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +582,24 @@ class TestOneVerdictPerTable:
             assert cov._strength is None and len(calls) <= 1
 
     def test_one_verdict_per_random_trial(self, monkeypatch, capsys):
-        # each trial generates its covering from the points' signatures
-        # once, and the four checkers share one verdict on it
-        from mereotop.cli import main
+        # each trial's covering holds its points' signatures, the four
+        # checkers share one verdict on it, and no table is ever generated
+        from mereotop import cli
 
         calls = self.spy(monkeypatch)
+        built = []
+
+        def recorded(*args, **kwargs):
+            built.append(eca_from_rc(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "eca_from_rc", recorded)
         for trials in (1, 4):
             calls.clear()
-            assert main(["random", "--seed", "7", "--trials", str(trials), "--json"]) == 0
-            assert len(calls) == 2 * trials
+            built.clear()
+            assert cli.main(["random", "--seed", "7", "--trials", str(trials), "--json"]) == 0
+            assert len(calls) == 0 and len(built) == trials
+            assert all(teca.covering._strength == "ECA" and "table" not in vars(teca.covering) for teca in built)
         capsys.readouterr()
 
     def test_caller_arrays_are_copied(self):
@@ -826,6 +830,74 @@ class TestGenerators:
         )
 
 
+def assert_family_built_is_honest(k: int, family: list[int]) -> None:
+    """The covering built from a family gives the results of the covering
+    built from its table: the verdict, S*, every checker's report, and the
+    derived contact.  Only a failing literal search reads its table."""
+    n = 1 << k
+    fam = covering_from_signatures(k, family)
+    got = {
+        "strength": fam._strength,
+        "signatures": signatures(fam),
+        "WECA": witnesses(check_weca(fam)),
+        "CONS": witnesses(check_weca_consequences(fam)),
+    }
+    assert "table" not in vars(fam)  # the covering of a family is weak
+    got["ECA"], got["RCL"] = witnesses(check_eca(fam)), witnesses(check_relative_contact_laws(fam))
+    eca = fam._strength == "ECA"
+    if eca:
+        contact = derived_contact(fam)
+        got["CA"], got["contact"] = witnesses(check_ca(contact)), contact.table.tolist()
+    assert ("table" in vars(fam)) != eca
+    table = fam.table
+    assert (table == np.array(oracles.naive_covering_of_signatures(n, family))).all()
+    tab = CoveringRelation(FiniteBooleanAlgebra(k), table)
+    want = {
+        "strength": tab._strength,
+        "signatures": signatures(tab),
+        "WECA": witnesses(check_weca(tab)),
+        "CONS": witnesses(check_weca_consequences(tab)),
+        "ECA": witnesses(check_eca(tab)),
+        "RCL": witnesses(check_relative_contact_laws(tab)),
+    }
+    if eca:
+        literal = ContactRelation(tab.algebra, ~table[:, :, 0])
+        want["CA"], want["contact"] = witnesses(check_ca(literal)), literal.table.tolist()
+    assert got == want
+    assert (covering_from_signatures(k, family)._strength == "ECA") == all(1 << i in family for i in range(k))
+    if k <= 3:
+        assert got["ECA"] == oracles.naive_check_eca(n, table.tolist())
+        assert got["WECA"] == oracles.naive_check_weca(n, table.tolist())
+
+
+class TestFamilyBuiltCoverings:
+    """A covering built from a family holds the family and its slices; its
+    verdict comes from them, and its table only from a read."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_family(self, k):
+        n = 1 << k
+        for bits in range(1 << (n - 1)):
+            assert_family_built_is_honest(k, [s for s in range(1, n) if bits >> (s - 1) & 1])
+
+    @pytest.mark.parametrize("k,seed", [(k, s) for k in (4, 5) for s in range(6)])
+    def test_seeded_families(self, k, seed):
+        n, rng = 1 << k, random.Random(seed * 29 + k)
+        for _ in range(4):
+            family = [s for s in range(1, n) if rng.random() < (0.1, 0.3, 0.6)[seed % 3]]
+            if seed % 2:
+                family += [1 << i for i in range(k) if 1 << i not in family]
+            assert_family_built_is_honest(k, family)
+
+    def test_table_is_generated_once_when_read(self, monkeypatch):
+        calls = TestOneVerdictPerTable.spy(monkeypatch)
+        cov = covering_from_signatures(3, [1, 2, 4, 6])
+        assert cov._strength == "ECA" and calls == [] and "table" not in vars(cov)
+        table = cov.table
+        assert cov.table is table and calls == [3] and not table.flags.writeable
+        assert not hasattr(cov, "triples")  # only the table is generated on a read
+
+
 # ---------------------------------------------------------------------------
 # the verdict that names a covering's axiom system, and the derived relations
 
@@ -863,7 +935,7 @@ class TestVerifiedAlgebras:
         assert np.array_equal(contact.table, ~eca.table[:, :, 0])
         for a in range(4):
             for b in range(4):
-                assert contact.holds(a, b) == (a & b != 0)
+                assert contact.table[a, b] == (a & b != 0)
 
     def test_relative_contact_table(self):
         cov = discrete_covering(2)
@@ -889,7 +961,7 @@ def assert_matches_pointwise(algebra):
         for b in range(n):
             for d in range(n):
                 meet = teca.element_sets[a] & teca.element_sets[b]
-                assert teca.covering.holds(a, b, d) == meet.issubset(teca.element_sets[d])
+                assert teca.covering.table[a, b, d] == meet.issubset(teca.element_sets[d])
 
 
 class TestEcaFromRc:
@@ -1045,7 +1117,7 @@ class TestFiltersAndIdeals:
                 expected_left = {
                     b
                     for b in range(algebra.size)
-                    if any(cov.holds(a, b, d) for a in f.members)
+                    if any(cov.table[a, b, d] for a in f.members)
                 }
                 assert left == expected_left
 

@@ -378,6 +378,30 @@ class TestRcCommand:
         assert doc["contact"][0] == [False] * 8
         assert [0, 0, 0] in doc["covering"]
 
+    def test_verbose_covering_generates_the_table_once(self, topo_file, capsys, monkeypatch):
+        # the covering's table is generated only for its true triples, once,
+        # and they are the literal ones: A ∩ B ⊆ D over carrier indices
+        from mereotop import algebra as algebra_module
+
+        calls = []
+        generate = algebra_module._covering_of_slices
+
+        def counted(slices, k):
+            calls.append(k)
+            return generate(slices, k)
+
+        monkeypatch.setattr(algebra_module, "_covering_of_slices", counted)
+        code, doc = run_json(capsys, ["rc", "--input", topo_file, "--json", "--verbose"])
+        carrier = rc_algebra(labeled_topology_from_document(X_DOC).topology).carrier
+        literal = [
+            [i, j, l]
+            for i, a in enumerate(carrier)
+            for j, b in enumerate(carrier)
+            for l, d in enumerate(carrier)
+            if (a & b).bits & ~d.bits == 0
+        ]
+        assert code == 0 and calls == [3] and doc["covering"] == literal
+
     def test_text_output(self, topo_file, capsys):
         assert main(["rc", "--input", topo_file]) == 0
         out = capsys.readouterr().out

@@ -245,7 +245,7 @@ class TestPowersetEca:
         for a in range(1 << w):
             for b in range(1 << w):
                 for d in range(1 << w):
-                    assert cov.holds(a, b, d) == oracles.naive_frame1_covering(classes, a, b, d)
+                    assert cov.table[a, b, d] == oracles.naive_frame1_covering(classes, a, b, d)
         assert check_eca(cov, cap_elements=1 << w).all_passed
 
     @pytest.mark.parametrize("seed", range(6))
@@ -257,7 +257,7 @@ class TestPowersetEca:
         for a in range(1 << w):
             for b in range(1 << w):
                 for d in range(1 << w):
-                    assert cov.holds(a, b, d) == oracles.naive_frame2_covering(c1, c2, a, b, d)
+                    assert cov.table[a, b, d] == oracles.naive_frame2_covering(c1, c2, a, b, d)
         assert check_eca(cov, cap_elements=1 << w).all_passed
 
     @pytest.mark.parametrize("seed", range(6))
@@ -270,7 +270,7 @@ class TestPowersetEca:
         for a in range(1 << w):
             for b in range(1 << w):
                 for d in range(1 << w):
-                    assert cov.holds(a, b, d) == oracles.naive_pframe_covering(
+                    assert cov.table[a, b, d] == oracles.naive_pframe_covering(
                         w, frame.relations.__getitem__, a, b, d
                     )
 

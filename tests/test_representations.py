@@ -405,6 +405,45 @@ def assert_matches_literal_loops(embedding):
 EQUIVALENCE_BUILDERS = {"type1": build_type1, "type2": build_type2}
 
 
+class TestFamilyBuiltSourceTable:
+    """A source built from its points' signatures generates its table on
+    the first read that needs it, here the covering_table fallback."""
+
+    @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_BUILDERS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturbed_frame(self, kind, seed, monkeypatch):
+        # the second partition made one class, or one class per world: where
+        # covering fails, the slices do not confirm it, the table is
+        # generated once, and the report is that of the table-built source
+        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed))
+        w, img, worlds = embedding.frame.world_count, embedding.image_masks, embedding.worlds
+        tabled = CoveringRelation(embedding.source.algebra, embedding.source.table)
+        calls = []
+        generate = algebra_module._covering_of_slices
+
+        def counted(slices, k):
+            calls.append(k)
+            return generate(slices, k)
+
+        monkeypatch.setattr(algebra_module, "_covering_of_slices", counted)
+        broken = 0
+        for classes in ((0,) * w, tuple(range(w))):
+            if kind == "type1":
+                frame = EquivalenceFrame1(w, classes)
+            else:
+                frame = EquivalenceFrame2(w, embedding.frame.classes1, classes)
+            expected = verify_embedding(Embedding(tabled, frame, img, worlds))
+            if covering_witness(expected) is None:
+                continue
+            broken += 1
+            source = multi_atom_teca(seed).covering
+            calls.clear()
+            report = verify_embedding(Embedding(source, frame, img, worlds))
+            assert len(calls) == 1 and "table" in vars(source) and report == expected
+            assert covering_witness(report) == literal_covering_witness(Embedding(source, frame, img, worlds))
+        assert broken
+
+
 class TestHomomorphismVerdicts:
     """The closed-form verdicts report the witnesses of the literal loops."""
 
@@ -702,10 +741,10 @@ class TestCPreservationOnAtoms:
         assert witness == c_witness_from_oracles(broken) and witness is not None
 
     def test_passing_random_trial_builds_no_frame_table_and_glues_nothing(self, monkeypatch, capsys):
-        # the covering is generated twice per trial (the build and the
-        # verdict), each frame's atom family is read once, and neither
-        # frame's table nor any gluing is computed
-        from mereotop.cli import main
+        # no covering is generated (the trial's covering holds its family
+        # and never builds its table), each frame's atom family is read
+        # once, and neither frame's table nor any gluing is computed
+        from mereotop import cli
 
         generations, gluings = [], []
         generate, glue = algebra_module._covering_of_slices, topology_module.glued_components
@@ -721,15 +760,25 @@ class TestCPreservationOnAtoms:
         monkeypatch.setattr(algebra_module, "_covering_of_slices", counted_generate)
         for module in (topology_module, frames_module):
             monkeypatch.setattr(module, "glued_components", counted_glue)
+        built = []
+
+        def recorded(*args, **kwargs):
+            built.append(eca_from_rc(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "eca_from_rc", recorded)
         for seed in (3, 7):
             generations.clear()
+            built.clear()
             with (
                 mock.patch.object(representations_module, "atom_family", wraps=atom_family) as family,
                 mock.patch.object(representations_module, "covering_table", wraps=covering_table) as table,
             ):
-                assert main(["random", "--seed", str(seed), "--trials", "1", "--json"]) == 0
-            assert len(generations) == 2 and gluings == []
+                assert cli.main(["random", "--seed", str(seed), "--trials", "1", "--json"]) == 0
+            assert len(generations) == 0 and gluings == []
             assert family.call_count == 2 and not table.called
+            (teca,) = built
+            assert "table" not in vars(teca.covering)
         capsys.readouterr()
 
 
