@@ -46,7 +46,7 @@ covering_from_document, which alone reports faults.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from operator import and_
@@ -114,7 +114,7 @@ class CoveringRelation:
     built from a family of atom sets generates its table on first read."""
 
     algebra: FiniteBooleanAlgebra
-    table: np.ndarray
+    table: np.ndarray = field(repr=False)  # a repr must not generate a family's table
     _family = None  # flags[σ] of the family a covering was built from
 
     def __post_init__(self) -> None:

@@ -8,16 +8,17 @@ equivalence frames of type 1 (one partition); and equivalence frames of
 type 2 (two partitions, read through the composite class R1(R2(s))).  Each
 induces a covering on subsets of W: on the powerset it is a weak extended
 contact algebra for parametrized frames and a full one for the
-equivalence kinds.  :func:`covering_table` tabulates a frame's covering
-over any family of subsets (all of them for the powerset, the images of an
-embedding for its verification).  :func:`atom_family` reads off the atom
-sets whose covering is an equivalence frame's covering over the joins of
-k atom images, so an embedding that preserves zero and join is checked on
-atom-level data.  For an equivalence frame, (a, b) is covered by d iff
-a ∩ b ⊆ d and every class (composite class, for type 2) meeting both a
-and b also meets d.  For a parametrized frame it is the literal definition
-read through the superset union R*(d) of the relations, so it holds for
-every frame, antitone or not.
+equivalence kinds.  :func:`covering_slices` reads any frame's covering
+over the joins of k atom images as N·k² atom slices, so an embedding that
+preserves zero and join is checked on atom-level data.
+:func:`covering_table` tabulates the covering over any family of subsets:
+all of them for the powerset, or the images of an embedding whose
+covering the slices do not confirm, to name the witness.  For an
+equivalence frame, (a, b) is covered by d iff a ∩ b ⊆ d and every class
+(composite class, for type 2) meeting both a and b also meets d.  For a
+parametrized frame it is the literal definition read through the
+superset union R*(d) of the relations, so it holds for every frame,
+antitone or not.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import _fold
-from .topology import _PRODUCT_CHUNK_ELEMENTS, bit_matrix, glued_components
+from .algebra import _fold, _slices_of_family
+from .topology import _PRODUCT_CHUNK_ELEMENTS, bit_matrix, glued_components, joins_by_mask
 
 
 def _require_masks(world_count: int, *masks: int) -> None:
@@ -221,23 +222,17 @@ def covering_table(
     return table
 
 
-def atom_family(
-    frame: EquivalenceFrame1 | EquivalenceFrame2, atom_images: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _atom_family(frame: EquivalenceFrame1 | EquivalenceFrame2, atom_images: Sequence[int]) -> list[int]:
     """The atom sets σ_c = {i : atom_images[i] meets c} of the column subsets
-    c of :func:`_meets`, as masks: the distinct σ of the worlds (the set of
-    images a world lies in), and the σ of each class mask of the frame, in
-    the order of ``distinct_class_masks`` (``distinct_composite_masks`` for
-    type 2).
+    c of :func:`_meets`, as masks: the σ of each world (the set of images it
+    lies in), found by splitting the worlds by each image in turn, and the
+    σ of each class mask of the frame (composite class, for type 2).
 
-    Over the joins A(x) of the atom images (the union of atom_images[i]
-    over the bits i of x), the frame's covering is the covering of this
-    family: A(x) meets a column subset c iff x meets σ_c, so (A(a), A(b))
-    is covered by A(d) iff no σ of the family meets a and b and misses d
-    (:func:`~mereotop.algebra.covering_from_signatures`).  The σ of the
-    worlds come from splitting the worlds by each image in turn.
+    Over the joins A(x) of the atom images, the frame's covering is the
+    covering of this family: A(x) meets a column subset c iff x meets σ_c,
+    so (A(a), A(b)) is covered by A(d) iff no σ of the family meets a and b
+    and misses d (:func:`~mereotop.algebra.covering_from_signatures`).
     """
-    _require_masks(frame.world_count, *atom_images)
     regions = {0: (1 << frame.world_count) - 1}  # σ -> the worlds with that σ
     for i, image in enumerate(atom_images):
         split: dict[int, int] = {}
@@ -247,7 +242,32 @@ def atom_family(
             if worlds & ~image:
                 split[sigma] = worlds & ~image
         regions = split
-    classes = tuple(
-        sum(1 << i for i, image in enumerate(atom_images) if image & c) for c in _class_masks(frame)
-    )
-    return tuple(regions), classes
+    classes = [sum(1 << i for i, image in enumerate(atom_images) if image & c) for c in _class_masks(frame)]
+    return [*regions, *classes]
+
+
+def covering_slices(
+    frame: ParametrizedFrame | EquivalenceFrame1 | EquivalenceFrame2, atom_images: Sequence[int]
+) -> np.ndarray:
+    """F[d, p, q] = (A(p), A(q)) is covered by A(d), as an (N, k, k) bool
+    array, where A(p) = atom_images[p] and A(d) is the union of A(p) over
+    the bits p of d.
+
+    Over the images A(x), every frame's covering is the table these slices
+    generate (see :func:`~mereotop.algebra.covering_from_slices`): (A(a),
+    A(b)) is covered by A(d) iff (A(p), A(q)) is for every atom p of a and
+    q of b.  For a parametrized frame, (A(a), A(b)) is covered by A(d) iff
+    no s ∈ A(a), t ∈ A(b) have R*(A(d))(s, t), and that splits over the
+    atoms of a and b, whatever R* is (antitone or not): one batched product
+    A · R*(A(d)) · Aᵀ over every d.  For an equivalence frame, the covering
+    over the images is the covering of the atom family (:func:`_atom_family`),
+    whose slices one product reads off.
+    """
+    _require_masks(frame.world_count, *atom_images)
+    if isinstance(frame, ParametrizedFrame):
+        rows = _membership(frame.world_count, atom_images).astype(np.float32)
+        reach = _reach(frame)[list(joins_by_mask(0, atom_images))].astype(np.float32)
+        return rows @ reach @ rows.T == 0
+    flags = np.zeros(1 << len(atom_images), dtype=bool)
+    flags[_atom_family(frame, atom_images)] = True
+    return _slices_of_family(flags, len(atom_images))

@@ -18,16 +18,16 @@ source builds once.
 injectivity and preservation of zero, complement and join over all
 tuples, and covering over all triples, by closed forms: N distinct
 images, and the images rebuilt from the images of zero and the atoms.
-For images that are unions of atom images, the frame's covering over
-them is the covering of the atom sets that meet each world and class,
-so covering is decided by comparing that family's atom slices with the
-source's; any covering the slices do not confirm is tabulated over the
-images and compared table to table.  For a type-2 frame the report ends
-with the internal-connectedness biconditional
+When zero and join hold, the images are unions of atom images, and in
+every frame kind the frame's covering over them is the table generated
+by its atom slices (:func:`~mereotop.frames.covering_slices`), so
+covering is decided by comparing those slices with the source's; only a
+covering the slices do not confirm is tabulated over the images and
+compared table to table, for its witness.  For a type-2 frame the report
+ends with the internal-connectedness biconditional
 (:func:`verify_c_preservation`), which passes at once when the covering
-passed on slices, the atom images partition the worlds, every composite
-class is the image of its atom set, and every atom image of two or more
-worlds is a class; otherwise the algebraic side is decided for every
+passed on slices, the atom images partition the worlds, and every atom
+image of two or more worlds is a class; otherwise the algebraic side is decided for every
 element at once and compared with the frame's gluing element by
 element.  Only a failing verdict runs the literal loop that names its
 witness.
@@ -37,8 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import (
     AxiomReport,
     CheckResult,
@@ -46,7 +44,6 @@ from .algebra import (
     TopologicalEca,
     WorldAtomPoint,
     _first,
-    _slices_of_family,
     atom_slices,
     checks_document,
     internally_connected_algebraic,
@@ -56,7 +53,7 @@ from .frames import (
     EquivalenceFrame1,
     EquivalenceFrame2,
     ParametrizedFrame,
-    atom_family,
+    covering_slices,
     covering_table,
     frame2_internally_connected,
 )
@@ -65,8 +62,6 @@ from .topology import LabeledTopology, joins_by_mask
 
 # the pipeline each frame class runs, named in reports as the frame's kind
 _PIPELINES = {ParametrizedFrame: "parametrized", EquivalenceFrame1: "type1", EquivalenceFrame2: "type2"}
-# the σ of the worlds and of the classes (see frames.atom_family)
-AtomFamily = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -150,15 +145,16 @@ def verify_embedding(embedding: Embedding) -> AxiomReport:
     distinct images.  Join holds for every (a, b) iff each image is the
     image of zero joined with the images of the atoms below it (take
     (0, x), then split x at its low bit), so the images are rebuilt from
-    zero and the atoms and compared.  When zero and join hold in an
-    equivalence frame, the images are unions of atom images, and the
-    frame's covering over them is the covering of the atom sets that meet
-    each world and class (:func:`~mereotop.frames.atom_family`).  For a
-    source whose verdict is not None, the source is the generation of its
-    own slices (``CoveringRelation._strength``), and generation is
-    injective on slices, since the slices of the generation of S are S;
-    so the two tables are equal iff the family's atom slices equal the
-    source's.  Any covering the slices do not confirm is tabulated by
+    zero and the atoms and compared.  When zero and join hold, the images
+    are unions of atom images, and in every frame kind the frame's covering
+    over them is the table generated by its atom slices F (see
+    :func:`~mereotop.frames.covering_slices`).  For a source whose verdict
+    is not None, the source is the generation of its own slices
+    (``CoveringRelation._strength``), and generation is injective on
+    slices, since the slices of the generation of S are S; so the two
+    tables are equal iff F equals the source's slices.  One gate serves
+    every frame kind: zero and join hold, the verdict is not None, and the
+    slices agree.  Any covering the gate does not confirm is tabulated by
     :func:`~mereotop.frames.covering_table` and compared with the source's
     table.  Only a failing verdict runs the literal search, so each
     witness is the first violating tuple in ascending element order, the
@@ -198,15 +194,14 @@ def verify_embedding(embedding: Embedding) -> AxiomReport:
                 if img[a | b] != img[a] | img[b]:
                     join = (a, b)
                     break
-    family = None  # the atom family, kept only where covering passes on its slices
-    if zero is None and join is None and not isinstance(frame, ParametrizedFrame) and source._strength:
-        family = atom_family(frame, atoms)
-        flags = np.zeros(n, dtype=bool)
-        flags[[sigma for part in family for sigma in part]] = True
-        if (_slices_of_family(flags, k) != source._slices).any():
-            family = None
+    on_slices = (
+        zero is None
+        and join is None
+        and source._strength is not None
+        and bool((covering_slices(frame, atoms) == source._slices).all())
+    )
     cov = None
-    if family is None:
+    if not on_slices:
         mismatch = covering_table(frame, img) != source.table
         cov = _first(mismatch) if mismatch.any() else None
     results = AxiomReport.of(
@@ -219,69 +214,72 @@ def verify_embedding(embedding: Embedding) -> AxiomReport:
         }
     ).results
     if isinstance(frame, EquivalenceFrame2):
-        results += (verify_c_preservation(embedding, family),)
+        results += (verify_c_preservation(embedding, on_slices),)
     return AxiomReport(results)
 
 
-def _c_preserved_on_atoms(embedding: Embedding, family: AtomFamily | None) -> bool:
+def _c_preserved_on_atoms(embedding: Embedding, on_slices: bool) -> bool:
     """Whether c° holds for every element of a type-2 embedding by its atom
     images alone.  Write A(i) for the image of atom i, A(x) for the union
     of A(i) over the bits i of x, and σ_c = {i : A(i) meets c} for a
     composite class c.  The verdict is true when all of these hold:
 
-    1. covering is preserved, decided on atom slices, with zero and join,
-       so A(x) is the image of x: ``family`` is the atom family that
-       :func:`verify_embedding` kept, not None;
-    2. the A(i) are nonempty, pairwise disjoint and cover the worlds, i.e.
-       the σ of the worlds are exactly the single atoms;
-    3. each composite class c equals A(σ_c);
-    4. each A(i) with two or more worlds has {i} among the σ_c.
+    1. ``on_slices``: zero, join and covering are preserved, covering
+       decided on atom slices, so A(x) is the image of x and the frame's
+       covering over the images is the source's;
+    2. the A(i) partition the worlds: each is nonempty, together they
+       cover every world, and their sizes add up to the number of worlds,
+       so no two overlap;
+    3. each A(i) with two or more worlds is a composite class.
 
-    Proof that c° then holds for every element a.  By 2, A(σ) ⊆ A(a) iff
-    σ ⊆ a, so by 3 the composite classes inside A(a) are the A(σ_c) with
-    σ_c ⊆ a.  Each A(i) with i in a is glued into one piece inside A(a):
-    it is one world, or by 4 it is a class inside A(a).  So the worlds of
-    A(a), glued along the classes inside A(a), form one component per
-    component of the atoms of a linked by the σ_c ⊆ a: A(a) is
-    frame-connected iff a is the union of a connected set of members of
-    F = {σ_c} ∪ {single atoms}.  By 2 the σ of the worlds are the single
-    atoms, so F is the atom family of the frame, whose covering v_F is the
-    frame's covering over the images, equal to the source's by 1.  And in
+    Proof that c° then holds for every element a.  By 2 each world lies in
+    exactly one A(i), so a composite class c lies inside A(a) iff σ_c ⊆ a.
+    Each A(i) with i in a is glued into one piece inside A(a): it is one
+    world, or by 3 a class inside A(a); and a class inside A(a) glues the
+    pieces of the atoms in its σ_c.  So the worlds of A(a), glued along
+    the classes inside A(a), form one component per component of the
+    atoms of a linked by the σ_c ⊆ a: A(a) is frame-connected iff a is the
+    union of a connected set of members of F = {σ_c} ∪ {single atoms}.
+    By 2 the σ of the worlds are the single atoms, so F is the atom family
+    of the frame (:func:`~mereotop.frames.covering_slices`), whose
+    covering v_F is the frame's covering over the images, equal to the
+    source's by 1.  (A class need not be a union of atom images: one that
+    straddles A(i) still lies inside A(a) exactly when σ_c ⊆ a.)  And in
     the covering of a family F that holds every single atom, a is
     internally connected iff its atoms are linked by the σ ∈ F with
     σ ⊆ a: a split (b, d) of a, both nonzero with b ∨ d = a, is covered by
     ¬a iff no σ ⊆ a meets both b and d, which for overlapping b and d the
     singleton of a shared atom refutes, and for disjoint ones says that no
-    σ ⊆ a links b to d.  So the algebraic and the frame-side verdicts agree
-    on every element.
+    σ ⊆ a links b to d.  So the algebraic and the frame-side verdicts
+    agree on every element.
     """
-    if family is None:
-        return False
-    worlds, sigmas = family
     img = embedding.image_masks
-    k = embedding.source.algebra.atom_count
-    held = set(sigmas)
+    atoms = [img[1 << i] for i in range(embedding.source.algebra.atom_count)]
+    classes = embedding.frame.distinct_composite_masks
+    w = embedding.frame.world_count
     return (
-        sorted(worlds) == [1 << i for i in range(k)]
-        and all(img[s] == c for s, c in zip(sigmas, embedding.frame.distinct_composite_masks))
-        and all(img[1 << i] & (img[1 << i] - 1) == 0 or 1 << i in held for i in range(k))
+        on_slices
+        and all(atoms)
+        and img[-1] == (1 << w) - 1  # the image of one, the join of the atom images by 1
+        and sum(a.bit_count() for a in atoms) == w
+        and all(a & (a - 1) == 0 or a in classes for a in atoms)
     )
 
 
-def verify_c_preservation(embedding: Embedding, family: AtomFamily | None) -> CheckResult:
+def verify_c_preservation(embedding: Embedding, on_slices: bool) -> CheckResult:
     """Check, for every source element, that the algebraic internal
     connectedness of the element matches the frame-side internal
     connectedness of its image (type-2 frames only; :func:`verify_embedding`
-    calls it).  ``family`` is the atom family of the images when covering
-    passed on atom slices, None otherwise.  An embedding whose atom images
-    pass the conditions of :func:`_c_preserved_on_atoms` passes at once.
-    Otherwise the algebraic side is decided for every element at once
+    calls it).  ``on_slices`` tells whether zero, join and covering passed,
+    covering on atom slices.  An embedding that passes the conditions of
+    :func:`_c_preserved_on_atoms` passes at once.  Otherwise the algebraic
+    side is decided for every element at once
     (:func:`~mereotop.algebra.internally_connected_algebraic`) and compared
     with the frame side element by element."""
     if not isinstance(embedding.frame, EquivalenceFrame2):
         raise TypeError("internal connectedness transfers along type-2 frames")
     witness = None
-    if not _c_preserved_on_atoms(embedding, family):
+    if not _c_preserved_on_atoms(embedding, on_slices):
         own = internally_connected_algebraic(embedding.source)
         for a, connected in enumerate(own):
             if connected != frame2_internally_connected(embedding.frame, embedding.image_masks[a]):

@@ -99,28 +99,14 @@ class PointSet:
         self._check(other)
         return PointSet(self.universe_size, self.bits | other.bits)
 
-    def intersection(self, other: "PointSet") -> "PointSet":
-        self._check(other)
-        return PointSet(self.universe_size, self.bits & other.bits)
-
-    def difference(self, other: "PointSet") -> "PointSet":
-        self._check(other)
-        return PointSet(self.universe_size, self.bits & ~other.bits)
-
     def complement(self) -> "PointSet":
         return PointSet(self.universe_size, ((1 << self.universe_size) - 1) & ~self.bits)
-
-    def issubset(self, other: "PointSet") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
 
     def isdisjoint(self, other: "PointSet") -> bool:
         self._check(other)
         return self.bits & other.bits == 0
 
     __or__ = union
-    __and__ = intersection
-    __sub__ = difference
     __invert__ = complement
 
 
@@ -216,9 +202,6 @@ class FiniteTopology:
     @property
     def universe(self) -> PointSet:
         return PointSet.full(self.universe_size)
-
-    def is_open(self, a: PointSet) -> bool:
-        return a.universe_size == self.universe_size and interior(self, a) == a
 
 
 def bit_matrix(size: int, masks: Sequence[int]) -> np.ndarray:
@@ -384,9 +367,6 @@ class RegularClosedAlgebra:
 
     def join(self, a: PointSet, b: PointSet) -> PointSet:
         return a | b
-
-    def meet(self, a: PointSet, b: PointSet) -> PointSet:
-        return closure(self.topology, interior(self.topology, a & b))
 
 
 def check_cap(atom_count: int, cap_elements: int) -> None:

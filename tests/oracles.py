@@ -123,6 +123,11 @@ def closure_naive(n: int, opens, a: int) -> int:
     return out
 
 
+def rc_meet_naive(n: int, opens, a: int, b: int) -> int:
+    """Cl(Int(A ∩ B)), the meet of two regular closed sets."""
+    return closure_naive(n, opens, interior_naive(opens, a & b))
+
+
 def brute_force_rc(n: int, opens) -> set[int]:
     """All subsets with Cl(Int(A)) = A, scanning the whole powerset."""
     out = set()

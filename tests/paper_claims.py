@@ -210,7 +210,7 @@ def _join_inside(teca: TopologicalEca, region) -> int:
     """Join of every element whose point set lies inside the region."""
     out = 0
     for b in range(teca.covering.algebra.size):
-        if teca.element_sets[b].issubset(region):
+        if teca.element_sets[b].bits & ~region.bits == 0:
             out |= b
     return out
 

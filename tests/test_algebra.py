@@ -897,6 +897,12 @@ class TestFamilyBuiltCoverings:
         assert cov.table is table and calls == [3] and not table.flags.writeable
         assert not hasattr(cov, "triples")  # only the table is generated on a read
 
+    def test_repr_generates_no_table(self, monkeypatch):
+        calls = TestOneVerdictPerTable.spy(monkeypatch)
+        cov = covering_from_signatures(3, [1, 2, 4])
+        assert repr(cov) == "CoveringRelation(algebra=FiniteBooleanAlgebra(atom_count=3))"
+        assert calls == [] and "table" not in vars(cov)
+
 
 # ---------------------------------------------------------------------------
 # the verdict that names a covering's axiom system, and the derived relations
@@ -957,11 +963,11 @@ def assert_matches_pointwise(algebra):
         c.bits for c in algebra.carrier
     )
     for a in range(n):
-        assert sum(1 << i for i, atom in enumerate(algebra.atoms) if atom.issubset(teca.element_sets[a])) == a
+        assert sum(1 << i for i, atom in enumerate(algebra.atoms) if atom.bits & ~teca.element_sets[a].bits == 0) == a
         for b in range(n):
             for d in range(n):
-                meet = teca.element_sets[a] & teca.element_sets[b]
-                assert teca.covering.table[a, b, d] == meet.issubset(teca.element_sets[d])
+                meet = teca.element_sets[a].bits & teca.element_sets[b].bits
+                assert teca.covering.table[a, b, d] == (meet & ~teca.element_sets[d].bits == 0)
 
 
 class TestEcaFromRc:

@@ -398,7 +398,7 @@ class TestRcCommand:
             for i, a in enumerate(carrier)
             for j, b in enumerate(carrier)
             for l, d in enumerate(carrier)
-            if (a & b).bits & ~d.bits == 0
+            if a.bits & b.bits & ~d.bits == 0
         ]
         assert code == 0 and calls == [3] and doc["covering"] == literal
 
@@ -607,6 +607,30 @@ class TestRepresentCommand:
         )
         assert code == 0
         assert doc["frame"]["worlds"] == k
+        assert len(doc["checks"]) == 5 and all(c["pass"] for c in doc["checks"])
+
+    def test_parametrized_on_ten_atom_star_tabulates_no_covering(self, tmp_path, monkeypatch, capsys):
+        # ten open cores and one boundary point in the closure of each: ten
+        # atoms, 1024 elements, and a 1 GiB covering table that no step builds
+        from mereotop import algebra as algebra_module
+        from mereotop import frames as frames_module
+        from mereotop import representations as representations_module
+
+        def no_table(*args):
+            raise AssertionError("an N³ covering table was built")
+
+        monkeypatch.setattr(algebra_module, "_covering_of_slices", no_table)
+        for module in (frames_module, representations_module):
+            monkeypatch.setattr(module, "covering_table", no_table)
+        cores = [f"c{i}" for i in range(10)]
+        path = tmp_path / "star10.json"
+        path.write_text(json.dumps({"universe": cores + ["b"], "subbasis": [[c] for c in cores]}))
+        code, doc = run_json(
+            capsys,
+            ["represent", "--kind", "parametrized", "--cap-elements", "1024", "--input", str(path), "--json"],
+        )
+        assert code == 0
+        assert doc["frame"]["worlds"] == 10 and len(doc["embedding"]) == 1024
         assert len(doc["checks"]) == 5 and all(c["pass"] for c in doc["checks"])
 
     def test_type_pipelines_reject_covering(self, discrete_file, capsys):

@@ -48,7 +48,7 @@ from mereotop.algebra import (
     covering_from_signatures,
     internally_connected_algebraic,
 )
-from mereotop.frames import atom_family, covering_table
+from mereotop.frames import _atom_family, covering_slices, covering_table
 from mereotop.representations import verify_c_preservation
 from mereotop.topology import joins_by_mask, labeled_topology_from_document
 from paper_claims import check_split_pullback, find_admissible_splits
@@ -100,6 +100,15 @@ class TestParametrizedPipeline:
         covering = slice_generated_covering(k, 0, random.Random(f"{k}:{seed}"))
         assert check_weca(covering).all_passed and not check_eca(covering).all_passed
         assert_relation_matches_closed_form(covering)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_passing_embedding_tabulates_no_frame_covering(self, k):
+        # discrete and weak-only sources alike are confirmed on atom slices
+        for covering in (discrete_covering(k), slice_generated_covering(k, 0, random.Random(k))):
+            embedding = build_parametrized_frame(covering)
+            with mock.patch.object(representations_module, "covering_table", wraps=covering_table) as table:
+                assert verify_embedding(embedding).all_passed
+            assert not table.called
 
     def test_refuses_a_table_that_fails_the_weak_axioms(self):
         # the all-false one-atom table fails WECA2 only: (0, 0) is not covered by 0
@@ -176,7 +185,7 @@ class TestEquivalencePipelines:
             target = teca.element_sets[a]
             expected = 0
             for w, wap in enumerate(embedding.worlds):
-                if teca.source.atoms[wap.atom_index].issubset(target):
+                if teca.source.atoms[wap.atom_index].bits & ~target.bits == 0:
                     expected |= 1 << w
             assert embedding.image_masks[a] == expected
 
@@ -275,16 +284,16 @@ def covering_witness(report):
 
 def verified_with_slice_verdict(embedding):
     """verify_embedding's report and its slice verdict, read off spies:
-    None where the atom family was not built (the slices decided
+    None where the frame's atom slices were not read (the slices decided
     nothing), else True where the slices confirmed covering and no frame
     table was tabulated, False where the covering_table fallback ran."""
     with (
-        mock.patch.object(representations_module, "atom_family", wraps=atom_family) as family,
+        mock.patch.object(representations_module, "covering_slices", wraps=covering_slices) as slices,
         mock.patch.object(representations_module, "covering_table", wraps=covering_table) as table,
     ):
         report = verify_embedding(embedding)
-    assert family.call_count <= 1 and table.call_count <= 1 and (family.called or table.called)
-    return report, (not table.called if family.called else None)
+    assert slices.call_count <= 1 and table.call_count <= 1 and (slices.called or table.called)
+    return report, (not table.called if slices.called else None)
 
 
 def assert_slice_verdict_matches_tables(embedding):
@@ -557,8 +566,7 @@ def equivalence_embeddings():
 
 def family_table(frame, atoms):
     """The covering of the atom family of the given atom images, tabulated."""
-    worlds, classes = atom_family(frame, atoms)
-    return covering_from_signatures(len(atoms), worlds + classes).table
+    return covering_from_signatures(len(atoms), _atom_family(frame, atoms)).table
 
 
 def drawn_frame(rng, worlds, type2):
@@ -591,7 +599,7 @@ class TestAtomFamily:
 
     def test_rejects_masks_outside_the_worlds(self):
         with pytest.raises(ValueError):
-            atom_family(EquivalenceFrame1(2, (0, 1)), [1, 4])
+            covering_slices(EquivalenceFrame1(2, (0, 1)), [1, 4])
 
     def test_slice_verdict_on_drawn_frames(self):
         # the source is the frame's covering over perturbed atom images
@@ -613,6 +621,67 @@ class TestAtomFamily:
         assert min(verdicts.values()) >= 40, verdicts
 
 
+def drawn_parametrized_frame(rng, worlds):
+    """An antitone frame (intersections of per-world relations), or one
+    with every relation drawn at random, which is seldom antitone."""
+    if rng.random() < 0.5:
+        return intersection_frame(rng, worlds)
+    cells = [rng.random() < 0.6 for _ in range((1 << worlds) * worlds * worlds)]
+    return ParametrizedFrame(np.array(cells).reshape(1 << worlds, worlds, worlds))
+
+
+def with_flipped_relations(frame, rng, count):
+    """The frame with ``count`` seeded relation entries R(U)(s, t) flipped."""
+    relations = frame.relations.copy()
+    for cell in rng.sample(range(relations.size), min(count, relations.size)):
+        relations.flat[cell] ^= True
+    return ParametrizedFrame(relations)
+
+
+class TestParametrizedSlices:
+    """A parametrized frame's covering over the joins of atom images is
+    the table its atom slices generate, for any relations, antitone or
+    not; so the slices decide the covering check as the tables do."""
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_slices_generate_covering_table(self, k, worlds, rng):
+        frame = drawn_parametrized_frame(rng, worlds)
+        atoms = [rng.getrandbits(worlds) for _ in range(k)]
+        generated = algebra_module._covering_of_slices(covering_slices(frame, atoms), k)
+        assert (generated == covering_table(frame, joins_by_mask(0, atoms))).all()
+
+    def test_slice_verdict_on_drawn_frames(self):
+        # the source is the covering of a drawn frame over the joins of its
+        # atom images; verified against that frame, the frame with 1-3
+        # relation entries flipped, the embedding with two images swapped,
+        # and the source with one entry flipped (often no weak table)
+        verdicts = {True: 0, False: 0, None: 0}
+        variants = dict.fromkeys(("whole", "relations", "images", "source", "not antitone"), 0)
+        for seed in range(300):
+            rng = random.Random(seed)
+            k, worlds = rng.randint(1, 3), rng.randint(1, 4)
+            frame = drawn_parametrized_frame(rng, worlds)
+            img = joins_by_mask(0, [rng.getrandbits(worlds) for _ in range(k)])
+            source = CoveringRelation(FiniteBooleanAlgebra(k), covering_table(frame, img))
+            embedding = Embedding(source, frame, img)
+            broken = {
+                "whole": embedding,
+                "relations": Embedding(source, with_flipped_relations(frame, rng, rng.randint(1, 3)), img),
+                "source": with_flipped_source(embedding, rng, 1),
+            }
+            if k >= 2:
+                broken["images"] = with_swapped_images(embedding, rng)
+            for name, variant in broken.items():
+                verdict = assert_slice_verdict_matches_tables(variant)[1]
+                verdicts[verdict] += 1
+                variants[name] += 1
+                if not (frames_module._reach(variant.frame) == variant.frame.relations).all():
+                    variants["not antitone"] += 1
+        assert min(verdicts.values()) >= 40, verdicts
+        assert min(variants.values()) >= 100, variants
+
+
 def c_witness_from_oracles(embedding):
     """The first element whose literal algebraic and frame-side internal
     connectedness differ, from tests/oracles.py."""
@@ -627,24 +696,25 @@ def c_witness_from_oracles(embedding):
     return None
 
 
-def verified_with_c_family(embedding):
-    """verify_embedding's report on a type-2 embedding and the atom family
-    it handed to verify_c_preservation, read off a spy (None: covering
+def verified_with_c_verdict(embedding):
+    """verify_embedding's report on a type-2 embedding and the slice verdict
+    it handed to verify_c_preservation, read off a spy (False: covering
     did not pass on atom slices)."""
     calls = []
 
-    def spy(embedding, family):
-        calls.append((embedding, family, verify_c_preservation(embedding, family)))
+    def spy(embedding, on_slices):
+        calls.append((embedding, on_slices, verify_c_preservation(embedding, on_slices)))
         return calls[-1][2]
 
     with mock.patch.object(representations_module, "verify_c_preservation", spy):
         report = verify_embedding(embedding)
-    ((handed, family, check),) = calls
+    ((handed, on_slices, check),) = calls
     assert handed is embedding and report.results[-1] is check
     assert check.name == "preserves-internal-connectedness"
+    assert isinstance(on_slices, bool)
     if not report.results[4].passed:
-        assert family is None
-    return report, family
+        assert not on_slices
+    return report, on_slices
 
 
 def frame_embedding(frame, atoms):
@@ -672,14 +742,40 @@ class TestCPreservationOnAtoms:
             classes1 = tuple(blocks) if rng.random() < 0.5 else tuple(rng.randrange(worlds) for _ in range(worlds))
             classes2 = tuple(rng.randrange(worlds) for _ in range(worlds))
             embedding = frame_embedding(EquivalenceFrame2(worlds, classes1, classes2), atoms)
-            report, family = verified_with_c_family(embedding)
-            if representations_module._c_preserved_on_atoms(embedding, family):
+            report, on_slices = verified_with_c_verdict(embedding)
+            if representations_module._c_preserved_on_atoms(embedding, on_slices):
                 hits += 1
                 algebraic = internally_connected_algebraic(embedding.source)
                 for a, m in enumerate(embedding.image_masks):
                     assert algebraic[a] == oracles.naive_frame2_internally_connected(classes1, classes2, m)
             assert report.results[-1].witness == c_witness_from_oracles(embedding)
         assert hits >= 200, hits
+
+    def test_closed_form_with_classes_across_atom_images(self):
+        # a composite class may straddle an atom image and still leave the
+        # closed form sound: it lies inside A(a) exactly when σ_c ⊆ a
+        straddling = 0
+        for seed in range(1500):
+            rng = random.Random(seed)
+            k = rng.randint(2, 3)
+            worlds = k + rng.randint(1, 2)
+            blocks = list(range(k)) + [rng.randrange(k) for _ in range(worlds - k)]
+            rng.shuffle(blocks)
+            atoms = [sum(1 << w for w in range(worlds) if blocks[w] == i) for i in range(k)]
+            classes = [tuple(rng.randrange(worlds) for _ in range(worlds)) for _ in range(2)]
+            embedding = frame_embedding(EquivalenceFrame2(worlds, *classes), atoms)
+            report, on_slices = verified_with_c_verdict(embedding)
+            composite = embedding.frame.distinct_composite_masks
+            if not representations_module._c_preserved_on_atoms(embedding, on_slices) or all(
+                a & c in (0, a) for a in atoms for c in composite
+            ):
+                continue
+            straddling += 1
+            algebraic = internally_connected_algebraic(embedding.source)
+            for a, m in enumerate(embedding.image_masks):
+                assert algebraic[a] == oracles.naive_frame2_internally_connected(*classes, m)
+            assert report.results[-1].witness is None
+        assert straddling >= 15, straddling
 
     @staticmethod
     def fallback_witness(embedding, monkeypatch):
@@ -691,11 +787,11 @@ class TestCPreservationOnAtoms:
             return algebraic(covering)
 
         monkeypatch.setattr(representations_module, "internally_connected_algebraic", counted)
-        report, family = verified_with_c_family(embedding)
-        assert not representations_module._c_preserved_on_atoms(embedding, family)
+        report, on_slices = verified_with_c_verdict(embedding)
+        assert not representations_module._c_preserved_on_atoms(embedding, on_slices)
         # covering holds on atom slices in each frame but the one without a
         # verdict, so the fallback comes from the condition that is broken
-        assert (family is None) == (embedding.source._strength is None)
+        assert on_slices == (embedding.source._strength is not None)
         check = report.results[-1]
         assert len(calls) == 1  # the element-by-element comparison ran
         assert check.passed == (check.witness is None)
@@ -721,6 +817,14 @@ class TestCPreservationOnAtoms:
         embedding = frame_embedding(EquivalenceFrame2(2, (0, 1), (0, 1)), [0b10, 0b10, 0b01])
         assert self.fallback_witness(embedding, monkeypatch) == c_witness_from_oracles(embedding) == (1,)
 
+    def test_atom_images_that_miss_a_world(self, monkeypatch):
+        # both atoms have world 1 and neither has world 0: their sizes add
+        # up to the two worlds, yet they do not partition them, and atom 0
+        # is connected in the frame but covered by its complement, whose
+        # image is the same world
+        embedding = frame_embedding(EquivalenceFrame2(2, (0, 0), (0, 0)), [0b10, 0b10])
+        assert self.fallback_witness(embedding, monkeypatch) == c_witness_from_oracles(embedding) == (1,)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_source_without_a_verdict(self, seed, monkeypatch):
         # a built embedding whose source table, with one atom covered by
@@ -742,7 +846,7 @@ class TestCPreservationOnAtoms:
 
     def test_passing_random_trial_builds_no_frame_table_and_glues_nothing(self, monkeypatch, capsys):
         # no covering is generated (the trial's covering holds its family
-        # and never builds its table), each frame's atom family is read
+        # and never builds its table), each frame's atom slices are read
         # once, and neither frame's table nor any gluing is computed
         from mereotop import cli
 
@@ -771,12 +875,12 @@ class TestCPreservationOnAtoms:
             generations.clear()
             built.clear()
             with (
-                mock.patch.object(representations_module, "atom_family", wraps=atom_family) as family,
+                mock.patch.object(representations_module, "covering_slices", wraps=covering_slices) as slices,
                 mock.patch.object(representations_module, "covering_table", wraps=covering_table) as table,
             ):
                 assert cli.main(["random", "--seed", str(seed), "--trials", "1", "--json"]) == 0
             assert len(generations) == 0 and gluings == []
-            assert family.call_count == 2 and not table.called
+            assert slices.call_count == 2 and not table.called
             (teca,) = built
             assert "table" not in vars(teca.covering)
         capsys.readouterr()
@@ -849,7 +953,7 @@ EMBEDDING_CHECKS = (*HOMOMORPHISM_CHECKS, "preserves-covering")
 class TestOneVerificationCall:
     """verify_embedding is the only verification call: the report names
     its pipeline after the frame class, ends with c° for type 2 only, and
-    reads the atom family once for each equivalence embedding."""
+    reads the frame's atom slices once for each embedding, of every kind."""
 
     @pytest.mark.parametrize("seed", [None, *range(6)], ids=["example", *map(str, range(6))])
     def test_names_the_pipeline_and_its_checks_after_the_frame_class(self, seed):
@@ -864,18 +968,22 @@ class TestOneVerificationCall:
             assert report.all_passed
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_one_family_read_per_equivalence_embedding(self, seed):
+    def test_one_slice_read_per_embedding(self, seed):
+        # parametrized embeddings too: a passing one tabulates no covering
         teca = multi_atom_teca(seed)
         for kind, builder in BUILDERS.items():
             embedding = builder(teca)
-            with mock.patch.object(representations_module, "atom_family", wraps=atom_family) as family:
-                verify_embedding(embedding)
-            assert family.call_count == (kind != "parametrized"), kind
+            with (
+                mock.patch.object(representations_module, "covering_slices", wraps=covering_slices) as slices,
+                mock.patch.object(representations_module, "covering_table", wraps=covering_table) as table,
+            ):
+                assert verify_embedding(embedding).all_passed
+            assert slices.call_count == 1 and not table.called, kind
 
-    def test_c_gets_a_family_only_when_covering_passed_on_slices(self):
-        # type-2 embeddings of the sweeps, whole and broken: the family is
+    def test_c_is_told_on_slices_only_when_covering_passed_on_slices(self):
+        # type-2 embeddings of the sweeps, whole and broken: on_slices is
         # handed on iff zero, join and covering hold and the source has a
-        # verdict, and then it is the atom family of the images
+        # verdict, and then the frame's atom slices are the source's
         handed = {True: 0, False: 0}
         for i, embedding in enumerate(equivalence_embeddings()[1::2]):
             rng = random.Random(i)
@@ -886,14 +994,14 @@ class TestOneVerificationCall:
                 atoms = [embedding.image_masks[1 << j] for j in range(k)]
                 variants.append(frame_embedding(embedding.frame, atoms[::-1]))
             for variant in variants:
-                report, family = verified_with_c_family(variant)
+                report, on_slices = verified_with_c_verdict(variant)
                 passed = {r.name: r.passed for r in report.results}
                 confirmed = all(passed[name] for name in ("preserves-zero", "preserves-join", "preserves-covering"))
-                assert (family is not None) == (confirmed and variant.source._strength is not None)
-                if family is not None:
+                assert on_slices == (confirmed and variant.source._strength is not None)
+                if on_slices:
                     atoms = [variant.image_masks[1 << j] for j in range(k)]
-                    assert family == atom_family(variant.frame, atoms)
-                handed[family is not None] += 1
+                    assert (covering_slices(variant.frame, atoms) == variant.source._slices).all()
+                handed[on_slices] += 1
         assert min(handed.values()) >= 10, handed
 
     @pytest.mark.parametrize("kind", ["type1", "parametrized"])
