@@ -10,9 +10,11 @@ One generator builds every covering table from small data:
 ``covering_from_slices`` is the table generated by atom slices R_f, an
 (N, k, k) array, in two float32 products with the atom membership rows,
 O(k·N³) multiply-adds.  ``covering_from_signatures`` (and ``eca_from_rc``,
-the covering of its points' atom signatures) holds a family of atom sets
-and its slices R_c(p, q) = no member inside ¬c holds both p and q, and
-generates its table only when first read; documents and tests give a table.
+the covering of its points' atom signatures, and ``discrete_covering``,
+the covering of the single atoms) holds a family of atom sets and its
+slices R_c(p, q) = no member inside ¬c holds both p and q, and generates
+its table only when first read; covering documents, ``covering_from_slices``
+and a table handed to ``CoveringRelation`` give a table.
 ``signatures`` and ``atom_slices`` read the small data off either kind;
 read off the slices of a family's covering, the family comes back closed,
 so the round trip F → slices → family is F's closure.  A finite table
@@ -54,7 +56,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .topology import _PRODUCT_CHUNK_ELEMENTS, DocumentError, PointSet, RegularClosedAlgebra, check_cap, joins_by_mask
+from .topology import _PRODUCT_CHUNK_ELEMENTS, DocumentError, RegularClosedAlgebra, check_cap, joins_by_mask
 
 DEFAULT_CHECK_CAP = 32
 
@@ -181,9 +183,9 @@ class ContactRelation:
 
 
 def discrete_covering(atom_count: int) -> CoveringRelation:
-    """The covering (a, b) |- d iff a meet b <= d (contact = overlap)."""
-    _, _, and_t, _, le_t = _tables(atom_count)
-    return _owning(CoveringRelation, FiniteBooleanAlgebra(atom_count), table=le_t[and_t])
+    """The covering (a, b) |- d iff a meet b <= d (contact = overlap): the
+    covering of the single atoms, whose table is generated on first read."""
+    return covering_from_signatures(atom_count, [1 << i for i in range(atom_count)])
 
 
 # ---------------------------------------------------------------------------
@@ -1071,16 +1073,12 @@ class TopologicalEca:
     """An extended contact algebra built from a regular closed algebra,
     together with the dictionary between element masks and point sets.
 
-    ``element_sets[m]`` is the union of the atoms selected by mask m; the
-    map is a Boolean isomorphism onto the regular closed carrier.
+    ``source.element_sets[m]`` is the union of the atoms selected by mask
+    m; the map is a Boolean isomorphism onto the regular closed carrier.
     """
 
     covering: CoveringRelation
     source: RegularClosedAlgebra
-
-    @property
-    def element_sets(self) -> tuple[PointSet, ...]:
-        return self.source.element_sets
 
     @cached_property
     def _couple_worlds(self) -> tuple[tuple[WorldAtomPoint, ...], tuple[int, ...]]:

@@ -25,9 +25,9 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .algebra import (
     AxiomViolation,
@@ -53,6 +53,7 @@ from .representations import (
     verify_embedding,
 )
 from .topology import (
+    CapExceeded,
     DocumentError,
     LabeledTopology,
     PointSet,
@@ -573,12 +574,36 @@ def cmd_example1(config: RunConfig) -> int:
 # random campaigns
 
 
-def _sample_subbasis(rng: random.Random, n: int) -> list[int]:
-    # every mask of at most three points, ascending, without scanning all 2^n
-    pool = sorted(sum(1 << i for i in c) for r in range(4) for c in combinations(range(n), r))
-    pool.append(rng.getrandbits(n))
-    pool.append(rng.getrandbits(n))
-    return [m for m in pool if rng.random() < 0.5]
+def _small_masks(n: int) -> Iterator[int]:
+    """Every mask of at most three of n points, ascending, without scanning
+    all 2^n: zero, then for each a, {a}, then each {a, b} (b < a) followed
+    by its {a, b, c} (c < b)."""
+    yield 0
+    for a in range(n):
+        yield 1 << a
+        for b in range(a):
+            yield 1 << a | 1 << b
+            for c in range(b):
+                yield 1 << a | 1 << b | 1 << c
+
+
+def _sample_subbasis(rng: random.Random, n: int, cap_elements: int) -> list[int]:
+    """Each small mask, then two random ones, kept with probability 1/2.
+    A kept singleton {x} is a minimal open set U_x, so an atom of its own:
+    the draw stops once they alone put the algebra over the cap."""
+    extras = [rng.getrandbits(n), rng.getrandbits(n)]
+    kept, singletons = [], set()
+    for m in chain(_small_masks(n), extras):
+        if rng.random() < 0.5:
+            kept.append(m)
+            if m.bit_count() == 1:
+                singletons.add(m)
+                if len(singletons) >= cap_elements.bit_length():
+                    raise CapExceeded(
+                        f"at least {1 << len(singletons)} elements exceed the exhaustive-check cap of "
+                        f"{cap_elements}; pass a larger cap_elements to force the check"
+                    )
+    return kept
 
 
 def _failures_from(system: str, checks: tuple[CheckResult, ...]) -> list[dict]:
@@ -588,10 +613,10 @@ def _failures_from(system: str, checks: tuple[CheckResult, ...]) -> list[dict]:
 def _run_trial(config: RunConfig, trial: int) -> dict:
     rng = random.Random(config.seed * TRIAL_SEED_STRIDE + trial)
     n = rng.randint(1, config.max_universe)
-    subbasis = _sample_subbasis(rng, n)
+    cap = config.elements_cap()
+    subbasis = _sample_subbasis(rng, n, cap)
     labels = [str(i) for i in range(n)]
     topo = generate_topology(n, [PointSet(n, m) for m in subbasis])
-    cap = config.elements_cap()
     algebra = rc_algebra(topo, cap_elements=cap)
     teca = eca_from_rc(algebra, cap_elements=cap)
     covering = teca.covering

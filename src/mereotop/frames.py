@@ -15,10 +15,10 @@ preserves zero and join is checked on atom-level data.
 all of them for the powerset, or the images of an embedding whose
 covering the slices do not confirm, to name the witness.  For an
 equivalence frame, (a, b) is covered by d iff a ∩ b ⊆ d and every class
-(composite class, for type 2) meeting both a and b also meets d.  For a
-parametrized frame it is the literal definition read through the
-superset union R*(d) of the relations, so it holds for every frame,
-antitone or not.
+(composite class, for type 2) meeting both a and b also meets d: over any
+subsets, the covering of their σ family, which both readers use.  For a
+parametrized frame it is the literal definition read through the superset
+union R*(d) of the relations, so it holds for every frame, antitone or not.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ class EquivalenceFrame1:
             raise ValueError("need exactly one class id per world")
 
     @cached_property
-    def distinct_class_masks(self) -> tuple[int, ...]:
+    def covering_classes(self) -> tuple[int, ...]:
+        """The distinct classes, in order of first world."""
         return _partition_masks(self.classes)[1]
 
 
@@ -127,7 +128,7 @@ class EquivalenceFrame2:
             raise ValueError("need exactly one class id per world in each partition")
 
     @cached_property
-    def distinct_composite_masks(self) -> tuple[int, ...]:
+    def covering_classes(self) -> tuple[int, ...]:
         """The distinct composite classes R1(R2(s)), in order of first world."""
         masks1, _ = _partition_masks(self.classes1)
         masks2, distinct2 = _partition_masks(self.classes2)
@@ -154,39 +155,35 @@ def frame2_internally_connected(frame: EquivalenceFrame2, s_mask: int) -> bool:
     components and counts as connected.
     """
     _require_masks(frame.world_count, s_mask)
-    return len(glued_components(s_mask, frame.distinct_composite_masks)) <= 1
+    return len(glued_components(s_mask, frame.covering_classes)) <= 1
 
 
 # ---------------------------------------------------------------------------
 # the covering tabulated over a family of subsets
 
-def _membership(world_count: int, masks: Sequence[int]) -> np.ndarray:
-    """Row i holds the worlds of masks[i] as booleans."""
-    _require_masks(world_count, *masks)
-    return bit_matrix(world_count, masks).astype(bool)
+def _sigma_family(frame: EquivalenceFrame1 | EquivalenceFrame2, masks: Sequence[int]) -> list[int]:
+    """The σ family of the subsets ``masks``, each σ a mask over their
+    indices: σ_w = {i : w ∈ masks[i]} of each world w, found by splitting
+    the worlds by each subset in turn, and σ_c = {i : masks[i] meets c} of
+    each class c of ``covering_classes`` (the composite classes, for type 2).
 
-
-def _class_masks(frame: EquivalenceFrame1 | EquivalenceFrame2) -> tuple[int, ...]:
-    if isinstance(frame, EquivalenceFrame1):
-        return frame.distinct_class_masks
-    if isinstance(frame, EquivalenceFrame2):
-        return frame.distinct_composite_masks
-    raise TypeError(f"not a frame: {type(frame).__name__}")
-
-
-def _meets(frame: EquivalenceFrame1 | EquivalenceFrame2, masks: Sequence[int]) -> np.ndarray:
-    """G: one column per world w ("w is in the subset") and one per class
-    mask m ("the subset meets m"), duplicate columns dropped.  (a, b) is
-    covered by d iff no column c has G[a, c] and G[b, c] but not G[d, c]:
-    the world columns give a ∩ b ⊆ d, and the class columns that every
-    class meeting both a and b also meets d — the classes of a type-1
-    frame, the composite classes R1(R2(s)) of a type-2 frame."""
-    members = _membership(frame.world_count, masks)
-    classes = _membership(frame.world_count, _class_masks(frame))
-    meets = members.astype(np.float32) @ classes.T.astype(np.float32) > 0
-    columns = np.concatenate((members, meets), axis=1).T
-    distinct = {column.tobytes(): column for column in columns}
-    return np.array(list(distinct.values())).T
+    (masks[i], masks[j]) ⊢ masks[l] iff no σ holds i and j and misses l:
+    the σ_w give masks[i] ∩ masks[j] ⊆ masks[l], and the σ_c the class
+    condition.  So over the joins A(x) of atom images, which meet a world or
+    class iff x meets its σ, the covering is the covering of this family
+    (:func:`~mereotop.algebra.covering_from_signatures`).
+    """
+    regions = {0: (1 << frame.world_count) - 1}  # σ -> the worlds with that σ
+    for i, mask in enumerate(masks):
+        split: dict[int, int] = {}
+        for sigma, worlds in regions.items():
+            if worlds & mask:
+                split[sigma | 1 << i] = worlds & mask
+            if worlds & ~mask:
+                split[sigma] = worlds & ~mask
+        regions = split
+    classes = [sum(1 << i for i, mask in enumerate(masks) if mask & c) for c in frame.covering_classes]
+    return [*regions, *classes]
 
 
 def covering_table(
@@ -196,23 +193,24 @@ def covering_table(
     """The frame's covering tabulated over the given subsets: entry
     [i, j, l] tells whether (masks[i], masks[j]) is covered by masks[l].
 
-    Equivalence frames count, for every (i, j, l), the columns c of
-    :func:`_meets` with G[i, c] ∧ G[j, c] ∧ ¬G[l, c] in one float32 matmul
-    per chunk of i (exact: a count never exceeds the few columns of G).
+    Equivalence frames count, for every (i, j, l), the σ of
+    :func:`_sigma_family` that hold i and j and miss l, in one float32
+    matmul per chunk of i (exact: a count never exceeds the family's size).
     Parametrized frames use the literal covering — no R(U) with U ⊇ d
     relates a world of a to a world of b — in the form
     (a, b) ⊢ d ⟺ A[a] · R*(d) · A[b]ᵀ = 0, with A the membership rows and
     R* from :func:`_reach`: one small matmul per l.
     """
+    _require_masks(frame.world_count, *masks)
     n = len(masks)
     table = np.empty((n, n, n), dtype=bool)
     if isinstance(frame, ParametrizedFrame):
-        rows = _membership(frame.world_count, masks).astype(np.float32)
+        rows = bit_matrix(frame.world_count, masks).astype(np.float32)
         reach = _reach(frame).astype(np.float32)
         for l, u in enumerate(masks):
             table[:, :, l] = rows @ reach[u] @ rows.T == 0
         return table
-    g = _meets(frame, masks).astype(np.float32)
+    g = bit_matrix(n, _sigma_family(frame, masks)).T.astype(np.float32)  # g[i, σ]: σ holds i
     k = g.shape[1]
     missing = (1 - g).T
     step = max(1, _PRODUCT_CHUNK_ELEMENTS // (n * (n + k)))
@@ -220,30 +218,6 @@ def covering_table(
         both = (g[lo : lo + step, None, :] * g[None, :, :]).reshape(-1, k)
         table[lo : lo + step] = (both @ missing).reshape(-1, n, n) == 0
     return table
-
-
-def _atom_family(frame: EquivalenceFrame1 | EquivalenceFrame2, atom_images: Sequence[int]) -> list[int]:
-    """The atom sets σ_c = {i : atom_images[i] meets c} of the column subsets
-    c of :func:`_meets`, as masks: the σ of each world (the set of images it
-    lies in), found by splitting the worlds by each image in turn, and the
-    σ of each class mask of the frame (composite class, for type 2).
-
-    Over the joins A(x) of the atom images, the frame's covering is the
-    covering of this family: A(x) meets a column subset c iff x meets σ_c,
-    so (A(a), A(b)) is covered by A(d) iff no σ of the family meets a and b
-    and misses d (:func:`~mereotop.algebra.covering_from_signatures`).
-    """
-    regions = {0: (1 << frame.world_count) - 1}  # σ -> the worlds with that σ
-    for i, image in enumerate(atom_images):
-        split: dict[int, int] = {}
-        for sigma, worlds in regions.items():
-            if worlds & image:
-                split[sigma | 1 << i] = worlds & image
-            if worlds & ~image:
-                split[sigma] = worlds & ~image
-        regions = split
-    classes = [sum(1 << i for i, image in enumerate(atom_images) if image & c) for c in _class_masks(frame)]
-    return [*regions, *classes]
 
 
 def covering_slices(
@@ -260,14 +234,14 @@ def covering_slices(
     no s ∈ A(a), t ∈ A(b) have R*(A(d))(s, t), and that splits over the
     atoms of a and b, whatever R* is (antitone or not): one batched product
     A · R*(A(d)) · Aᵀ over every d.  For an equivalence frame, the covering
-    over the images is the covering of the atom family (:func:`_atom_family`),
-    whose slices one product reads off.
+    over the images is the covering of the σ family of the atom images
+    (:func:`_sigma_family`), whose slices one product reads off.
     """
     _require_masks(frame.world_count, *atom_images)
     if isinstance(frame, ParametrizedFrame):
-        rows = _membership(frame.world_count, atom_images).astype(np.float32)
+        rows = bit_matrix(frame.world_count, atom_images).astype(np.float32)
         reach = _reach(frame)[list(joins_by_mask(0, atom_images))].astype(np.float32)
         return rows @ reach @ rows.T == 0
     flags = np.zeros(1 << len(atom_images), dtype=bool)
-    flags[_atom_family(frame, atom_images)] = True
+    flags[_sigma_family(frame, atom_images)] = True
     return _slices_of_family(flags, len(atom_images))

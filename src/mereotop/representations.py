@@ -240,8 +240,8 @@ def _c_preserved_on_atoms(embedding: Embedding, on_slices: bool) -> bool:
     the classes inside A(a), form one component per component of the
     atoms of a linked by the σ_c ⊆ a: A(a) is frame-connected iff a is the
     union of a connected set of members of F = {σ_c} ∪ {single atoms}.
-    By 2 the σ of the worlds are the single atoms, so F is the atom family
-    of the frame (:func:`~mereotop.frames.covering_slices`), whose
+    By 2 the σ of the worlds are the single atoms, so F is the σ family
+    of the atom images (:func:`~mereotop.frames._sigma_family`), whose
     covering v_F is the frame's covering over the images, equal to the
     source's by 1.  (A class need not be a union of atom images: one that
     straddles A(i) still lies inside A(a) exactly when σ_c ⊆ a.)  And in
@@ -255,7 +255,7 @@ def _c_preserved_on_atoms(embedding: Embedding, on_slices: bool) -> bool:
     """
     img = embedding.image_masks
     atoms = [img[1 << i] for i in range(embedding.source.algebra.atom_count)]
-    classes = embedding.frame.distinct_composite_masks
+    classes = embedding.frame.covering_classes
     w = embedding.frame.world_count
     return (
         on_slices

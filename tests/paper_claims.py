@@ -199,7 +199,7 @@ def check_split_pullback(
 
 def _occurring_union(teca: TopologicalEca, embedding: Embedding, split: int):
     """Union of the point sets of the atoms occurring in the split's worlds."""
-    region = teca.element_sets[0]
+    region = teca.source.element_sets[0]
     for w in range(embedding.frame.world_count):
         if split >> w & 1:
             region = region | teca.source.atoms[embedding.worlds[w].atom_index]
@@ -210,7 +210,7 @@ def _join_inside(teca: TopologicalEca, region) -> int:
     """Join of every element whose point set lies inside the region."""
     out = 0
     for b in range(teca.covering.algebra.size):
-        if teca.element_sets[b].bits & ~region.bits == 0:
+        if teca.source.element_sets[b].bits & ~region.bits == 0:
             out |= b
     return out
 

@@ -43,7 +43,7 @@ from mereotop import (
     verify_embedding,
 )
 from mereotop.frames import covering_table
-from mereotop.cli import TRIAL_SEED_STRIDE, _sample_subbasis, main
+from mereotop.cli import DEFAULT_CAP_ELEMENTS, TRIAL_SEED_STRIDE, _sample_subbasis, main
 from paper_claims import (
     check_filter_separation_equivalence,
     check_split_pullback,
@@ -57,7 +57,7 @@ def seeded_topology(trial: int, max_universe: int = 5):
     """The campaign sampler with campaign seed 0 (frozen RNG call order)."""
     rng = random.Random(0 * TRIAL_SEED_STRIDE + trial)
     n = rng.randint(1, max_universe)
-    return build(n, _sample_subbasis(rng, n))
+    return build(n, _sample_subbasis(rng, n, DEFAULT_CAP_ELEMENTS))
 
 
 def all_small_spaces():
@@ -192,9 +192,9 @@ def test_criterion_6c_algebraic_connectedness_matches_topological():
     for topo in spaces:
         algebra = rc_algebra(topo)
         teca = eca_from_rc(algebra)
-        assert len(teca.element_sets) <= 32
+        assert len(teca.source.element_sets) <= 32
         connected = internally_connected_algebraic(teca.covering)
-        for mask, element in enumerate(teca.element_sets):
+        for mask, element in enumerate(teca.source.element_sets):
             assert connected[mask] == rc_internally_connected(algebra, element), (topo, mask)
 
 

@@ -566,7 +566,7 @@ class TestOneVerdictPerTable:
     def test_one_generation_per_table(self, source, monkeypatch):
         rng = random.Random(5)
         cov = {
-            "discrete": lambda: discrete_covering(4),
+            "discrete": lambda: CoveringRelation(FiniteBooleanAlgebra(4), discrete_covering(4).table),
             "topology": lambda: alexandrov_covering(4, 0, rng),
             "weak": lambda: slice_generated_covering(4, 0, rng),
             "flipped": lambda: alexandrov_covering(3, 2, rng),
@@ -580,6 +580,14 @@ class TestOneVerdictPerTable:
             assert calls == [4]
         else:
             assert cov._strength is None and len(calls) <= 1
+
+    def test_discrete_covering_generates_nothing(self, monkeypatch):
+        # the covering of the single atoms passes every system on its family
+        cov = discrete_covering(4)
+        calls = self.spy(monkeypatch)
+        checks = (check_weca, check_eca, check_weca_consequences, check_relative_contact_laws)
+        assert all(check(cov).all_passed for check in checks + checks)
+        assert calls == [] and "table" not in vars(cov)
 
     def test_one_verdict_per_random_trial(self, monkeypatch, capsys):
         # each trial's covering holds its points' signatures, the four
@@ -957,17 +965,17 @@ class TestVerifiedAlgebras:
 def assert_matches_pointwise(algebra):
     teca = eca_from_rc(algebra)
     assert teca.covering._strength == "ECA"
-    n = len(teca.element_sets)
+    n = len(teca.source.element_sets)
     assert n == len(algebra.carrier)
-    assert sorted(ps.bits for ps in teca.element_sets) == sorted(
+    assert sorted(ps.bits for ps in teca.source.element_sets) == sorted(
         c.bits for c in algebra.carrier
     )
     for a in range(n):
-        assert sum(1 << i for i, atom in enumerate(algebra.atoms) if atom.bits & ~teca.element_sets[a].bits == 0) == a
+        assert sum(1 << i for i, atom in enumerate(algebra.atoms) if atom.bits & ~teca.source.element_sets[a].bits == 0) == a
         for b in range(n):
             for d in range(n):
-                meet = teca.element_sets[a].bits & teca.element_sets[b].bits
-                assert teca.covering.table[a, b, d] == (meet & ~teca.element_sets[d].bits == 0)
+                meet = teca.source.element_sets[a].bits & teca.source.element_sets[b].bits
+                assert teca.covering.table[a, b, d] == (meet & ~teca.source.element_sets[d].bits == 0)
 
 
 class TestEcaFromRc:
@@ -1030,13 +1038,13 @@ class TestInternallyConnectedAlgebraic:
         algebra = rc_algebra(build(n, masks))
         teca = eca_from_rc(algebra)
         connected = internally_connected_algebraic(teca.covering)
-        for mask, element in enumerate(teca.element_sets):
+        for mask, element in enumerate(teca.source.element_sets):
             assert connected[mask] == rc_internally_connected(algebra, element)
 
     def test_example_region_connected(self):
         algebra = rc_algebra(example_topology())
         teca = eca_from_rc(algebra)
-        mask = teca.element_sets.index(PointSet(7, X_REGION_MASK))
+        mask = teca.source.element_sets.index(PointSet(7, X_REGION_MASK))
         assert internally_connected_algebraic(teca.covering)[mask]
 
     def test_empty_is_connected(self):

@@ -633,6 +633,24 @@ class TestRepresentCommand:
         assert doc["frame"]["worlds"] == 10 and len(doc["embedding"]) == 1024
         assert len(doc["checks"]) == 5 and all(c["pass"] for c in doc["checks"])
 
+    def test_ten_atom_discrete_document_generates_no_table(self, tmp_path, monkeypatch, capsys):
+        # the discrete covering is the covering of the single atoms: its
+        # checks and its parametrized embedding pass on the family alone
+        from mereotop import algebra as algebra_module
+
+        def no_table(*args):
+            raise AssertionError("an N³ covering table was generated")
+
+        monkeypatch.setattr(algebra_module, "_covering_of_slices", no_table)
+        path = tmp_path / "discrete10.json"
+        path.write_text(json.dumps({"atoms": 10, "covering_mode": "discrete"}))
+        options = ["--cap-elements", "1024", "--input", str(path), "--json"]
+        code, doc = run_json(capsys, ["check-axioms", *options])
+        assert code == 0 and doc["all_passed"]
+        code, doc = run_json(capsys, ["represent", "--kind", "parametrized", *options])
+        assert code == 0 and len(doc["embedding"]) == 1024
+        assert all(c["pass"] for c in doc["checks"])
+
     def test_type_pipelines_reject_covering(self, discrete_file, capsys):
         assert main(["represent", "--kind", "type1", "--input", discrete_file]) == 2
         err = capsys.readouterr().err
@@ -770,7 +788,7 @@ class TestRandomCommand:
             return [m for m in pool if rng.random() < 0.5]
 
         for seed in range(5):
-            assert cli_module._sample_subbasis(random.Random(seed), n) == literal_sample(random.Random(seed))
+            assert cli_module._sample_subbasis(random.Random(seed), n, 1 << n) == literal_sample(random.Random(seed))
 
     def test_wide_universes_return_at_once(self, capsys):
         # at 60 points the pool is built without scanning 2^60 masks; every
@@ -784,6 +802,16 @@ class TestRandomCommand:
             assert captured.err.count("\n") == 1
         else:
             assert code == 0 and captured.out.endswith("3/3 trials passed\n")
+
+    def test_wide_universe_stops_at_the_cap(self, capsys):
+        # at 800 points the kept singletons reach the cap long before the
+        # pool of C(800, <= 3) masks is drawn: exit 2 with one error line
+        started = time.perf_counter()
+        code = main(["random", "--max-universe", "800", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - started < 5.0
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: at least ") and captured.err.count("\n") == 1
 
 
 # SHA-256 of "<exit code>\n<stdout>", each pinned on the release before the

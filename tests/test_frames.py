@@ -6,6 +6,7 @@ powersets."""
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -50,6 +51,13 @@ def antitone_tables(world_count: int, rng: random.Random) -> np.ndarray:
                 rel &= base[w]
         tables.append(rel)
     return np.array(tables)
+
+
+def drawn_masks(world_count: int, rng: random.Random) -> list[int]:
+    """Drawn subsets in drawn order, one of them twice: a list that need
+    not be closed under joins, nor sorted, nor free of repeats."""
+    masks = [rng.getrandbits(world_count) for _ in range(rng.randint(1, 8))]
+    return masks + [rng.choice(masks)]
 
 
 def non_antitone_tables() -> np.ndarray:
@@ -162,14 +170,14 @@ class TestParametrizedFrame:
 
 class TestEquivalenceFrames:
     def test_class_masks(self):
-        assert EquivalenceFrame1(4, (0, 0, 1, 1)).distinct_class_masks == (0b0011, 0b1100)
-        assert EquivalenceFrame1(4, (7, 3, 7, 3)).distinct_class_masks == (0b0101, 0b1010)
+        assert EquivalenceFrame1(4, (0, 0, 1, 1)).covering_classes == (0b0011, 0b1100)
+        assert EquivalenceFrame1(4, (7, 3, 7, 3)).covering_classes == (0b0101, 0b1010)
 
     def test_r1r2_frozen_case(self):
         # three worlds; first partition {0,1}|{2}, second {0}|{1,2}:
         # the composite class of world 2 reaches every world
         frame = EquivalenceFrame2(3, (0, 0, 1), (1, 0, 0))
-        assert frame.distinct_composite_masks == (0b011, 0b111)
+        assert frame.covering_classes == (0b011, 0b111)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_r1r2_matches_oracle(self, seed):
@@ -178,29 +186,27 @@ class TestEquivalenceFrames:
         c1, c2 = random_classes(w, rng), random_classes(w, rng)
         frame = EquivalenceFrame2(w, c1, c2)
         expected = {oracles.naive_r1r2(c1, c2, s) for s in range(w)}
-        assert set(frame.distinct_composite_masks) == expected
+        assert set(frame.covering_classes) == expected
 
     @pytest.mark.parametrize("seed", range(10))
     def test_frame1_covering_matches_oracle(self, seed):
         rng = random.Random(seed)
         w = rng.randint(1, 5)
         classes = random_classes(w, rng)
-        table = covering_table(EquivalenceFrame1(w, classes), range(1 << w))
-        for a in range(1 << w):
-            for b in range(1 << w):
-                for d in range(1 << w):
-                    assert table[a, b, d] == oracles.naive_frame1_covering(classes, a, b, d)
+        for masks in (range(1 << w), drawn_masks(w, rng)):
+            table = covering_table(EquivalenceFrame1(w, classes), masks)
+            for (i, a), (j, b), (l, d) in product(enumerate(masks), repeat=3):
+                assert table[i, j, l] == oracles.naive_frame1_covering(classes, a, b, d)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_frame2_covering_matches_oracle(self, seed):
         rng = random.Random(seed)
         w = rng.randint(1, 5)
         c1, c2 = random_classes(w, rng), random_classes(w, rng)
-        table = covering_table(EquivalenceFrame2(w, c1, c2), range(1 << w))
-        for a in range(1 << w):
-            for b in range(1 << w):
-                for d in range(1 << w):
-                    assert table[a, b, d] == oracles.naive_frame2_covering(c1, c2, a, b, d)
+        for masks in (range(1 << w), drawn_masks(w, rng)):
+            table = covering_table(EquivalenceFrame2(w, c1, c2), masks)
+            for (i, a), (j, b), (l, d) in product(enumerate(masks), repeat=3):
+                assert table[i, j, l] == oracles.naive_frame2_covering(c1, c2, a, b, d)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_frame2_connectedness_matches_split_enumeration(self, seed):
@@ -211,6 +217,11 @@ class TestEquivalenceFrames:
         for s_mask in range(1 << w):
             expected = oracles.naive_frame2_internally_connected(c1, c2, s_mask)
             assert frame2_internally_connected(frame, s_mask) == expected
+
+    @pytest.mark.parametrize("frame", [EquivalenceFrame1(2, (0, 1)), EquivalenceFrame2(2, (0, 1), (0, 0))])
+    def test_covering_table_rejects_masks_outside_the_worlds(self, frame):
+        with pytest.raises(ValueError):
+            covering_table(frame, [1, 4])
 
     def test_identity_second_partition_collapses_to_frame1(self):
         rng = random.Random(5)

@@ -48,7 +48,7 @@ from mereotop.algebra import (
     covering_from_signatures,
     internally_connected_algebraic,
 )
-from mereotop.frames import _atom_family, covering_slices, covering_table
+from mereotop.frames import _sigma_family, covering_slices, covering_table
 from mereotop.representations import verify_c_preservation
 from mereotop.topology import joins_by_mask, labeled_topology_from_document
 from paper_claims import check_split_pullback, find_admissible_splits
@@ -182,7 +182,7 @@ class TestEquivalencePipelines:
         embedding = build_type1(teca)
         n = teca.covering.algebra.size
         for a in range(n):
-            target = teca.element_sets[a]
+            target = teca.source.element_sets[a]
             expected = 0
             for w, wap in enumerate(embedding.worlds):
                 if teca.source.atoms[wap.atom_index].bits & ~target.bits == 0:
@@ -565,8 +565,8 @@ def equivalence_embeddings():
 
 
 def family_table(frame, atoms):
-    """The covering of the atom family of the given atom images, tabulated."""
-    return covering_from_signatures(len(atoms), _atom_family(frame, atoms)).table
+    """The covering of the σ family of the given atom images, tabulated."""
+    return covering_from_signatures(len(atoms), _sigma_family(frame, atoms)).table
 
 
 def drawn_frame(rng, worlds, type2):
@@ -575,9 +575,9 @@ def drawn_frame(rng, worlds, type2):
 
 
 class TestAtomFamily:
-    """The covering of the atom images' family equals the frame's covering
-    tabulated over the images themselves, and its atom slices decide the
-    covering check as the tables do."""
+    """The covering of the atom images' σ family (frames._sigma_family)
+    equals the frame's covering tabulated over the images themselves, and
+    its atom slices decide the covering check as the tables do."""
 
     def test_matches_covering_table_on_the_sweeps(self):
         embeddings = equivalence_embeddings()
@@ -765,7 +765,7 @@ class TestCPreservationOnAtoms:
             classes = [tuple(rng.randrange(worlds) for _ in range(worlds)) for _ in range(2)]
             embedding = frame_embedding(EquivalenceFrame2(worlds, *classes), atoms)
             report, on_slices = verified_with_c_verdict(embedding)
-            composite = embedding.frame.distinct_composite_masks
+            composite = embedding.frame.covering_classes
             if not representations_module._c_preserved_on_atoms(embedding, on_slices) or all(
                 a & c in (0, a) for a in atoms for c in composite
             ):
@@ -808,7 +808,7 @@ class TestCPreservationOnAtoms:
         # the composite class {2} is half of atom 1's image, which no class
         # glues: split in the frame, connected algebraically
         embedding = frame_embedding(EquivalenceFrame2(3, (0, 0, 1), (0, 0, 1)), [0b001, 0b110])
-        assert embedding.frame.distinct_composite_masks == (0b011, 0b100)
+        assert embedding.frame.covering_classes == (0b011, 0b100)
         assert self.fallback_witness(embedding, monkeypatch) == c_witness_from_oracles(embedding) == (2,)
 
     def test_overlapping_atom_images(self, monkeypatch):
@@ -1093,7 +1093,7 @@ class TestVerificationDocument:
             assert isinstance(detail["point"], str)
         emb_doc = doc["embedding"]
         assert set(emb_doc) == {str(m) for m in range(len(embedding.image_masks))}
-        region_mask = teca.element_sets.index(PointSet(7, X_REGION_MASK))
+        region_mask = teca.source.element_sets.index(PointSet(7, X_REGION_MASK))
         listed = emb_doc[str(region_mask)]
         assert listed == sorted(
             w for w in range(WORLD_COUNT)
