@@ -30,19 +30,23 @@ It is the only record of a covering's axiom system: derived_contact
 refuses a covering whose verdict fails the extended axioms.
 check_ca passes a contact in closed form: the join-extension of its
 restriction to zero and the atoms (one small product), symmetric, with an
-empty zero row and a full atom diagonal.  Otherwise each axiom is decided
-by an exact reduced form where one exists: ECA1 by a greatest-fixpoint
-fold of one-atom growth steps, in O(k·N³); CA1 with CA2, and RCL1 with
-RCL2 for every g, by equality with that join-extension; WECA3, with no
-other axiom assumed, by each cover's slice being a sublattice of B x B^op
-(one superset-and fold over pair words).  Only a failing verdict runs the
-literal search, which reports the lexicographically first violating tuple
-— the one a direct nested loop over ascending element values would find.
-The ECA1 search runs on the first failing (a, b) alone; the WECA3 search
-tests all (d, e, f) of one (a, b) at once and stops at the first (a, b)
-that has a hit.  A plain triple-list covering document is read straight
-from its bytes; any other goes through the JSON parser and
-covering_from_document, which alone reports faults.
+empty zero row and a full atom diagonal.  The contact axioms CA1-CA5 are
+the relative contact laws RCL1-RCL5 at g = 0 (derived contact is "not
+covered by 0"), so the five laws are written once and a contact that fails
+the closed form runs them as a stack of one relation.  Otherwise each
+axiom is decided by an exact reduced form where one exists: ECA1 by a
+greatest-fixpoint fold of one-atom growth steps, in O(k·N³); CA1 with
+CA2, and RCL1 with RCL2 for every g, by equality with that
+join-extension; WECA3, with no other axiom assumed, by each cover's slice
+being a sublattice of B x B^op (one superset-and fold over pair words).
+Only a failing verdict runs the literal search, which reports the
+lexicographically first violating tuple — the one a direct nested loop
+over ascending element values would find.  The ECA1, CA1, WECA1, WECA4
+and CONS5/CONS6 searches read the failing (a, b) off their fold and run
+on it alone; the WECA3 search tests all (d, e, f) of one (a, b) at once
+and stops at the first (a, b) that has a hit.  A plain triple-list
+covering document is read straight from its bytes; any other goes through
+the JSON parser and covering_from_document, which alone reports faults.
 """
 
 from __future__ import annotations
@@ -275,9 +279,9 @@ def _fold(
     return out
 
 
-def _first(viol: np.ndarray) -> tuple[int, ...]:
-    """Lexicographically first true index of a boolean array."""
-    return tuple(int(x) for x in np.argwhere(viol)[0])
+def _first(viol: np.ndarray) -> tuple[int, ...] | None:
+    """Lexicographically first true index of a boolean array, or None."""
+    return tuple(int(x) for x in np.argwhere(viol)[0]) if viol.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -412,25 +416,23 @@ def _ca12_mismatch(c: np.ndarray, k: int) -> np.ndarray:
 
 
 def _ca1(c: np.ndarray, n: int, k: int, le_t: np.ndarray) -> tuple | None:
-    grown = _fold(_fold(c, 0, k, subsets=True), 1, k, subsets=True)
-    if not (grown & ~c).any():
+    """CA1's lex-first witness, or None.  (a, b) fails iff a C b and some
+    d >= a, e >= b are not in contact, an or over supersets of ~c along
+    each axis, so only the first failing pair runs the literal d search."""
+    fails = c & _fold(_fold(~c, 0, k), 1, k)
+    if not fails.any():
         return None
-    for a in range(n):
-        if not c[a].any():
+    a, b = _first(fails)
+    for d in range(n):
+        if a & ~d:
             continue
-        for b in range(n):
-            if not c[a, b]:
-                continue
-            for d in range(n):
-                if a & ~d:
-                    continue
-                es = le_t[b] & ~c[d]
-                if es.any():
-                    return (a, b, d, int(np.flatnonzero(es)[0]))
+        es = le_t[b] & ~c[d]
+        if es.any():
+            return (a, b, d, int(np.flatnonzero(es)[0]))
     return None
 
 
-def _ca2(c: np.ndarray, n: int, or_t: np.ndarray) -> tuple | None:
+def _ca2(c: np.ndarray, or_t: np.ndarray) -> tuple | None:
     premise = c[or_t[:, None, :, None], or_t[None, :, None, :]]
     conclusion = (
         c[:, :, None, None]
@@ -438,36 +440,42 @@ def _ca2(c: np.ndarray, n: int, or_t: np.ndarray) -> tuple | None:
         | c.T[None, :, :, None]
         | c[None, None, :, :]
     )
-    viol = premise & ~conclusion
-    return _first(viol) if viol.any() else None
+    return _first(premise & ~conclusion)
 
 
-def _ca3(c: np.ndarray, n: int) -> tuple | None:
-    viol = np.zeros_like(c)
-    viol[0, :] = c[0, :]
-    viol[:, 0] |= c[:, 0]
-    return _first(viol) if viol.any() else None
-
-
-def _ca4(c: np.ndarray, n: int) -> tuple | None:
-    viol = ~c.diagonal().copy()
-    viol[0] = False
-    hits = np.flatnonzero(viol)
-    return (int(hits[0]),) if len(hits) else None
-
-
-def _ca5(c: np.ndarray) -> tuple | None:
-    viol = c & ~c.T
-    return _first(viol) if viol.any() else None
+def _contact_laws(q: np.ndarray, k: int) -> tuple[tuple | None, ...]:
+    """The lex-first witness, g first, of each of the five laws of contact
+    relative to g, for a stack q[a, b, g] of G relations (g < G):
+    monotonicity, distribution over joins, no contact for a part of g,
+    reflexivity outside g, and symmetry.  Laws 1 and 2 run their literal
+    search only at the g where q differs from the join-extension of its
+    restriction to zero and the atoms; laws 3-5 are one array each."""
+    n, _, _, or_t, le_t = _tables(k)
+    part = le_t[:, : q.shape[2]]  # [a, g]: a is a part of g
+    law1 = law2 = None
+    for g in map(int, np.flatnonzero(_ca12_mismatch(q, k).any(axis=(0, 1)))):
+        qg = q[:, :, g]
+        if law1 is None and (w := _ca1(qg, n, k, le_t)) is not None:
+            law1 = (g,) + w
+        if law2 is None and (w := _ca2(qg, or_t)) is not None:
+            law2 = (g,) + w
+    law3 = q & (part[:, None, :] | part[None, :, :])
+    law4 = ~part.T & ~q.diagonal()
+    law5 = q & ~q.transpose(1, 0, 2)
+    return law1, law2, _first(law3.transpose(2, 0, 1)), _first(law4), _first(law5.transpose(2, 0, 1))
 
 
 def check_ca(contact: ContactRelation, *, cap_elements: int = DEFAULT_CHECK_CAP) -> AxiomReport:
     """Check the five contact axioms: monotonicity in both arguments,
     distribution over joins, no contact with zero, reflexivity away from
-    zero, and symmetry.  All five hold iff c is the join-extension of its
-    restriction R to zero and the atoms and R is symmetric, with an empty
-    zero row and every atom in contact with itself; only a relation that
-    fails this closed form runs the per-axiom code."""
+    zero, and symmetry.  They are the laws of contact relative to g (see
+    check_relative_contact_laws) at g = 0, since a part of 0 is 0 and a
+    region outside 0 is nonzero.
+
+    All five hold iff c is the join-extension of its restriction R to zero
+    and the atoms and R is symmetric, with an empty zero row and every atom
+    in contact with itself.  Only a relation that fails this closed form
+    runs the laws, as a stack of one relation, its witnesses without g."""
     k = contact.algebra.atom_count
     check_cap(k, cap_elements)
     c = contact.table
@@ -476,15 +484,8 @@ def check_ca(contact: ContactRelation, *, cap_elements: int = DEFAULT_CHECK_CAP)
     r = c[base][:, base].tolist()
     if reduced_pass and r == [list(col) for col in zip(*r)] and not any(r[0]) and all(r[i][i] for i in range(1, k + 1)):
         return _PASSED["CA"]
-    n, _, _, or_t, le_t = _tables(k)
-    witnesses = {
-        "CA1": None if reduced_pass else _ca1(c, n, k, le_t),
-        "CA2": None if reduced_pass else _ca2(c, n, or_t),
-        "CA3": _ca3(c, n),
-        "CA4": _ca4(c, n),
-        "CA5": _ca5(c),
-    }
-    return AxiomReport.of(witnesses)
+    laws = _contact_laws(c[:, :, None], k)
+    return AxiomReport.of({f"CA{i}": None if w is None else w[1:] for i, w in enumerate(laws, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -553,18 +554,15 @@ def _eca2(v: np.ndarray, n: int) -> tuple | None:
 
 
 def _eca3(v: np.ndarray, le_t: np.ndarray) -> tuple | None:
-    viol = (le_t[:, None, :] | le_t[None, :, :]) & ~v
-    return _first(viol) if viol.any() else None
+    return _first((le_t[:, None, :] | le_t[None, :, :]) & ~v)
 
 
 def _eca4(v: np.ndarray, and_t: np.ndarray, le_t: np.ndarray) -> tuple | None:
-    viol = v & ~le_t[and_t]
-    return _first(viol) if viol.any() else None
+    return _first(v & ~le_t[and_t])
 
 
 def _eca5(v: np.ndarray) -> tuple | None:
-    viol = v & ~v.transpose(1, 0, 2)
-    return _first(viol) if viol.any() else None
+    return _first(v & ~v.transpose(1, 0, 2))
 
 
 def check_eca(covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_CAP) -> AxiomReport:
@@ -593,42 +591,31 @@ def check_eca(covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_C
 
 
 def _weca1(v: np.ndarray, n: int, k: int) -> tuple | None:
-    grown = _fold(_fold(v, 0, k), 1, k)
-    viol = grown & ~v
-    if not viol.any():
+    """WECA1's lex-first witness, or None.  (a, b) fails at f iff f covers
+    some (d, e) with d >= a, e >= b but not (a, b), an or over supersets
+    along each member axis, so only the first failing pair runs the (d, e)
+    search."""
+    failing = (_fold(_fold(v, 0, k), 1, k) & ~v).any(axis=2)
+    if not failing.any():
         return None
-    for a in range(n):
-        if not viol[a].any():
+    a, b = _first(failing)
+    not_f = ~v[a, b]
+    for d in range(n):
+        if a & ~d:
             continue
-        for b in range(n):
-            if not viol[a, b].any():
+        for e2 in range(n):
+            if b & ~e2:
                 continue
-            not_f = ~v[a, b]
-            for d in range(n):
-                if a & ~d:
-                    continue
-                for e2 in range(n):
-                    if b & ~e2:
-                        continue
-                    fs = v[d, e2] & not_f
-                    if fs.any():
-                        return (a, b, d, e2, int(np.flatnonzero(fs)[0]))
+            fs = v[d, e2] & not_f
+            if fs.any():
+                return (a, b, d, e2, int(np.flatnonzero(fs)[0]))
     return None
 
 
 def _weca2(v: np.ndarray) -> tuple | None:
-    witness = None
-    left = ~v[0]
-    if left.any():
-        b, f = _first(left)
-        witness = (0, b, f)
-    right = ~v[:, 0]
-    if right.any():
-        a, f = _first(right)
-        candidate = (a, 0, f)
-        if witness is None or candidate < witness:
-            witness = candidate
-    return witness
+    viol = ~v
+    viol[1:, 1:] = False  # only pairs with a zero member must be covered
+    return _first(viol)
 
 
 def _weca3_holds(v: np.ndarray, k: int) -> bool:
@@ -669,22 +656,17 @@ def _weca4(v: np.ndarray, n: int, k: int, le_t: np.ndarray) -> tuple | None:
     # fold the cover axis at the front: along the last axis the low-bit
     # passes pair strided runs of one or two elements, about 10x slower
     grown = _fold(np.ascontiguousarray(v.transpose(2, 0, 1)), 0, k, subsets=True)
-    viol = grown.transpose(1, 2, 0) & ~v
-    if not viol.any():
+    failing = (grown.transpose(1, 2, 0) & ~v).any(axis=2)
+    if not failing.any():
         return None
-    for a in range(n):
-        if not viol[a].any():
+    a, b = _first(failing)
+    not_f = ~v[a, b]
+    for d in range(n):
+        if not v[a, b, d]:
             continue
-        for b in range(n):
-            if not viol[a, b].any():
-                continue
-            not_f = ~v[a, b]
-            for d in range(n):
-                if not v[a, b, d]:
-                    continue
-                fs = le_t[d] & not_f
-                if fs.any():
-                    return (a, b, d, int(np.flatnonzero(fs)[0]))
+        fs = le_t[d] & not_f
+        if fs.any():
+            return (a, b, d, int(np.flatnonzero(fs)[0]))
     return None
 
 
@@ -825,26 +807,8 @@ def check_relative_contact_laws(
     check_cap(k, cap_elements)
     if covering._strength == "ECA":
         return _PASSED["RCL"]
-    n, _, _, or_t, le_t = _tables(k)
-    q = ~covering.table  # q[a, b, g]: a and b in contact relative to g
-    rcl1 = rcl2 = None
-    for g in map(int, np.flatnonzero(_ca12_mismatch(q, k).any(axis=(0, 1)))):
-        qg = q[:, :, g]
-        if rcl1 is None and (w := _ca1(qg, n, k, le_t)) is not None:
-            rcl1 = (g,) + w
-        if rcl2 is None and (w := _ca2(qg, n, or_t)) is not None:
-            rcl2 = (g,) + w
-    rcl3 = q & (le_t[:, None, :] | le_t[None, :, :])
-    rcl4 = ~le_t.T & ~q.diagonal()
-    rcl5 = q & ~q.transpose(1, 0, 2)
-    witnesses = {
-        "RCL1": rcl1,
-        "RCL2": rcl2,
-        "RCL3": _first(rcl3.transpose(2, 0, 1)) if rcl3.any() else None,
-        "RCL4": _first(rcl4) if rcl4.any() else None,
-        "RCL5": _first(rcl5.transpose(2, 0, 1)) if rcl5.any() else None,
-    }
-    return AxiomReport.of(witnesses)
+    laws = _contact_laws(~covering.table, k)  # [a, b, g]: a and b in contact relative to g
+    return AxiomReport.of({f"RCL{i}": w for i, w in enumerate(laws, 1)})
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -53,12 +52,12 @@ from .representations import (
     verify_embedding,
 )
 from .topology import (
-    CapExceeded,
     DocumentError,
     LabeledTopology,
     PointSet,
     generate_topology,
     labeled_topology_from_document,
+    over_cap,
     rc_algebra,
     rc_contact,
     rc_internally_connected,
@@ -79,63 +78,6 @@ EXAMPLE_SPACE_PRIME = {
 EXAMPLE_REGION = ["1", "2", "3", "4", "5", "6"]
 EXAMPLE_REGION_PRIME = ["2", "3", "4", "5", "6"]
 EXAMPLE_CONCLUSION = "isomorphism verified; c° differs; non-definability witnessed"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one command invocation depends on; the seed fully
-    determines any randomized campaign."""
-
-    command: str
-    input_path: str | None = None
-    kind: str | None = None
-    seed: int = 0
-    trials: int = 10
-    max_universe: int = DEFAULT_MAX_UNIVERSE
-    cap_elements: int | None = None
-    output_json: bool = False
-    verbose: bool = False
-
-    def elements_cap(self) -> int:
-        return self.cap_elements if self.cap_elements is not None else DEFAULT_CAP_ELEMENTS
-
-
-@dataclass(frozen=True)
-class CampaignReport:
-    """Per-trial verdicts plus aggregates; aggregates are computed from the
-    trials so they cannot drift apart."""
-
-    seed: int
-    max_universe: int
-    trials: tuple[dict, ...]
-
-    @property
-    def passed_count(self) -> int:
-        return sum(1 for t in self.trials if t["passed"])
-
-    @property
-    def all_passed(self) -> bool:
-        return self.passed_count == len(self.trials)
-
-    @property
-    def first_counterexample(self) -> dict | None:
-        for t in self.trials:
-            if not t["passed"]:
-                return {"trial": t["trial"], "failure": t["failures"][0]}
-        return None
-
-    def to_document(self) -> dict:
-        return {
-            "command": "random",
-            "seed": self.seed,
-            "max_universe": self.max_universe,
-            "total": len(self.trials),
-            "passed": self.passed_count,
-            "failed": len(self.trials) - self.passed_count,
-            "all_passed": self.all_passed,
-            "first_counterexample": self.first_counterexample,
-            "trials": list(self.trials),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -178,26 +120,26 @@ def _document_kind(doc: object) -> str:
     )
 
 
-def _topological_source(doc: object, config: RunConfig) -> tuple[LabeledTopology, TopologicalEca]:
+def _topological_source(doc: object, args: argparse.Namespace) -> tuple[LabeledTopology, TopologicalEca]:
     labeled = labeled_topology_from_document(doc)
-    algebra = rc_algebra(labeled.topology, cap_elements=config.elements_cap())
-    return labeled, eca_from_rc(algebra, cap_elements=config.elements_cap())
+    algebra = rc_algebra(labeled.topology, cap_elements=args.cap_elements)
+    return labeled, eca_from_rc(algebra, cap_elements=args.cap_elements)
 
 
-def _input_covering(config: RunConfig, frame_error: str) -> tuple[CoveringRelation, str]:
+def _input_covering(args: argparse.Namespace, frame_error: str) -> tuple[CoveringRelation, str]:
     """The covering of a covering or topology document, and the document's
     kind.  A plain triple-list document is read straight from its bytes;
     any other input goes through the JSON reader, which reports its faults."""
-    raw = _read_input(config.input_path)
-    covering = covering_from_json(raw, cap_elements=config.elements_cap())
+    raw = _read_input(args.input_path)
+    covering = covering_from_json(raw, cap_elements=args.cap_elements)
     if covering is not None:
         return covering, "covering"
-    doc = _parse_json(raw, config.input_path)
+    doc = _parse_json(raw, args.input_path)
     kind = _document_kind(doc)
     if kind == "covering":
-        return covering_from_document(doc, cap_elements=config.elements_cap()), kind
+        return covering_from_document(doc, cap_elements=args.cap_elements), kind
     if kind == "topology":
-        return _topological_source(doc, config)[1].covering, kind
+        return _topological_source(doc, args)[1].covering, kind
     raise DocumentError(frame_error)
 
 
@@ -269,12 +211,12 @@ def _set_text(labels: list[str]) -> str:
 # rc
 
 
-def cmd_rc(config: RunConfig) -> int:
-    doc = _read_json(config.input_path)
+def cmd_rc(args: argparse.Namespace) -> int:
+    doc = _read_json(args.input_path)
     if _document_kind(doc) != "topology":
         raise DocumentError('rc needs a topology document ("universe" + "subbasis")')
     labeled = labeled_topology_from_document(doc)
-    algebra = rc_algebra(labeled.topology, cap_elements=config.elements_cap())
+    algebra = rc_algebra(labeled.topology, cap_elements=args.cap_elements)
     size = len(algebra.carrier)
     connected = [rc_internally_connected(algebra, c) for c in algebra.carrier]
     out = {
@@ -293,12 +235,12 @@ def cmd_rc(config: RunConfig) -> int:
             for i, c in enumerate(algebra.carrier)
         ],
     }
-    if config.verbose:
+    if args.verbose:
         out["contact"] = [
             [rc_contact(algebra, x, y) for y in algebra.carrier] for x in algebra.carrier
         ]
         if size <= 32:
-            teca = eca_from_rc(algebra, cap_elements=config.elements_cap())
+            teca = eca_from_rc(algebra, cap_elements=args.cap_elements)
             translate = [algebra.index_of(ps) for ps in algebra.element_sets]
             out["covering"] = sorted(
                 [translate[a], translate[b], translate[d]]
@@ -306,7 +248,7 @@ def cmd_rc(config: RunConfig) -> int:
             )
         else:
             out["covering"] = "omitted (carrier larger than 32)"
-    if config.output_json:
+    if args.output_json:
         _emit_json(out)
     else:
         print(f"universe ({len(labeled.labels)}): {' '.join(labeled.labels)}")
@@ -320,7 +262,7 @@ def cmd_rc(config: RunConfig) -> int:
                 "internally connected" if row["internally_connected"] else "disconnected"
             )
             print(f"  [{row['index']}] {_set_text(row['points'])} ({', '.join(tags)})")
-        if config.verbose:
+        if args.verbose:
             print("contact table (carrier indices):")
             for i, line in enumerate(out["contact"]):
                 cells = " ".join("C" if v else "." for v in line)
@@ -332,13 +274,13 @@ def cmd_rc(config: RunConfig) -> int:
 # check-axioms
 
 
-def cmd_check_axioms(config: RunConfig) -> int:
+def cmd_check_axioms(args: argparse.Namespace) -> int:
     covering, kind = _input_covering(
-        config,
+        args,
         "check-axioms takes a topology or covering document; "
         "frame documents are outputs, not inputs",
     )
-    cap = config.elements_cap()
+    cap = args.cap_elements
     derived = "topology-derived " if kind == "topology" else ""
     described = f"{derived}covering ({covering.algebra.atom_count} atoms)"
     weca = check_weca(covering, cap_elements=cap)
@@ -367,7 +309,7 @@ def cmd_check_axioms(config: RunConfig) -> int:
         "systems": systems,
         "all_passed": all_passed,
     }
-    if config.output_json:
+    if args.output_json:
         _emit_json(out)
     else:
         print(f"input: {described}")
@@ -393,10 +335,10 @@ def _print_report_text(doc: dict) -> None:
     print("all checks passed" if ok else "some checks FAILED")
 
 
-def cmd_represent(config: RunConfig) -> int:
-    cap = config.elements_cap()
-    if config.kind == "parametrized":
-        covering, _ = _input_covering(config, "represent takes a topology or covering document")
+def cmd_represent(args: argparse.Namespace) -> int:
+    cap = args.cap_elements
+    if args.kind == "parametrized":
+        covering, _ = _input_covering(args, "represent takes a topology or covering document")
         weca = check_weca(covering, cap_elements=cap)
         if not weca.all_passed:
             out = {
@@ -405,7 +347,7 @@ def cmd_represent(config: RunConfig) -> int:
                 "input_axioms": checks_document(weca.results),
                 "all_passed": False,
             }
-            if config.output_json:
+            if args.output_json:
                 _emit_json(out)
             else:
                 print("input covering fails the weak axioms:")
@@ -416,7 +358,7 @@ def cmd_represent(config: RunConfig) -> int:
         embedding = build_parametrized_frame(covering)
         out = verification_document(verify_embedding(embedding), embedding)
     else:
-        doc = _read_json(config.input_path)
+        doc = _read_json(args.input_path)
         kind = _document_kind(doc)
         if kind == "covering":
             raise DocumentError(
@@ -426,15 +368,15 @@ def cmd_represent(config: RunConfig) -> int:
             )
         if kind != "topology":
             raise DocumentError("represent takes a topology or covering document")
-        labeled, teca = _topological_source(doc, config)
+        labeled, teca = _topological_source(doc, args)
         eca = check_eca(teca.covering, cap_elements=cap)
         if not eca.all_passed:
             raise AxiomViolation("extended contact axioms", eca)
-        builder = build_type1 if config.kind == "type1" else build_type2
+        builder = build_type1 if args.kind == "type1" else build_type2
         embedding = builder(teca)
         out = verification_document(verify_embedding(embedding), embedding, labeled=labeled, teca=teca)
     out["command"] = "represent"
-    if config.output_json:
+    if args.output_json:
         _emit_json(out)
     else:
         _print_report_text(out)
@@ -532,7 +474,7 @@ def _example_checks() -> tuple[list[dict], dict, bool]:
     return checks_document(checks), detail, ok
 
 
-def cmd_example1(config: RunConfig) -> int:
+def cmd_example1(args: argparse.Namespace) -> int:
     checks, detail, ok = _example_checks()
     out = {
         "command": "example1",
@@ -540,7 +482,7 @@ def cmd_example1(config: RunConfig) -> int:
         "conclusion": EXAMPLE_CONCLUSION if ok else "verification FAILED",
         **detail,
     }
-    if config.output_json:
+    if args.output_json:
         _emit_json(out)
     else:
         print("space X: universe", " ".join(detail["spaces"]["X"]["universe"]))
@@ -561,7 +503,7 @@ def cmd_example1(config: RunConfig) -> int:
             f"c° of {_set_text(rp['points'])} in X': "
             f"{'true' if rp['internally_connected'] else 'false'}"
         )
-        if config.verbose:
+        if args.verbose:
             diffs = detail["contact_differences"]
             print(f"contact differences across f: {len(diffs)}")
             for i, j in diffs:
@@ -599,10 +541,7 @@ def _sample_subbasis(rng: random.Random, n: int, cap_elements: int) -> list[int]
             if m.bit_count() == 1:
                 singletons.add(m)
                 if len(singletons) >= cap_elements.bit_length():
-                    raise CapExceeded(
-                        f"at least {1 << len(singletons)} elements exceed the exhaustive-check cap of "
-                        f"{cap_elements}; pass a larger cap_elements to force the check"
-                    )
+                    raise over_cap(f"at least {1 << len(singletons)}", cap_elements)
     return kept
 
 
@@ -610,10 +549,10 @@ def _failures_from(system: str, checks: tuple[CheckResult, ...]) -> list[dict]:
     return [{"system": system, "check": r.name, "witness": list(r.witness)} for r in checks if not r.passed]
 
 
-def _run_trial(config: RunConfig, trial: int) -> dict:
-    rng = random.Random(config.seed * TRIAL_SEED_STRIDE + trial)
-    n = rng.randint(1, config.max_universe)
-    cap = config.elements_cap()
+def _run_trial(args: argparse.Namespace, trial: int) -> dict:
+    rng = random.Random(args.seed * TRIAL_SEED_STRIDE + trial)
+    n = rng.randint(1, args.max_universe)
+    cap = args.cap_elements
     subbasis = _sample_subbasis(rng, n, cap)
     labels = [str(i) for i in range(n)]
     topo = generate_topology(n, [PointSet(n, m) for m in subbasis])
@@ -639,26 +578,33 @@ def _run_trial(config: RunConfig, trial: int) -> dict:
     }
 
 
-def cmd_random(config: RunConfig) -> int:
-    report = CampaignReport(
-        config.seed,
-        config.max_universe,
-        tuple(_run_trial(config, t) for t in range(config.trials)),
-    )
-    if config.output_json:
-        _emit_json(report.to_document())
+def cmd_random(args: argparse.Namespace) -> int:
+    trials = [_run_trial(args, t) for t in range(args.trials)]
+    passed = sum(1 for t in trials if t["passed"])
+    counterexample = next(({"trial": t["trial"], "failure": t["failures"][0]} for t in trials if not t["passed"]), None)
+    out = {
+        "command": "random",
+        "seed": args.seed,
+        "max_universe": args.max_universe,
+        "total": len(trials),
+        "passed": passed,
+        "failed": len(trials) - passed,
+        "all_passed": passed == len(trials),
+        "first_counterexample": counterexample,
+        "trials": trials,
+    }
+    if args.output_json:
+        _emit_json(out)
     else:
-        for t in report.trials:
+        for t in trials:
             verdict = "pass" if t["passed"] else "FAIL"
             basis = "; ".join(_set_text(s) for s in t["subbasis"]) or "(empty)"
             print(f"trial {t['trial']}: n={t['universe']} subbasis {basis} -> {verdict}")
-            if config.verbose:
+            if args.verbose:
                 for f in t["failures"]:
                     print(f"    {f['system']} {f['check']} witness {f['witness']}")
-        print(
-            f"seed {report.seed}: {report.passed_count}/{len(report.trials)} trials passed"
-        )
-    return 0 if report.all_passed else 1
+        print(f"seed {args.seed}: {passed}/{len(trials)} trials passed")
+    return 0 if out["all_passed"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +616,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", dest="output_json", action="store_true", help="canonical JSON output")
     parser.add_argument("--verbose", action="store_true", help="include tables/diffs")
     parser.add_argument(
-        "--cap-elements", dest="cap_elements", type=int, metavar="N",
+        "--cap-elements", dest="cap_elements", type=int, default=DEFAULT_CAP_ELEMENTS, metavar="N",
         help=f"override the exhaustive-check element cap (default {DEFAULT_CAP_ELEMENTS})",
     )
 
@@ -701,39 +647,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_namespace(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    cap_elements = getattr(ns, "cap_elements", None)
-    if cap_elements is not None and cap_elements < 1:
+def _check_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Reject out-of-range flag values as usage errors, and warn about a cap
+    above the default."""
+    if args.cap_elements < 1:
         parser.error("--cap-elements must be positive")
-    if cap_elements is not None and cap_elements > DEFAULT_CAP_ELEMENTS:
+    if args.cap_elements > DEFAULT_CAP_ELEMENTS:
         print(
-            f"warning: --cap-elements {cap_elements} above the default "
+            f"warning: --cap-elements {args.cap_elements} above the default "
             f"{DEFAULT_CAP_ELEMENTS}; exhaustive checks may run long",
             file=sys.stderr,
         )
-    trials = getattr(ns, "trials", 0)
-    max_universe = getattr(ns, "max_universe", DEFAULT_MAX_UNIVERSE)
-    seed = getattr(ns, "seed", 0)
-    if trials < 0:
+    if getattr(args, "trials", 0) < 0:
         parser.error("--trials must be nonnegative")
-    if max_universe < 1:
+    if getattr(args, "max_universe", 1) < 1:
         parser.error("--max-universe must be positive")
-    if seed < 0:
+    if getattr(args, "seed", 0) < 0:
         parser.error("--seed must be nonnegative")
-    return RunConfig(
-        command=ns.command,
-        input_path=getattr(ns, "input_path", None),
-        kind=getattr(ns, "kind", None),
-        seed=seed,
-        trials=trials,
-        max_universe=max_universe,
-        cap_elements=cap_elements,
-        output_json=ns.output_json,
-        verbose=ns.verbose,
-    )
 
 
-_COMMANDS: dict[str, Callable[[RunConfig], int]] = {
+_COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
     "rc": cmd_rc,
     "check-axioms": cmd_check_axioms,
     "represent": cmd_represent,
@@ -745,12 +678,12 @@ _COMMANDS: dict[str, Callable[[RunConfig], int]] = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        config = _config_from_namespace(ns, parser)
+        args = parser.parse_args(argv)
+        _check_flags(args, parser)
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except (OSError, ValueError, MemoryError) as err:  # DocumentError and CapExceeded are ValueErrors
         print(f"error: {err or 'out of memory'}", file=sys.stderr)
         return 2

@@ -165,7 +165,8 @@ def _sigma_family(frame: EquivalenceFrame1 | EquivalenceFrame2, masks: Sequence[
     """The σ family of the subsets ``masks``, each σ a mask over their
     indices: σ_w = {i : w ∈ masks[i]} of each world w, found by splitting
     the worlds by each subset in turn, and σ_c = {i : masks[i] meets c} of
-    each class c of ``covering_classes`` (the composite classes, for type 2).
+    each class c of ``covering_classes`` (the composite classes, for type 2),
+    each σ once, in order of first appearance.
 
     (masks[i], masks[j]) ⊢ masks[l] iff no σ holds i and j and misses l:
     the σ_w give masks[i] ∩ masks[j] ⊆ masks[l], and the σ_c the class
@@ -183,7 +184,7 @@ def _sigma_family(frame: EquivalenceFrame1 | EquivalenceFrame2, masks: Sequence[
                 split[sigma] = worlds & ~mask
         regions = split
     classes = [sum(1 << i for i, mask in enumerate(masks) if mask & c) for c in frame.covering_classes]
-    return [*regions, *classes]
+    return list(dict.fromkeys([*regions, *classes]))  # a class σ can repeat a world σ
 
 
 def covering_table(

@@ -374,11 +374,16 @@ def check_cap(atom_count: int, cap_elements: int) -> None:
     2^k > cap iff k reaches the cap's bit length, so a huge k costs nothing,
     and from k = 64 the message writes the size as 2^k."""
     if atom_count >= max(cap_elements, 0).bit_length():
-        size = 1 << atom_count if atom_count < 64 else f"2^{atom_count}"
-        raise CapExceeded(
-            f"{size} elements exceed the exhaustive-check cap of {cap_elements}; "
-            "pass a larger cap_elements to force the check"
-        )
+        raise over_cap(1 << atom_count if atom_count < 64 else f"2^{atom_count}", cap_elements)
+
+
+def over_cap(size: int | str, cap_elements: int) -> CapExceeded:
+    """The error for ``size`` elements over the cap.  It names the CLI option
+    that raises the cap, since every command reaches it through that option."""
+    return CapExceeded(
+        f"{size} elements exceed the exhaustive-check cap of {cap_elements}; "
+        "pass a larger --cap-elements to force the check"
+    )
 
 
 def rc_algebra(topology: FiniteTopology, *, cap_elements: int | None = None) -> RegularClosedAlgebra:

@@ -152,9 +152,17 @@ class TestRouting:
         assert main(["represent", "--input", topo_file]) == 2
 
     def test_bad_flag_values(self, capsys):
-        assert main(["random", "--trials", "-1"]) == 2
-        assert main(["random", "--max-universe", "0"]) == 2
-        assert main(["rc", "--cap-elements", "0"]) == 2
+        for argv, message in (
+            (["random", "--trials", "-1"], "--trials must be nonnegative"),
+            (["random", "--max-universe", "0"], "--max-universe must be positive"),
+            (["rc", "--cap-elements", "0"], "--cap-elements must be positive"),
+            (["random", "--seed", "-1"], "--seed must be nonnegative"),
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                "usage: mereotop [-h] {rc,check-axioms,represent,example1,random} ...\n"
+                f"mereotop: error: {message}\n"
+            ), argv
 
     def test_cap_too_small_is_input_error(self, topo_file, capsys):
         assert main(["rc", "--input", topo_file, "--cap-elements", "4"]) == 2
@@ -196,7 +204,7 @@ class TestOversizedInputFailsFast:
         assert main([*argv, "--input", str(path)]) == 2
         assert capsys.readouterr().err == (
             "error: 128 elements exceed the exhaustive-check cap of 64; "
-            "pass a larger cap_elements to force the check\n"
+            "pass a larger --cap-elements to force the check\n"
         )
 
     @pytest.mark.parametrize(
@@ -214,7 +222,7 @@ class TestOversizedInputFailsFast:
         assert main([*argv, "--input", str(path)]) == 2
         assert capsys.readouterr().err == (
             "error: 4096 elements exceed the exhaustive-check cap of 64; "
-            "pass a larger cap_elements to force the check\n"
+            "pass a larger --cap-elements to force the check\n"
         )
 
     @pytest.mark.parametrize(
@@ -228,7 +236,7 @@ class TestOversizedInputFailsFast:
         assert main([*argv, "--input", str(path)]) == 2
         assert capsys.readouterr().err == (
             "error: 2^300 elements exceed the exhaustive-check cap of 64; "
-            "pass a larger cap_elements to force the check\n"
+            "pass a larger --cap-elements to force the check\n"
         )
 
 

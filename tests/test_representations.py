@@ -5,6 +5,7 @@ connectedness preservation, and split pullbacks."""
 from __future__ import annotations
 
 import random
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -600,6 +601,18 @@ class TestAtomFamily:
     def test_rejects_masks_outside_the_worlds(self):
         with pytest.raises(ValueError):
             covering_slices(EquivalenceFrame1(2, (0, 1)), [1, 4])
+
+    def test_class_sigma_repeating_a_world_sigma_is_kept_once(self):
+        # every world is its own class, so each class σ repeats a world σ
+        frame = EquivalenceFrame1(3, (0, 1, 2))
+        atoms = [0b011, 0b110]
+        family = _sigma_family(frame, atoms)
+        assert sorted(family) == [1, 2, 3]
+        masks = joins_by_mask(0, atoms)
+        table = covering_table(frame, masks)
+        for (i, a), (j, b), (l, d) in product(enumerate(masks), repeat=3):
+            assert table[i, j, l] == oracles.naive_frame1_covering(frame.classes, a, b, d)
+        assert (family_table(frame, atoms) == table).all()
 
     def test_slice_verdict_on_drawn_frames(self):
         # the source is the frame's covering over perturbed atom images
