@@ -35,18 +35,26 @@ the relative contact laws RCL1-RCL5 at g = 0 (derived contact is "not
 covered by 0"), so the five laws are written once and a contact that fails
 the closed form runs them as a stack of one relation.  Otherwise each
 axiom is decided by an exact reduced form where one exists: ECA1 by a
-greatest-fixpoint fold of one-atom growth steps, in O(k·N³); CA1 with
-CA2, and RCL1 with RCL2 for every g, by equality with that
+greatest-fixpoint fold of one-atom growth steps, in O(k·N³), each side's
+steps on a copy laid out with the cover and that side's member leading;
+ECA2 once per distinct covered set, on which a row's verdict depends;
+CA1 with CA2, and RCL1 with RCL2 for every g, by equality with that
 join-extension; WECA3, with no other axiom assumed, by each cover's slice
 being a sublattice of B x B^op (one superset-and fold over pair words).
 Only a failing verdict runs the literal search, which reports the
 lexicographically first violating tuple — the one a direct nested loop
-over ascending element values would find.  The ECA1, CA1, WECA1, WECA4
-and CONS5/CONS6 searches read the failing (a, b) off their fold and run
-on it alone; the WECA3 search tests all (d, e, f) of one (a, b) at once
-and stops at the first (a, b) that has a hit.  A plain triple-list
-covering document is read straight from its bytes; any other goes through
-the JSON parser and covering_from_document, which alone reports faults.
+over ascending element values would find.  The ECA1, ECA2, CA1, WECA1,
+WECA4 and CONS5/CONS6 searches read the failing (a, b) off their fold or
+count and run on it alone; the WECA3 search tests all (d, e, f) of one
+(a, b) at once and stops at the first (a, b) that has a hit.  A plain
+triple-list covering document is read straight from its bytes, 4 KiB at
+a time with whitespace dropped, and written straight into the table in
+pieces of about 20 K characters cut at "],[", so that no temporary grows
+with the document; any other goes through the JSON parser and
+covering_from_document, which alone reports faults.  The checkers keep
+their temporaries at k = 5 near a few hundred KiB as well (ECA2's counts
+in chunks of 2^15, WECA3's word table in int16 and folded in place), so
+that a run of ops reuses the heap it has instead of taking fresh pages.
 """
 
 from __future__ import annotations
@@ -261,12 +269,19 @@ def _tables(atom_count: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, n
 
 
 def _fold(
-    table: np.ndarray, axis: int, bits: int, op: np.ufunc = np.bitwise_or, *, subsets: bool = False
+    table: np.ndarray,
+    axis: int,
+    bits: int,
+    op: np.ufunc = np.bitwise_or,
+    *,
+    subsets: bool = False,
+    copy: bool = True,
 ) -> np.ndarray:
     """out[.., x, ..] = op of table over all supersets y of x along axis (over
     all subsets with ``subsets``), for x of ``bits`` bits: one in-place pass
-    per bit, pairing each x without the bit with x with it."""
-    out = table.copy()
+    per bit, pairing each x without the bit with x with it.  Without
+    ``copy`` the passes run on table itself."""
+    out = table.copy() if copy else table
     head, tail = out.shape[:axis], out.shape[axis + 1 :]
     lead = (slice(None),) * (axis + 1)
     for bit in range(bits):
@@ -281,7 +296,8 @@ def _fold(
 
 def _first(viol: np.ndarray) -> tuple[int, ...] | None:
     """Lexicographically first true index of a boolean array, or None."""
-    return tuple(int(x) for x in np.argwhere(viol)[0]) if viol.any() else None
+    at = int(viol.argmax())  # the first true entry in C order, or 0 if none
+    return tuple(int(x) for x in np.unravel_index(at, viol.shape)) if viol.flat[at] else None
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +517,21 @@ def _eca1(v: np.ndarray, n: int, k: int, or_t: np.ndarray) -> tuple | None:
     steps: for atom p, safe[a, b, f] &= safe[a|p, b, f|p] on the a side and
     the same on the b side.  A step reads only entries with p in both the
     grown member and the cover, which it never writes, so it runs on paired
-    reshape views.  The first true (a, b) of v & ~safe is the failing pair,
-    and only it runs the literal (d, e, f) search, one d at a time."""
-    safe = v.copy()
-    for bit in range(k):
-        split = (n >> bit + 1, 2, 1 << bit)
-        for shape, axes in (((*split, n, *split), (1, 5)), ((n, *split, *split), (2, 5))):
-            pairs = np.moveaxis(safe.reshape(shape), axes, (0, 1))  # [p in member, p in cover]
+    reshape views.  The two sides commute, so all a-side steps run on an
+    [f, a, b] copy and then all b-side steps on an [f, b, a] copy, where
+    every step pairs contiguous runs of at least N entries.  The first true
+    (a, b) of v & ~safe is the failing pair, and only it runs the literal
+    (d, e, f) search, one d at a time."""
+    safe = np.ascontiguousarray(v.transpose(2, 0, 1))
+    for side in range(2):
+        if side:
+            safe = np.ascontiguousarray(safe.transpose(0, 2, 1))
+        for bit in range(k):
+            split = (n >> bit + 1, 2, 1 << bit)
+            pairs = np.moveaxis(safe.reshape(*split, *split, n), (4, 1), (0, 1))  # [p in member, p in cover]
             pairs[0] &= pairs[1, 1]
             pairs[1, 0] &= pairs[1, 1]
-    failing = (v & ~safe).any(axis=2)
+    failing = (v & ~safe.transpose(2, 1, 0)).any(axis=2)
     if not failing.any():
         return None
     a, b = _first(failing)
@@ -524,16 +545,22 @@ def _eca1(v: np.ndarray, n: int, k: int, or_t: np.ndarray) -> tuple | None:
 
 
 def _eca2(v: np.ndarray, n: int) -> tuple | None:
-    """ECA2's lex-first witness, or None.  Rows (a, b) covered by none or all
-    d cannot fail; the rest go in lex order, 2^20 counts at a time, through
-    a float32 matmul counting the e with (a, b) |- e and (d, e) |- f.  The
-    first row that reaches an uncovered f runs the literal search."""
+    """ECA2's lex-first witness, or None.  A row (a, b) fails iff two covers
+    in its covered set C reach an f outside C, which depends on C alone.
+    Rows covered by none or all d cannot fail; of the rest only the first
+    row with each distinct C is tested (keyed by its packed bits), in lex
+    order, 2^15 counts (or 16 rows) at a time, through a float32 matmul
+    counting the e with e in C and (d, e) |- f.  The first row that reaches
+    an uncovered f is the first failing row, and runs the literal search."""
     pair_to_d = v.reshape(n * n, n)
     rows = np.flatnonzero(pair_to_d.any(axis=1) & ~pair_to_d.all(axis=1))
     if not len(rows):
         return None
+    packed = np.packbits(pair_to_d[rows], axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    rows = rows[np.sort(np.unique(keys, return_index=True)[1])]
     d_by_ef = np.ascontiguousarray(v.transpose(1, 0, 2)).reshape(n, n * n).astype(np.float32)
-    step = max(1, (1 << 20) // (n * n))
+    step = max(16, (1 << 15) // (n * n))  # 128 KiB of float32 counts up to N = 32
     for start in range(0, len(rows), step):
         chunk = rows[start : start + step]
         premise = pair_to_d[chunk]
@@ -628,12 +655,13 @@ def _weca3_holds(v: np.ndarray, k: int) -> bool:
     ands, starting non-members at -1: that sentinel, with the sign bit set,
     survives only where no member lies above x, and picks an appended
     all-true row.  Complementing both members swaps meet and join, so the
-    join test is the same on the reversed words."""
+    join test is the same on the reversed words.  The words take int16 up
+    to k = 7, and their table is folded in place."""
     bits = 2 * k
     members = v[:, ::-1].reshape(1 << bits, -1)  # [a << k | ~b, f] = v[a, b, f]
     members = np.concatenate([members, members[::-1]], axis=1)
-    words = np.arange(1 << bits, dtype=np.int32)[:, None]
-    ands = _fold(np.where(members, words, -1), 0, bits, np.bitwise_and)
+    words = np.arange(1 << bits, dtype=np.int16 if bits < 16 else np.int32)[:, None]
+    ands = _fold(np.where(members, words, -1), 0, bits, np.bitwise_and, copy=False)
     members = np.concatenate([members, np.ones_like(members[:1])])
     return bool(members[ands, np.arange(members.shape[1])].all())
 
@@ -982,41 +1010,108 @@ def covering_from_json(raw: bytes, *, cap_elements: int) -> CoveringRelation | N
     slots of a triple.  The digit runs are counted before whitespace is
     dropped: there must be one per slot, so "1 2" is not read as 12.  A run
     with a leading zero, or longer than the largest element or above it,
-    declines."""
+    declines.  The document is read _WINDOW bytes at a time, whitespace
+    dropped from each; once _PIECE characters are in, the text up to the
+    last "],[" is stored straight into the table.  So no temporary, the
+    whitespace-free text included, grows with the size of the document:
+    an op's peak stays near the document and the table, and glibc serves
+    the op from the heap it already has, with no fresh pages."""
     head = _PLAIN_HEAD.match(raw)
-    body = raw.rstrip(_JSON_SPACE)
-    if head is None or not body.endswith(b"}"):
+    if head is None:
         return None
     k = int(head[1])
     n = 1 << k
     if n > min(cap_elements, 1 << 20):  # past 2^20 a flat index overflows int64
         return None
-    spaced = body[head.end() : -1]
-    text = spaced.translate(None, _JSON_SPACE)
-    marks = text.translate(None, b"0123456789")
-    count = (len(marks) - 1) // 5
-    if marks != b"[" + (b",[,,]" * count)[1:] + b"]":
-        return None
-    chars = np.frombuffer(text, dtype=np.uint8)
-    digit, spaced_digit = (
-        (c >= np.uint8(48)) & (c <= np.uint8(57)) for c in (chars, np.frombuffer(spaced, dtype=np.uint8))
-    )
-    runs = spaced_digit[0] + np.count_nonzero(spaced_digit[1:] > spaced_digit[:-1])
-    at = np.flatnonzero(~digit)[1 : 5 * count + 1].reshape(count, 5)  # "[,,]" and the next mark
-    firsts, ends = at[:, :3] + 1, at[:, 1:4] - 1
-    lengths = ends - firsts + 1
+    table = np.zeros((n, n, n), dtype=bool)
     width = len(str(n - 1))
-    if runs != 3 * count or (lengths < 1).any() or (lengths > width).any():
+    count = 0
+    rest = b""  # whitespace-free text not read yet, from the mark before its first triple
+    for lo in range(head.end(), len(raw), _WINDOW):
+        rest += raw[lo : lo + _WINDOW].translate(None, _JSON_SPACE)
+        if not count and rest[:1] not in (b"", b"["):
+            return None
+        if len(rest) < _PIECE or lo + _WINDOW >= len(raw):  # the last piece takes the last window
+            continue
+        seam = rest.rfind(b"],[") + 1  # the comma of the last seam
+        if not seam:  # a plain document has a seam every triple
+            return None
+        read = _read_triples(rest, seam + 1, n, width, table.reshape(-1))
+        if read is None:
+            return None
+        count, rest = count + read, rest[seam:]
+    if not rest.endswith(b"]}"):
         return None
-    if ((chars[firsts] == np.uint8(48)) & (lengths > 1)).any():
+    if rest != b"[]}":
+        read = _read_triples(rest, len(rest) - 1, n, width, table.reshape(-1))
+        if read is None:
+            return None
+        count += read
+    if _digit_runs(raw) != 3 * count + 1:  # and the run of k
         return None
-    values = np.zeros((count, 3), dtype=np.int64)
-    for place in range(width):
-        digits = chars[np.maximum(ends - place, firsts)].astype(np.int64) - 48
-        values += np.where(lengths > place, digits, 0) * 10**place
-    if (values >= n).any():
+    return _owning(CoveringRelation, FiniteBooleanAlgebra(k), table=table)
+
+
+_PIECE, _WINDOW = 20_000, 4_096
+# A piece is cut once _PIECE characters are read, and the last piece takes
+# the last window too, so a piece of a plain document holds less than
+# _PIECE + _WINDOW + 27 characters, at most (_PIECE + _WINDOW + 27) / 8
+# triples, each 8 characters or more with its comma.  Its temporaries peak
+# near 10 bytes a character, while the int64 positions of its marks live.
+_MOST = (_PIECE + _WINDOW) // 8 + 4
+_MARKS = np.frombuffer(b"[,,]," * _MOST, dtype=np.uint8)
+_SHORTEST = np.tile(np.array([1, 2, 2, 2, 1], dtype=np.int32), _MOST)  # mark to mark: every slot holds a digit
+
+
+def _read_triples(text: bytes, stop: int, n: int, width: int, flat: np.ndarray) -> int | None:
+    """Store the triples of the piece text[:stop] of whitespace-free text, a
+    mark, then "[a,b,d]" joined by ",", then a mark, at their flat indices
+    in an N-element algebra's table; return how many there were, or None
+    unless every slot holds a number of at most ``width`` digits, without a
+    leading zero, below N.  The number ending before each of a triple's
+    marks 2 to 4 is summed from the ``width`` places before it, each
+    clamped to the mark before."""
+    chars = np.frombuffer(text, dtype=np.uint8, count=stop)
+    digits = chars - np.uint8(48)
+    mark = digits > 9
+    if (mark[:-2] & (digits[1:-1] == 0) & ~mark[2:]).any():  # a 0 between a mark and a digit
         return None
-    return _covering_of_entries(k, values)
+    at = np.flatnonzero(mark)
+    count = len(at) // 5
+    if not 0 < count <= _MOST or len(at) != 5 * count + 1 or (chars[at[1:-1]] != _MARKS[: len(at) - 2]).any():
+        return None
+    spans = np.subtract(at[1:], at[:-1], dtype=np.int32)
+    if spans.max() > width + 1 or (spans < _SHORTEST[: len(spans)]).any():
+        return None
+    del spans
+    digits *= ~mark
+    del mark
+    marks = at[1:].reshape(count, 5)  # "[", ",", ",", "]" and the mark after
+    ends = marks[:, 1:4] - 1  # the last place of a, b and d, then each place before
+    before = marks[:, :3] if width > 2 else None  # one place back is a digit or the zeroed mark
+    del at, marks
+    values = digits[ends].astype(np.int32)
+    for place in range(1, width):
+        ends -= 1
+        if place > 1:
+            np.maximum(ends, before, out=ends)
+        values += digits[ends].astype(np.int32) * 10**place
+    if values.max() >= n:
+        return None
+    # past N = 1024, N³ needs int64
+    flat[(values[:, 0].astype(np.int64) * n + values[:, 1]) * n + values[:, 2]] = True
+    return count
+
+
+def _digit_runs(raw: bytes) -> int:
+    """The number of digits of raw that follow a non-digit, counted _PIECE
+    characters at a time, each window overlapping the next by one."""
+    runs = 0
+    for lo in range(0, len(raw), _PIECE):
+        window = np.frombuffer(raw, dtype=np.uint8, count=min(_PIECE + 1, len(raw) - lo), offset=lo)
+        digit = window - np.uint8(48) < 10
+        runs += np.count_nonzero(digit[1:] > digit[:-1])
+    return runs
 
 
 # ---------------------------------------------------------------------------

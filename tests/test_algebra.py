@@ -494,17 +494,81 @@ class TestFailingTablesMatchThePerPairSearch:
     """Past three atoms the naive loops take too long; the per-pair searches
     of the oracles check the ECA1 fixpoint and the chunked ECA2 instead."""
 
-    @pytest.mark.parametrize("k", [4, 5])
-    def test_eca1_fixpoint(self, k):
+    @pytest.mark.parametrize("k, count", [(4, 50), (5, 50), (6, 4)])
+    def test_eca1_fixpoint(self, k, count):
+        # the a-side steps run on an [f, a, b] copy and the b-side steps on
+        # an [f, b, a] copy
         n, rng = 1 << k, random.Random(k)
         or_t = algebra_module._tables(k)[3]
         failing = 0
-        for _ in range(50):
+        for _ in range(count):
             table = broken_covering(k, rng).table
             witness = oracles.eca1_per_pair(table)
             assert _eca1(table, n, k, or_t) == witness
             failing += witness is not None
-        assert failing >= 25
+        assert failing >= count // 2
+
+    @staticmethod
+    def _shares_a_later_row(table: np.ndarray, witness: tuple) -> bool:
+        n = len(table)
+        rows = table.reshape(n * n, n)
+        row = witness[0] * n + witness[1]
+        return bool((rows[row + 1 :] == rows[row]).all(axis=1).any())
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_eca2_once_per_covered_set(self, k):
+        # the first row with each covered set stands for every row with it;
+        # copying a failing row's set to an earlier row makes that row the
+        # first failing one, with the same set as a later row
+        n, rng = 1 << k, random.Random(40 + k)
+        shared = 0
+        for _ in range(6 if k < 6 else 3):
+            table = broken_covering(k, rng).table.copy()
+            witness = oracles.eca2_per_pair(table)
+            assert _eca2(table, n) == witness
+            if witness is None:
+                continue
+            row = witness[0] * n + witness[1]
+            earlier = rng.randrange(row) if row else 0
+            table.reshape(n * n, n)[earlier] = table[witness[0], witness[1]]
+            witness = oracles.eca2_per_pair(table)
+            assert _eca2(table, n) == witness
+            shared += witness is not None and self._shares_a_later_row(table, witness)
+        assert shared >= 2
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_eca2_on_rows_that_share_one_set(self, k):
+        # most mixed rows cover the same set, failing or not
+        n, rng = 1 << k, random.Random(50 + k)
+        failing = 0
+        for _ in range(6 if k < 6 else 3):
+            table = broken_covering(k, rng).table.copy()
+            rows = table.reshape(n * n, n)
+            one = rows[rng.randrange(1, n * n)].copy()
+            for row in rng.sample(range(n * n), n * n // 2):
+                rows[row] = one
+            witness = oracles.eca2_per_pair(table)
+            assert _eca2(table, n) == witness
+            failing += witness is not None
+        assert failing
+
+    def test_eight_atoms_with_a_cleared_cover(self):
+        # every (a, b) with a & b < 255 is mixed, with one covered set per
+        # meet; a per-row ECA2 and a strided ECA1 took over a minute here
+        table = discrete_covering(8).table.copy()
+        table[:, :, 255] = False
+        cov = CoveringRelation(FiniteBooleanAlgebra(8), table)
+        started = time.perf_counter()
+        report = check_eca(cov, cap_elements=256)
+        elapsed = time.perf_counter() - started
+        assert witnesses(report) == {
+            "ECA1": (0, 0, 0, 1, 254),
+            "ECA2": None,
+            "ECA3": (0, 0, 255),
+            "ECA4": None,
+            "ECA5": None,
+        }
+        assert elapsed < 20.0
 
     def test_eca2_past_the_first_chunk(self):
         # at six atoms a chunk holds 256 of the 4096 rows
@@ -1276,6 +1340,7 @@ DECLINED_TEXTS = [
     b'{"atoms": 02, "covering": []}',
     b'{"atoms": 4, "covering": [[1 1, 0, 0]]}',  # split numbers, 11 in range
     b'{"atoms": 4, "covering": [[0, 1\n2, 3]]}',
+    b'{"atoms": 4, "covering": [[, 1 2, 3]]}',  # and an empty slot: one run per slot
     b'{"atoms": 2, "covering": [[0, -1, 0]]}',  # signs
     b'{"atoms": 2, "covering": [[-0, 0, 0]]}',
     b'{"atoms": 2, "covering": [[+1, 0, 0]]}',
@@ -1338,6 +1403,14 @@ class TestCoveringFromJson:
         raw = json.dumps(covering_document(CoveringRelation(FiniteBooleanAlgebra(k), table))).encode()
         assert np.array_equal(covering_from_json(raw, cap_elements=64).table, table)
 
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_reads_elements_of_three_digits(self, k):
+        n = 1 << k
+        table = np.zeros((n, n, n), dtype=bool)
+        table[tuple(np.random.default_rng(k).integers(0, n, (3, 3000)))] = True
+        raw = json.dumps(covering_document(CoveringRelation(FiniteBooleanAlgebra(k), table))).encode()
+        assert np.array_equal(covering_from_json(raw, cap_elements=256).table, table)
+
     def test_whitespace_and_empty_list(self):
         raw = b' \r\n{"atoms":3 ,"covering"\t:[ [ 7 ,\n6\t, 5\r] , [0,0,0] ] }\n\n'
         assert covering_from_json(raw, cap_elements=64).true_triples() == [(0, 0, 0), (7, 6, 5)]
@@ -1367,3 +1440,58 @@ class TestCoveringFromJson:
         if got is not None:
             expected = json_path_table(text)
             assert expected is not None and np.array_equal(got.table, expected), text
+
+    @staticmethod
+    def _pieced_text(k: int, seed: int) -> tuple[bytes, list[int]]:
+        """A whitespace-free plain document of a random k-atom table that
+        spans several pieces, and the "],[" seams its reader cuts at."""
+        n, piece, window = 1 << k, algebra_module._PIECE, algebra_module._WINDOW
+        table = np.random.default_rng(seed).random((n, n, n)) < 0.5
+        body = ",".join(f"[{a},{b},{d}]" for a, b, d in np.argwhere(table).tolist())
+        text = f'{{"atoms":{k},"covering":[{body}]}}'.encode()
+        cuts, start = [], len(str(k)) + 21  # the reader's windows start after the head
+        for end in range(start + window, len(text), window):  # all but the last window
+            if end - start >= piece:
+                cuts.append(text.rfind(b"],[", start, end))  # the last seam read so far
+                start = cuts[-1] + 1
+        assert len(cuts) >= 3
+        return text, cuts
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_reads_documents_of_several_pieces(self, k):
+        text, _ = self._pieced_text(k, k)
+        assert np.array_equal(covering_from_json(text, cap_elements=64).table, json_path_table(text.decode()))
+        spaced = text.replace(b",", b", ").replace(b"],", b"],\n")
+        assert np.array_equal(covering_from_json(spaced, cap_elements=64).table, json_path_table(text.decode()))
+
+    # each fault sits at a seam "],[" where the reader cuts, its "]" at s
+    SEAM_FAULTS = {
+        "digit after the triple": lambda t, s: t[: s + 1] + b"7" + t[s + 1 :],
+        "digit before the next triple": lambda t, s: t[: s + 2] + b"7" + t[s + 2 :],
+        "leading zero after the seam": lambda t, s: t[: s + 3] + b"0" + t[s + 3 :],
+        "leading zero before the seam": lambda t, s: (lambda c: t[:c] + b"0" + t[c:])(t.rindex(b",", 0, s) + 1),
+        "number split by whitespace before the seam": lambda t, s: t[:s] + b" 1" + t[s:],
+        "number split by whitespace after the seam": lambda t, s: t[: s + 3] + b"1 " + t[s + 3 :],
+        "empty slot after the seam": lambda t, s: t[: s + 3] + t[t.index(b",", s + 3) :],
+        # as many digit runs as slots: only the slot lengths catch it
+        "empty slot after a split number": lambda t, s: (
+            t[: t.rindex(b",", 0, s) + 1] + b"1 1" + t[s : s + 3] + t[t.index(b",", s + 3) :]
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", list(SEAM_FAULTS))
+    @pytest.mark.parametrize("seam", [0, -1])
+    def test_declines_a_fault_at_a_seam(self, fault, seam):
+        text, cuts = self._pieced_text(5, 11)
+        edited = self.SEAM_FAULTS[fault](text, cuts[seam])
+        assert covering_from_json(text, cap_elements=64) is not None
+        assert covering_from_json(edited, cap_elements=64) is None
+
+    def test_declines_a_value_out_of_range_in_the_last_piece(self):
+        text, cuts = self._pieced_text(5, 12)
+        first = cuts[-1] + 3  # the first number of the last piece
+        number = text[first : text.index(b",", first)]
+        edited = text[:first] + b"32" + text[first + len(number) :]
+        assert covering_from_json(text, cap_elements=64) is not None
+        assert covering_from_json(edited, cap_elements=64) is None
+        assert covering_from_json(edited.replace(b'"atoms":5', b'"atoms":6'), cap_elements=64) is not None
