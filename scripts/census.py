@@ -13,10 +13,17 @@ once.  Every distinct table is weak, so each one also goes through the
 parametrized pipeline: its maximal-filter frame must pass every check of
 verify_embedding, which confirms covering on atom slices; for k <= 3 the
 slice verdict must also equal comparing the frame's covering table over
-the images with the source's table.  It prints, for each k, the number
-of families, of distinct tables, of distinct tables that pass the
-extended axioms (1, 2, 15 and 1 218), and of embeddings verified.  The
-run stops with an error on any mismatch or any other count.
+the images with the source's table.  Every distinct table that passes the
+extended axioms is the covering of its own S*, read off it by signatures,
+whose members are the points of a model: its type-1 and type-2 frames
+are built on them and must pass every check of verify_embedding,
+internal connectedness included for type 2, and its derived contact must
+pass the contact axioms.  It prints, for each k, the number of families,
+of distinct tables, of distinct tables that pass the extended axioms (1,
+2, 15 and 1 218), of parametrized embeddings verified, and of extended
+algebras whose type-1 and type-2 embeddings and derived contact pass.
+The run stops with an error on any failure, any mismatch or any other
+count.
 """
 
 from __future__ import annotations
@@ -28,9 +35,14 @@ from mereotop import (
     CoveringRelation,
     FiniteBooleanAlgebra,
     build_parametrized_frame,
+    build_type1,
+    build_type2,
+    check_ca,
     check_eca,
     check_weca,
     covering_from_signatures,
+    derived_contact,
+    signatures,
     verify_embedding,
 )
 from mereotop.frames import covering_slices, covering_table
@@ -53,13 +65,29 @@ def check_parametrized(covering: CoveringRelation) -> None:
             raise SystemExit(f"k = {k}: the slice verdict {on_slices} disagrees with the tables")
 
 
-def census(k: int) -> tuple[int, int, int, int]:
+def check_extended(covering: CoveringRelation) -> None:
+    """Verify the type-1 and type-2 embeddings of an extended contact
+    algebra over the points of S*, and the contact axioms of its derived
+    contact."""
+    points = signatures(covering)
+    for kind, builder in (("type1", build_type1), ("type2", build_type2)):
+        report = verify_embedding(builder(covering, points))
+        if not report.all_passed:
+            raise SystemExit(f"{kind} on S* = {list(points)}: {report.failures()}")
+    report = check_ca(derived_contact(covering))
+    if not report.all_passed:
+        raise SystemExit(f"derived contact of S* = {list(points)}: {report.failures()}")
+
+
+def census(k: int) -> tuple[int, int, int, int, int]:
     """(families, distinct tables, distinct tables passing the extended
-    axioms, parametrized embeddings verified) for k atoms, after checking
-    every family's verdict and the embedding of every distinct table."""
+    axioms, parametrized embeddings verified, extended algebras whose
+    type-1 and type-2 embeddings and derived contact passed) for k atoms,
+    after checking every family's verdict and the embeddings of every
+    distinct table."""
     n = 1 << k
     verdicts: dict[bytes, str] = {}  # slices -> the table-built verdict
-    embedded = 0
+    embedded = extended = 0
     for bits in range(1 << (n - 1)):
         family = [s for s in range(1, n) if bits >> (s - 1) & 1]
         covering = covering_from_signatures(k, family)
@@ -70,20 +98,24 @@ def census(k: int) -> tuple[int, int, int, int]:
             verdicts[key] = "ECA" if full else "WECA" if weak else "none"
             check_parametrized(covering)
             embedded += 1
+            if full:
+                check_extended(covering)
+                extended += 1
         if covering._strength != verdicts[key]:
             raise SystemExit(f"k = {k}, family {family}: verdict {covering._strength}, tables say {verdicts[key]}")
-    return 1 << (n - 1), len(verdicts), sum(v == "ECA" for v in verdicts.values()), embedded
+    return 1 << (n - 1), len(verdicts), sum(v == "ECA" for v in verdicts.values()), embedded, extended
 
 
 def main() -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     for k, expected in ECA_TABLES.items():
         start = time.perf_counter()
-        families, tables, ecas, embedded = census(k)
+        families, tables, ecas, embedded, extended = census(k)
         print(f"k = {k}: {families} families, {tables} distinct tables, {ecas} pass the extended axioms,"
-              f" {embedded} parametrized embeddings verified ({time.perf_counter() - start:.1f} s)")
-        if ecas != expected:
-            raise SystemExit(f"k = {k}: expected {expected} extended contact algebras, counted {ecas}")
+              f" {embedded} parametrized embeddings verified, {extended} type-1, type-2 and derived-contact"
+              f" checks passed ({time.perf_counter() - start:.1f} s)")
+        if ecas != expected or extended != expected:
+            raise SystemExit(f"k = {k}: expected {expected} extended algebras, counted {ecas}, checked {extended}")
     return 0
 
 

@@ -10,14 +10,17 @@ One generator builds every covering table from small data:
 ``covering_from_slices`` is the table generated by atom slices R_f, an
 (N, k, k) array, in two float32 products with the atom membership rows,
 O(k·N³) multiply-adds.  ``covering_from_signatures`` (and ``eca_from_rc``,
-the covering of its points' atom signatures, and ``discrete_covering``,
-the covering of the single atoms) holds a family of atom sets and its
-slices R_c(p, q) = no member inside ¬c holds both p and q, and generates
-its table only when first read; covering documents, ``covering_from_slices``
+the covering of the atom signatures of a space's points,
+``RegularClosedAlgebra.point_signatures``, and ``discrete_covering``, the
+covering of the single atoms) holds a family of atom sets and its slices
+R_c(p, q) = no member inside ¬c holds both p and q, and generates its
+table only when first read; covering documents, ``covering_from_slices``
 and a table handed to ``CoveringRelation`` give a table.
 ``signatures`` and ``atom_slices`` read the small data off either kind;
 read off the slices of a family's covering, the family comes back closed,
-so the round trip F → slices → family is F's closure.  A finite table
+so the round trip F → slices → family is F's closure.  Read off an
+extended contact algebra, ``signatures`` is S*, whose members are the
+points of a model of it: the type-1 and type-2 frames are built on them.  A finite table
 satisfies the extended contact axioms exactly when every single atom is in
 the family read off its slices and it is the covering of that family, and
 the weak ones exactly when its atom slices grow with f and generate it.
@@ -68,7 +71,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .topology import _PRODUCT_CHUNK_ELEMENTS, DocumentError, RegularClosedAlgebra, check_cap, joins_by_mask
+from .topology import _PRODUCT_CHUNK_ELEMENTS, DocumentError, RegularClosedAlgebra, check_cap
 
 DEFAULT_CHECK_CAP = 32
 
@@ -242,15 +245,6 @@ _PASSED = {  # the report of a table that passes a whole system, shared (frozen)
     system: AxiomReport.of(dict.fromkeys(f"{system}{i}" for i in range(1, count + 1)))
     for system, count in (("CA", 5), ("ECA", 5), ("WECA", 4), ("CONS", 6), ("RCL", 5))
 }
-
-
-class AxiomViolation(ValueError):
-    """A relation failed the axioms it was claimed to satisfy."""
-
-    def __init__(self, what: str, report: AxiomReport) -> None:
-        parts = ", ".join(f"{r.name} at {r.witness}" for r in report.failures())
-        super().__init__(f"{what} violated: {parts}")
-        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -1118,60 +1112,16 @@ def _digit_runs(raw: bytes) -> int:
 # the covering of a regular closed algebra, abstractly
 
 
-@dataclass(frozen=True)
-class WorldAtomPoint:
-    """A world of the type-1/type-2 constructions: an atom index paired
-    with one of the atom's points."""
-
-    atom_index: int
-    point: int
-
-
-@dataclass(frozen=True)
-class TopologicalEca:
-    """An extended contact algebra built from a regular closed algebra,
-    together with the dictionary between element masks and point sets.
-
-    ``source.element_sets[m]`` is the union of the atoms selected by mask
-    m; the map is a Boolean isomorphism onto the regular closed carrier.
-    """
-
-    covering: CoveringRelation
-    source: RegularClosedAlgebra
-
-    @cached_property
-    def _couple_worlds(self) -> tuple[tuple[WorldAtomPoint, ...], tuple[int, ...]]:
-        """Worlds (one per point of each atom, ordered by atom then point)
-        and the image map h'(a) = {(A, s) : A's point set inside the point
-        set of a}, shared by the type-1 and type-2 constructions.  An atom
-        lies inside the point set of mask a exactly when a selects it, so
-        h'(a) is the union of the worlds of the atoms that a selects."""
-        worlds = tuple(
-            WorldAtomPoint(i, point) for i, atom in enumerate(self.source.atoms) for point in atom.points()
-        )
-        atom_world_mask = [0] * len(self.source.atoms)
-        for w, wap in enumerate(worlds):
-            atom_world_mask[wap.atom_index] |= 1 << w
-        return worlds, joins_by_mask(0, atom_world_mask)
-
-
-def eca_from_rc(source: RegularClosedAlgebra, *, cap_elements: int = 64) -> TopologicalEca:
+def eca_from_rc(source: RegularClosedAlgebra, *, cap_elements: int = 64) -> CoveringRelation:
     """The extended contact algebra of a regular closed algebra: element
-    masks name joins of atoms, and (a, b) |- d holds when the plain
-    intersection of the point sets of a and b is inside the point set of d.
-    Nothing is checked here, and no table is built: the covering is the
-    covering of the points' atom signatures, and check_eca reads its
-    verdict.
+    mask m names the union of the atoms it selects, and (a, b) |- d holds
+    when the plain intersection of the point sets of a and b is inside the
+    point set of d.  Nothing is checked here, and no table is built: the
+    covering is the covering of the points' atom signatures, and check_eca
+    reads its verdict.
     """
     k = len(source.atoms)
     check_cap(k, cap_elements)
-    # A point lies in the set of mask m iff m meets the atoms through it, so
-    # (a, b) |- d fails iff some point's atom signature meets a and b, not d.
-    covering = covering_from_signatures(
-        k,
-        {
-            sum(1 << i for i, atom in enumerate(source.atoms) if atom.bits >> x & 1)
-            for x in range(source.topology.universe_size)
-        },
-    )
-    return TopologicalEca(covering, source)
+    # A point lies in the set of mask m iff m meets its atom signature, so
+    # (a, b) |- d fails iff some point's signature meets a and b, not d.
+    return covering_from_signatures(k, set(source.point_signatures))

@@ -29,10 +29,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, Sequence
 
 from .algebra import (
-    AxiomViolation,
     CheckResult,
     CoveringRelation,
-    TopologicalEca,
     check_ca,
     check_eca,
     check_relative_contact_laws,
@@ -43,6 +41,7 @@ from .algebra import (
     covering_from_json,
     derived_contact,
     eca_from_rc,
+    signatures,
 )
 from .representations import (
     build_parametrized_frame,
@@ -55,6 +54,7 @@ from .topology import (
     DocumentError,
     LabeledTopology,
     PointSet,
+    RegularClosedAlgebra,
     generate_topology,
     labeled_topology_from_document,
     over_cap,
@@ -120,26 +120,25 @@ def _document_kind(doc: object) -> str:
     )
 
 
-def _topological_source(doc: object, args: argparse.Namespace) -> tuple[LabeledTopology, TopologicalEca]:
-    labeled = labeled_topology_from_document(doc)
-    algebra = rc_algebra(labeled.topology, cap_elements=args.cap_elements)
-    return labeled, eca_from_rc(algebra, cap_elements=args.cap_elements)
-
-
-def _input_covering(args: argparse.Namespace, frame_error: str) -> tuple[CoveringRelation, str]:
-    """The covering of a covering or topology document, and the document's
-    kind.  A plain triple-list document is read straight from its bytes;
-    any other input goes through the JSON reader, which reports its faults."""
+def _input_covering(
+    args: argparse.Namespace, frame_error: str
+) -> tuple[CoveringRelation, tuple[LabeledTopology, RegularClosedAlgebra] | None]:
+    """The covering of a covering or topology document and, for a topology,
+    the labelled space and its regular closed algebra.  A plain triple-list
+    document is read straight from its bytes; any other input goes through
+    the JSON reader, which reports its faults."""
     raw = _read_input(args.input_path)
     covering = covering_from_json(raw, cap_elements=args.cap_elements)
     if covering is not None:
-        return covering, "covering"
+        return covering, None
     doc = _parse_json(raw, args.input_path)
     kind = _document_kind(doc)
     if kind == "covering":
-        return covering_from_document(doc, cap_elements=args.cap_elements), kind
+        return covering_from_document(doc, cap_elements=args.cap_elements), None
     if kind == "topology":
-        return _topological_source(doc, args)[1].covering, kind
+        labeled = labeled_topology_from_document(doc)
+        algebra = rc_algebra(labeled.topology, cap_elements=args.cap_elements)
+        return eca_from_rc(algebra, cap_elements=args.cap_elements), (labeled, algebra)
     raise DocumentError(frame_error)
 
 
@@ -240,11 +239,11 @@ def cmd_rc(args: argparse.Namespace) -> int:
             [rc_contact(algebra, x, y) for y in algebra.carrier] for x in algebra.carrier
         ]
         if size <= 32:
-            teca = eca_from_rc(algebra, cap_elements=args.cap_elements)
+            covering = eca_from_rc(algebra, cap_elements=args.cap_elements)
             translate = [algebra.index_of(ps) for ps in algebra.element_sets]
             out["covering"] = sorted(
                 [translate[a], translate[b], translate[d]]
-                for a, b, d in teca.covering.true_triples()
+                for a, b, d in covering.true_triples()
             )
         else:
             out["covering"] = "omitted (carrier larger than 32)"
@@ -275,13 +274,13 @@ def cmd_rc(args: argparse.Namespace) -> int:
 
 
 def cmd_check_axioms(args: argparse.Namespace) -> int:
-    covering, kind = _input_covering(
+    covering, space = _input_covering(
         args,
         "check-axioms takes a topology or covering document; "
         "frame documents are outputs, not inputs",
     )
     cap = args.cap_elements
-    derived = "topology-derived " if kind == "topology" else ""
+    derived = "topology-derived " if space else ""
     described = f"{derived}covering ({covering.algebra.atom_count} atoms)"
     weca = check_weca(covering, cap_elements=cap)
     eca = check_eca(covering, cap_elements=cap)
@@ -336,45 +335,37 @@ def _print_report_text(doc: dict) -> None:
 
 
 def cmd_represent(args: argparse.Namespace) -> int:
+    """Check the input's covering against the pipeline's axiom system (weak
+    for the maximal-filter frame, extended for the equivalence frames), then
+    build and verify the frame.  The equivalence frames take the points of
+    a topology document, or for a covering document the members of its S*,
+    whose covering it is when it passes the extended axioms."""
+    covering, space = _input_covering(args, "represent takes a topology or covering document")
     cap = args.cap_elements
-    if args.kind == "parametrized":
-        covering, _ = _input_covering(args, "represent takes a topology or covering document")
-        weca = check_weca(covering, cap_elements=cap)
-        if not weca.all_passed:
-            out = {
-                "command": "represent",
-                "pipeline": "parametrized",
-                "input_axioms": checks_document(weca.results),
-                "all_passed": False,
-            }
-            if args.output_json:
-                _emit_json(out)
-            else:
-                print("input covering fails the weak axioms:")
-                for check in out["input_axioms"]:
-                    if not check["pass"]:
-                        print(f"  {check['name']}: FAIL at {tuple(check['witness'])}")
-            return 1
+    weak = args.kind == "parametrized"
+    axioms = (check_weca if weak else check_eca)(covering, cap_elements=cap)
+    if not axioms.all_passed:
+        out = {
+            "command": "represent",
+            "pipeline": args.kind,
+            "input_axioms": checks_document(axioms.results),
+            "all_passed": False,
+        }
+        if args.output_json:
+            _emit_json(out)
+        else:
+            print(f"input covering fails the {'weak' if weak else 'extended'} axioms:")
+            for check in out["input_axioms"]:
+                if not check["pass"]:
+                    print(f"  {check['name']}: FAIL at {tuple(check['witness'])}")
+        return 1
+    labeled, algebra = space or (None, None)
+    if weak:
         embedding = build_parametrized_frame(covering)
-        out = verification_document(verify_embedding(embedding), embedding)
     else:
-        doc = _read_json(args.input_path)
-        kind = _document_kind(doc)
-        if kind == "covering":
-            raise DocumentError(
-                "the type1/type2 pipelines need a topological model of the algebra; "
-                "an abstract covering algebra does not determine one — "
-                "provide a topology document"
-            )
-        if kind != "topology":
-            raise DocumentError("represent takes a topology or covering document")
-        labeled, teca = _topological_source(doc, args)
-        eca = check_eca(teca.covering, cap_elements=cap)
-        if not eca.all_passed:
-            raise AxiomViolation("extended contact axioms", eca)
-        builder = build_type1 if args.kind == "type1" else build_type2
-        embedding = builder(teca)
-        out = verification_document(verify_embedding(embedding), embedding, labeled=labeled, teca=teca)
+        points = algebra.point_signatures if algebra else signatures(covering)
+        embedding = (build_type1 if args.kind == "type1" else build_type2)(covering, points)
+    out = verification_document(verify_embedding(embedding), embedding, labeled=labeled)
     out["command"] = "represent"
     if args.output_json:
         _emit_json(out)
@@ -557,8 +548,7 @@ def _run_trial(args: argparse.Namespace, trial: int) -> dict:
     labels = [str(i) for i in range(n)]
     topo = generate_topology(n, [PointSet(n, m) for m in subbasis])
     algebra = rc_algebra(topo, cap_elements=cap)
-    teca = eca_from_rc(algebra, cap_elements=cap)
-    covering = teca.covering
+    covering = eca_from_rc(algebra, cap_elements=cap)
     eca = check_eca(covering, cap_elements=cap)
     failures = _failures_from("ECA", eca.results)
     if eca.all_passed:
@@ -566,7 +556,7 @@ def _run_trial(args: argparse.Namespace, trial: int) -> dict:
     failures += _failures_from("RCL", check_relative_contact_laws(covering, cap_elements=cap).results)
     failures += _failures_from("CONS", check_weca_consequences(covering, cap_elements=cap).results)
     for kind, builder in (("type1", build_type1), ("type2", build_type2)):
-        failures += _failures_from(kind, verify_embedding(builder(teca)).results)
+        failures += _failures_from(kind, verify_embedding(builder(covering, algebra.point_signatures)).results)
     return {
         "trial": trial,
         "universe": n,

@@ -8,11 +8,12 @@ algebra to the frame of maximal filters of its Boolean algebra, with R(U)
 defined by a witness-element condition and read straight off the atom
 slices of the covering as one relation array; it refuses a table whose
 verdict fails the weak axioms.  ``build_type1`` and ``build_type2`` send
-a regular closed algebra (through its covering) to an equivalence frame
-whose worlds are (atom, point) couples — one partition by point for
-type 1; partitions by atom and by point, read through the composite
-class, for type 2; both read the worlds and the image map that the
-source builds once.
+an extended contact algebra to an equivalence frame whose worlds are the
+(atom, point) couples of a model, given by its points' atom signatures:
+the points of a space (``RegularClosedAlgebra.point_signatures``), or for
+an abstract covering the members of its S* (``signatures``), of which it
+is the covering.  Type 1 has one partition, by point; type 2 has
+partitions by atom and by point, read through the composite class.
 
 ``verify_embedding`` is the one verification call.  It checks
 injectivity and preservation of zero, complement and join over all
@@ -36,13 +37,12 @@ witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .algebra import (
     AxiomReport,
     CheckResult,
     CoveringRelation,
-    TopologicalEca,
-    WorldAtomPoint,
     _first,
     atom_slices,
     checks_document,
@@ -69,7 +69,7 @@ class Embedding:
     """A source covering, a target frame, and the image of every element as
     a subset mask over the frame's worlds.  ``worlds`` documents what the
     worlds are: maximal filters for the parametrized construction,
-    :class:`WorldAtomPoint` couples for the equivalence constructions."""
+    (atom index, point) couples for the equivalence constructions."""
 
     source: CoveringRelation
     frame: ParametrizedFrame | EquivalenceFrame1 | EquivalenceFrame2
@@ -111,24 +111,33 @@ def build_parametrized_frame(covering: CoveringRelation) -> Embedding:
 # the (atom, point) constructions
 
 
-def build_type1(teca: TopologicalEca) -> Embedding:
-    """The type-1 equivalence frame of a regular closed algebra's covering:
-    worlds are (atom, point) couples, related when they share the point."""
-    worlds, image = teca._couple_worlds
-    frame = EquivalenceFrame1(len(worlds), tuple(w.point for w in worlds))
-    return Embedding(teca.covering, frame, image, worlds)
+def _atom_point_worlds(atom_count: int, points: Sequence[int]) -> tuple[tuple, tuple[int, ...]]:
+    """The worlds (i, x), one for each atom i and point x whose atom
+    signature ``points[x]`` holds i, in atom-then-point order, and the image
+    map h'(a) = {(i, x) : i in a}, the union of the worlds of the atoms that
+    a selects, shared by the type-1 and type-2 constructions."""
+    worlds = tuple((i, x) for i in range(atom_count) for x, sig in enumerate(points) if sig >> i & 1)
+    atom_world_mask = [0] * atom_count
+    for w, (i, _) in enumerate(worlds):
+        atom_world_mask[i] |= 1 << w
+    return worlds, joins_by_mask(0, atom_world_mask)
 
 
-def build_type2(teca: TopologicalEca) -> Embedding:
+def build_type1(covering: CoveringRelation, points: Sequence[int]) -> Embedding:
+    """The type-1 equivalence frame of a covering whose model has points
+    with atom signatures ``points``: worlds are (atom, point) couples,
+    related when they share the point."""
+    worlds, image = _atom_point_worlds(covering.algebra.atom_count, points)
+    frame = EquivalenceFrame1(len(worlds), tuple(x for _, x in worlds))
+    return Embedding(covering, frame, image, worlds)
+
+
+def build_type2(covering: CoveringRelation, points: Sequence[int]) -> Embedding:
     """The type-2 equivalence frame: same worlds and image map as type 1,
     first relation grouping by atom, second by point."""
-    worlds, image = teca._couple_worlds
-    frame = EquivalenceFrame2(
-        len(worlds),
-        tuple(w.atom_index for w in worlds),
-        tuple(w.point for w in worlds),
-    )
-    return Embedding(teca.covering, frame, image, worlds)
+    worlds, image = _atom_point_worlds(covering.algebra.atom_count, points)
+    frame = EquivalenceFrame2(len(worlds), tuple(i for i, _ in worlds), tuple(x for _, x in worlds))
+    return Embedding(covering, frame, image, worlds)
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +301,11 @@ def verify_c_preservation(embedding: Embedding, on_slices: bool) -> CheckResult:
 # report documents
 
 
-def verification_document(
-    report: AxiomReport,
-    embedding: Embedding,
-    *,
-    labeled: LabeledTopology | None = None,
-    teca: TopologicalEca | None = None,
-) -> dict:
+def verification_document(report: AxiomReport, embedding: Embedding, *, labeled: LabeledTopology | None = None) -> dict:
     """The JSON shape of a verification run: pipeline (the frame's kind),
-    checks, frame, embedding (element mask -> sorted world indices)."""
+    checks, frame, embedding (element mask -> sorted world indices).  An
+    equivalence frame also lists its (atom, point) worlds, by their labels
+    when ``labeled`` names the points of the source's model."""
     frame = embedding.frame
     kind = _PIPELINES[type(frame)]
     frame_doc: dict = {"kind": kind, "worlds": frame.world_count}
@@ -309,16 +314,17 @@ def verification_document(
     elif isinstance(frame, EquivalenceFrame2):
         frame_doc["classes"] = list(frame.classes1)
         frame_doc["classes2"] = list(frame.classes2)
-    if embedding.worlds and all(isinstance(w, WorldAtomPoint) for w in embedding.worlds):
-        if labeled is not None and teca is not None:
-            # one label list per atom, shared by the entries of its worlds
-            atom_labels = [labeled.labels_of(atom) for atom in teca.source.atoms]
-            detail = [
-                {"atom": atom_labels[wap.atom_index], "point": labeled.labels[wap.point]}
-                for wap in embedding.worlds
-            ]
+    if embedding.worlds and kind != "parametrized":
+        if labeled is not None:
+            # one sorted label list per atom, shared by the entries of its worlds
+            atom_labels: dict[int, list[str]] = {}
+            for i, x in embedding.worlds:
+                atom_labels.setdefault(i, []).append(labeled.labels[x])
+            for points in atom_labels.values():
+                points.sort()
+            detail = [{"atom": atom_labels[i], "point": labeled.labels[x]} for i, x in embedding.worlds]
         else:
-            detail = [{"atom_index": wap.atom_index, "point": wap.point} for wap in embedding.worlds]
+            detail = [{"atom_index": i, "point": x} for i, x in embedding.worlds]
         frame_doc["worlds_detail"] = detail
     return {
         "pipeline": kind,

@@ -338,6 +338,16 @@ class RegularClosedAlgebra:
     def atom_indices(self) -> tuple[int, ...]:
         return tuple(self._index[a.bits] for a in self.atoms)
 
+    @cached_property
+    def point_signatures(self) -> tuple[int, ...]:
+        """Entry x is the atom signature of point x: the mask of the atoms
+        that hold x.  A point lies in the union of the atoms of mask m iff m
+        meets its signature."""
+        return tuple(
+            sum(1 << i for i, atom in enumerate(self.atoms) if atom.bits >> x & 1)
+            for x in range(self.topology.universe_size)
+        )
+
     @property
     def zero(self) -> PointSet:
         return self.carrier[0]

@@ -31,7 +31,7 @@ from mereotop import (
     Filter,
     FiniteTopology,
     PointSet,
-    TopologicalEca,
+    RegularClosedAlgebra,
     closure,
     interior,
     rc_algebra,
@@ -160,9 +160,11 @@ def find_admissible_splits(
 
 
 def check_split_pullback(
-    teca: TopologicalEca, embedding: Embedding, a: int, split1: int, split2: int
+    source: RegularClosedAlgebra, embedding: Embedding, a: int, split1: int, split2: int
 ) -> SplitPullback:
-    """Pull a frame-side split of h'(a) back to algebra elements.
+    """Pull a frame-side split of h'(a) back to algebra elements, for the
+    type-2 embedding of the covering of the regular closed algebra
+    ``source``.
 
     For each side, collect the atoms occurring in its worlds, take the
     union P of their point sets, and let a_i be the join of every element
@@ -183,12 +185,12 @@ def check_split_pullback(
     if not _frame2_covering(embedding.frame, split1, split2, full_w & ~s_mask):
         raise ValueError("the split is not covered by the image's complement")
 
-    a1 = _join_inside(teca, _occurring_union(teca, embedding, split1))
-    a2 = _join_inside(teca, _occurring_union(teca, embedding, split2))
+    a1 = _join_inside(source, _occurring_union(source, embedding, split1))
+    a2 = _join_inside(source, _occurring_union(source, embedding, split2))
     star = (algebra.size - 1) ^ a
     nonzero = None if (a1 != 0 and a2 != 0) else (a1, a2)
     joins = None if (a1 | a2) == a else (a1, a2)
-    covered = None if bool(teca.covering.table[a1, a2, star]) else (a1, a2, star)
+    covered = None if bool(embedding.source.table[a1, a2, star]) else (a1, a2, star)
     checks = (
         CheckResult("parts-nonzero", nonzero is None, nonzero),
         CheckResult("parts-join-to-whole", joins is None, joins),
@@ -197,20 +199,20 @@ def check_split_pullback(
     return SplitPullback(a1, a2, checks)
 
 
-def _occurring_union(teca: TopologicalEca, embedding: Embedding, split: int):
+def _occurring_union(source: RegularClosedAlgebra, embedding: Embedding, split: int):
     """Union of the point sets of the atoms occurring in the split's worlds."""
-    region = teca.source.element_sets[0]
+    region = source.element_sets[0]
     for w in range(embedding.frame.world_count):
         if split >> w & 1:
-            region = region | teca.source.atoms[embedding.worlds[w].atom_index]
+            region = region | source.atoms[embedding.worlds[w][0]]
     return region
 
 
-def _join_inside(teca: TopologicalEca, region) -> int:
+def _join_inside(source: RegularClosedAlgebra, region) -> int:
     """Join of every element whose point set lies inside the region."""
     out = 0
-    for b in range(teca.covering.algebra.size):
-        if teca.source.element_sets[b].bits & ~region.bits == 0:
+    for b, element in enumerate(source.element_sets):
+        if element.bits & ~region.bits == 0:
             out |= b
     return out
 

@@ -95,7 +95,7 @@ def test_criterion_2_axiom_systems_on_100_random_spaces():
     started = time.perf_counter()
     for trial in range(100):
         topo = seeded_topology(trial)
-        covering = eca_from_rc(rc_algebra(topo)).covering
+        covering = eca_from_rc(rc_algebra(topo))
         assert check_eca(covering).all_passed, trial
         contact = derived_contact(covering)
         assert check_ca(contact).all_passed, trial
@@ -107,7 +107,7 @@ def test_criterion_2_axiom_systems_on_100_random_spaces():
 def test_criterion_3_parametrized_representation_of_weak_algebras():
     started = time.perf_counter()
     sources = [discrete_covering(k) for k in (1, 2, 3)]
-    sources += [eca_from_rc(topo_alg).covering
+    sources += [eca_from_rc(topo_alg)
                 for topo_alg in map(rc_algebra, all_small_spaces())]
     assert len(sources) > 30
     for eca in sources:
@@ -127,8 +127,8 @@ def _pipeline_inputs():
 def test_criterion_4_type1_representation():
     started = time.perf_counter()
     for topo in _pipeline_inputs():
-        teca = eca_from_rc(rc_algebra(topo))
-        report = verify_embedding(build_type1(teca))
+        algebra = rc_algebra(topo)
+        report = verify_embedding(build_type1(eca_from_rc(algebra), algebra.point_signatures))
         assert report.all_passed, report
     assert time.perf_counter() - started < 120.0
 
@@ -136,8 +136,8 @@ def test_criterion_4_type1_representation():
 def test_criterion_5_type2_representation_preserves_connectedness():
     started = time.perf_counter()
     for topo in _pipeline_inputs():
-        teca = eca_from_rc(rc_algebra(topo))
-        embedding = build_type2(teca)
+        algebra = rc_algebra(topo)
+        embedding = build_type2(eca_from_rc(algebra), algebra.point_signatures)
         report = verify_embedding(embedding)
         assert report.all_passed, report
         assert report.results[-1].name == "preserves-internal-connectedness"
@@ -167,9 +167,9 @@ def test_criterion_6a_regular_closed_carriers_match_brute_force():
 
 def test_criterion_6b_antitone_shortcut_equals_naive_on_filter_frames():
     sources = [discrete_covering(k) for k in (1, 2, 3, 4)]
-    sources.append(eca_from_rc(rc_algebra(example_topology())).covering)
+    sources.append(eca_from_rc(rc_algebra(example_topology())))
     sources.append(
-        eca_from_rc(rc_algebra(build(4, [1 << i for i in range(4)]))).covering
+        eca_from_rc(rc_algebra(build(4, [1 << i for i in range(4)])))
     )
     for eca in sources:
         frame = build_parametrized_frame(eca).frame
@@ -191,17 +191,16 @@ def test_criterion_6c_algebraic_connectedness_matches_topological():
     spaces += [example_topology(), example_topology_prime()]
     for topo in spaces:
         algebra = rc_algebra(topo)
-        teca = eca_from_rc(algebra)
-        assert len(teca.source.element_sets) <= 32
-        connected = internally_connected_algebraic(teca.covering)
-        for mask, element in enumerate(teca.source.element_sets):
+        assert len(algebra.element_sets) <= 32
+        connected = internally_connected_algebraic(eca_from_rc(algebra))
+        for mask, element in enumerate(algebra.element_sets):
             assert connected[mask] == rc_internally_connected(algebra, element), (topo, mask)
 
 
 def test_criterion_7a_separation_sets_are_ideals_and_three_way_equivalent():
     coverings = [discrete_covering(k) for k in (1, 2, 3)]
     coverings += [
-        eca_from_rc(rc_algebra(topo)).covering
+        eca_from_rc(rc_algebra(topo))
         for topo in all_small_spaces()
     ]
     for covering in coverings:
@@ -224,14 +223,14 @@ def test_criterion_7b_split_pullbacks_on_small_frames():
         seeded_topology(trial, max_universe=4) for trial in range(30)
     ]
     for topo in sources:
-        teca = eca_from_rc(rc_algebra(topo))
-        embedding = build_type2(teca)
+        algebra = rc_algebra(topo)
+        embedding = build_type2(eca_from_rc(algebra), algebra.point_signatures)
         if embedding.frame.world_count > 6:
             continue
         processed += 1
-        for a in range(teca.covering.algebra.size):
+        for a in range(embedding.source.algebra.size):
             for split1, split2 in find_admissible_splits(embedding, a):
-                result = check_split_pullback(teca, embedding, a, split1, split2)
+                result = check_split_pullback(algebra, embedding, a, split1, split2)
                 assert result.all_passed, (topo, a, split1, split2)
     assert processed >= 8
 

@@ -25,7 +25,6 @@ from example_data import (
     zero_sided_covering,
 )
 from mereotop import (
-    AxiomViolation,
     CapExceeded,
     ContactRelation,
     CoveringRelation,
@@ -241,8 +240,7 @@ def alexandrov_covering(k: int, flips: int, rng: random.Random) -> CoveringRelat
     masks = [1 << i for i in range(k)] + [
         1 << (k + j) | sum(1 << i for i in cores) for j, cores in enumerate(boundary)
     ]
-    table = eca_from_rc(rc_algebra(build(k + len(boundary), masks)), cap_elements=1 << k)
-    table = table.covering.table.copy()
+    table = eca_from_rc(rc_algebra(build(k + len(boundary), masks)), cap_elements=1 << k).table.copy()
     n = len(table)
     for _ in range(flips):
         a, b, d = (rng.randrange(n) for _ in range(3))
@@ -381,7 +379,7 @@ class TestReducedVerdictsMatchNaive:
         algebra = rc_algebra(build(n, masks))
         if len(algebra.atoms) > 3:
             return
-        cov = eca_from_rc(algebra).covering
+        cov = eca_from_rc(algebra)
         assert check_eca(cov).all_passed
         assert_covering_checkers_match(cov)
 
@@ -671,7 +669,7 @@ class TestOneVerdictPerTable:
             built.clear()
             assert cli.main(["random", "--seed", "7", "--trials", str(trials), "--json"]) == 0
             assert len(calls) == 0 and len(built) == trials
-            assert all(teca.covering._strength == "ECA" and "table" not in vars(teca.covering) for teca in built)
+            assert all(cov._strength == "ECA" and "table" not in vars(cov) for cov in built)
         capsys.readouterr()
 
     def test_caller_arrays_are_copied(self):
@@ -871,7 +869,7 @@ class TestGenerators:
         assert (slices[:, 0, 0] == [False, True, False, True]).all()
         # the points 2, 3, 1, 7, 5, 6, 4 of the example space have the atom
         # signatures 1..7
-        assert signatures(eca_from_rc(rc_algebra(example_topology())).covering) == tuple(range(1, 8))
+        assert signatures(eca_from_rc(rc_algebra(example_topology()))) == tuple(range(1, 8))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -981,20 +979,11 @@ class TestFamilyBuiltCoverings:
 
 
 class TestVerifiedAlgebras:
-    def test_violation_carries_report(self):
-        empty = CoveringRelation(
-            FiniteBooleanAlgebra(1), np.zeros((2, 2, 2), dtype=bool)
-        )
-        report = check_eca(empty)
-        err = AxiomViolation("extended contact axioms", report)
-        assert err.report is report and not report.all_passed
-        assert str(err) == "extended contact axioms violated: ECA3 at (0, 0, 0)"
-
     def test_every_eca_is_a_weca(self):
         for masks in ([()], [(0b011,)], [(0b001,), (0b110,)], [(0b01,), (0b10,)]):
             n = max(3, max((m[0].bit_length() for m in masks if m), default=1))
             topo = build(n, [m[0] for m in masks if m])
-            cov = eca_from_rc(rc_algebra(topo)).covering
+            cov = eca_from_rc(rc_algebra(topo))
             assert check_eca(cov).all_passed
             assert check_weca(cov).all_passed
 
@@ -1027,19 +1016,18 @@ class TestVerifiedAlgebras:
 
 
 def assert_matches_pointwise(algebra):
-    teca = eca_from_rc(algebra)
-    assert teca.covering._strength == "ECA"
-    n = len(teca.source.element_sets)
+    covering = eca_from_rc(algebra)
+    assert covering._strength == "ECA"
+    sets = algebra.element_sets
+    n = len(sets)
     assert n == len(algebra.carrier)
-    assert sorted(ps.bits for ps in teca.source.element_sets) == sorted(
-        c.bits for c in algebra.carrier
-    )
+    assert sorted(ps.bits for ps in sets) == sorted(c.bits for c in algebra.carrier)
     for a in range(n):
-        assert sum(1 << i for i, atom in enumerate(algebra.atoms) if atom.bits & ~teca.source.element_sets[a].bits == 0) == a
+        assert sum(1 << i for i, atom in enumerate(algebra.atoms) if atom.bits & ~sets[a].bits == 0) == a
         for b in range(n):
             for d in range(n):
-                meet = teca.source.element_sets[a].bits & teca.source.element_sets[b].bits
-                assert teca.covering.table[a, b, d] == (meet & ~teca.source.element_sets[d].bits == 0)
+                meet = sets[a].bits & sets[b].bits
+                assert covering.table[a, b, d] == (meet & ~sets[d].bits == 0)
 
 
 class TestEcaFromRc:
@@ -1061,9 +1049,9 @@ class TestEcaFromRc:
         rng = random.Random(seed)
         n = rng.randint(1, 4)
         masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]
-        teca = eca_from_rc(rc_algebra(build(n, masks)))
-        assert check_eca(teca.covering).all_passed
-        assert check_weca(teca.covering).all_passed
+        covering = eca_from_rc(rc_algebra(build(n, masks)))
+        assert check_eca(covering).all_passed
+        assert check_weca(covering).all_passed
 
     def test_cap(self):
         algebra = rc_algebra(generate_topology(7, [PointSet(7, 1 << i) for i in range(7)]))
@@ -1100,16 +1088,14 @@ class TestInternallyConnectedAlgebraic:
         n = rng.randint(1, 5)
         masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]
         algebra = rc_algebra(build(n, masks))
-        teca = eca_from_rc(algebra)
-        connected = internally_connected_algebraic(teca.covering)
-        for mask, element in enumerate(teca.source.element_sets):
+        connected = internally_connected_algebraic(eca_from_rc(algebra))
+        for mask, element in enumerate(algebra.element_sets):
             assert connected[mask] == rc_internally_connected(algebra, element)
 
     def test_example_region_connected(self):
         algebra = rc_algebra(example_topology())
-        teca = eca_from_rc(algebra)
-        mask = teca.source.element_sets.index(PointSet(7, X_REGION_MASK))
-        assert internally_connected_algebraic(teca.covering)[mask]
+        mask = algebra.element_sets.index(PointSet(7, X_REGION_MASK))
+        assert internally_connected_algebraic(eca_from_rc(algebra))[mask]
 
     def test_empty_is_connected(self):
         assert internally_connected_algebraic(discrete_covering(2))[0]

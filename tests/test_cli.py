@@ -25,17 +25,21 @@ from example_data import (
     build,
     covering_document,
     slice_generated_covering,
+    zero_sided_covering,
 )
 from mereotop import (
     CoveringRelation,
     FiniteBooleanAlgebra,
     FiniteTopology,
-    TopologicalEca,
+    check_eca,
+    discrete_covering,
     eca_from_rc,
     labeled_topology_from_document,
     rc_algebra,
+    signatures,
 )
 from mereotop import cli as cli_module
+from mereotop.algebra import checks_document
 from mereotop.cli import EXAMPLE_CONCLUSION, main
 
 
@@ -592,7 +596,7 @@ class TestRepresentCommand:
             body = space
         else:
             algebra = rc_algebra(labeled_topology_from_document(space).topology)
-            body = covering_document(eca_from_rc(algebra, cap_elements=64).covering)
+            body = covering_document(eca_from_rc(algebra, cap_elements=64))
         path = tmp_path / "source.json"
         path.write_text(json.dumps(body))
         code, doc = run_json(
@@ -655,14 +659,49 @@ class TestRepresentCommand:
         options = ["--cap-elements", "1024", "--input", str(path), "--json"]
         code, doc = run_json(capsys, ["check-axioms", *options])
         assert code == 0 and doc["all_passed"]
-        code, doc = run_json(capsys, ["represent", "--kind", "parametrized", *options])
-        assert code == 0 and len(doc["embedding"]) == 1024
-        assert all(c["pass"] for c in doc["checks"])
+        for kind in ("parametrized", "type1", "type2"):
+            code, doc = run_json(capsys, ["represent", "--kind", kind, *options])
+            assert code == 0 and len(doc["embedding"]) == 1024
+            assert all(c["pass"] for c in doc["checks"])
 
-    def test_type_pipelines_reject_covering(self, discrete_file, capsys):
-        assert main(["represent", "--kind", "type1", "--input", discrete_file]) == 2
-        err = capsys.readouterr().err
-        assert "topological model" in err
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_type_pipelines_on_covering_documents(self, kind, tmp_path, capsys):
+        # a covering document that passes the extended axioms is the covering
+        # of its S*, whose members are the points of its model; one that
+        # fails exits 1 with the failures check_eca reports
+        derived = eca_from_rc(rc_algebra(build(7, X_SUBBASIS_MASKS)))
+        flipped = derived.table.copy()
+        flipped[1, 2, 1] = flipped[2, 1, 1] = False  # 1 is below 1, so (1, 2) must be covered by 1
+        coverings = {
+            "discrete": discrete_covering(3),
+            "derived": derived,
+            "zero-sided": zero_sided_covering(2),
+            "flipped": CoveringRelation(derived.algebra, flipped),
+        }
+        for name, covering in coverings.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(covering_document(covering)))
+            argv = ["represent", "--kind", kind, "--input", str(path)]
+            code, doc = run_json(capsys, [*argv, "--json"])
+            report = check_eca(covering)
+            if report.all_passed:
+                assert name in ("discrete", "derived")
+                assert code == 0 and doc["pipeline"] == kind
+                assert all(c["pass"] for c in doc["checks"])
+                assert doc["frame"]["worlds"] == sum(s.bit_count() for s in signatures(covering))
+                continue
+            assert name in ("zero-sided", "flipped")
+            assert code == 1
+            assert doc == {
+                "command": "represent",
+                "pipeline": kind,
+                "input_axioms": checks_document(report.results),
+                "all_passed": False,
+            }
+            assert main(argv) == 1
+            assert capsys.readouterr().out == "input covering fails the extended axioms:\n" + "".join(
+                f"  {r.name}: FAIL at {r.witness}\n" for r in report.failures()
+            )
 
     @pytest.mark.parametrize("kind", ["type1", "type2"])
     def test_type_pipelines_refuse_a_source_that_is_no_eca(self, kind, topo_file, monkeypatch, capsys):
@@ -670,18 +709,28 @@ class TestRepresentCommand:
         # a source with one entry flipped: the atom 1 meets itself, yet (1, 1)
         # is covered by zero
         def flipped(algebra, **kwargs):
-            teca = eca_from_rc(algebra, **kwargs)
-            table = teca.covering.table.copy()
+            covering = eca_from_rc(algebra, **kwargs)
+            table = covering.table.copy()
             table[1, 1, 0] = True
-            return TopologicalEca(CoveringRelation(teca.covering.algebra, table), teca.source)
+            return CoveringRelation(covering.algebra, table)
 
         monkeypatch.setattr(cli_module, "eca_from_rc", flipped)
-        assert main(["represent", "--kind", kind, "--input", topo_file, "--json"]) == 2
+        argv = ["represent", "--kind", kind, "--input", topo_file]
+        code, doc = run_json(capsys, [*argv, "--json"])
+        assert code == 1 and doc["pipeline"] == kind and doc["all_passed"] is False
+        assert [(c["name"], c["witness"]) for c in doc["input_axioms"] if not c["pass"]] == [
+            ("ECA1", [1, 1, 0, 2, 0]),
+            ("ECA2", [1, 1, 0, 0, 2]),
+            ("ECA4", [1, 1, 0]),
+        ]
+        assert main(argv) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: extended contact axioms violated: "
-            "ECA1 at (1, 1, 0, 2, 0), ECA2 at (1, 1, 0, 0, 2), ECA4 at (1, 1, 0)\n"
+        assert captured.err == ""
+        assert captured.out == (
+            "input covering fails the extended axioms:\n"
+            "  ECA1: FAIL at (1, 1, 0, 2, 0)\n"
+            "  ECA2: FAIL at (1, 1, 0, 0, 2)\n"
+            "  ECA4: FAIL at (1, 1, 0)\n"
         )
 
     def test_parametrized_rejects_weak_axiom_failure(self, broken_covering_file, capsys):
@@ -862,7 +911,7 @@ def axioms_documents() -> dict[str, dict]:
     docs["space3"] = X_DOC
     derived = {}
     for k, n, masks in ((2, 4, [3, 6, 12]), (3, 7, X_SUBBASIS_MASKS), (4, 6, [3, 6, 12, 24, 48])):
-        derived[k] = eca_from_rc(rc_algebra(build(n, masks))).covering.table
+        derived[k] = eca_from_rc(rc_algebra(build(n, masks))).table
         docs[f"derived{k}"] = covering_document(CoveringRelation(FiniteBooleanAlgebra(k), derived[k]))
     tables = {}
     for k in (2, 3, 4):

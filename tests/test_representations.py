@@ -5,6 +5,7 @@ connectedness preservation, and split pullbacks."""
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import product
 from unittest import mock
 
@@ -48,6 +49,7 @@ from mereotop.algebra import (
     check_weca,
     covering_from_signatures,
     internally_connected_algebraic,
+    signatures,
 )
 from mereotop.frames import _sigma_family, covering_slices, covering_table
 from mereotop.representations import verify_c_preservation
@@ -75,11 +77,18 @@ def assert_relation_matches_closed_form(covering) -> None:
         assert frame.relations[u].tolist() == expected, u
 
 
-def random_teca(seed: int, max_n: int = 4):
+def random_space(seed: int, max_n: int = 4):
+    """The regular closed algebra of a random space of at most max_n points."""
     rng = random.Random(seed)
     n = rng.randint(1, max_n)
     masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]
-    return eca_from_rc(rc_algebra(build(n, masks)))
+    return rc_algebra(build(n, masks))
+
+
+def from_space(builder, algebra):
+    """The embedding ``builder`` makes of the covering of a regular closed
+    algebra, with the worlds of its space's points."""
+    return builder(eca_from_rc(algebra), algebra.point_signatures)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +102,7 @@ class TestParametrizedPipeline:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_relation_matches_closed_form_on_topological_sources(self, seed):
-        assert_relation_matches_closed_form(random_teca(seed, max_n=4).covering)
+        assert_relation_matches_closed_form(eca_from_rc(random_space(seed, max_n=4)))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -154,57 +163,117 @@ class TestParametrizedPipeline:
 
 class TestEquivalencePipelines:
     def test_example_world_count_and_classes(self):
-        teca = eca_from_rc(rc_algebra(example_topology()))
-        emb1 = build_type1(teca)
-        emb2 = build_type2(teca)
+        algebra = rc_algebra(example_topology())
+        emb1 = from_space(build_type1, algebra)
+        emb2 = from_space(build_type2, algebra)
         assert emb1.frame.world_count == WORLD_COUNT
         assert emb2.frame.world_count == WORLD_COUNT
         assert isinstance(emb1.frame, EquivalenceFrame1)
         assert isinstance(emb2.frame, EquivalenceFrame2)
         assert emb1.worlds == emb2.worlds
         assert emb1.image_masks == emb2.image_masks
-        # the source builds its worlds and image map once for both frames
-        assert emb1.worlds is emb2.worlds and emb1.image_masks is emb2.image_masks
         # worlds are (atom, point) couples with the point inside the atom
-        for wap in emb1.worlds:
-            assert wap.point in teca.source.atoms[wap.atom_index]
-        couples = [(w.atom_index, w.point) for w in emb1.worlds]
-        assert couples == sorted(couples)
+        for atom_index, point in emb1.worlds:
+            assert point in algebra.atoms[atom_index]
+        assert list(emb1.worlds) == sorted(emb1.worlds)
 
     def test_example_verifies(self):
-        teca = eca_from_rc(rc_algebra(example_topology()))
+        algebra = rc_algebra(example_topology())
         for builder in (build_type1, build_type2):
-            report = verify_embedding(builder(teca))
+            report = verify_embedding(from_space(builder, algebra))
             assert report.all_passed, report
 
     @pytest.mark.parametrize("seed", [None, *range(10)], ids=["example", *map(str, range(10))])
     def test_image_is_subset_collection(self, seed):
-        teca = eca_from_rc(rc_algebra(example_topology())) if seed is None else random_teca(seed)
-        embedding = build_type1(teca)
-        n = teca.covering.algebra.size
+        algebra = rc_algebra(example_topology()) if seed is None else random_space(seed)
+        embedding = from_space(build_type1, algebra)
+        n = embedding.source.algebra.size
         for a in range(n):
-            target = teca.source.element_sets[a]
+            target = algebra.element_sets[a]
             expected = 0
-            for w, wap in enumerate(embedding.worlds):
-                if teca.source.atoms[wap.atom_index].bits & ~target.bits == 0:
+            for w, (atom_index, _) in enumerate(embedding.worlds):
+                if algebra.atoms[atom_index].bits & ~target.bits == 0:
                     expected |= 1 << w
             assert embedding.image_masks[a] == expected
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_spaces_verify(self, seed):
-        teca = random_teca(seed, max_n=4)
-        emb1 = build_type1(teca)
-        emb2 = build_type2(teca)
+        algebra = random_space(seed, max_n=4)
+        emb1 = from_space(build_type1, algebra)
+        emb2 = from_space(build_type2, algebra)
         assert verify_embedding(emb1).all_passed
         assert verify_embedding(emb2).all_passed
         assert emb1.image_masks == emb2.image_masks
 
     def test_degenerate_single_point(self):
-        teca = eca_from_rc(rc_algebra(build(1, [])))
-        emb = build_type2(teca)
+        emb = from_space(build_type2, rc_algebra(build(1, [])))
         assert emb.frame.world_count == 1
         report = verify_embedding(emb)
         assert report.all_passed and report.results[-1].name == "preserves-internal-connectedness"
+
+
+def extended_algebras(max_k: int) -> list:
+    """Every extended contact algebra with at most max_k atoms, once each:
+    the coverings of the families whose closure holds every single atom."""
+    found = {}
+    for k in range(1, max_k + 1):
+        for bits in range(1 << ((1 << k) - 1)):
+            covering = covering_from_signatures(k, [s for s in range(1, 1 << k) if bits >> (s - 1) & 1])
+            if covering._strength == "ECA":
+                found.setdefault((k, signatures(covering)), covering)
+    return list(found.values())
+
+
+def star_model(points):
+    """The Alexandrov model of S* = ``points``: one open core point per atom,
+    and a boundary point b_σ for each σ of two or more atoms, whose least
+    open set is b_σ and the cores of σ (test_algebra.alexandrov_covering's
+    construction)."""
+    k = max(points).bit_length()
+    boundary = [sigma for sigma in points if sigma.bit_count() >= 2]
+    masks = [1 << i for i in range(k)] + [1 << (k + j) | sigma for j, sigma in enumerate(boundary)]
+    return rc_algebra(build(k + len(boundary), masks))
+
+
+def keyed_frame(embedding, points, relabel):
+    """World count, partitions and images of a type-1 or type-2 embedding,
+    with each world (i, x) named by (atom i, signature of point x) as masks
+    relabelled by ``relabel``."""
+    keys = [(relabel[1 << i], relabel[points[x]]) for i, x in embedding.worlds]
+    frame = embedding.frame
+    partitions = [frame.classes] if isinstance(frame, EquivalenceFrame1) else [frame.classes1, frame.classes2]
+    blocks = [
+        {frozenset(key for key, c in zip(keys, classes) if c == cid) for cid in classes} for classes in partitions
+    ]
+    images = {
+        relabel[a]: frozenset(key for w, key in enumerate(keys) if m >> w & 1)
+        for a, m in enumerate(embedding.image_masks)
+    }
+    return frame.world_count, blocks, images
+
+
+class TestStarModel:
+    """A finite extended contact algebra is the covering of its S*, and S*
+    is the space of signatures of a model: the frames built from S* are
+    those of the model, after relabelling its atoms."""
+
+    def test_every_eca_up_to_three_atoms_is_its_models_covering(self):
+        algebras = extended_algebras(3)
+        assert [c.algebra.atom_count for c in algebras].count(3) == 15 and len(algebras) == 18
+        for covering in algebras:
+            points = signatures(covering)
+            model = star_model(points)
+            # the model's atom j holds the one core point its index names
+            core = [(atom.bits & -atom.bits).bit_length() - 1 for atom in model.atoms]
+            relabel = joins_by_mask(0, [1 << i for i in core])
+            derived = eca_from_rc(model)
+            assert (covering.table[np.ix_(relabel, relabel, relabel)] == derived.table).all(), points
+            for builder in (build_type1, build_type2):
+                own = builder(covering, points)
+                modelled = builder(derived, model.point_signatures)
+                identity = range(covering.algebra.size)
+                assert keyed_frame(own, points, identity) == keyed_frame(modelled, model.point_signatures, relabel)
+                assert verify_embedding(own).all_passed
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +282,10 @@ class TestEquivalencePipelines:
 
 class TestVerifyEmbedding:
     def test_injectivity_witness_is_lexicographically_first(self):
-        teca = eca_from_rc(rc_algebra(build(2, [0b01])))
-        real = build_type1(teca)
-        n = teca.covering.algebra.size
+        real = from_space(build_type1, rc_algebra(build(2, [0b01])))
+        n = real.source.algebra.size
         broken = Embedding(
-            source=teca.covering,
+            source=real.source,
             frame=real.frame,
             image_masks=tuple(0 for _ in range(n)),
             worlds=real.worlds,
@@ -319,22 +387,22 @@ def verified_against_literal_covering(embedding):
     return report
 
 
-BUILDERS = {
-    "type1": build_type1,
-    "type2": build_type2,
-    "parametrized": lambda teca: build_parametrized_frame(teca.covering),
+BUILDERS = {  # kind -> the embedding of the covering of a regular closed algebra
+    "type1": partial(from_space, build_type1),
+    "type2": partial(from_space, build_type2),
+    "parametrized": lambda algebra: build_parametrized_frame(eca_from_rc(algebra)),
 }
 
 
-def multi_atom_teca(seed):
-    """A random topological algebra with 3 or 4 atoms."""
+def multi_atom_space(seed):
+    """The regular closed algebra of a random space, with 3 or 4 atoms."""
     rng = random.Random(seed)
     while True:
         n = rng.randint(3, 6)
         masks = [rng.getrandbits(n) for _ in range(rng.randint(2, 5))]
-        teca = eca_from_rc(rc_algebra(build(n, masks)))
-        if 3 <= teca.covering.algebra.atom_count <= 4:
-            return teca
+        algebra = rc_algebra(build(n, masks))
+        if 3 <= len(algebra.atoms) <= 4:
+            return algebra
 
 
 class TestCoveringWitnessMatchesOracles:
@@ -345,7 +413,7 @@ class TestCoveringWitnessMatchesOracles:
     @pytest.mark.parametrize("seed", range(4))
     def test_flipped_source(self, kind, seed):
         rng = random.Random(seed)
-        embedding = BUILDERS[kind](multi_atom_teca(seed))
+        embedding = BUILDERS[kind](multi_atom_space(seed))
         broken = with_flipped_source(embedding, rng, rng.randint(1, 6))
         assert literal_covering_witness(broken) is not None
         verified_against_literal_covering(broken)
@@ -354,7 +422,7 @@ class TestCoveringWitnessMatchesOracles:
     @pytest.mark.parametrize("seed", range(4))
     def test_swapped_images(self, kind, seed):
         rng = random.Random(seed)
-        broken = with_swapped_images(BUILDERS[kind](multi_atom_teca(seed)), rng)
+        broken = with_swapped_images(BUILDERS[kind](multi_atom_space(seed)), rng)
         verified_against_literal_covering(broken)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -376,8 +444,7 @@ class TestCoveringWitnessMatchesOracles:
         # two open blocks of 29 points and 6 points in the closure of both:
         # two atoms of 35 points each, so 70 worlds
         n = 64
-        teca = eca_from_rc(rc_algebra(build(n, [(1 << 29) - 1, ((1 << 29) - 1) << 29])))
-        embedding = build_type2(teca)
+        embedding = from_space(build_type2, rc_algebra(build(n, [(1 << 29) - 1, ((1 << 29) - 1) << 29])))
         assert embedding.frame.world_count == 70
         assert verify_embedding(embedding).all_passed
         broken = with_flipped_source(embedding, random.Random(3), 1)
@@ -412,7 +479,7 @@ def assert_matches_literal_loops(embedding):
     return got
 
 
-EQUIVALENCE_BUILDERS = {"type1": build_type1, "type2": build_type2}
+EQUIVALENCE_BUILDERS = {kind: BUILDERS[kind] for kind in ("type1", "type2")}
 
 
 class TestFamilyBuiltSourceTable:
@@ -425,7 +492,7 @@ class TestFamilyBuiltSourceTable:
         # the second partition made one class, or one class per world: where
         # covering fails, the slices do not confirm it, the table is
         # generated once, and the report is that of the table-built source
-        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed))
+        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_space(seed))
         w, img, worlds = embedding.frame.world_count, embedding.image_masks, embedding.worlds
         tabled = CoveringRelation(embedding.source.algebra, embedding.source.table)
         calls = []
@@ -446,7 +513,7 @@ class TestFamilyBuiltSourceTable:
             if covering_witness(expected) is None:
                 continue
             broken += 1
-            source = multi_atom_teca(seed).covering
+            source = eca_from_rc(multi_atom_space(seed))
             calls.clear()
             report = verify_embedding(Embedding(source, frame, img, worlds))
             assert len(calls) == 1 and "table" in vars(source) and report == expected
@@ -460,7 +527,7 @@ class TestHomomorphismVerdicts:
     @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_BUILDERS))
     @pytest.mark.parametrize("seed", range(4))
     def test_all_images_zero(self, kind, seed):
-        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed))
+        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_space(seed))
         got = assert_matches_literal_loops(with_images(embedding, [0] * len(embedding.image_masks)))
         assert got["injective"] == (0, 1)
         assert got["preserves-zero"] is None and got["preserves-join"] is None
@@ -469,7 +536,7 @@ class TestHomomorphismVerdicts:
     @pytest.mark.parametrize("seed", range(4))
     def test_nonzero_image_of_zero_keeps_join(self, kind, seed):
         # one world added to every image: join still holds, zero does not
-        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed))
+        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_space(seed))
         world = 1 << random.Random(seed).randrange(embedding.frame.world_count)
         broken = with_images(embedding, [m | world for m in embedding.image_masks])
         got = assert_matches_literal_loops(broken)
@@ -479,7 +546,7 @@ class TestHomomorphismVerdicts:
     @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_BUILDERS))
     @pytest.mark.parametrize("seed", range(4))
     def test_two_images_swapped(self, kind, seed):
-        broken = with_swapped_images(EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed)), random.Random(seed))
+        broken = with_swapped_images(EQUIVALENCE_BUILDERS[kind](multi_atom_space(seed)), random.Random(seed))
         got = assert_matches_literal_loops(broken)
         assert got["injective"] is None and got["preserves-join"] is not None
 
@@ -487,7 +554,7 @@ class TestHomomorphismVerdicts:
     @pytest.mark.parametrize("seed", range(4))
     def test_world_dropped_from_an_atom(self, kind, seed):
         rng = random.Random(seed)
-        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed))
+        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_space(seed))
         k = embedding.source.algebra.atom_count
         atoms = [embedding.image_masks[1 << i] for i in range(k)]
         i = rng.randrange(k)
@@ -502,7 +569,7 @@ class TestHomomorphismVerdicts:
         # one atom's image also takes one world of another atom, which keeps
         # a second world, so the images stay distinct
         rng = random.Random(seed)
-        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed))
+        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_space(seed))
         k = embedding.source.algebra.atom_count
         atoms = [embedding.image_masks[1 << i] for i in range(k)]
         j = rng.choice([j for j in range(k) if atoms[j].bit_count() >= 2])
@@ -521,7 +588,7 @@ class TestHomomorphismVerdicts:
                 CountingList.reads += 1
                 return super().__getitem__(i)
 
-        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_teca(seed))
+        embedding = EQUIVALENCE_BUILDERS[kind](multi_atom_space(seed))
         n = len(embedding.image_masks)
         images = CountingList(embedding.image_masks)
         as_list = Embedding(embedding.source, embedding.frame, images, embedding.worlds)
@@ -558,11 +625,11 @@ class TestHomomorphismVerdicts:
 
 def equivalence_embeddings():
     """Every type-1 and type-2 embedding of the sweeps in this file."""
-    tecas = [eca_from_rc(rc_algebra(example_topology()))]
-    tecas += [random_teca(seed) for seed in range(10)]
-    tecas += [multi_atom_teca(seed) for seed in range(4)]
-    tecas.append(eca_from_rc(rc_algebra(build(64, [(1 << 29) - 1, ((1 << 29) - 1) << 29]))))
-    return [builder(teca) for teca in tecas for builder in (build_type1, build_type2)]
+    spaces = [rc_algebra(example_topology())]
+    spaces += [random_space(seed) for seed in range(10)]
+    spaces += [multi_atom_space(seed) for seed in range(4)]
+    spaces.append(rc_algebra(build(64, [(1 << 29) - 1, ((1 << 29) - 1) << 29])))
+    return [from_space(builder, algebra) for algebra in spaces for builder in (build_type1, build_type2)]
 
 
 def family_table(frame, atoms):
@@ -842,7 +909,7 @@ class TestCPreservationOnAtoms:
     def test_source_without_a_verdict(self, seed, monkeypatch):
         # a built embedding whose source table, with one atom covered by
         # its complement, is no covering of a family
-        embedding = build_type2(multi_atom_teca(seed))
+        embedding = from_space(build_type2, multi_atom_space(seed))
         n = embedding.source.algebra.size
         atom = 1 << random.Random(seed).randrange(embedding.source.algebra.atom_count)
         table = embedding.source.table.copy()
@@ -894,8 +961,8 @@ class TestCPreservationOnAtoms:
                 assert cli.main(["random", "--seed", str(seed), "--trials", "1", "--json"]) == 0
             assert len(generations) == 0 and gluings == []
             assert slices.call_count == 2 and not table.called
-            (teca,) = built
-            assert "table" not in vars(teca.covering)
+            (covering,) = built
+            assert "table" not in vars(covering)
         capsys.readouterr()
 
 
@@ -921,7 +988,7 @@ class TestCPreservationWitness:
     @pytest.mark.parametrize("seed", range(8))
     def test_corrupted_source(self, seed):
         rng = random.Random(seed)
-        embedding = build_type2(multi_atom_teca(seed))
+        embedding = from_space(build_type2, multi_atom_space(seed))
         n = embedding.source.algebra.size
         table = embedding.source.table.copy()
         for _ in range(rng.randint(1, 4)):
@@ -941,7 +1008,7 @@ class TestCPreservationWitness:
     def test_split_atoms(self, seed):
         # an atom covered by its own complement is split algebraically but
         # not in the frame; two such atoms give two mismatches
-        embedding = build_type2(multi_atom_teca(seed))
+        embedding = from_space(build_type2, multi_atom_space(seed))
         n = embedding.source.algebra.size
         first, second = sorted(
             1 << i for i in random.Random(seed).sample(range(embedding.source.algebra.atom_count), 2)
@@ -970,9 +1037,9 @@ class TestOneVerificationCall:
 
     @pytest.mark.parametrize("seed", [None, *range(6)], ids=["example", *map(str, range(6))])
     def test_names_the_pipeline_and_its_checks_after_the_frame_class(self, seed):
-        teca = eca_from_rc(rc_algebra(example_topology())) if seed is None else random_teca(seed)
+        algebra = rc_algebra(example_topology()) if seed is None else random_space(seed)
         for kind, builder in BUILDERS.items():
-            embedding = builder(teca)
+            embedding = builder(algebra)
             report = verify_embedding(embedding)
             doc = verification_document(report, embedding)
             assert doc["pipeline"] == doc["frame"]["kind"] == kind
@@ -983,9 +1050,9 @@ class TestOneVerificationCall:
     @pytest.mark.parametrize("seed", range(6))
     def test_one_slice_read_per_embedding(self, seed):
         # parametrized embeddings too: a passing one tabulates no covering
-        teca = multi_atom_teca(seed)
+        algebra = multi_atom_space(seed)
         for kind, builder in BUILDERS.items():
-            embedding = builder(teca)
+            embedding = builder(algebra)
             with (
                 mock.patch.object(representations_module, "covering_slices", wraps=covering_slices) as slices,
                 mock.patch.object(representations_module, "covering_table", wraps=covering_table) as table,
@@ -1019,7 +1086,7 @@ class TestOneVerificationCall:
 
     @pytest.mark.parametrize("kind", ["type1", "parametrized"])
     def test_c_preservation_refuses_other_frames(self, kind):
-        embedding = BUILDERS[kind](eca_from_rc(rc_algebra(example_topology())))
+        embedding = BUILDERS[kind](rc_algebra(example_topology()))
         with pytest.raises(TypeError, match="type-2 frames"):
             verify_c_preservation(embedding, None)
 
@@ -1031,42 +1098,41 @@ class TestOneVerificationCall:
 class TestSplitPullback:
     def test_every_admissible_split_pulls_back(self):
         for seed in range(10):
-            teca = random_teca(seed, max_n=4)
-            embedding = build_type2(teca)
-            n = teca.covering.algebra.size
+            algebra = random_space(seed, max_n=4)
+            embedding = from_space(build_type2, algebra)
+            n = embedding.source.algebra.size
             for a in range(n):
                 if embedding.image_masks[a].bit_count() > 10:
                     continue
                 for split1, split2 in find_admissible_splits(embedding, a):
-                    result = check_split_pullback(teca, embedding, a, split1, split2)
+                    result = check_split_pullback(algebra, embedding, a, split1, split2)
                     assert result.all_passed, (seed, a, split1, split2, result)
                     assert result.a1 | result.a2 == a
 
     def test_disconnected_region_has_admissible_split(self):
         # two isolated points: the unit's image splits along the two atoms
-        teca = eca_from_rc(rc_algebra(build(2, [0b01, 0b10])))
-        embedding = build_type2(teca)
+        algebra = rc_algebra(build(2, [0b01, 0b10]))
+        embedding = from_space(build_type2, algebra)
         splits = find_admissible_splits(embedding, 0b11)
         assert splits
-        result = check_split_pullback(teca, embedding, 0b11, *splits[0])
+        result = check_split_pullback(algebra, embedding, 0b11, *splits[0])
         assert result.all_passed
         assert {result.a1, result.a2} == {0b01, 0b10}
 
     def test_invalid_splits_rejected(self):
-        teca = eca_from_rc(rc_algebra(build(2, [0b01, 0b10])))
-        embedding = build_type2(teca)
+        algebra = rc_algebra(build(2, [0b01, 0b10]))
+        embedding = from_space(build_type2, algebra)
         image = embedding.image_masks[0b11]
         with pytest.raises(ValueError):
-            check_split_pullback(teca, embedding, 0b11, 0, image)
+            check_split_pullback(algebra, embedding, 0b11, 0, image)
         with pytest.raises(ValueError):
-            check_split_pullback(teca, embedding, 0b11, 1, 1)
+            check_split_pullback(algebra, embedding, 0b11, 1, 1)
         with pytest.raises(TypeError):
-            check_split_pullback(teca, build_type1(teca), 0b11, 1, image & ~1)
+            check_split_pullback(algebra, from_space(build_type1, algebra), 0b11, 1, image & ~1)
 
     def test_connected_unit_has_no_admissible_split(self):
         # a two-point space glued by topology: only one atom, no splits
-        teca = eca_from_rc(rc_algebra(build(2, [])))
-        embedding = build_type2(teca)
+        embedding = from_space(build_type2, rc_algebra(build(2, [])))
         assert find_admissible_splits(embedding, 1) == []
 
 
@@ -1081,9 +1147,9 @@ class TestVerificationDocument:
             "subbasis": [["1", "2", "3"], ["2", "5", "7"], ["3", "6", "7"]],
         }
         labeled = labeled_topology_from_document(doc_in)
-        teca = eca_from_rc(rc_algebra(labeled.topology))
-        embedding = build_type2(teca)
-        doc = verification_document(verify_embedding(embedding), embedding, labeled=labeled, teca=teca)
+        algebra = rc_algebra(labeled.topology)
+        embedding = from_space(build_type2, algebra)
+        doc = verification_document(verify_embedding(embedding), embedding, labeled=labeled)
         assert doc["pipeline"] == "type2"
         assert doc["mode"] == "exhaustive"
         assert [c["name"] for c in doc["checks"]] == [
@@ -1106,7 +1172,7 @@ class TestVerificationDocument:
             assert isinstance(detail["point"], str)
         emb_doc = doc["embedding"]
         assert set(emb_doc) == {str(m) for m in range(len(embedding.image_masks))}
-        region_mask = teca.source.element_sets.index(PointSet(7, X_REGION_MASK))
+        region_mask = algebra.element_sets.index(PointSet(7, X_REGION_MASK))
         listed = emb_doc[str(region_mask)]
         assert listed == sorted(
             w for w in range(WORLD_COUNT)
@@ -1114,8 +1180,7 @@ class TestVerificationDocument:
         )
 
     def test_document_without_labels_uses_indices(self):
-        teca = eca_from_rc(rc_algebra(build(2, [0b01])))
-        embedding = build_type1(teca)
+        embedding = from_space(build_type1, rc_algebra(build(2, [0b01])))
         doc = verification_document(verify_embedding(embedding), embedding)
         for detail in doc["frame"]["worlds_detail"]:
             assert set(detail) == {"atom_index", "point"}
