@@ -73,8 +73,6 @@ import numpy as np
 
 from .topology import _PRODUCT_CHUNK_ELEMENTS, DocumentError, RegularClosedAlgebra, check_cap
 
-DEFAULT_CHECK_CAP = 32
-
 Strength = Literal["ECA", "WECA"]
 
 
@@ -475,7 +473,7 @@ def _contact_laws(q: np.ndarray, k: int) -> tuple[tuple | None, ...]:
     return law1, law2, _first(law3.transpose(2, 0, 1)), _first(law4), _first(law5.transpose(2, 0, 1))
 
 
-def check_ca(contact: ContactRelation, *, cap_elements: int = DEFAULT_CHECK_CAP) -> AxiomReport:
+def check_ca(contact: ContactRelation) -> AxiomReport:
     """Check the five contact axioms: monotonicity in both arguments,
     distribution over joins, no contact with zero, reflexivity away from
     zero, and symmetry.  They are the laws of contact relative to g (see
@@ -485,9 +483,9 @@ def check_ca(contact: ContactRelation, *, cap_elements: int = DEFAULT_CHECK_CAP)
     All five hold iff c is the join-extension of its restriction R to zero
     and the atoms and R is symmetric, with an empty zero row and every atom
     in contact with itself.  Only a relation that fails this closed form
-    runs the laws, as a stack of one relation, its witnesses without g."""
+    runs the laws, as a stack of one relation, its witnesses without g.
+    It takes no element cap (see check_eca)."""
     k = contact.algebra.atom_count
-    check_cap(k, cap_elements)
     c = contact.table
     reduced_pass = not _ca12_mismatch(c, k).any()
     base = _atom_matrices(k)[0]
@@ -586,13 +584,19 @@ def _eca5(v: np.ndarray) -> tuple | None:
     return _first(v & ~v.transpose(1, 0, 2))
 
 
-def check_eca(covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_CAP) -> AxiomReport:
+def check_eca(covering: CoveringRelation) -> AxiomReport:
     """Check the five extended contact axioms: growing both members while
     adding the growth to the cover, transitivity of covering through a
     covered pair, covering by anything above either member, covered pairs
-    meet inside the cover, and symmetry."""
+    meet inside the cover, and symmetry.
+
+    Like every checker here it takes no element cap: it runs on whatever
+    covering the caller built, and the readers (covering_from_document,
+    covering_from_json, rc_algebra) bound the size of input.  A family's
+    covering generates its N³ table only for a failing literal search, and
+    no command builds a failing one: discrete coverings and the coverings
+    of spaces are ECAs."""
     k = covering.algebra.atom_count
-    check_cap(k, cap_elements)
     if covering._strength == "ECA":
         return _PASSED["ECA"]
     n, _, and_t, or_t, le_t = _tables(k)
@@ -692,12 +696,12 @@ def _weca4(v: np.ndarray, n: int, k: int, le_t: np.ndarray) -> tuple | None:
     return None
 
 
-def check_weca(covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_CAP) -> AxiomReport:
+def check_weca(covering: CoveringRelation) -> AxiomReport:
     """Check the four weak extended contact axioms: antitonicity in the
     covered pair, coverage of pairs with an empty member, the two mixed
-    meet/join combinations, and monotonicity in the cover."""
+    meet/join combinations, and monotonicity in the cover.  It takes no
+    element cap (see check_eca); a family's covering always passes."""
     k = covering.algebra.atom_count
-    check_cap(k, cap_elements)
     if covering._strength is not None:
         return _PASSED["WECA"]
     n, _, and_t, or_t, le_t = _tables(k)
@@ -770,15 +774,13 @@ def _cons56(v: np.ndarray, k: int, side: int) -> tuple | None:
     return None
 
 
-def check_weca_consequences(
-    covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_CAP
-) -> AxiomReport:
+def check_weca_consequences(covering: CoveringRelation) -> AxiomReport:
     """Check six consequences of the weak axioms: the zero pairs are covered
     by everything, covering is additive in each member separately, and it is
     antitone in each member separately.  All six follow from the weak
-    axioms, so a table whose verdict is WECA or ECA passes them."""
+    axioms, so a table whose verdict is WECA or ECA passes them, a family's
+    covering among them.  It takes no element cap (see check_eca)."""
     k = covering.algebra.atom_count
-    check_cap(k, cap_elements)
     if covering._strength is not None:
         return _PASSED["CONS"]
     n, _, _, or_t, _ = _tables(k)
@@ -812,9 +814,7 @@ def derived_contact(covering: CoveringRelation) -> ContactRelation:
     return _owning(ContactRelation, covering.algebra, table=under @ apart @ under.T > 0)
 
 
-def check_relative_contact_laws(
-    covering: CoveringRelation, *, cap_elements: int = DEFAULT_CHECK_CAP
-) -> AxiomReport:
+def check_relative_contact_laws(covering: CoveringRelation) -> AxiomReport:
     """Check, for every region g, the five laws of contact relative to g:
     monotonicity, distribution over joins, no contact for parts of g,
     reflexivity outside g, and symmetry.  Witnesses carry g first.
@@ -824,11 +824,11 @@ def check_relative_contact_laws(
     σ in F meets a and b and misses g.  So it passes: RCL1 is antitonicity;
     RCL2 holds because "some σ meets a and b | d and misses g" splits over
     the join; RCL3 because a σ that meets a <= g meets g; RCL4 by the
-    singleton of an atom in a & ~g; RCL5 is symmetry."""
-    k = covering.algebra.atom_count
-    check_cap(k, cap_elements)
+    singleton of an atom in a & ~g; RCL5 is symmetry.  It takes no element
+    cap (see check_eca)."""
     if covering._strength == "ECA":
         return _PASSED["RCL"]
+    k = covering.algebra.atom_count
     laws = _contact_laws(~covering.table, k)  # [a, b, g]: a and b in contact relative to g
     return AxiomReport.of({f"RCL{i}": w for i, w in enumerate(laws, 1)})
 
@@ -1112,16 +1112,15 @@ def _digit_runs(raw: bytes) -> int:
 # the covering of a regular closed algebra, abstractly
 
 
-def eca_from_rc(source: RegularClosedAlgebra, *, cap_elements: int = 64) -> CoveringRelation:
+def eca_from_rc(source: RegularClosedAlgebra) -> CoveringRelation:
     """The extended contact algebra of a regular closed algebra: element
     mask m names the union of the atoms it selects, and (a, b) |- d holds
     when the plain intersection of the point sets of a and b is inside the
     point set of d.  Nothing is checked here, and no table is built: the
     covering is the covering of the points' atom signatures, and check_eca
-    reads its verdict.
+    reads its verdict.  It takes no element cap: rc_algebra, given the cap,
+    checks it where the space is read.
     """
-    k = len(source.atoms)
-    check_cap(k, cap_elements)
     # A point lies in the set of mask m iff m meets its atom signature, so
     # (a, b) |- d fails iff some point's signature meets a and b, not d.
-    return covering_from_signatures(k, set(source.point_signatures))
+    return covering_from_signatures(len(source.atoms), set(source.point_signatures))

@@ -138,7 +138,7 @@ def _input_covering(
     if kind == "topology":
         labeled = labeled_topology_from_document(doc)
         algebra = rc_algebra(labeled.topology, cap_elements=args.cap_elements)
-        return eca_from_rc(algebra, cap_elements=args.cap_elements), (labeled, algebra)
+        return eca_from_rc(algebra), (labeled, algebra)
     raise DocumentError(frame_error)
 
 
@@ -239,7 +239,7 @@ def cmd_rc(args: argparse.Namespace) -> int:
             [rc_contact(algebra, x, y) for y in algebra.carrier] for x in algebra.carrier
         ]
         if size <= 32:
-            covering = eca_from_rc(algebra, cap_elements=args.cap_elements)
+            covering = eca_from_rc(algebra)
             translate = [algebra.index_of(ps) for ps in algebra.element_sets]
             out["covering"] = sorted(
                 [translate[a], translate[b], translate[d]]
@@ -279,18 +279,17 @@ def cmd_check_axioms(args: argparse.Namespace) -> int:
         "check-axioms takes a topology or covering document; "
         "frame documents are outputs, not inputs",
     )
-    cap = args.cap_elements
     derived = "topology-derived " if space else ""
     described = f"{derived}covering ({covering.algebra.atom_count} atoms)"
-    weca = check_weca(covering, cap_elements=cap)
-    eca = check_eca(covering, cap_elements=cap)
+    weca = check_weca(covering)
+    eca = check_eca(covering)
     systems: list[dict] = [
         {"name": "WECA", "checks": checks_document(weca.results)},
         {"name": "ECA", "checks": checks_document(eca.results)},
     ]
     executed = [weca, eca]
     if eca.all_passed:
-        ca = check_ca(derived_contact(covering), cap_elements=cap)
+        ca = check_ca(derived_contact(covering))
         systems.append({"name": "CA", "checks": checks_document(ca.results)})
         executed.append(ca)
     else:
@@ -341,9 +340,8 @@ def cmd_represent(args: argparse.Namespace) -> int:
     a topology document, or for a covering document the members of its S*,
     whose covering it is when it passes the extended axioms."""
     covering, space = _input_covering(args, "represent takes a topology or covering document")
-    cap = args.cap_elements
     weak = args.kind == "parametrized"
-    axioms = (check_weca if weak else check_eca)(covering, cap_elements=cap)
+    axioms = (check_weca if weak else check_eca)(covering)
     if not axioms.all_passed:
         out = {
             "command": "represent",
@@ -543,18 +541,17 @@ def _failures_from(system: str, checks: tuple[CheckResult, ...]) -> list[dict]:
 def _run_trial(args: argparse.Namespace, trial: int) -> dict:
     rng = random.Random(args.seed * TRIAL_SEED_STRIDE + trial)
     n = rng.randint(1, args.max_universe)
-    cap = args.cap_elements
-    subbasis = _sample_subbasis(rng, n, cap)
+    subbasis = _sample_subbasis(rng, n, args.cap_elements)
     labels = [str(i) for i in range(n)]
     topo = generate_topology(n, [PointSet(n, m) for m in subbasis])
-    algebra = rc_algebra(topo, cap_elements=cap)
-    covering = eca_from_rc(algebra, cap_elements=cap)
-    eca = check_eca(covering, cap_elements=cap)
+    algebra = rc_algebra(topo, cap_elements=args.cap_elements)
+    covering = eca_from_rc(algebra)
+    eca = check_eca(covering)
     failures = _failures_from("ECA", eca.results)
     if eca.all_passed:
-        failures += _failures_from("CA", check_ca(derived_contact(covering), cap_elements=cap).results)
-    failures += _failures_from("RCL", check_relative_contact_laws(covering, cap_elements=cap).results)
-    failures += _failures_from("CONS", check_weca_consequences(covering, cap_elements=cap).results)
+        failures += _failures_from("CA", check_ca(derived_contact(covering)).results)
+    failures += _failures_from("RCL", check_relative_contact_laws(covering).results)
+    failures += _failures_from("CONS", check_weca_consequences(covering).results)
     for kind, builder in (("type1", build_type1), ("type2", build_type2)):
         failures += _failures_from(kind, verify_embedding(builder(covering, algebra.point_signatures)).results)
     return {
@@ -601,16 +598,6 @@ def cmd_random(args: argparse.Namespace) -> int:
 # argument parsing and dispatch
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", dest="input_path", metavar="FILE", help="JSON input document")
-    parser.add_argument("--json", dest="output_json", action="store_true", help="canonical JSON output")
-    parser.add_argument("--verbose", action="store_true", help="include tables/diffs")
-    parser.add_argument(
-        "--cap-elements", dest="cap_elements", type=int, default=DEFAULT_CAP_ELEMENTS, metavar="N",
-        help=f"override the exhaustive-check element cap (default {DEFAULT_CAP_ELEMENTS})",
-    )
-
-
 @cache  # built once per process: building costs about as much as a small command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -618,17 +605,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite mereotopology: regular closed algebras, covering axioms, "
         "and verified frame representations.",
     )
+    # one parent parser per shared flag; each command takes only the flags it reads
+    input_file, json_out, verbose, cap = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    input_file.add_argument("--input", dest="input_path", metavar="FILE", help="JSON input document")
+    json_out.add_argument("--json", dest="output_json", action="store_true", help="canonical JSON output")
+    verbose.add_argument("--verbose", action="store_true", help="include tables/diffs")
+    cap.add_argument(
+        "--cap-elements", dest="cap_elements", type=int, default=DEFAULT_CAP_ELEMENTS, metavar="N",
+        help=f"override the exhaustive-check element cap (default {DEFAULT_CAP_ELEMENTS})",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("rc", help="regular closed algebra of a topology"))
-    _add_common(sub.add_parser("check-axioms", help="axiom systems of a covering"))
-    represent = sub.add_parser("represent", help="run a representation pipeline")
-    _add_common(represent)
+    sub.add_parser("rc", help="regular closed algebra of a topology", parents=[input_file, json_out, verbose, cap])
+    sub.add_parser("check-axioms", help="axiom systems of a covering", parents=[input_file, json_out, cap])
+    represent = sub.add_parser("represent", help="run a representation pipeline", parents=[input_file, json_out, cap])
     represent.add_argument(
         "--kind", required=True, choices=["parametrized", "type1", "type2"]
     )
-    _add_common(sub.add_parser("example1", help="built-in two-space demonstration"))
-    rand = sub.add_parser("random", help="seeded random verification campaign")
-    _add_common(rand)
+    sub.add_parser("example1", help="built-in two-space demonstration", parents=[json_out, verbose])
+    rand = sub.add_parser("random", help="seeded random verification campaign", parents=[json_out, verbose, cap])
     rand.add_argument("--seed", type=int, default=0)
     rand.add_argument("--trials", type=int, default=10)
     rand.add_argument(
@@ -640,18 +634,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Reject out-of-range flag values as usage errors, and warn about a cap
     above the default."""
-    if args.cap_elements < 1:
+    cap = getattr(args, "cap_elements", DEFAULT_CAP_ELEMENTS)
+    if cap < 1:
         parser.error("--cap-elements must be positive")
-    if args.cap_elements > DEFAULT_CAP_ELEMENTS:
+    if cap > DEFAULT_CAP_ELEMENTS:
         print(
-            f"warning: --cap-elements {args.cap_elements} above the default "
+            f"warning: --cap-elements {cap} above the default "
             f"{DEFAULT_CAP_ELEMENTS}; exhaustive checks may run long",
             file=sys.stderr,
         )
     if getattr(args, "trials", 0) < 0:
         parser.error("--trials must be nonnegative")
-    if getattr(args, "max_universe", 1) < 1:
+    universe = getattr(args, "max_universe", 1)
+    if universe < 1:
         parser.error("--max-universe must be positive")
+    if universe >= 1 << 31:  # random.getrandbits takes its bit count as a C int
+        parser.error("--max-universe must be below 2^31")
     if getattr(args, "seed", 0) < 0:
         parser.error("--seed must be nonnegative")
 

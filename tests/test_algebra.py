@@ -25,7 +25,6 @@ from example_data import (
     zero_sided_covering,
 )
 from mereotop import (
-    CapExceeded,
     ContactRelation,
     CoveringRelation,
     DocumentError,
@@ -206,10 +205,6 @@ class TestCheckersMatchNaive:
             assert check_relative_contact_laws(cov).all_passed
             assert check_ca(derived_contact(cov)).all_passed
 
-    def test_cap_enforced(self):
-        with pytest.raises(CapExceeded):
-            check_eca(discrete_covering(4), cap_elements=8)
-
     def test_report_structure(self):
         report = check_eca(discrete_covering(2))
         assert [r.name for r in report.results] == [
@@ -240,7 +235,7 @@ def alexandrov_covering(k: int, flips: int, rng: random.Random) -> CoveringRelat
     masks = [1 << i for i in range(k)] + [
         1 << (k + j) | sum(1 << i for i in cores) for j, cores in enumerate(boundary)
     ]
-    table = eca_from_rc(rc_algebra(build(k + len(boundary), masks)), cap_elements=1 << k).table.copy()
+    table = eca_from_rc(rc_algebra(build(k + len(boundary), masks))).table.copy()
     n = len(table)
     for _ in range(flips):
         a, b, d = (rng.randrange(n) for _ in range(3))
@@ -557,7 +552,7 @@ class TestFailingTablesMatchThePerPairSearch:
         table[:, :, 255] = False
         cov = CoveringRelation(FiniteBooleanAlgebra(8), table)
         started = time.perf_counter()
-        report = check_eca(cov, cap_elements=256)
+        report = check_eca(cov)
         elapsed = time.perf_counter() - started
         assert witnesses(report) == {
             "ECA1": (0, 0, 0, 1, 254),
@@ -600,12 +595,37 @@ class TestPassingTablesSkipTheLiteralSearch:
         else:
             cov = alexandrov_covering(7, 0, random.Random(7))
         for check in (check_eca, check_weca, check_weca_consequences):
-            assert check(cov, cap_elements=128).all_passed
+            assert check(cov).all_passed
         with monkeypatch.context() as patch:
             patch.setattr(algebra_module, "_ca12_mismatch", literal)
-            assert check_relative_contact_laws(cov, cap_elements=128).all_passed
+            assert check_relative_contact_laws(cov).all_passed
         contact = derived_contact(cov)
-        assert check_ca(contact, cap_elements=128).all_passed
+        assert check_ca(contact).all_passed
+
+
+class TestCheckersTakeNoCap:
+    """The element cap guards input, in the readers; a checker runs on the
+    covering it is given.  At k = 12 (N = 4096) a passing family covering
+    is decided in closed form, without its N³ table of 64 GiB."""
+
+    @pytest.mark.parametrize("source", ["discrete", "space"])
+    def test_twelve_atoms(self, source, monkeypatch):
+        def generate(*args):
+            raise AssertionError("an N³ covering table was generated")
+
+        monkeypatch.setattr(algebra_module, "_covering_of_slices", generate)
+        if source == "discrete":
+            cov = discrete_covering(12)
+        else:
+            cov = eca_from_rc(rc_algebra(generate_topology(12, [PointSet(12, 1 << i) for i in range(12)])))
+        try:
+            for check in (check_eca, check_weca, check_weca_consequences, check_relative_contact_laws):
+                assert check(cov).all_passed
+            assert check_ca(derived_contact(cov)).all_passed
+        finally:
+            # the N x N operation tables of k = 12 hold about 300 MiB
+            algebra_module._tables.cache_clear()
+            algebra_module._atom_matrices.cache_clear()
 
 
 class TestOneVerdictPerTable:
@@ -718,7 +738,7 @@ class TestConsequencesOnFailingTables:
         cov = CoveringRelation(FiniteBooleanAlgebra(6), table)
         tracemalloc.start()
         try:
-            report = check_weca_consequences(cov, cap_elements=64)
+            report = check_weca_consequences(cov)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -733,7 +753,7 @@ class TestConsequencesOnFailingTables:
         n = 1 << k
         table = discrete_covering(k).table.copy()
         table[n - 1, n - 1, 0] = True
-        report = check_weca_consequences(CoveringRelation(FiniteBooleanAlgebra(k), table), cap_elements=n)
+        report = check_weca_consequences(CoveringRelation(FiniteBooleanAlgebra(k), table))
         assert witnesses(report) == oracles.naive_weca_consequences(n, table.tolist())
 
     def test_shrink_search_runs_on_the_failing_pair_only(self):
@@ -745,7 +765,7 @@ class TestConsequencesOnFailingTables:
         times = []
         for _ in range(3):
             started = time.perf_counter()
-            report = check_weca_consequences(cov, cap_elements=64)
+            report = check_weca_consequences(cov)
             times.append(time.perf_counter() - started)
         assert witnesses(report)["CONS5"] == witnesses(report)["CONS6"] == (63, 63, 1, 0)
         assert min(times) < 0.2
@@ -1052,11 +1072,6 @@ class TestEcaFromRc:
         covering = eca_from_rc(rc_algebra(build(n, masks)))
         assert check_eca(covering).all_passed
         assert check_weca(covering).all_passed
-
-    def test_cap(self):
-        algebra = rc_algebra(generate_topology(7, [PointSet(7, 1 << i) for i in range(7)]))
-        with pytest.raises(CapExceeded):
-            eca_from_rc(algebra, cap_elements=64)
 
 
 # ---------------------------------------------------------------------------
