@@ -6,12 +6,14 @@ or/and/not and the order is bitmask inclusion.  A covering relation is a
 dense boolean table of shape (N, N, N) with entry [a, b, d] true when the
 pair (a, b) is covered by d; a contact relation is an (N, N) table.
 
-One generator builds every covering table from small data:
+One generator, the join-extension of a relation on atoms over the atoms'
+membership rows (two float32 products, the second in row chunks of about
+4 MiB), makes every covering table, the derived contact and CA's closed
+form, and a parametrized frame's covering (see frames).
 ``covering_from_slices`` is the table generated by atom slices R_f, an
-(N, k, k) array, in two float32 products with the atom membership rows,
-O(k·N³) multiply-adds.  ``covering_from_signatures`` (and ``eca_from_rc``,
-the covering of the atom signatures of a space's points,
-``RegularClosedAlgebra.point_signatures``, and ``discrete_covering``, the
+(N, k, k) array, in O(k·N³) multiply-adds.  ``covering_from_signatures``
+(and ``eca_from_rc``, the covering of the atom signatures of a space's
+points, ``RegularClosedAlgebra.point_signatures``, and ``discrete_covering``, the
 covering of the single atoms) holds a family of atom sets and its slices
 R_c(p, q) = no member inside ¬c holds both p and q, and generates its
 table only when first read; covering documents, ``covering_from_slices``
@@ -32,11 +34,13 @@ which return a shared all-passed report on a pass.
 It is the only record of a covering's axiom system: derived_contact
 refuses a covering whose verdict fails the extended axioms.
 check_ca passes a contact in closed form: the join-extension of its
-restriction to zero and the atoms (one small product), symmetric, with an
-empty zero row and a full atom diagonal.  The contact axioms CA1-CA5 are
-the relative contact laws RCL1-RCL5 at g = 0 (derived contact is "not
-covered by 0"), so the five laws are written once and a contact that fails
-the closed form runs them as a stack of one relation.  Otherwise each
+restriction to zero and the atoms, symmetric, with an empty zero row and
+a full atom diagonal.  No passing check builds an N x N operation table:
+those serve the literal searches and internally_connected_algebraic.
+The contact axioms CA1-CA5 are the relative contact laws RCL1-RCL5 at
+g = 0 (derived contact is "not covered by 0"), so the five laws are
+written once and a contact that fails the closed form runs them as a
+stack of one relation.  Otherwise each
 axiom is decided by an exact reduced form where one exists: ECA1 by a
 greatest-fixpoint fold of one-atom growth steps, in O(k·N³), each side's
 steps on a copy laid out with the cover and that side's member leading;
@@ -164,18 +168,20 @@ class CoveringRelation:
         only slices that differ from G's take the fold that tests growth.
 
         A family's covering v_F needs no generation: it is a WECA, and an ECA
-        iff G = cl(F) holds every single atom.  Proof: its slices R_c(p, q) =
+        iff G = cl(F) holds every single atom, that is iff F does, since the
+        only nonempty set inside {p} is {p}.  Proof: its slices R_c(p, q) =
         "no σ ∈ F inside ¬c holds p and q" grow with c, and generate v_F,
         since σ meets a and b iff it holds an atom of each.  And v_F = v_G:
         G ⊇ F, and a τ ∈ G that meets a and b and misses c holds the atom
         pair it meets them at in some σ ∈ F inside τ, which does the same.
         So v_F is the covering of G, and the paragraph above decides it."""
         k = self.algebra.atom_count
+        atoms = _atom_matrices(k)[0][1:]
+        if self._family is not None:
+            return "ECA" if self._family[atoms].all() else "WECA"
         slices = self._slices
         family = _family_of_slices(slices, k)
-        singletons = family[_atom_matrices(k)[0][1:]].all()
-        if self._family is not None:
-            return "ECA" if singletons else "WECA"
+        singletons = family[atoms].all()
         closed = (slices == _slices_of_family(family, k)).all()
         grows = closed or not (_fold(slices, 0, k, subsets=True) & ~slices).any()
         if not grows or not (self.table == _covering_of_slices(slices, k)).all():
@@ -302,16 +308,14 @@ def _atom_matrices(atom_count: int) -> tuple[np.ndarray, ...]:
     """(base, below, under, pairs, disjoint), read-only: base = zero and the
     atom masks; below[x, i] = 1 when base[i] is below x, (N, k + 1) float32,
     and under the same without zero; pairs[σ, p, q] = σ holds atoms p and q;
-    disjoint[c, σ] = 1 when σ lies inside the complement of c, as float32."""
+    disjoint[c, σ] = 1 when σ lies inside the complement of c, as float32:
+    c and σ share no atom (the count of shared atoms is exact)."""
     base = np.array([0] + [1 << i for i in range(atom_count)])
     held = np.arange(1 << atom_count)[:, None] & base == base
-    out = (
-        base,
-        held.astype(np.float32),
-        held[:, 1:].astype(np.float32),
-        held[:, 1:, None] & held[:, None, 1:],
-        (_tables(atom_count)[2] == 0).astype(np.float32),
-    )
+    under = held[:, 1:].astype(np.float32)
+    disjoint = under @ under.T.copy()  # numpy's A @ A.T (syrk) path is 10x slower at k = 8..13
+    np.equal(disjoint, 0, out=disjoint)  # in place: no N x N temporary beside it
+    out = (base, held.astype(np.float32), under, held[:, 1:, None] & held[:, None, 1:], disjoint)
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -334,21 +338,28 @@ def _family_of_slices(slices: np.ndarray, k: int) -> np.ndarray:
     return ~(slices[::-1] & _atom_matrices(k)[3]).any(axis=(1, 2))
 
 
+def _join_extension(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """out[a, b, ...] = no p of row a and q of row b have r[p, q, ...], for
+    0/1 float32 membership rows [a, p] and a bool relation r (P x P, with
+    any further axes).  Two float32 products count those pairs (exactly: at
+    most P² of them), over the q of b and then over the p of a, the second
+    in chunks of rows of about 4 MiB.  Every covering table, derived contact
+    and CA's closed form is this extension of a relation on atoms."""
+    m, p = rows.shape
+    by_b = rows @ r.reshape(p, p, -1).astype(np.float32, order="C")  # [p, b, ...]
+    width = by_b.shape[1] * by_b.shape[2]
+    by_b = by_b.reshape(p, width)
+    out = np.empty((m, width), dtype=bool)
+    step = max(1, _PRODUCT_CHUNK_ELEMENTS // width)
+    for lo in range(0, m, step):
+        out[lo : lo + step] = rows[lo : lo + step] @ by_b == 0
+    return out.reshape(m, m, *r.shape[2:])
+
+
 def _covering_of_slices(slices: np.ndarray, k: int) -> np.ndarray:
     """The table generated by slices [f, p, q], in (a, b, f) layout: (a, b) |- f
-    iff no atom pair under (a, b) lies outside R_f.  Two float32 products with
-    the atom membership rows count those pairs (exactly: at most k² of them),
-    over the atoms of b and then over the atoms of a, the second in chunks of
-    rows of about 4 MiB."""
-    n = 1 << k
-    under = _atom_matrices(k)[2]
-    gaps = (~slices).transpose(1, 2, 0).astype(np.float32)  # [p, q, f]
-    by_b = (under @ gaps).reshape(k, n * n)  # [p, (b, f)]
-    table = np.empty((n, n, n), dtype=bool)
-    step = max(1, _PRODUCT_CHUNK_ELEMENTS // (n * n))
-    for lo in range(0, n, step):
-        table[lo : lo + step] = (under[lo : lo + step] @ by_b == 0).reshape(-1, n, n)
-    return table
+    iff no atom pair under (a, b) lies outside R_f."""
+    return _join_extension(_atom_matrices(k)[2], (~slices).transpose(1, 2, 0))
 
 
 def signatures(covering: CoveringRelation) -> tuple[int, ...]:
@@ -416,11 +427,10 @@ def _ca12_mismatch(c: np.ndarray, k: int) -> np.ndarray:
     """Where c (over axes 0 and 1) differs from the join-extension of its
     restriction R to zero and the atoms: nowhere iff CA1 and CA2 hold.  The
     zero is needed, since the all-true relation passes both.  The extension
-    is below @ R @ below.T > 0 (the counts are exact: at most (k + 1)²)."""
+    is "some pair under (a, b) in R", so c differs where it equals "none"."""
     base, below = _atom_matrices(k)[:2]
-    m = c.ndim - 2  # further axes, leading in the products
-    restricted = c[base][:, base].transpose(*range(2, c.ndim), 0, 1).astype(np.float32)
-    return (below @ restricted @ below.T > 0).transpose(m, m + 1, *range(m)) != c
+    none = _join_extension(below, c[base][:, base])
+    return np.equal(none, c, out=none)
 
 
 def _ca1(c: np.ndarray, n: int, k: int, le_t: np.ndarray) -> tuple | None:
@@ -809,9 +819,8 @@ def derived_contact(covering: CoveringRelation) -> ContactRelation:
     join-extension of the atom pairs outside R_0: no table is read."""
     if covering._strength != "ECA":
         raise ValueError("derived contact needs the full extended contact axioms")
-    under = _atom_matrices(covering.algebra.atom_count)[2]
-    apart = (~covering._slices[0]).astype(np.float32)
-    return _owning(ContactRelation, covering.algebra, table=under @ apart @ under.T > 0)
+    table = _join_extension(_atom_matrices(covering.algebra.atom_count)[2], ~covering._slices[0])
+    return _owning(ContactRelation, covering.algebra, table=np.logical_not(table, out=table))
 
 
 def check_relative_contact_laws(covering: CoveringRelation) -> AxiomReport:

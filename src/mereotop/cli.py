@@ -29,6 +29,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, Sequence
 
 from .algebra import (
+    AxiomReport,
     CheckResult,
     CoveringRelation,
     check_ca,
@@ -385,48 +386,26 @@ def _example_checks() -> tuple[list[dict], dict, bool]:
         space_p.set_from_labels([lab for lab in space.labels_of(a) if lab != "1"])
         for a in alg.carrier
     ]
-    checks: list[CheckResult] = []
-
-    def record(name: str, witness: tuple | None) -> None:
-        checks.append(CheckResult(name, witness is None, witness))
-
-    witness = None
-    if sorted(ps.bits for ps in image) != [c.bits for c in alg_p.carrier]:
-        witness = (sorted(ps.bits for ps in image),)
-    record("f-bijection", witness)
-    record("f-preserves-zero", None if image[0].is_empty else (0,))
-    witness = None
-    for i, a in enumerate(alg.carrier):
-        if image[alg.index_of(alg.star(a))] != alg_p.star(image[i]):
-            witness = (i,)
-            break
-    record("f-preserves-complement", witness)
-    witness = None
-    for i, a in enumerate(alg.carrier):
-        if witness:
-            break
-        for j, b in enumerate(alg.carrier):
-            if image[alg.index_of(alg.join(a, b))] != image[i] | image[j]:
-                witness = (i, j)
-                break
-    record("f-preserves-join", witness)
-    witness = None
-    for i, a in enumerate(alg.carrier):
-        if witness:
-            break
-        for j, b in enumerate(alg.carrier):
-            if rc_contact(alg, a, b) != rc_contact(alg_p, image[i], image[j]):
-                witness = (i, j)
-                break
-    record("f-preserves-contact", witness)
-
+    pairs = [(i, a, j, b) for i, a in enumerate(alg.carrier) for j, b in enumerate(alg.carrier)]
+    images = sorted(ps.bits for ps in image)
+    complement = ((i,) for i, a in enumerate(alg.carrier) if image[alg.index_of(alg.star(a))] != alg_p.star(image[i]))
+    join = ((i, j) for i, a, j, b in pairs if image[alg.index_of(alg.join(a, b))] != image[i] | image[j])
+    differences = [[i, j] for i, a, j, b in pairs if rc_contact(alg, a, b) != rc_contact(alg_p, image[i], image[j])]
     region = space.set_from_labels(EXAMPLE_REGION)
     region_p = space_p.set_from_labels(EXAMPLE_REGION_PRIME)
     connected = rc_internally_connected(alg, region)
     connected_p = rc_internally_connected(alg_p, region_p)
-    record("region-internally-connected", None if connected else ())
-    record("primed-region-disconnected", None if not connected_p else ())
-
+    report = AxiomReport.of(
+        {
+            "f-bijection": None if images == [c.bits for c in alg_p.carrier] else (images,),
+            "f-preserves-zero": None if image[0].is_empty else (0,),
+            "f-preserves-complement": next(complement, None),
+            "f-preserves-join": next(join, None),
+            "f-preserves-contact": tuple(differences[0]) if differences else None,
+            "region-internally-connected": None if connected else (),
+            "primed-region-disconnected": None if not connected_p else (),
+        }
+    )
     detail = {
         "spaces": {
             "X": {
@@ -449,18 +428,9 @@ def _example_checks() -> tuple[list[dict], dict, bool]:
                 "internally_connected": connected_p,
             },
         },
+        "contact_differences": differences,
     }
-    ok = all(c.passed for c in checks)
-    if ok:
-        detail["contact_differences"] = []
-    else:
-        detail["contact_differences"] = [
-            [i, j]
-            for i, a in enumerate(alg.carrier)
-            for j, b in enumerate(alg.carrier)
-            if rc_contact(alg, a, b) != rc_contact(alg_p, image[i], image[j])
-        ]
-    return checks_document(checks), detail, ok
+    return checks_document(report.results), detail, report.all_passed
 
 
 def cmd_example1(args: argparse.Namespace) -> int:

@@ -18,7 +18,9 @@ equivalence frame, (a, b) is covered by d iff a ∩ b ⊆ d and every class
 (composite class, for type 2) meeting both a and b also meets d: over any
 subsets, the covering of their σ family, which both readers use.  For a
 parametrized frame it is the literal definition read through the superset
-union R*(d) of the relations, so it holds for every frame, antitone or not.
+union R*(d) of the relations, so it holds for every frame, antitone or not:
+both readers take it as the join-extension of R*(d) over the subsets'
+membership rows, algebra's one generator, for every d at once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import _fold, _slices_of_family
+from .algebra import _fold, _join_extension, _slices_of_family
 from .topology import _PRODUCT_CHUNK_ELEMENTS, bit_matrix, glued_components, joins_by_mask
 
 
@@ -198,19 +200,16 @@ def covering_table(
     :func:`_sigma_family` that hold i and j and miss l, in one float32
     matmul per chunk of i (exact: a count never exceeds the family's size).
     Parametrized frames use the literal covering — no R(U) with U ⊇ d
-    relates a world of a to a world of b — in the form
-    (a, b) ⊢ d ⟺ A[a] · R*(d) · A[b]ᵀ = 0, with A the membership rows and
-    R* from :func:`_reach`: one small matmul per l.
+    relates a world of a to a world of b: the join-extension, over the
+    membership rows of the subsets, of R*(masks[l])[s, t] (R* from
+    :func:`_reach`) for every l at once.
     """
     _require_masks(frame.world_count, *masks)
-    n = len(masks)
-    table = np.empty((n, n, n), dtype=bool)
     if isinstance(frame, ParametrizedFrame):
         rows = bit_matrix(frame.world_count, masks).astype(np.float32)
-        reach = _reach(frame).astype(np.float32)
-        for l, u in enumerate(masks):
-            table[:, :, l] = rows @ reach[u] @ rows.T == 0
-        return table
+        return _join_extension(rows, _reach(frame)[list(masks)].transpose(1, 2, 0))
+    n = len(masks)
+    table = np.empty((n, n, n), dtype=bool)
     g = bit_matrix(n, _sigma_family(frame, masks)).T.astype(np.float32)  # g[i, σ]: σ holds i
     k = g.shape[1]
     missing = (1 - g).T
@@ -233,16 +232,17 @@ def covering_slices(
     A(b)) is covered by A(d) iff (A(p), A(q)) is for every atom p of a and
     q of b.  For a parametrized frame, (A(a), A(b)) is covered by A(d) iff
     no s ∈ A(a), t ∈ A(b) have R*(A(d))(s, t), and that splits over the
-    atoms of a and b, whatever R* is (antitone or not): one batched product
-    A · R*(A(d)) · Aᵀ over every d.  For an equivalence frame, the covering
-    over the images is the covering of the σ family of the atom images
-    (:func:`_sigma_family`), whose slices one product reads off.
+    atoms of a and b, whatever R* is (antitone or not): the join-extension
+    of R*(A(d)) over the atom images, for every d at once.  For an
+    equivalence frame, the covering over the images is the covering of the
+    σ family of the atom images (:func:`_sigma_family`), whose slices one
+    product reads off.
     """
     _require_masks(frame.world_count, *atom_images)
     if isinstance(frame, ParametrizedFrame):
         rows = bit_matrix(frame.world_count, atom_images).astype(np.float32)
-        reach = _reach(frame)[list(joins_by_mask(0, atom_images))].astype(np.float32)
-        return rows @ reach @ rows.T == 0
+        reach = _reach(frame)[list(joins_by_mask(0, atom_images))]
+        return _join_extension(rows, reach.transpose(1, 2, 0)).transpose(2, 0, 1)
     flags = np.zeros(1 << len(atom_images), dtype=bool)
     flags[_sigma_family(frame, atom_images)] = True
     return _slices_of_family(flags, len(atom_images))

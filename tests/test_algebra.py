@@ -30,6 +30,7 @@ from mereotop import (
     DocumentError,
     Filter,
     FiniteBooleanAlgebra,
+    ParametrizedFrame,
     PointSet,
     atom_slices,
     check_ca,
@@ -60,6 +61,8 @@ from mereotop.algebra import (
     _eca2,
     _weca3_holds,
 )
+from mereotop.frames import covering_slices, covering_table
+from mereotop.topology import joins_by_mask
 from paper_claims import check_filter_separation_equivalence, left_set, relative_contact, right_set
 
 
@@ -613,7 +616,13 @@ class TestCheckersTakeNoCap:
         def generate(*args):
             raise AssertionError("an N³ covering table was generated")
 
+        def operation_tables(*args):
+            raise AssertionError("the N x N operation tables were built")
+
         monkeypatch.setattr(algebra_module, "_covering_of_slices", generate)
+        # an earlier test's cached atom matrices would hide a call
+        algebra_module._atom_matrices.cache_clear()
+        monkeypatch.setattr(algebra_module, "_tables", operation_tables)
         if source == "discrete":
             cov = discrete_covering(12)
         else:
@@ -623,8 +632,7 @@ class TestCheckersTakeNoCap:
                 assert check(cov).all_passed
             assert check_ca(derived_contact(cov)).all_passed
         finally:
-            # the N x N operation tables of k = 12 hold about 300 MiB
-            algebra_module._tables.cache_clear()
+            # the cached atom matrices of k = 12 hold disjoint, 64 MiB
             algebra_module._atom_matrices.cache_clear()
 
 
@@ -851,12 +859,35 @@ class TestGenerators:
 
     @pytest.mark.parametrize("chunk", [1, 100, 3000])
     def test_chunked_kernel_matches_oracle(self, chunk, monkeypatch):
-        # one row per chunk, and chunks that leave a short last one
+        # one row per chunk, and chunks that leave a short last one, for every
+        # caller of the one join-extension generator (frames call it here too)
         monkeypatch.setattr(algebra_module, "_PRODUCT_CHUNK_ELEMENTS", chunk)
         k, n, rng = 4, 16, random.Random(chunk)
         slices = np.array([rng.random() < 0.8 for _ in range(n * k * k)]).reshape(n, k, k)
         table = covering_from_slices(k, slices).table
         assert (table == np.array(oracles.naive_covering_of_slices(n, k, slices.tolist()))).all()
+        # the derived contact of a seeded ECA: some member meets a and b
+        family = [1 << i for i in range(k)] + [rng.randrange(1, n) for _ in range(3)]
+        eca = covering_from_signatures(k, family)
+        naive = np.array(oracles.naive_covering_of_signatures(n, family))
+        assert (derived_contact(eca).table == ~naive[:, :, 0]).all()
+        # CA's closed form on a stack of relative contacts, passing and failing
+        for cov in (eca, alexandrov_covering(k, 2, rng), random_covering(k, rng, 0.8)):
+            naive = oracles.naive_relative_contact_laws(n, cov.table.tolist())
+            assert _ca12_mismatch(~cov.table, k).any() == ((naive["RCL1"], naive["RCL2"]) != (None, None))
+        # a parametrized frame's readers; R(∅) is empty and R grows from it,
+        # so the frame is not antitone
+        relations = np.array([rng.random() < 0.3 for _ in range(n * k * k)]).reshape(n, k, k)
+        relations[0] = False
+        frame = ParametrizedFrame(relations)
+        covered = np.array(
+            [oracles.naive_pframe_covering(k, relations.__getitem__, a, b, d) for a, b, d in np.ndindex(n, n, n)]
+        ).reshape(n, n, n)
+        assert (covering_table(frame, range(n)) == covered).all()
+        images = [rng.randrange(1, n) for _ in range(k)]
+        joins = joins_by_mask(0, images)
+        expected = covered[np.array(images)[:, None], np.array(images)[None, :], np.array(joins)[:, None, None]]
+        assert (covering_slices(frame, images) == expected).all()
 
     def test_eight_atoms_through_the_chunked_kernel(self):
         # k^2 = 64 counts per entry, in chunks of 16 rows of 65 536 entries

@@ -677,7 +677,13 @@ class TestRepresentCommand:
         def no_table(*args):
             raise AssertionError("an N³ covering table was generated")
 
+        def operation_tables(*args):
+            raise AssertionError("the N x N operation tables were built")
+
         monkeypatch.setattr(algebra_module, "_covering_of_slices", no_table)
+        # an earlier test's cached atom matrices would hide a call
+        algebra_module._atom_matrices.cache_clear()
+        monkeypatch.setattr(algebra_module, "_tables", operation_tables)
         path = tmp_path / "discrete10.json"
         path.write_text(json.dumps({"atoms": 10, "covering_mode": "discrete"}))
         options = ["--cap-elements", "1024", "--input", str(path), "--json"]
@@ -897,7 +903,8 @@ class TestRandomCommand:
 
 # SHA-256 of "<exit code>\n<stdout>", each pinned on the release before the
 # change it guards (the closed-form verification, the one verification
-# call): a change to a verdict, a witness or the report text shows here.
+# call, example1's one record of checks): a change to a verdict, a witness
+# or the report text shows here.
 PINNED_OUTPUT_SHA256 = {
     ("random", "--seed", "0", "--trials", "50", "--json"): "1873ab82b37e0a90e158ace52cf275136174a14cea7b3c34efe539d88d94c646",
     ("random", "--seed", "1", "--trials", "50", "--json"): "338d1f29ca0266f2cf809af58439e562a16921d65c4bf496b21a9b48e35ff9a6",
@@ -910,6 +917,9 @@ PINNED_OUTPUT_SHA256 = {
     ("represent", "--kind", "type2", "--json"): "5880a21ccfce6378c45779a457d6947e07a47b2d8fa7edd5e051ea0861daae0d",
     ("represent", "--kind", "parametrized", "--json"): "e715b88d55ec127bb33225f910ed4247bb9fdf5aeaef6eabdde847a8b021c143",
     ("rc", "--json", "--verbose"): "36b37a489bcc2e088e176d02a10dcf4d68e2b4b9d98b3186120aa8a4f31cc951",
+    ("example1",): "92b25803b0ff9b976f4747324114b0ba37968e4676ee50ce4e4a13a68081f644",
+    ("example1", "--json"): "f2ef15333e4c94ed980b7cf99965e28233e07209e6739603a1f66c67263b4394",
+    ("example1", "--verbose"): "7c2309fba19fd2e2ffd94e5c363f9ae8cc63acd9587a7d4019bb92e6a7177bd8",
 }
 
 
@@ -917,7 +927,7 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("argv", sorted(PINNED_OUTPUT_SHA256), ids=" ".join)
     def test_exit_code_and_stdout(self, argv, tmp_path, capsys):
         args = list(argv)
-        if argv[0] != "random":
+        if argv[0] not in ("random", "example1"):  # neither reads --input
             path = tmp_path / "example.json"
             path.write_text(json.dumps(cli_module.EXAMPLE_SPACE))
             args += ["--input", str(path)]
