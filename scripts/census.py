@@ -17,11 +17,14 @@ the images with the source's table.  Every distinct table that passes the
 extended axioms is the covering of its own S*, read off it by signatures,
 whose members are the points of a model: its type-1 and type-2 frames
 are built on them and must pass every check of verify_embedding,
-internal connectedness included for type 2, and its derived contact must
-pass the contact axioms.  It prints, for each k, the number of families,
-of distinct tables, of distinct tables that pass the extended axioms (1,
-2, 15 and 1 218), of parametrized embeddings verified, and of extended
-algebras whose type-1 and type-2 embeddings and derived contact pass.
+internal connectedness included for type 2, and its derived contact, held
+as a relation on atoms, must pass the contact axioms, generate the
+complement of the cover-0 slice of the table as its own table, and give
+the same verdict as the contact built from that table.  It prints, for
+each k, the number of families, of distinct tables, of distinct tables
+that pass the extended axioms (1, 2, 15 and 1 218), of parametrized
+embeddings verified, and of extended algebras whose type-1 and type-2
+embeddings and derived contact pass.
 The run stops with an error on any failure, any mismatch or any other
 count.
 """
@@ -32,6 +35,7 @@ import argparse
 import time
 
 from mereotop import (
+    ContactRelation,
     CoveringRelation,
     FiniteBooleanAlgebra,
     build_parametrized_frame,
@@ -68,15 +72,24 @@ def check_parametrized(covering: CoveringRelation) -> None:
 def check_extended(covering: CoveringRelation) -> None:
     """Verify the type-1 and type-2 embeddings of an extended contact
     algebra over the points of S*, and the contact axioms of its derived
-    contact."""
+    contact, both as held (decided on its atom relation) and as built from
+    the covering's table (decided by comparing the table with the
+    join-extension)."""
     points = signatures(covering)
     for kind, builder in (("type1", build_type1), ("type2", build_type2)):
         report = verify_embedding(builder(covering, points))
         if not report.all_passed:
             raise SystemExit(f"{kind} on S* = {list(points)}: {report.failures()}")
-    report = check_ca(derived_contact(covering))
+    contact = derived_contact(covering)
+    report = check_ca(contact)
     if not report.all_passed:
         raise SystemExit(f"derived contact of S* = {list(points)}: {report.failures()}")
+    table = ~covering.table[:, :, 0]
+    if not (contact.table == table).all():
+        raise SystemExit(f"derived contact of S* = {list(points)}: its generated table is not the covering's")
+    report = check_ca(ContactRelation(covering.algebra, table))
+    if not report.all_passed:
+        raise SystemExit(f"table-built contact of S* = {list(points)}: {report.failures()}")
 
 
 def census(k: int) -> tuple[int, int, int, int, int]:

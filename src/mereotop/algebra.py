@@ -4,12 +4,14 @@ Elements of a finite Boolean algebra with k atoms are the integers
 0..2^k-1 read as atom bitmasks, so join/meet/complement are bitwise
 or/and/not and the order is bitmask inclusion.  A covering relation is a
 dense boolean table of shape (N, N, N) with entry [a, b, d] true when the
-pair (a, b) is covered by d; a contact relation is an (N, N) table.
+pair (a, b) is covered by d; a contact relation is an (N, N) table, or
+held as the relation R on atoms whose join-extension it is.
 
 One generator, the join-extension of a relation on atoms over the atoms'
 membership rows (two float32 products, the second in row chunks of about
-4 MiB), makes every covering table, the derived contact and CA's closed
-form, and a parametrized frame's covering (see frames).
+4 MiB), makes every covering table, the table of a contact held as R, the
+comparison in CA's closed form, and a parametrized frame's covering (see
+frames).
 ``covering_from_slices`` is the table generated by atom slices R_f, an
 (N, k, k) array, in O(k·N³) multiply-adds.  ``covering_from_signatures``
 (and ``eca_from_rc``, the covering of the atom signatures of a space's
@@ -32,10 +34,14 @@ check_weca_consequences (six laws that follow from the weak axioms) and
 check_relative_contact_laws (laws of every such covering of a family),
 which return a shared all-passed report on a pass.
 It is the only record of a covering's axiom system: derived_contact
-refuses a covering whose verdict fails the extended axioms.
+refuses a covering whose verdict fails the extended axioms, and holds the
+contact of an ECA as R, the atom pairs outside R_0, generating its table
+only when first read.
 check_ca passes a contact in closed form: the join-extension of its
-restriction to zero and the atoms, symmetric, with an empty zero row and
-a full atom diagonal.  No passing check builds an N x N operation table:
+restriction R to zero and the atoms, R symmetric, with an empty zero row
+and a full atom diagonal.  A held contact is that extension by definition,
+so only R is tested, in O(k²); a table is also compared with the
+extension.  No passing check builds an N x N operation or contact table:
 those serve the literal searches and internally_connected_algebraic.
 The contact axioms CA1-CA5 are the relative contact laws RCL1-RCL5 at
 g = 0 (derived contact is "not covered by 0"), so the five laws are
@@ -191,14 +197,25 @@ class CoveringRelation:
 
 @dataclass(frozen=True, eq=False)
 class ContactRelation:
-    """A binary contact relation over a finite Boolean algebra."""
+    """A binary contact relation over a finite Boolean algebra.  One held as
+    a relation on atoms generates its table, the join-extension, on first
+    read."""
 
     algebra: FiniteBooleanAlgebra
-    table: np.ndarray
+    table: np.ndarray = field(repr=False)  # a repr must not generate a held contact's table
+    _atoms = None  # R[p, q]: atoms p and q in contact, for a contact held as R
 
     def __post_init__(self) -> None:
         n = self.algebra.size
         object.__setattr__(self, "table", _frozen_table(self.table, (n, n)))
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name != "table" or self._atoms is None:
+            raise AttributeError(name)
+        table = _join_extension(_atom_matrices(self.algebra.atom_count)[2], self._atoms)
+        self.__dict__["table"] = table = np.logical_not(table, out=table)
+        table.setflags(write=False)
+        return table
 
 
 def discrete_covering(atom_count: int) -> CoveringRelation:
@@ -492,17 +509,25 @@ def check_ca(contact: ContactRelation) -> AxiomReport:
 
     All five hold iff c is the join-extension of its restriction R to zero
     and the atoms and R is symmetric, with an empty zero row and every atom
-    in contact with itself.  Only a relation that fails this closed form
-    runs the laws, as a stack of one relation, its witnesses without g.
-    It takes no element cap (see check_eca)."""
+    in contact with itself.  A contact held as R (see derived_contact) is
+    its extension by definition, with an empty zero row, so it is decided
+    on R alone, in O(k²), and its table is not read.  A table is first
+    compared with the extension of its restriction.  Only a relation that
+    fails this closed form runs the laws on its table, as a stack of one
+    relation, its witnesses without g.  It takes no element cap (see
+    check_eca)."""
     k = contact.algebra.atom_count
-    c = contact.table
-    reduced_pass = not _ca12_mismatch(c, k).any()
-    base = _atom_matrices(k)[0]
-    r = c[base][:, base].tolist()
-    if reduced_pass and r == [list(col) for col in zip(*r)] and not any(r[0]) and all(r[i][i] for i in range(1, k + 1)):
+    if contact._atoms is None:
+        c = contact.table
+        extended = not _ca12_mismatch(c, k).any()
+        base = _atom_matrices(k)[0]
+        r = c[base][:, base].tolist()
+    else:
+        extended = True
+        r = [[False] * (k + 1)] + [[False, *row] for row in contact._atoms.tolist()]
+    if extended and r == [list(col) for col in zip(*r)] and not any(r[0]) and all(r[i][i] for i in range(1, k + 1)):
         return _PASSED["CA"]
-    laws = _contact_laws(c[:, :, None], k)
+    laws = _contact_laws(contact.table[:, :, None], k)
     return AxiomReport.of({f"CA{i}": None if w is None else w[1:] for i, w in enumerate(laws, 1)})
 
 
@@ -816,11 +841,12 @@ def derived_contact(covering: CoveringRelation) -> ContactRelation:
     (a, b) is not covered by zero.  Only the extended contact axioms
     guarantee the contact axioms, so a table whose verdict is not ECA is
     rejected.  An ECA is generated by its slices, so the contact is the
-    join-extension of the atom pairs outside R_0: no table is read."""
+    join-extension of R, the atom pairs outside R_0: it holds R, a k x k
+    relation, and generates its N x N table only when first read, by a
+    failing check_ca or a caller.  No covering table is read."""
     if covering._strength != "ECA":
         raise ValueError("derived contact needs the full extended contact axioms")
-    table = _join_extension(_atom_matrices(covering.algebra.atom_count)[2], ~covering._slices[0])
-    return _owning(ContactRelation, covering.algebra, table=np.logical_not(table, out=table))
+    return _owning(ContactRelation, covering.algebra, _atoms=~covering._slices[0])
 
 
 def check_relative_contact_laws(covering: CoveringRelation) -> AxiomReport:

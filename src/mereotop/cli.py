@@ -359,12 +359,13 @@ def cmd_represent(args: argparse.Namespace) -> int:
                     print(f"  {check['name']}: FAIL at {tuple(check['witness'])}")
         return 1
     labeled, algebra = space or (None, None)
+    points = None
     if weak:
         embedding = build_parametrized_frame(covering)
     else:
         points = algebra.point_signatures if algebra else signatures(covering)
         embedding = (build_type1 if args.kind == "type1" else build_type2)(covering, points)
-    out = verification_document(verify_embedding(embedding), embedding, labeled=labeled)
+    out = verification_document(verify_embedding(embedding), embedding, labeled=labeled, points=points)
     out["command"] = "represent"
     if args.output_json:
         _emit_json(out)

@@ -301,11 +301,20 @@ def verify_c_preservation(embedding: Embedding, on_slices: bool) -> CheckResult:
 # report documents
 
 
-def verification_document(report: AxiomReport, embedding: Embedding, *, labeled: LabeledTopology | None = None) -> dict:
+def verification_document(
+    report: AxiomReport,
+    embedding: Embedding,
+    *,
+    labeled: LabeledTopology | None = None,
+    points: Sequence[int] | None = None,
+) -> dict:
     """The JSON shape of a verification run: pipeline (the frame's kind),
     checks, frame, embedding (element mask -> sorted world indices).  An
     equivalence frame also lists its (atom, point) worlds, by their labels
-    when ``labeled`` names the points of the source's model."""
+    when ``labeled`` names the points of the source's model.  Otherwise a
+    world names its point by position, and ``points``, the points' atom
+    signatures in that order, is listed as ``point_atoms``: each point's
+    atom indices."""
     frame = embedding.frame
     kind = _PIPELINES[type(frame)]
     frame_doc: dict = {"kind": kind, "worlds": frame.world_count}
@@ -325,6 +334,8 @@ def verification_document(report: AxiomReport, embedding: Embedding, *, labeled:
             detail = [{"atom": atom_labels[i], "point": labeled.labels[x]} for i, x in embedding.worlds]
         else:
             detail = [{"atom_index": i, "point": x} for i, x in embedding.worlds]
+            if points is not None:
+                frame_doc["point_atoms"] = [[i for i in range(sig.bit_length()) if sig >> i & 1] for sig in points]
         frame_doc["worlds_detail"] = detail
     return {
         "pipeline": kind,

@@ -619,10 +619,15 @@ class TestCheckersTakeNoCap:
         def operation_tables(*args):
             raise AssertionError("the N x N operation tables were built")
 
+        def contact_table(*args):
+            raise AssertionError("an N x N contact table was generated")
+
         monkeypatch.setattr(algebra_module, "_covering_of_slices", generate)
         # an earlier test's cached atom matrices would hide a call
         algebra_module._atom_matrices.cache_clear()
         monkeypatch.setattr(algebra_module, "_tables", operation_tables)
+        # the derived contact holds its atom relation and CA is decided on it
+        monkeypatch.setattr(algebra_module, "_join_extension", contact_table)
         if source == "discrete":
             cov = discrete_covering(12)
         else:
@@ -630,7 +635,9 @@ class TestCheckersTakeNoCap:
         try:
             for check in (check_eca, check_weca, check_weca_consequences, check_relative_contact_laws):
                 assert check(cov).all_passed
-            assert check_ca(derived_contact(cov)).all_passed
+            contact = derived_contact(cov)
+            assert check_ca(contact).all_passed
+            assert "table" not in vars(contact)
         finally:
             # the cached atom matrices of k = 12 hold disjoint, 64 MiB
             algebra_module._atom_matrices.cache_clear()
@@ -1060,6 +1067,72 @@ class TestVerifiedAlgebras:
         for g in range(4):
             rel = relative_contact(cov, g)
             assert np.array_equal(rel.table, ~cov.table[:, :, g])
+
+
+def held_contact(k: int, atoms: np.ndarray) -> ContactRelation:
+    """A contact held as the relation R[p, q] on atoms, as derived_contact
+    builds one."""
+    return algebra_module._owning(ContactRelation, FiniteBooleanAlgebra(k), _atoms=np.array(atoms, dtype=bool))
+
+
+def eca_sweep() -> list[CoveringRelation]:
+    """Seeded family coverings with every single atom (k = 1..5),
+    topology-derived coverings (k = 2..5) and the discrete ones (k = 1..5)."""
+    coverings = []
+    for k in range(1, 6):
+        n, rng = 1 << k, random.Random(k * 41)
+        for density in (0.1, 0.3, 0.6):
+            family = [s for s in range(1, n) if rng.random() < density]
+            coverings.append(covering_from_signatures(k, family + [1 << i for i in range(k)]))
+        if k > 1:
+            coverings += [alexandrov_covering(k, 0, rng) for _ in range(3)]
+        coverings.append(discrete_covering(k))
+    return coverings
+
+
+class TestHeldContacts:
+    """derived_contact holds R, the atom pairs outside R_0, and check_ca
+    decides it on R alone; the table it generates on first read, and every
+    report, are those of the contact built from the covering's table."""
+
+    @pytest.mark.parametrize("cov", eca_sweep(), ids=lambda c: f"k{c.algebra.atom_count}")
+    def test_held_matches_table_built(self, cov):
+        held = derived_contact(cov)
+        tabled = ContactRelation(cov.algebra, ~cov.table[:, :, 0])
+        report = check_ca(held)
+        assert "table" not in vars(held)  # a pass reads R only
+        assert report is _PASSED["CA"]
+        assert witnesses(report) == witnesses(check_ca(tabled))
+        assert (held.table == tabled.table).all() and not held.table.flags.writeable
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_failing_held_contacts_run_the_laws(self, k):
+        rng = random.Random(k)
+        one_sided = np.eye(k, dtype=bool)
+        if k > 1:
+            one_sided[0, k - 1] = True  # not symmetric
+        relations = [one_sided, np.zeros((k, k), dtype=bool)]  # the second has an empty diagonal
+        for _ in range(4):
+            r = np.array([rng.random() < 0.5 for _ in range(k * k)]).reshape(k, k)
+            relations.append(r | r.T)  # symmetric, and its diagonal at random
+        for r in relations:
+            held = held_contact(k, r)
+            report = check_ca(held)
+            assert ("table" in vars(held)) == (report is not _PASSED["CA"])  # a failure reads the table
+            naive = oracles.naive_check_ca(1 << k, held.table.tolist())
+            assert (r == r.T).all() and r.diagonal().all() or not all_none(naive)
+            assert witnesses(report) == naive
+            assert witnesses(check_ca(ContactRelation(held.algebra, held.table))) == naive
+            assert (report is _PASSED["CA"]) == all_none(naive)
+
+    def test_repr_generates_no_table(self):
+        try:
+            contact = derived_contact(discrete_covering(12))
+            assert repr(contact) == "ContactRelation(algebra=FiniteBooleanAlgebra(atom_count=12))"
+            assert "table" not in vars(contact)
+        finally:
+            # the cached atom matrices of k = 12 hold disjoint, 64 MiB
+            algebra_module._atom_matrices.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -680,6 +680,9 @@ class TestRepresentCommand:
         def operation_tables(*args):
             raise AssertionError("the N x N operation tables were built")
 
+        def contact_table(*args):
+            raise AssertionError("an N x N contact table was generated")
+
         monkeypatch.setattr(algebra_module, "_covering_of_slices", no_table)
         # an earlier test's cached atom matrices would hide a call
         algebra_module._atom_matrices.cache_clear()
@@ -687,7 +690,11 @@ class TestRepresentCommand:
         path = tmp_path / "discrete10.json"
         path.write_text(json.dumps({"atoms": 10, "covering_mode": "discrete"}))
         options = ["--cap-elements", "1024", "--input", str(path), "--json"]
-        code, doc = run_json(capsys, ["check-axioms", *options])
+        with monkeypatch.context() as patch:
+            # the derived contact is decided on its atom relation, so no N x N
+            # contact table is generated, nor the join-extension CA1/CA2 compare
+            patch.setattr(algebra_module, "_join_extension", contact_table)
+            code, doc = run_json(capsys, ["check-axioms", *options])
         assert code == 0 and doc["all_passed"]
         for kind in ("parametrized", "type1", "type2"):
             code, doc = run_json(capsys, ["represent", "--kind", kind, *options])
@@ -704,9 +711,17 @@ class TestRepresentCommand:
         flipped[1, 2, 1] = flipped[2, 1, 1] = False  # 1 is below 1, so (1, 2) must be covered by 1
         coverings = {
             "discrete": discrete_covering(3),
-            "derived": derived,
+            # two open cores and a boundary point in both closures: S* = (1, 2, 3)
+            "derived2": eca_from_rc(rc_algebra(build(3, [0b001, 0b010]))),
+            "derived3": derived,
             "zero-sided": zero_sided_covering(2),
             "flipped": CoveringRelation(derived.algebra, flipped),
+        }
+        # each point of S*, in point order, by the indices of its atoms
+        point_atoms = {
+            "discrete": [[0], [1], [2]],
+            "derived2": [[0], [1], [0, 1]],
+            "derived3": [[0], [1], [0, 1], [2], [0, 2], [1, 2], [0, 1, 2]],
         }
         for name, covering in coverings.items():
             path = tmp_path / f"{name}.json"
@@ -715,10 +730,13 @@ class TestRepresentCommand:
             code, doc = run_json(capsys, [*argv, "--json"])
             report = check_eca(covering)
             if report.all_passed:
-                assert name in ("discrete", "derived")
+                assert name in point_atoms
                 assert code == 0 and doc["pipeline"] == kind
                 assert all(c["pass"] for c in doc["checks"])
                 assert doc["frame"]["worlds"] == sum(s.bit_count() for s in signatures(covering))
+                assert doc["frame"]["point_atoms"] == point_atoms[name]
+                for world in doc["frame"]["worlds_detail"]:
+                    assert world["atom_index"] in point_atoms[name][world["point"]]
                 continue
             assert name in ("zero-sided", "flipped")
             assert code == 1
