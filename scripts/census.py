@@ -17,7 +17,9 @@ the images with the source's table.  Every distinct table that passes the
 extended axioms is the covering of its own S*, read off it by signatures,
 whose members are the points of a model: its type-1 and type-2 frames
 are built on them and must pass every check of verify_embedding,
-internal connectedness included for type 2, and its derived contact, held
+internal connectedness included for type 2, with equal reports whether
+the source is the covering of the generating family, of S* (on which the
+family gate decides covering) or of the table, and its derived contact, held
 as a relation on atoms, must pass the contact axioms, generate the
 complement of the cover-0 slice of the table as its own table, and give
 the same verdict as the contact built from that table.  It prints, for
@@ -34,6 +36,8 @@ from __future__ import annotations
 import argparse
 import time
 
+import numpy as np
+
 from mereotop import (
     ContactRelation,
     CoveringRelation,
@@ -49,7 +53,7 @@ from mereotop import (
     signatures,
     verify_embedding,
 )
-from mereotop.frames import covering_slices, covering_table
+from mereotop.frames import covering_family, covering_slices, covering_table
 
 ECA_TABLES = {1: 1, 2: 2, 3: 15, 4: 1218}
 
@@ -71,15 +75,28 @@ def check_parametrized(covering: CoveringRelation) -> None:
 
 def check_extended(covering: CoveringRelation) -> None:
     """Verify the type-1 and type-2 embeddings of an extended contact
-    algebra over the points of S*, and the contact axioms of its derived
-    contact, both as held (decided on its atom relation) and as built from
-    the covering's table (decided by comparing the table with the
-    join-extension)."""
+    algebra over the points of S*, with three sources that must give equal
+    reports: the covering of the generating family, the covering of S*
+    itself, on which verify_embedding's family gate must confirm covering
+    (the frame's σ family equals S*), and the covering built from the
+    table, which holds no family.  Then check the contact axioms of its
+    derived contact, both as held (decided on its atom relation) and as
+    built from the covering's table (decided by comparing the table with
+    the join-extension)."""
+    k = covering.algebra.atom_count
     points = signatures(covering)
+    held = covering_from_signatures(k, points)
+    tabled = CoveringRelation(covering.algebra, covering.table)
     for kind, builder in (("type1", build_type1), ("type2", build_type2)):
-        report = verify_embedding(builder(covering, points))
-        if not report.all_passed:
-            raise SystemExit(f"{kind} on S* = {list(points)}: {report.failures()}")
+        reports = [verify_embedding(builder(source, points)) for source in (covering, held, tabled)]
+        if not reports[0].all_passed:
+            raise SystemExit(f"{kind} on S* = {list(points)}: {reports[0].failures()}")
+        if reports.count(reports[0]) != len(reports):
+            raise SystemExit(f"{kind} on S* = {list(points)}: the reports over the three sources differ")
+        embedding = builder(held, points)
+        atoms = [embedding.image_masks[1 << i] for i in range(k)]
+        if not np.array_equal(covering_family(embedding.frame, atoms), held._family):
+            raise SystemExit(f"{kind} on S* = {list(points)}: the frame's σ family is not S*")
     contact = derived_contact(covering)
     report = check_ca(contact)
     if not report.all_passed:

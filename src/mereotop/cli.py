@@ -11,7 +11,9 @@ Output goes to stdout — human-readable by default, canonical JSON with
 configurations give byte-identical reports).  A ``--json`` report is exactly
 ``json.dumps(doc, sort_keys=True, indent=2)``, non-ASCII escaped, plus a
 newline; ``_json_text`` writes those bytes without the stdlib's pure-Python
-indenting encoder.  Warnings go to stderr.
+indenting encoder, appending every piece to one list that is joined once,
+with a dict's str, int, bool and None values written inline with their
+keys.  Warnings go to stderr.
 Exit status: 0 when every executed check passed, 1 when any check failed,
 2 on input or usage errors.
 """
@@ -146,51 +148,78 @@ def _input_covering(
 def _json_text(value: object, indent: str, memo: dict | None = None) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for a value nested at
     ``indent``.  With ``indent`` set the stdlib runs its pure-Python encoder;
-    here a list of exact ``str`` or exact ``int`` is written by one join, and
-    a scalar the stdlib writes in a fixed form is written in that form.  A
+    here the pieces go into one list, joined once (:func:`_write_json`).  A
     list object met again at the same indent, such as the label list a
     verification report shares among an atom's worlds, is written at most
     twice: ``memo`` maps (id, indent) to "" when a list is first met and
     to its text when it is met again, for one top-level call, while the
     document holds every list alive.  So only shared lists keep their
     text until the call returns."""
-    if type(value) is str:
-        return _quote(value)
-    if memo is None:
-        memo = {}
-    if isinstance(value, dict):
+    out: list[str] = []
+    _write_json(value, indent, out, {} if memo is None else memo)
+    return "".join(out)
+
+
+# the stdlib's fixed text of each scalar type, written inline
+_SCALAR_TEXT: dict[type, Callable[[object], str]] = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(value: object, indent: str, out: list[str], memo: dict) -> None:
+    """Append the text of ``value`` at ``indent`` to ``out``.  A str, int,
+    bool or None is written in the stdlib's fixed form, inline with its key
+    in a dict, and a list of exact ``str`` or exact ``int`` by one join."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
+            out.append("{}")
+            return
         inner = indent + "  "
-        body = [_quote(key) + ": " + _json_text(item, inner, memo) for key, item in sorted(value.items())]
-        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
+        sep = "{\n" + inner
+        for key, item in sorted(value.items()):
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is None:
+                out.append(f"{sep}{_quote(key)}: ")
+                _write_json(item, inner, out, memo)
+            else:
+                out.append(f"{sep}{_quote(key)}: {scalar(item)}")
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            out.append("[]")
+            return
         key = (id(value), indent)
         text = memo.get(key)
         if text:
-            return text
+            out.append(text)
+            return
+        start = len(out)
         inner = indent + "  "
+        sep = ",\n" + inner
         kinds = set(map(type, value))
-        if kinds == {str}:
-            body = map(_quote, value)
-        elif kinds == {int}:
-            body = map(int.__repr__, value)
+        if len(kinds) == 1 and kinds <= {str, int}:
+            out.append("[\n" + inner + sep.join(map(_SCALAR_TEXT[kinds.pop()], value)) + "\n" + indent + "]")
         else:
-            body = [_json_text(item, inner, memo) for item in value]
-        text = "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
-        memo[key] = text if key in memo else ""
-        return text
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if type(value) is int:
-        return int.__repr__(value)
-    return json.dumps(value)
+            head = "[\n" + inner
+            for item in value:
+                scalar = _SCALAR_TEXT.get(type(item))
+                if scalar is None:
+                    out.append(head)
+                    _write_json(item, inner, out, memo)
+                else:
+                    out.append(head + scalar(item))
+                head = sep
+            out.append("\n" + indent + "]")
+        memo[key] = "".join(out[start:]) if key in memo else ""
+    else:
+        out.append(json.dumps(value))
 
 
 def _emit_json(doc: dict) -> None:

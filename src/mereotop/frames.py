@@ -10,7 +10,11 @@ induces a covering on subsets of W: on the powerset it is a weak extended
 contact algebra for parametrized frames and a full one for the
 equivalence kinds.  :func:`covering_slices` reads any frame's covering
 over the joins of k atom images as N·k² atom slices, so an embedding that
-preserves zero and join is checked on atom-level data.
+preserves zero and join is checked on atom-level data.  For an
+equivalence frame those slices are a function of the σ family of the
+atom images, whose flags :func:`covering_family` gives: a source built
+from the same family has the same slices, so the flags alone confirm
+covering without the slice product.
 :func:`covering_table` tabulates the covering over any family of subsets:
 all of them for the powerset, or the images of an embedding whose
 covering the slices do not confirm, to name the witness.  For an
@@ -238,11 +242,21 @@ def covering_slices(
     σ family of the atom images (:func:`_sigma_family`), whose slices one
     product reads off.
     """
-    _require_masks(frame.world_count, *atom_images)
     if isinstance(frame, ParametrizedFrame):
+        _require_masks(frame.world_count, *atom_images)
         rows = bit_matrix(frame.world_count, atom_images).astype(np.float32)
         reach = _reach(frame)[list(joins_by_mask(0, atom_images))]
         return _join_extension(rows, reach.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return _slices_of_family(covering_family(frame, atom_images), len(atom_images))
+
+
+def covering_family(frame: EquivalenceFrame1 | EquivalenceFrame2, atom_images: Sequence[int]) -> np.ndarray:
+    """flags[σ] of the σ family of the atom images (:func:`_sigma_family`),
+    an (N,) bool array over the atom sets: the family whose covering is
+    the equivalence frame's covering over the joins of the images, so two
+    frames, or a frame and a covering built from a family, with equal
+    flags have equal atom slices."""
+    _require_masks(frame.world_count, *atom_images)
     flags = np.zeros(1 << len(atom_images), dtype=bool)
     flags[_sigma_family(frame, atom_images)] = True
-    return _slices_of_family(flags, len(atom_images))
+    return flags

@@ -22,10 +22,18 @@ images, and the images rebuilt from the images of zero and the atoms.
 When zero and join hold, the images are unions of atom images, and in
 every frame kind the frame's covering over them is the table generated
 by its atom slices (:func:`~mereotop.frames.covering_slices`), so
-covering is decided by comparing those slices with the source's; only a
-covering the slices do not confirm is tabulated over the images and
-compared table to table, for its witness.  For a type-2 frame the report
-ends with the internal-connectedness biconditional
+covering is decided by comparing those slices with the source's.  For an
+equivalence frame and a source built from a family, a family gate comes
+first: slices are a function of a family's flags, so when the frame's σ
+family of the atom images (:func:`~mereotop.frames.covering_family`) is
+the source's family, covering holds without the slice product.  That is
+always so when the source is the covering of the points' signatures the
+type-1 or type-2 frame is built on: the covering of a space
+(``eca_from_rc``), or of an S*.  Only a covering the slices do not confirm is
+tabulated over the images and compared table to table, for its witness.
+A passing embedding's report is a shared constant, as a passing axiom
+system's is.  For a type-2 frame the report ends with the
+internal-connectedness biconditional
 (:func:`verify_c_preservation`), which passes at once when the covering
 passed on slices, the atom images partition the worlds, and every atom
 image of two or more worlds is a class; otherwise the algebraic side is decided for every
@@ -53,6 +61,7 @@ from .frames import (
     EquivalenceFrame1,
     EquivalenceFrame2,
     ParametrizedFrame,
+    covering_family,
     covering_slices,
     covering_table,
     frame2_internally_connected,
@@ -143,6 +152,12 @@ def build_type2(covering: CoveringRelation, points: Sequence[int]) -> Embedding:
 # ---------------------------------------------------------------------------
 # verification
 
+_EMBEDDING_CHECKS = ("injective", "preserves-zero", "preserves-complement", "preserves-join", "preserves-covering")
+_C_PRESERVED = CheckResult("preserves-internal-connectedness", True)
+_PASSED_CHECKS = AxiomReport.of(dict.fromkeys(_EMBEDDING_CHECKS)).results
+# the report of a passing embedding, shared (frozen), by whether it ends with c°
+_EMBEDDED = {False: AxiomReport(_PASSED_CHECKS), True: AxiomReport((*_PASSED_CHECKS, _C_PRESERVED))}
+
 
 def verify_embedding(embedding: Embedding) -> AxiomReport:
     """Check the five embedding facts: injectivity, and preservation of
@@ -163,13 +178,18 @@ def verify_embedding(embedding: Embedding) -> AxiomReport:
     slices, since the slices of the generation of S are S; so the two
     tables are equal iff F equals the source's slices.  One gate serves
     every frame kind: zero and join hold, the verdict is not None, and the
-    slices agree.  Any covering the gate does not confirm is tabulated by
-    :func:`~mereotop.frames.covering_table` and compared with the source's
-    table.  Only a failing verdict runs the literal search, so each
-    witness is the first violating tuple in ascending element order, the
-    lex-first (a, b, d) for covering.  The commands bound the source by
+    slices agree.  For an equivalence frame and a source built from a
+    family, the slices agree at once when the frame's σ-family flags equal
+    the source's family (:func:`_covering_on_slices`), as they do for the
+    frames :func:`build_type1` and :func:`build_type2` make over the points
+    the source's family lists.  Any covering the gate does not confirm is
+    tabulated by :func:`~mereotop.frames.covering_table` and compared with
+    the source's table.  Only a failing verdict runs the literal search, so
+    each witness is the first violating tuple in ascending element order,
+    the lex-first (a, b, d) for covering.  The commands bound the source by
     their element cap before building it, so the frame's table is no
-    larger than the source's own.
+    larger than the source's own.  A passing report is shared: one
+    constant for the five checks, one with c° appended for type 2.
     """
     source = embedding.source
     n = source.algebra.size
@@ -204,27 +224,43 @@ def verify_embedding(embedding: Embedding) -> AxiomReport:
                     join = (a, b)
                     break
     on_slices = (
-        zero is None
-        and join is None
-        and source._strength is not None
-        and bool((covering_slices(frame, atoms) == source._slices).all())
+        zero is None and join is None and source._strength is not None and _covering_on_slices(source, frame, atoms)
     )
     cov = None
     if not on_slices:
         mismatch = covering_table(frame, img) != source.table
         cov = _first(mismatch) if mismatch.any() else None
-    results = AxiomReport.of(
-        {
-            "injective": inj,
-            "preserves-zero": zero,
-            "preserves-complement": comp,
-            "preserves-join": join,
-            "preserves-covering": cov,
-        }
-    ).results
-    if isinstance(frame, EquivalenceFrame2):
-        results += (verify_c_preservation(embedding, on_slices),)
-    return AxiomReport(results)
+    witnesses = dict(zip(_EMBEDDING_CHECKS, (inj, zero, comp, join, cov)))
+    c = verify_c_preservation(embedding, on_slices) if isinstance(frame, EquivalenceFrame2) else None
+    if (c is None or c.passed) and all(w is None for w in witnesses.values()):
+        return _EMBEDDED[c is not None]
+    results = AxiomReport.of(witnesses).results
+    return AxiomReport(results if c is None else results + (c,))
+
+
+def _covering_on_slices(
+    source: CoveringRelation,
+    frame: ParametrizedFrame | EquivalenceFrame1 | EquivalenceFrame2,
+    atoms: Sequence[int],
+) -> bool:
+    """For a source with a verdict, whether the frame's covering over the
+    joins of the atom images ``atoms`` is the source's: whether the
+    frame's atom slices equal the source's.  Slices are a function of a
+    family's flags, so for an equivalence frame and a source built from a
+    family, equal σ-family flags (:func:`~mereotop.frames.covering_family`)
+    pass without the N·k² product.  The frames :func:`build_type1` and
+    :func:`build_type2` make always take this gate on the covering of their
+    points' signatures: the frame's family is the single atoms and those
+    signatures, and the signatures already hold every single atom.  In a
+    space, a point of a minimal neighbourhood U_x lies in the closure of
+    U_x alone, since two minimal neighbourhoods that meet are equal; an
+    extended algebra's S* holds every single atom by the axioms.  Any
+    other case compares the slices."""
+    if source._family is not None and not isinstance(frame, ParametrizedFrame):
+        # two (N,) bool arrays: equal bytes, equal flags, at a tenth of array_equal's cost
+        if covering_family(frame, atoms).tobytes() == source._family.tobytes():
+            return True
+    return bool((covering_slices(frame, atoms) == source._slices).all())
 
 
 def _c_preserved_on_atoms(embedding: Embedding, on_slices: bool) -> bool:
@@ -294,7 +330,7 @@ def verify_c_preservation(embedding: Embedding, on_slices: bool) -> CheckResult:
             if connected != frame2_internally_connected(embedding.frame, embedding.image_masks[a]):
                 witness = (a,)
                 break
-    return CheckResult("preserves-internal-connectedness", witness is None, witness)
+    return _C_PRESERVED if witness is None else CheckResult(_C_PRESERVED.name, False, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +365,8 @@ def verification_document(
             atom_labels: dict[int, list[str]] = {}
             for i, x in embedding.worlds:
                 atom_labels.setdefault(i, []).append(labeled.labels[x])
-            for points in atom_labels.values():
-                points.sort()
+            for labels in atom_labels.values():
+                labels.sort()
             detail = [{"atom": atom_labels[i], "point": labeled.labels[x]} for i, x in embedding.worlds]
         else:
             detail = [{"atom_index": i, "point": x} for i, x in embedding.worlds]

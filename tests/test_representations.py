@@ -43,6 +43,7 @@ from mereotop import frames as frames_module
 from mereotop import representations as representations_module
 from mereotop import topology as topology_module
 from mereotop.algebra import (
+    CheckResult,
     CoveringRelation,
     FiniteBooleanAlgebra,
     check_eca,
@@ -351,18 +352,26 @@ def covering_witness(report):
     return check.witness
 
 
+def spied_gate():
+    """A spy on verify_embedding's covering test on atom-level data."""
+    return mock.patch.object(
+        representations_module, "_covering_on_slices", wraps=representations_module._covering_on_slices
+    )
+
+
 def verified_with_slice_verdict(embedding):
     """verify_embedding's report and its slice verdict, read off spies:
-    None where the frame's atom slices were not read (the slices decided
-    nothing), else True where the slices confirmed covering and no frame
-    table was tabulated, False where the covering_table fallback ran."""
+    None where the covering test on atom-level data (σ-family flags, else
+    atom slices) was not run (it decided nothing), else True where it
+    confirmed covering and no frame table was tabulated, False where the
+    covering_table fallback ran."""
     with (
-        mock.patch.object(representations_module, "covering_slices", wraps=covering_slices) as slices,
+        spied_gate() as gate,
         mock.patch.object(representations_module, "covering_table", wraps=covering_table) as table,
     ):
         report = verify_embedding(embedding)
-    assert slices.call_count <= 1 and table.call_count <= 1 and (slices.called or table.called)
-    return report, (not table.called if slices.called else None)
+    assert gate.call_count <= 1 and table.call_count <= 1 and (gate.called or table.called)
+    return report, (not table.called if gate.called else None)
 
 
 def assert_slice_verdict_matches_tables(embedding):
@@ -926,8 +935,9 @@ class TestCPreservationOnAtoms:
 
     def test_passing_random_trial_builds_no_frame_table_and_glues_nothing(self, monkeypatch, capsys):
         # no covering is generated (the trial's covering holds its family
-        # and never builds its table), each frame's atom slices are read
-        # once, and neither frame's table nor any gluing is computed
+        # and never builds its table), each frame's covering is tested on
+        # atom-level data once, and neither frame's table nor any gluing is
+        # computed
         from mereotop import cli
 
         generations, gluings = [], []
@@ -955,12 +965,12 @@ class TestCPreservationOnAtoms:
             generations.clear()
             built.clear()
             with (
-                mock.patch.object(representations_module, "covering_slices", wraps=covering_slices) as slices,
+                spied_gate() as gate,
                 mock.patch.object(representations_module, "covering_table", wraps=covering_table) as table,
             ):
                 assert cli.main(["random", "--seed", str(seed), "--trials", "1", "--json"]) == 0
             assert len(generations) == 0 and gluings == []
-            assert slices.call_count == 2 and not table.called
+            assert gate.call_count == 2 and not table.called
             (covering,) = built
             assert "table" not in vars(covering)
         capsys.readouterr()
@@ -1033,7 +1043,8 @@ EMBEDDING_CHECKS = (*HOMOMORPHISM_CHECKS, "preserves-covering")
 class TestOneVerificationCall:
     """verify_embedding is the only verification call: the report names
     its pipeline after the frame class, ends with c° for type 2 only, and
-    reads the frame's atom slices once for each embedding, of every kind."""
+    tests the frame's covering on atom-level data once for each embedding,
+    of every kind."""
 
     @pytest.mark.parametrize("seed", [None, *range(6)], ids=["example", *map(str, range(6))])
     def test_names_the_pipeline_and_its_checks_after_the_frame_class(self, seed):
@@ -1054,11 +1065,11 @@ class TestOneVerificationCall:
         for kind, builder in BUILDERS.items():
             embedding = builder(algebra)
             with (
-                mock.patch.object(representations_module, "covering_slices", wraps=covering_slices) as slices,
+                spied_gate() as gate,
                 mock.patch.object(representations_module, "covering_table", wraps=covering_table) as table,
             ):
                 assert verify_embedding(embedding).all_passed
-            assert slices.call_count == 1 and not table.called, kind
+            assert gate.call_count == 1 and not table.called, kind
 
     def test_c_is_told_on_slices_only_when_covering_passed_on_slices(self):
         # type-2 embeddings of the sweeps, whole and broken: on_slices is
@@ -1089,6 +1100,105 @@ class TestOneVerificationCall:
         embedding = BUILDERS[kind](rc_algebra(example_topology()))
         with pytest.raises(TypeError, match="type-2 frames"):
             verify_c_preservation(embedding, None)
+
+
+def counted_family_products(monkeypatch):
+    """The atom counts of every call of algebra._slices_of_family, the
+    N·k² product that reads a family's slices, from either module that
+    calls it."""
+    calls = []
+    product_of = algebra_module._slices_of_family
+
+    def counted(flags, k):
+        calls.append(k)
+        return product_of(flags, k)
+
+    for module in (algebra_module, frames_module):
+        monkeypatch.setattr(module, "_slices_of_family", counted)
+    return calls
+
+
+def over_table(embedding):
+    """The embedding with its source replaced by the table-built covering
+    of the same table, which holds no family."""
+    source = CoveringRelation(embedding.source.algebra, embedding.source.table)
+    return Embedding(source, embedding.frame, embedding.image_masks, embedding.worlds)
+
+
+class TestFamilyGate:
+    """For a source built from a family, equal σ-family flags confirm the
+    frame's covering without reading its atom slices; any other case reads
+    the slices or tabulates.  Every report equals the report over the
+    table-built covering of the same table, which holds no family."""
+
+    def seeded_embeddings(self):
+        spaces = [random_space(seed, 6) for seed in range(20)] + [multi_atom_space(seed) for seed in range(8)]
+        return equivalence_embeddings() + [from_space(b, a) for a in spaces for b in (build_type1, build_type2)]
+
+    def test_family_path_on_the_sweeps(self, monkeypatch):
+        products = counted_family_products(monkeypatch)
+        for embedding in self.seeded_embeddings():
+            assert embedding.source._family is not None and embedding.source._strength == "ECA"
+            products.clear()
+            report, verdict = verified_with_slice_verdict(embedding)
+            assert verdict is True and products == []
+            expected = verify_embedding(over_table(embedding))
+            assert report == expected and report.all_passed
+
+    def family_and_points(self, family, points):
+        source = covering_from_signatures(3, family)
+        return {builder: builder(source, points) for builder in (build_type1, build_type2)}
+
+    def test_same_closure_goes_through_slices_and_passes(self, monkeypatch):
+        # S holds every single atom and every pair of atoms, so {0, 1, 2}
+        # is in cl(S) but not in S: the flags differ, the coverings do not
+        points = [1, 2, 4, 3, 5, 6]
+        assert 7 in oracles.naive_signature_closure(3, points)
+        products = counted_family_products(monkeypatch)
+        for builder, embedding in self.family_and_points([*points, 7], points).items():
+            atoms = [embedding.image_masks[1 << i] for i in range(3)]
+            assert not np.array_equal(frames_module.covering_family(embedding.frame, atoms), embedding.source._family)
+            products.clear()
+            report, verdict = verified_with_slice_verdict(embedding)
+            assert verdict is True and products == [3], builder
+            assert report == verify_embedding(over_table(embedding)) and report.all_passed
+
+    def test_different_closure_fails_with_the_tabulated_witness(self, monkeypatch):
+        # {0, 2} lies in no member inside {0, 1, 2} but {0, 1, 2} itself
+        points = [1, 2, 4, 3, 6]
+        assert 7 not in oracles.naive_signature_closure(3, points)
+        for builder, embedding in self.family_and_points([*points, 7], points).items():
+            report, verdict = verified_with_slice_verdict(embedding)
+            assert verdict is False, builder
+            witness = covering_witness(report)
+            assert witness is not None and witness == literal_covering_witness(embedding)
+            assert report == verify_embedding(over_table(embedding))
+
+    def test_passing_random_trial_reads_one_family_product(self, monkeypatch, capsys):
+        # the one from eca_from_rc; both frames pass on the family gate
+        from mereotop import cli
+
+        products = counted_family_products(monkeypatch)
+        for seed in range(6):
+            products.clear()
+            assert cli.main(["random", "--seed", str(seed), "--trials", "1"]) == 0
+            assert len(products) == 1
+        capsys.readouterr()
+
+    def test_passing_reports_are_shared_and_build_no_check(self, monkeypatch):
+        built = []
+        init = CheckResult.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CheckResult, "__init__", counted_init)
+        reports = set()
+        for embedding in equivalence_embeddings():
+            reports.add(id(verify_embedding(embedding)))
+            reports.add(id(verify_embedding(build_parametrized_frame(embedding.source))))
+        assert built == [] and len(reports) == 2
 
 
 # ---------------------------------------------------------------------------
