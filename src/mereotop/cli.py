@@ -13,7 +13,9 @@ configurations give byte-identical reports).  A ``--json`` report is exactly
 newline; ``_json_text`` writes those bytes without the stdlib's pure-Python
 indenting encoder, appending every piece to one list that is joined once,
 with a dict's str, int, bool and None values written inline with their
-keys.  Warnings go to stderr.
+keys, and a list of dicts that share one key set and hold only such values
+(a report's worlds, or its checks when none has a witness) filled into one
+template per list.  Warnings go to stderr.
 Exit status: 0 when every executed check passed, 1 when any check failed,
 2 on input or usage errors.
 """
@@ -25,9 +27,10 @@ import io
 import json
 import random
 import sys
-from functools import cache
-from itertools import chain
+from functools import cache, lru_cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .algebra import (
@@ -102,6 +105,10 @@ def _parse_json(raw: bytes, path: str) -> object:
         raise DocumentError(
             f"invalid JSON in {path} at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except UnicodeDecodeError as err:
+        raise DocumentError(
+            f"invalid JSON in {path}: byte {err.object[err.start]:#04x} at position {err.start} is not UTF-8 ({err.reason})"
+        ) from err
     except RecursionError as err:
         raise DocumentError(f"{path} nests too deeply to read as JSON") from err
 
@@ -145,18 +152,12 @@ def _input_covering(
     raise DocumentError(frame_error)
 
 
-def _json_text(value: object, indent: str, memo: dict | None = None) -> str:
+def _json_text(value: object, indent: str) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for a value nested at
     ``indent``.  With ``indent`` set the stdlib runs its pure-Python encoder;
-    here the pieces go into one list, joined once (:func:`_write_json`).  A
-    list object met again at the same indent, such as the label list a
-    verification report shares among an atom's worlds, is written at most
-    twice: ``memo`` maps (id, indent) to "" when a list is first met and
-    to its text when it is met again, for one top-level call, while the
-    document holds every list alive.  So only shared lists keep their
-    text until the call returns."""
+    here the pieces go into one list, joined once (:func:`_write_json`)."""
     out: list[str] = []
-    _write_json(value, indent, out, {} if memo is None else memo)
+    _write_json(value, indent, out)
     return "".join(out)
 
 
@@ -165,14 +166,19 @@ _SCALAR_TEXT: dict[type, Callable[[object], str]] = {
     str: _quote,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
+    type(None): {None: "null"}.__getitem__,
 }
 
 
-def _write_json(value: object, indent: str, out: list[str], memo: dict) -> None:
+def _scalar_text(value: object) -> str:
+    return _SCALAR_TEXT[type(value)](value)
+
+
+def _write_json(value: object, indent: str, out: list[str]) -> None:
     """Append the text of ``value`` at ``indent`` to ``out``.  A str, int,
     bool or None is written in the stdlib's fixed form, inline with its key
-    in a dict, and a list of exact ``str`` or exact ``int`` by one join."""
+    in a dict, a list of exact ``str`` or exact ``int`` by one join, and a
+    list of records by :func:`_records_text`."""
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
         out.append(scalar(value))
@@ -186,7 +192,7 @@ def _write_json(value: object, indent: str, out: list[str], memo: dict) -> None:
             scalar = _SCALAR_TEXT.get(type(item))
             if scalar is None:
                 out.append(f"{sep}{_quote(key)}: ")
-                _write_json(item, inner, out, memo)
+                _write_json(item, inner, out)
             else:
                 out.append(f"{sep}{_quote(key)}: {scalar(item)}")
             sep = ",\n" + inner
@@ -195,31 +201,62 @@ def _write_json(value: object, indent: str, out: list[str], memo: dict) -> None:
         if not value:
             out.append("[]")
             return
-        key = (id(value), indent)
-        text = memo.get(key)
-        if text:
-            out.append(text)
-            return
-        start = len(out)
         inner = indent + "  "
         sep = ",\n" + inner
         kinds = set(map(type, value))
         if len(kinds) == 1 and kinds <= {str, int}:
             out.append("[\n" + inner + sep.join(map(_SCALAR_TEXT[kinds.pop()], value)) + "\n" + indent + "]")
+        elif kinds == {dict} and (records := _records_text(value, inner)) is not None:
+            out.append("[\n" + inner + sep.join(records) + "\n" + indent + "]")
         else:
             head = "[\n" + inner
             for item in value:
                 scalar = _SCALAR_TEXT.get(type(item))
                 if scalar is None:
                     out.append(head)
-                    _write_json(item, inner, out, memo)
+                    _write_json(item, inner, out)
                 else:
                     out.append(head + scalar(item))
                 head = sep
             out.append("\n" + indent + "]")
-        memo[key] = "".join(out[start:]) if key in memo else ""
     else:
         out.append(json.dumps(value))
+
+
+def _records_text(records: Sequence[dict], indent: str) -> Iterator[str] | None:
+    """The text of each dict of ``records`` at ``indent``, when all of them
+    share one nonempty key set and hold only str, int, bool and None values:
+    the fixed pieces of the sorted keys (:func:`_record_pieces`) joined with
+    the values' text, column by column.  None for any other list of dicts."""
+    first = records[0]
+    # the first record alone turns away most lists of nested records
+    if not first or not set(map(type, first.values())) <= _SCALAR_TEXT.keys():
+        return None
+    keys = tuple(sorted(first))
+    # as many keys as the first, and each of its keys: the same key set
+    if set(map(len, records)) != {len(keys)}:
+        return None
+    pieces = _record_pieces(keys, indent)
+    parts = [repeat(pieces[0])]
+    for key, piece in zip(keys, pieces[1:]):
+        try:
+            column = list(map(itemgetter(key), records))
+        except KeyError:
+            return None
+        kinds = set(map(type, column))
+        if not kinds <= _SCALAR_TEXT.keys():
+            return None
+        parts += (map(_SCALAR_TEXT[kinds.pop()] if len(kinds) == 1 else _scalar_text, column), repeat(piece))
+    return map("".join, zip(*parts))
+
+
+@lru_cache(maxsize=64)  # a report has a few record shapes, each at one indent
+def _record_pieces(keys: tuple[str, ...], indent: str) -> tuple[str, ...]:
+    """The text of a dict of ``keys`` at ``indent`` around its values: the
+    opening and each key, then the closing."""
+    inner = indent + "  "
+    heads = ["{\n" + inner] + [",\n" + inner] * (len(keys) - 1)
+    return (*(f"{head}{_quote(key)}: " for head, key in zip(heads, keys)), "\n" + indent + "}")
 
 
 def _emit_json(doc: dict) -> None:

@@ -31,28 +31,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .algebra import _fold, _join_extension, _slices_of_family
-from .topology import _PRODUCT_CHUNK_ELEMENTS, bit_matrix, glued_components, joins_by_mask
+from .topology import _PRODUCT_CHUNK_ELEMENTS, bit_matrix, glued_components, joins_by_mask, mask_indices
 
 
 def _require_masks(world_count: int, *masks: int) -> None:
     for m in masks:
         if not 0 <= m < (1 << world_count):
             raise ValueError(f"{m:#x} is not a subset mask over {world_count} worlds")
-
-
-def _mask_indices(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    indices = []
-    while mask:
-        low = mask & -mask
-        indices.append(low.bit_length() - 1)
-        mask ^= low
-    return indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,13 +79,13 @@ def _reach(frame: ParametrizedFrame) -> np.ndarray:
 # equivalence frames
 
 
-def _partition_masks(classes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(mask of each world's class, distinct class masks in first-seen order)."""
-    by_id: dict[int, int] = {}
-    for w, cid in enumerate(classes):
-        by_id[cid] = by_id.get(cid, 0) | (1 << w)
-    per_world = tuple(by_id[cid] for cid in classes)
-    return per_world, tuple(dict.fromkeys(per_world))
+def _unions_by_class(classes: Sequence[int], values: Iterable[int]) -> dict[int, int]:
+    """Each class id of ``classes`` (one per world) mapped to the union of
+    ``values`` over its worlds, in order of first world: one pass."""
+    unions: dict[int, int] = {}
+    for cid, value in zip(classes, values):
+        unions[cid] = unions.get(cid, 0) | value
+    return unions
 
 
 @dataclass(frozen=True)
@@ -111,10 +101,15 @@ class EquivalenceFrame1:
         if len(self.classes) != self.world_count:
             raise ValueError("need exactly one class id per world")
 
+    def class_unions(self, values: Sequence[int]) -> list[int]:
+        """The union of ``values[w]`` over the worlds w of each class, in
+        order of first world."""
+        return list(_unions_by_class(self.classes, values).values())
+
     @cached_property
     def covering_classes(self) -> tuple[int, ...]:
         """The distinct classes, in order of first world."""
-        return _partition_masks(self.classes)[1]
+        return tuple(self.class_unions([1 << w for w in range(self.world_count)]))
 
 
 @dataclass(frozen=True)
@@ -133,20 +128,18 @@ class EquivalenceFrame2:
         if len(self.classes1) != self.world_count or len(self.classes2) != self.world_count:
             raise ValueError("need exactly one class id per world in each partition")
 
+    def class_unions(self, values: Sequence[int]) -> list[int]:
+        """The union of ``values[w]`` over the worlds w of each composite
+        class R1(R2(s)), one entry per class of the second relation, in
+        order of first world: the unions over the first relation's classes,
+        joined across each class of the second."""
+        first = _unions_by_class(self.classes1, values)
+        return list(_unions_by_class(self.classes2, map(first.__getitem__, self.classes1)).values())
+
     @cached_property
     def covering_classes(self) -> tuple[int, ...]:
         """The distinct composite classes R1(R2(s)), in order of first world."""
-        masks1, _ = _partition_masks(self.classes1)
-        masks2, distinct2 = _partition_masks(self.classes2)
-        by_class2: dict[int, int] = {}
-        for c2 in distinct2:
-            union = 0
-            for t in _mask_indices(c2):
-                union |= masks1[t]
-            if c2 & ~union:
-                raise AssertionError("composite class lost a world of its own class")
-            by_class2[c2] = union
-        return tuple(dict.fromkeys(by_class2[c2] for c2 in masks2))
+        return tuple(dict.fromkeys(self.class_unions([1 << w for w in range(self.world_count)])))
 
 
 def frame2_internally_connected(frame: EquivalenceFrame2, s_mask: int) -> bool:
@@ -172,7 +165,7 @@ def _sigma_family(frame: EquivalenceFrame1 | EquivalenceFrame2, masks: Sequence[
     indices: σ_w = {i : w ∈ masks[i]} of each world w, found by splitting
     the worlds by each subset in turn, and σ_c = {i : masks[i] meets c} of
     each class c of ``covering_classes`` (the composite classes, for type 2),
-    each σ once, in order of first appearance.
+    the union of the σ_w of its worlds (``class_unions``), each σ once.
 
     (masks[i], masks[j]) ⊢ masks[l] iff no σ holds i and j and misses l:
     the σ_w give masks[i] ∩ masks[j] ⊆ masks[l], and the σ_c the class
@@ -189,8 +182,11 @@ def _sigma_family(frame: EquivalenceFrame1 | EquivalenceFrame2, masks: Sequence[
             if worlds & ~mask:
                 split[sigma] = worlds & ~mask
         regions = split
-    classes = [sum(1 << i for i, mask in enumerate(masks) if mask & c) for c in frame.covering_classes]
-    return list(dict.fromkeys([*regions, *classes]))  # a class σ can repeat a world σ
+    world_sigma = [0] * frame.world_count
+    for sigma, worlds in regions.items():
+        for w in mask_indices(worlds):
+            world_sigma[w] = sigma
+    return list(dict.fromkeys([*regions, *frame.class_unions(world_sigma)]))  # a class σ can repeat a world σ
 
 
 def covering_table(

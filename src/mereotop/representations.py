@@ -66,7 +66,7 @@ from .frames import (
     covering_table,
     frame2_internally_connected,
 )
-from .topology import LabeledTopology, joins_by_mask
+from .topology import LabeledTopology, joins_by_mask, mask_indices
 
 
 # the pipeline each frame class runs, named in reports as the frame's kind
@@ -345,10 +345,12 @@ def verification_document(
     points: Sequence[int] | None = None,
 ) -> dict:
     """The JSON shape of a verification run: pipeline (the frame's kind),
-    checks, frame, embedding (element mask -> sorted world indices).  An
-    equivalence frame also lists its (atom, point) worlds, by their labels
-    when ``labeled`` names the points of the source's model.  Otherwise a
-    world names its point by position, and ``points``, the points' atom
+    checks, frame, embedding (element mask -> sorted world indices, read
+    off the set bits of its image).  An equivalence frame also lists its
+    (atom, point) worlds as ``atom_index`` and ``point``.  When ``labeled``
+    names the points of the source's model, a point is its label and the
+    frame's ``atom_labels`` lists each atom's sorted labels once.
+    Otherwise a point is its position, and ``points``, the points' atom
     signatures in that order, is listed as ``point_atoms``: each point's
     atom indices."""
     frame = embedding.frame
@@ -360,26 +362,22 @@ def verification_document(
         frame_doc["classes"] = list(frame.classes1)
         frame_doc["classes2"] = list(frame.classes2)
     if embedding.worlds and kind != "parametrized":
-        if labeled is not None:
-            # one sorted label list per atom, shared by the entries of its worlds
-            atom_labels: dict[int, list[str]] = {}
-            for i, x in embedding.worlds:
-                atom_labels.setdefault(i, []).append(labeled.labels[x])
-            for labels in atom_labels.values():
-                labels.sort()
-            detail = [{"atom": atom_labels[i], "point": labeled.labels[x]} for i, x in embedding.worlds]
-        else:
+        if labeled is None:
             detail = [{"atom_index": i, "point": x} for i, x in embedding.worlds]
             if points is not None:
-                frame_doc["point_atoms"] = [[i for i in range(sig.bit_length()) if sig >> i & 1] for sig in points]
+                frame_doc["point_atoms"] = [mask_indices(sig) for sig in points]
+        else:
+            names = labeled.labels
+            detail = [{"atom_index": i, "point": names[x]} for i, x in embedding.worlds]
+            atom_labels: list[list[str]] = [[] for _ in range(embedding.source.algebra.atom_count)]
+            for i, x in embedding.worlds:
+                atom_labels[i].append(names[x])
+            frame_doc["atom_labels"] = [sorted(labels) for labels in atom_labels]
         frame_doc["worlds_detail"] = detail
     return {
         "pipeline": kind,
         "mode": "exhaustive",
         "checks": checks_document(report.results),
         "frame": frame_doc,
-        "embedding": {
-            str(mask): [w for w in range(frame.world_count) if m >> w & 1]
-            for mask, m in enumerate(embedding.image_masks)
-        },
+        "embedding": {str(mask): mask_indices(m) for mask, m in enumerate(embedding.image_masks)},
     }

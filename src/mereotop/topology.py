@@ -11,16 +11,16 @@ atoms, the closures of the minimal U_x, checked once; the carrier (every
 union of atoms) is derived from them.  Contact and internal connectedness
 follow.  JSON documents use human labels; indices never leak.
 
-Reading a document of n points and m subbasis members costs one pass over
-its labels (each member's mask is one C-level reduction over a label map)
-and one float32 product of the m x n member matrix with its complement,
-which gives every U_x: O(m·n²) multiply-adds in BLAS and O(n + m)
-interpreter steps, where the direct loops and the preorder check took
-O(n·m + d²) steps for d distinct U_x.  U_x so built form a preorder by
-construction and are not checked again.  The product is taken in chunks of
-rows of about 4 MiB, so its memory is O(m·n) plus one chunk; it is a
-handful of NumPy calls, so a small space pays a fixed cost of some
-microseconds.
+Reading a document of n points, m subbasis members and L labels costs one
+pass over its labels, one store per label into a member's row of n binary
+digits, which is then read as its mask in one call, and one float32 product
+of the m x n member matrix with its complement, which gives every U_x:
+O(m·n²) multiply-adds in BLAS and O(n + m + L) interpreter steps, where the
+direct loops and the preorder check took O(n·m + d²) steps for d distinct
+U_x.  U_x so built form a preorder by construction and are not checked
+again.  The product is taken in chunks of rows of about 4 MiB, so its
+memory is O(m·n) plus one chunk; it is a handful of NumPy calls, so a small
+space pays a fixed cost of some microseconds.
 """
 
 from __future__ import annotations
@@ -275,6 +275,17 @@ def _closure_bits(topology: FiniteTopology, a: int) -> int:
     return bits
 
 
+def mask_indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first, one step
+    per set bit."""
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
+
+
 def joins_by_mask(zero, parts: Sequence) -> tuple:
     """Entry m is ``zero`` joined with the parts selected by the bits of m,
     for every mask m over ``parts`` in ascending order."""
@@ -342,11 +353,12 @@ class RegularClosedAlgebra:
     def point_signatures(self) -> tuple[int, ...]:
         """Entry x is the atom signature of point x: the mask of the atoms
         that hold x.  A point lies in the union of the atoms of mask m iff m
-        meets its signature."""
-        return tuple(
-            sum(1 << i for i, atom in enumerate(self.atoms) if atom.bits >> x & 1)
-            for x in range(self.topology.universe_size)
-        )
+        meets its signature.  Each atom's points are walked once."""
+        signatures = [0] * self.topology.universe_size
+        for i, atom in enumerate(self.atoms):
+            for x in mask_indices(atom.bits):
+                signatures[x] |= 1 << i
+        return tuple(signatures)
 
     @property
     def zero(self) -> PointSet:
@@ -487,17 +499,22 @@ def labeled_topology_from_document(doc: object) -> LabeledTopology:
     if not isinstance(subbasis, list) or not all(isinstance(s, list) for s in subbasis):
         raise DocumentError('"subbasis" must be an array of label arrays')
     labels = tuple(universe)
-    bit_of = {lab: 1 << i for i, lab in enumerate(labels)}
-    masks = []
+    n = len(labels)
+    # a member's mask is read from n binary digits, highest point first: one
+    # store per label, and a repeated label stores its digit again
+    digit_of = {lab: n - 1 - i for i, lab in enumerate(labels)}
+    zeros = b"0" * n
+    sets = []
     for s in subbasis:
+        digits = bytearray(zeros)
         try:
-            masks.append(reduce(or_, map(bit_of.__getitem__, s), 0))
+            for lab in s:
+                digits[digit_of[lab]] = 49  # b"1"
         except (KeyError, TypeError):
             for lab in s:
-                if not isinstance(lab, str) or lab not in bit_of:
+                if not isinstance(lab, str) or lab not in digit_of:
                     raise DocumentError(f"unknown point label {lab!r} in subbasis") from None
             raise
-    sets = tuple(PointSet(len(labels), m) for m in masks)
-    topo = generate_topology(len(labels), sets)
-    return LabeledTopology(labels, sets, topo)
+        sets.append(PointSet(n, int(digits, 2)))
+    return LabeledTopology(labels, tuple(sets), generate_topology(n, sets))
 

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from example_data import (
@@ -125,6 +125,19 @@ class TestRouting:
         assert main(["rc", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["rc"], ["check-axioms"], ["represent", "--kind", "type2"]],
+        ids=["rc", "axioms", "type2"],
+    )
+    def test_non_utf8_document_names_the_file(self, argv, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"universe": ["é"], "subbasis": []}'.encode("latin-1"))
+        assert main([*argv, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid JSON in {path}: byte 0xe9 at position 15 is not UTF-8 (invalid continuation byte)\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -456,6 +469,24 @@ class TestRcCommand:
         assert code == 0
         assert doc["carrier_size"] == 4
 
+    def test_repeated_labels_change_nothing(self, tmp_path, capsys):
+        # a member's mask keeps OR semantics: a label repeated inside a
+        # member, or a member listed twice, adds nothing to the space
+        plain = {"universe": list("abcdef"), "subbasis": [["a", "b"], ["b", "c", "d"], ["e"]]}
+        repeated = [
+            {**plain, "subbasis": [["a", "b", "a", "a"], ["d", "b", "c", "b", "d"], ["e", "e"]]},
+            {**plain, "subbasis": [["a", "b"], ["b", "c", "d"], ["e"], ["b", "c", "d"], ["a", "b"]]},
+        ]
+        reports = []
+        for i, doc in enumerate([plain, *repeated]):
+            path = tmp_path / f"space{i}.json"
+            path.write_text(json.dumps(doc))
+            assert main(["rc", "--json", "--verbose", "--input", str(path)]) == 0
+            reports.append(capsys.readouterr().out)
+            neighbourhoods = labeled_topology_from_document(doc).topology.neighbourhoods
+            assert neighbourhoods == labeled_topology_from_document(plain).topology.neighbourhoods
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
     def test_unknown_label_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad_label.json"
         path.write_text(json.dumps({"universe": ["a"], "subbasis": [["zz"]]}))
@@ -752,6 +783,46 @@ class TestRepresentCommand:
             )
 
     @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_type_pipelines_on_topology_documents(self, kind, tmp_path, capsys):
+        # a labelled report lists each atom's sorted labels once, and each
+        # world names its atom by index and its point by label
+        names = [f"p{i}" for i in range(12)]
+        spaces = {
+            "example": cli_module.EXAMPLE_SPACE,
+            "paper": X_DOC,
+            "chain": {"universe": names, "subbasis": [names[: i + 1] for i in range(12)]},
+            # atoms that overlap on boundary points
+            "boundary": {"universe": names[:5], "subbasis": [["p0"], ["p1"], ["p0", "p1", "p2"], ["p3", "p4"]]},
+        }
+        for name, space in spaces.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(space))
+            code, doc = run_json(capsys, ["represent", "--kind", kind, "--json", "--input", str(path)])
+            labeled = labeled_topology_from_document(space)
+            algebra = rc_algebra(labeled.topology)
+            assert code == 0 and all(c["pass"] for c in doc["checks"])
+            atom_labels = doc["frame"]["atom_labels"]
+            assert atom_labels == [labeled.labels_of(atom) for atom in algebra.atoms]
+            assert "point_atoms" not in doc["frame"]
+            worlds = doc["frame"]["worlds_detail"]
+            assert len(worlds) == doc["frame"]["worlds"] == sum(map(len, atom_labels))
+            for world in worlds:
+                assert set(world) == {"atom_index", "point"}
+                assert world["point"] in atom_labels[world["atom_index"]]
+
+    def test_labelled_report_grows_linearly(self, tmp_path, capsys):
+        # a chain of n points has one atom and n worlds: the report lists the
+        # n labels once, not once per world
+        sizes = {}
+        for n in (100, 200):
+            names = [f"p{i}" for i in range(n)]
+            path = tmp_path / f"chain{n}.json"
+            path.write_text(json.dumps({"universe": names, "subbasis": [names[: i + 1] for i in range(n)]}))
+            assert main(["represent", "--kind", "type2", "--json", "--input", str(path)]) == 0
+            sizes[n] = len(capsys.readouterr().out)
+        assert sizes[200] < 2.5 * sizes[100]
+
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
     def test_type_pipelines_refuse_a_source_that_is_no_eca(self, kind, topo_file, monkeypatch, capsys):
         # a space's covering is always an ECA, so the check is reached through
         # a source with one entry flipped: the atom 1 meets itself, yet (1, 1)
@@ -922,7 +993,9 @@ class TestRandomCommand:
 # SHA-256 of "<exit code>\n<stdout>", each pinned on the release before the
 # change it guards (the closed-form verification, the one verification
 # call, example1's one record of checks): a change to a verdict, a witness
-# or the report text shows here.
+# or the report text shows here.  The type-1 and type-2 --json reports are
+# pinned on the release that lists each atom's labels once (atom_labels),
+# whose worlds map one to one onto the earlier report's.
 PINNED_OUTPUT_SHA256 = {
     ("random", "--seed", "0", "--trials", "50", "--json"): "1873ab82b37e0a90e158ace52cf275136174a14cea7b3c34efe539d88d94c646",
     ("random", "--seed", "1", "--trials", "50", "--json"): "338d1f29ca0266f2cf809af58439e562a16921d65c4bf496b21a9b48e35ff9a6",
@@ -931,8 +1004,8 @@ PINNED_OUTPUT_SHA256 = {
     ("represent", "--kind", "type1"): "00542f94a73129f7e9afa70b64baad0974bbb244363233a1b0f8f82768ead009",
     ("represent", "--kind", "type2"): "e29d3743567b47d10ef613454ba8496ead2d7ceebc04d415aa65f0d2c3734518",
     ("represent", "--kind", "parametrized"): "1e102c5d60517508b29f02e191752d2d00573ff31232281c93af9eda8b132ae0",
-    ("represent", "--kind", "type1", "--json"): "b8166c81b6a35e3f1178cc450eb9054fc51620211a2e7be5e3a174174eac4071",
-    ("represent", "--kind", "type2", "--json"): "5880a21ccfce6378c45779a457d6947e07a47b2d8fa7edd5e051ea0861daae0d",
+    ("represent", "--kind", "type1", "--json"): "bff924d374eec8cfa1e50f7a2722098b4f831a1425eb93e3e3aba46f148645b2",
+    ("represent", "--kind", "type2", "--json"): "e6e31c84832760bbeb20897d686db3e26ae017290c4562ecdc001424c3dd6244",
     ("represent", "--kind", "parametrized", "--json"): "e715b88d55ec127bb33225f910ed4247bb9fdf5aeaef6eabdde847a8b021c143",
     ("rc", "--json", "--verbose"): "36b37a489bcc2e088e176d02a10dcf4d68e2b4b9d98b3186120aa8a4f31cc951",
     ("example1",): "92b25803b0ff9b976f4747324114b0ba37968e4676ee50ce4e4a13a68081f644",
@@ -1054,6 +1127,14 @@ JSON_VALUES = st.recursive(
     max_leaves=24,
 )
 
+# keys with quotes, backslashes, non-ASCII text and "%", and the values a record may hold
+RECORD_KEYS = st.lists(st.text(alphabet='%s"\\é€ab', max_size=4), min_size=1, max_size=4, unique=True)
+RECORD_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), JSON_TEXT)
+
+
+def record_of(keys, values=RECORD_SCALARS):
+    return st.fixed_dictionaries({key: values for key in keys})
+
 
 class TestCanonicalJson:
     @settings(max_examples=300, deadline=None)
@@ -1068,7 +1149,6 @@ class TestCanonicalJson:
 
     @given(st.lists(JSON_TEXT, min_size=1, max_size=4) | st.lists(JSON_VALUES, min_size=1, max_size=3))
     def test_one_list_at_two_depths_under_two_keys(self, shared):
-        # the shape of a verification report, whose worlds share their atom's label list
         doc = {
             "a": shared,
             "b": shared,
@@ -1087,13 +1167,51 @@ class TestCanonicalJson:
         assert capsys.readouterr().out == before + "\n" + stdlib_text(doc) + "\n"
         assert '"c"' in stdlib_text(doc) and '"c"' not in before
 
-    def test_only_shared_lists_keep_their_text(self):
-        shared, alone = ["a", "b"], ["c"]
-        doc = {"worlds": [{"atom": shared, "own": alone}, {"atom": shared, "own": ["c"]}]}
-        memo: dict = {}
-        assert cli_module._json_text(doc, "", memo) == stdlib_text(doc)
-        kept = {key[0] for key, text in memo.items() if text}
-        assert kept == {id(shared)}
+    @settings(max_examples=200, deadline=None)
+    @given(RECORD_KEYS.flatmap(lambda keys: st.lists(record_of(keys), min_size=1, max_size=6)))
+    def test_records_share_one_template(self, records):
+        # a list of dicts with one key set and only str/int/bool/None values
+        # (one type or several per key) goes through one template per list
+        assert cli_module._records_text(records, "  ") is not None
+        doc = {"records": records, "nested": [records, {"again": records}]}
+        assert cli_module._json_text(doc, "") == stdlib_text(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        RECORD_KEYS.flatmap(
+            lambda keys: st.tuples(
+                st.lists(record_of(keys), max_size=4),
+                record_of(keys, RECORD_SCALARS | st.floats(allow_nan=False) | st.lists(st.integers(), max_size=2))
+                | st.dictionaries(JSON_TEXT, RECORD_SCALARS, max_size=3)
+                # every key of the others and more
+                | st.builds(lambda record, more: {**more, **record}, record_of(keys), st.dictionaries(JSON_TEXT, RECORD_SCALARS, min_size=1, max_size=2)),
+                st.lists(record_of(keys), max_size=4),
+            )
+        )
+    )
+    def test_records_of_another_shape_are_written_one_by_one(self, parts):
+        # a float or a list among the values, or a key set of its own
+        before, odd, after = parts
+        records = [*before, odd, *after]
+        assume(odd.keys() != records[0].keys() or not all(type(v) in (str, int, bool, type(None)) for v in odd.values()))
+        assert cli_module._records_text(records, "  ") is None
+        doc = {"records": records, "nested": [records, {"again": records}]}
+        assert cli_module._json_text(doc, "") == stdlib_text(doc)
+
+    def test_report_lists_go_through_the_template(self, topo_file, monkeypatch, capsys):
+        written = []
+        records_text = cli_module._records_text
+
+        def spy(records, indent):
+            text = records_text(records, indent)
+            written.append((len(records), text is not None))
+            return text
+
+        monkeypatch.setattr(cli_module, "_records_text", spy)
+        code, doc = run_json(capsys, ["represent", "--kind", "type2", "--json", "--input", topo_file])
+        assert code == 0
+        # the checks (no witness) and the twelve worlds
+        assert sorted(written) == [(6, True), (12, True)]
 
     @pytest.mark.parametrize(
         "value",

@@ -1277,9 +1277,11 @@ class TestVerificationDocument:
         assert len(frame["classes"]) == WORLD_COUNT
         assert len(frame["classes2"]) == WORLD_COUNT
         assert len(frame["worlds_detail"]) == WORLD_COUNT
+        assert frame["atom_labels"] == [labeled.labels_of(atom) for atom in algebra.atoms]
         for detail in frame["worlds_detail"]:
-            assert set(detail) == {"atom", "point"}
+            assert set(detail) == {"atom_index", "point"}
             assert isinstance(detail["point"], str)
+            assert detail["point"] in frame["atom_labels"][detail["atom_index"]]
         emb_doc = doc["embedding"]
         assert set(emb_doc) == {str(m) for m in range(len(embedding.image_masks))}
         region_mask = algebra.element_sets.index(PointSet(7, X_REGION_MASK))
@@ -1295,4 +1297,4 @@ class TestVerificationDocument:
         for detail in doc["frame"]["worlds_detail"]:
             assert set(detail) == {"atom_index", "point"}
             assert isinstance(detail["point"], int)
-        assert "classes2" not in doc["frame"]
+        assert "classes2" not in doc["frame"] and "atom_labels" not in doc["frame"]
