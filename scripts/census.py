@@ -36,8 +36,6 @@ from __future__ import annotations
 import argparse
 import time
 
-import numpy as np
-
 from mereotop import (
     ContactRelation,
     CoveringRelation,
@@ -65,7 +63,7 @@ def check_parametrized(covering: CoveringRelation) -> None:
     embedding = build_parametrized_frame(covering)
     report = verify_embedding(embedding)
     if not report.all_passed:
-        raise SystemExit(f"k = {k}, signatures {covering._family.nonzero()[0].tolist()}: {report.failures()}")
+        raise SystemExit(f"k = {k}, signatures {sorted(covering._members)}: {report.failures()}")
     if k <= 3:
         img = embedding.image_masks
         on_slices = (covering_slices(embedding.frame, [img[1 << i] for i in range(k)]) == covering._slices).all()
@@ -95,7 +93,7 @@ def check_extended(covering: CoveringRelation) -> None:
             raise SystemExit(f"{kind} on S* = {list(points)}: the reports over the three sources differ")
         embedding = builder(held, points)
         atoms = [embedding.image_masks[1 << i] for i in range(k)]
-        if not np.array_equal(covering_family(embedding.frame, atoms), held._family):
+        if covering_family(embedding.frame, atoms) != held._members:
             raise SystemExit(f"{kind} on S* = {list(points)}: the frame's σ family is not S*")
     contact = derived_contact(covering)
     report = check_ca(contact)

@@ -16,10 +16,11 @@ frames).
 (N, k, k) array, in O(k·N³) multiply-adds.  ``covering_from_signatures``
 (and ``eca_from_rc``, the covering of the atom signatures of a space's
 points, ``RegularClosedAlgebra.point_signatures``, and ``discrete_covering``, the
-covering of the single atoms) holds a family of atom sets and its slices
-R_c(p, q) = no member inside ¬c holds both p and q, and generates its
-table only when first read; covering documents, ``covering_from_slices``
-and a table handed to ``CoveringRelation`` give a table.
+covering of the single atoms) holds only its family of atom sets, a
+frozenset of ints, and generates its slices R_c(p, q) = no member inside
+¬c holds both p and q, and its table from them, only when first read;
+covering documents, ``covering_from_slices`` and a table handed to
+``CoveringRelation`` give a table.
 ``signatures`` and ``atom_slices`` read the small data off either kind;
 read off the slices of a family's covering, the family comes back closed,
 so the round trip F → slices → family is F's closure.  Read off an
@@ -29,20 +30,23 @@ satisfies the extended contact axioms exactly when every single atom is in
 the family read off its slices and it is the covering of that family, and
 the weak ones exactly when its atom slices grow with f and generate it.
 That verdict is memoised on the covering, from one generation for a table
-and none for a family, so it serves check_eca, check_weca,
+and from the members alone for a family (ECA iff every single atom is a
+member, else WECA), so it serves check_eca, check_weca,
 check_weca_consequences (six laws that follow from the weak axioms) and
 check_relative_contact_laws (laws of every such covering of a family),
 which return a shared all-passed report on a pass.
 It is the only record of a covering's axiom system: derived_contact
 refuses a covering whose verdict fails the extended axioms, and holds the
-contact of an ECA as R, the atom pairs outside R_0, generating its table
-only when first read.
+contact of an ECA as R, the atom pairs outside R_0, as k int rows: read
+off a family's members (p and q touch iff some member holds both), or off
+a table's slice R_0.  It generates its table only when first read.
 check_ca passes a contact in closed form: the join-extension of its
 restriction R to zero and the atoms, R symmetric, with an empty zero row
 and a full atom diagonal.  A held contact is that extension by definition,
-so only R is tested, in O(k²); a table is also compared with the
-extension.  No passing check builds an N x N operation or contact table:
-those serve the literal searches and internally_connected_algebraic.
+so only its rows are tested, in O(k²); a table is also compared with the
+extension.  No passing check builds an N x N matrix, the atom slices of a
+family or an operation or contact table: those serve the literal searches,
+the embeddings and internally_connected_algebraic.
 The contact axioms CA1-CA5 are the relative contact laws RCL1-RCL5 at
 g = 0 (derived contact is "not covered by 0"), so the five laws are
 written once and a contact that fails the closed form runs them as a
@@ -76,12 +80,12 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
-from operator import and_
-from typing import Iterable, Literal
+from operator import and_, index
+from typing import Collection, Iterable, Literal
 
 import numpy as np
 
-from .topology import _PRODUCT_CHUNK_ELEMENTS, DocumentError, RegularClosedAlgebra, check_cap
+from .topology import _PRODUCT_CHUNK_ELEMENTS, DocumentError, RegularClosedAlgebra, bit_matrix, check_cap, mask_indices
 
 Strength = Literal["ECA", "WECA"]
 
@@ -123,31 +127,34 @@ def _frozen_table(table: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _owning(cls, algebra: FiniteBooleanAlgebra, **arrays: np.ndarray):
-    """A relation on arrays this module has just allocated and holds nowhere
-    else (a C-contiguous bool table, or a family's flags and slices), frozen."""
-    for arr in arrays.values():
-        arr.setflags(write=False)
+def _owning(cls, algebra: FiniteBooleanAlgebra, **fields: object):
+    """A relation on fields this module has just made and holds nowhere
+    else: a C-contiguous bool table, frozen here, or a family's member set
+    or a contact's atom rows, immutable already."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     relation = object.__new__(cls)
-    relation.__dict__.update(algebra=algebra, **arrays)
+    relation.__dict__.update(algebra=algebra, **fields)
     return relation
 
 
 @dataclass(frozen=True, eq=False)
 class CoveringRelation:
     """A ternary relation (a, b) |- d over a finite Boolean algebra.  One
-    built from a family of atom sets generates its table on first read."""
+    built from a family of atom sets holds its members, and generates its
+    atom slices and its table on first read."""
 
     algebra: FiniteBooleanAlgebra
     table: np.ndarray = field(repr=False)  # a repr must not generate a family's table
-    _family = None  # flags[σ] of the family a covering was built from
+    _members = None  # the family a covering was built from: a frozenset of atom-set masks
 
     def __post_init__(self) -> None:
         n = self.algebra.size
         object.__setattr__(self, "table", _frozen_table(self.table, (n, n, n)))
 
     def __getattr__(self, name: str) -> np.ndarray:
-        if name != "table" or self._family is None:
+        if name != "table" or self._members is None:
             raise AttributeError(name)
         self.__dict__["table"] = table = _covering_of_slices(self._slices, self.algebra.atom_count)
         table.setflags(write=False)
@@ -158,9 +165,14 @@ class CoveringRelation:
 
     @cached_property
     def _slices(self) -> np.ndarray:
-        """The atom slices [f, p, q] (see atom_slices), read-only."""
-        atoms = _atom_matrices(self.algebra.atom_count)[0][1:]
-        slices = np.ascontiguousarray(self.table[atoms][:, atoms].transpose(2, 0, 1))
+        """The atom slices [f, p, q] (see atom_slices), read-only: generated
+        from a family's members, or read off the table."""
+        k = self.algebra.atom_count
+        if self._members is None:
+            atoms = _atom_matrices(k)[0][1:]
+            slices = np.ascontiguousarray(self.table[atoms][:, atoms].transpose(2, 0, 1))
+        else:
+            slices = _slices_of_family(self._members, k)
         slices.setflags(write=False)
         return slices
 
@@ -173,22 +185,21 @@ class CoveringRelation:
         single atom.  The covering of G has G's slices, which grow with f, so
         only slices that differ from G's take the fold that tests growth.
 
-        A family's covering v_F needs no generation: it is a WECA, and an ECA
-        iff G = cl(F) holds every single atom, that is iff F does, since the
-        only nonempty set inside {p} is {p}.  Proof: its slices R_c(p, q) =
-        "no σ ∈ F inside ¬c holds p and q" grow with c, and generate v_F,
-        since σ meets a and b iff it holds an atom of each.  And v_F = v_G:
+        A family's covering v_F needs no generation, and no slices: it is a
+        WECA, and an ECA iff G = cl(F) holds every single atom, that is iff
+        F does, since the only nonempty set inside {p} is {p}.  Proof: its
+        slices R_c(p, q) = "no σ ∈ F inside ¬c holds p and q" grow with c,
+        and generate v_F, since σ meets a and b iff it holds an atom of each.  And v_F = v_G:
         G ⊇ F, and a τ ∈ G that meets a and b and misses c holds the atom
         pair it meets them at in some σ ∈ F inside τ, which does the same.
         So v_F is the covering of G, and the paragraph above decides it."""
         k = self.algebra.atom_count
-        atoms = _atom_matrices(k)[0][1:]
-        if self._family is not None:
-            return "ECA" if self._family[atoms].all() else "WECA"
+        if self._members is not None:
+            return "ECA" if all(1 << p in self._members for p in range(k)) else "WECA"
         slices = self._slices
         family = _family_of_slices(slices, k)
-        singletons = family[atoms].all()
-        closed = (slices == _slices_of_family(family, k)).all()
+        singletons = family[_atom_matrices(k)[0][1:]].all()
+        closed = (slices == _slices_of_family(np.flatnonzero(family), k)).all()
         grows = closed or not (_fold(slices, 0, k, subsets=True) & ~slices).any()
         if not grows or not (self.table == _covering_of_slices(slices, k)).all():
             return None
@@ -203,7 +214,7 @@ class ContactRelation:
 
     algebra: FiniteBooleanAlgebra
     table: np.ndarray = field(repr=False)  # a repr must not generate a held contact's table
-    _atoms = None  # R[p, q]: atoms p and q in contact, for a contact held as R
+    _atoms = None  # R as k int rows, bit q of row p when atoms p and q are in contact, if held as R
 
     def __post_init__(self) -> None:
         n = self.algebra.size
@@ -212,7 +223,8 @@ class ContactRelation:
     def __getattr__(self, name: str) -> np.ndarray:
         if name != "table" or self._atoms is None:
             raise AttributeError(name)
-        table = _join_extension(_atom_matrices(self.algebra.atom_count)[2], self._atoms)
+        k = self.algebra.atom_count
+        table = _join_extension(_atom_matrices(k)[2], bit_matrix(k, self._atoms))
         self.__dict__["table"] = table = np.logical_not(table, out=table)
         table.setflags(write=False)
         return table
@@ -322,31 +334,28 @@ def _first(viol: np.ndarray) -> tuple[int, ...] | None:
 
 @lru_cache(maxsize=None)
 def _atom_matrices(atom_count: int) -> tuple[np.ndarray, ...]:
-    """(base, below, under, pairs, disjoint), read-only: base = zero and the
-    atom masks; below[x, i] = 1 when base[i] is below x, (N, k + 1) float32,
-    and under the same without zero; pairs[σ, p, q] = σ holds atoms p and q;
-    disjoint[c, σ] = 1 when σ lies inside the complement of c, as float32:
-    c and σ share no atom (the count of shared atoms is exact)."""
+    """(base, below, under, pairs), read-only: base = zero and the atom
+    masks; below[x, i] = 1 when base[i] is below x, (N, k + 1) float32, and
+    under the same without zero; pairs[σ, p, q] = σ holds atoms p and q."""
     base = np.array([0] + [1 << i for i in range(atom_count)])
     held = np.arange(1 << atom_count)[:, None] & base == base
     under = held[:, 1:].astype(np.float32)
-    disjoint = under @ under.T.copy()  # numpy's A @ A.T (syrk) path is 10x slower at k = 8..13
-    np.equal(disjoint, 0, out=disjoint)  # in place: no N x N temporary beside it
-    out = (base, held.astype(np.float32), under, held[:, 1:, None] & held[:, None, 1:], disjoint)
+    out = (base, held.astype(np.float32), under, held[:, 1:, None] & held[:, None, 1:])
     for arr in out:
         arr.setflags(write=False)
     return out
 
 
-def _slices_of_family(flags: np.ndarray, k: int) -> np.ndarray:
-    """The atom slices [c, p, q] of the covering of {σ : flags[σ]}: R_c(p, q)
-    iff no member inside the complement of c holds both p and q.  One product
-    of "σ inside ¬c" with the members' atom pairs counts those members
-    (exactly: at most N of them)."""
-    n = 1 << k
-    _, _, _, pairs, disjoint = _atom_matrices(k)
-    held = (pairs & flags[:, None, None]).reshape(n, k * k).astype(np.float32)
-    return (disjoint @ held == 0).reshape(n, k, k)
+def _slices_of_family(members: Collection[int], k: int) -> np.ndarray:
+    """The atom slices [c, p, q] of the covering of the family ``members``,
+    atom sets as int masks: R_c(p, q) iff no member inside the complement of
+    c holds both p and q.  One product of "σ inside ¬c", N x |F| (a count of
+    shared atoms, zero), with the members' atom pairs counts those members
+    (exactly: at most |F| of them).  No N x N matrix is made."""
+    rows = np.fromiter(members, dtype=np.intp, count=len(members))
+    _, _, under, pairs = _atom_matrices(k)
+    outside = (under @ under[rows].T == 0).astype(np.float32)  # [c, σ]: σ inside ¬c
+    return (outside @ pairs[rows].reshape(-1, k * k).astype(np.float32) == 0).reshape(1 << k, k, k)
 
 
 def _family_of_slices(slices: np.ndarray, k: int) -> np.ndarray:
@@ -399,24 +408,38 @@ def covering_from_signatures(atom_count: int, family: Iterable[int]) -> Covering
     representation theorem: σ is the set of atoms whose closures hold a
     point of the model, and a point lies in the region a iff σ meets a.
 
-    It holds the family's flags and atom slices (N·k² bools, one product),
-    which give its verdict (see CoveringRelation._strength).  The N³ table
-    is generated only when first read: by a failing checker's literal
-    search, verify_embedding's tabulated fallback (parametrized frames,
-    and frames whose slices do not confirm covering),
-    internally_connected_algebraic (c° off its closed form), or
-    true_triples (``rc --verbose``)."""
+    It holds only the family's members, a frozenset of ints, which give its
+    verdict (see CoveringRelation._strength) and its derived contact.  Its
+    atom slices (N·k² bools, one product) are generated only when first
+    read: by signatures, atom_slices, a parametrized frame, or an embedding
+    the family gate does not confirm.  The N³ table is generated from them
+    only when first read: by a failing checker's literal search,
+    verify_embedding's tabulated fallback (parametrized frames, and frames
+    whose slices do not confirm covering), internally_connected_algebraic
+    (c° off its closed form), or true_triples (``rc --verbose``).  A
+    member must be an integer (a NumPy integer will do, a bool will not)
+    inside the algebra; the first that is not raises ValueError."""
     algebra = FiniteBooleanAlgebra(atom_count)
-    members = list(family)
-    algebra._require(*members)
-    flags = np.zeros(algebra.size, dtype=bool)
-    flags[members] = True
-    return _owning(CoveringRelation, algebra, _family=flags, _slices=_slices_of_family(flags, atom_count))
+    return _owning(CoveringRelation, algebra, _members=frozenset(_element(algebra, x) for x in family))
+
+
+def _element(algebra: FiniteBooleanAlgebra, x: object) -> int:
+    """x as the Python int of an element of the algebra: an integer,
+    NumPy's included, that is not a bool."""
+    try:
+        mask = None if isinstance(x, (bool, np.bool_)) else index(x)
+    except TypeError:
+        mask = None
+    if mask is None:
+        raise ValueError(f"{x!r} is not an element mask of a {algebra.atom_count}-atom algebra")
+    algebra._require(mask)
+    return mask
 
 
 def atom_slices(covering: CoveringRelation) -> np.ndarray:
     """R_f(p, q) = (atom p, atom q) |- f, as a read-only (N, k, k) bool array
-    [f, p, q], memoised on the covering (read off its table, if it has one)."""
+    [f, p, q], memoised on the covering: generated from a family's members,
+    or read off the table."""
     return covering._slices
 
 
@@ -500,6 +523,11 @@ def _contact_laws(q: np.ndarray, k: int) -> tuple[tuple | None, ...]:
     return law1, law2, _first(law3.transpose(2, 0, 1)), _first(law4), _first(law5.transpose(2, 0, 1))
 
 
+def _rows_of(r: np.ndarray) -> tuple[int, ...]:
+    """The rows of a k x k bool relation r[p, q] as int masks, bit q of row p."""
+    return tuple((r @ (1 << np.arange(len(r)))).tolist())
+
+
 def check_ca(contact: ContactRelation) -> AxiomReport:
     """Check the five contact axioms: monotonicity in both arguments,
     distribution over joins, no contact with zero, reflexivity away from
@@ -511,21 +539,22 @@ def check_ca(contact: ContactRelation) -> AxiomReport:
     and the atoms and R is symmetric, with an empty zero row and every atom
     in contact with itself.  A contact held as R (see derived_contact) is
     its extension by definition, with an empty zero row, so it is decided
-    on R alone, in O(k²), and its table is not read.  A table is first
-    compared with the extension of its restriction.  Only a relation that
-    fails this closed form runs the laws on its table, as a stack of one
-    relation, its witnesses without g.  It takes no element cap (see
-    check_eca)."""
+    on R's k int rows alone, in O(k²), and its table is not read.  A table
+    is first compared with the extension of its restriction.  Only a
+    relation that fails this closed form runs the laws on its table, as a
+    stack of one relation, its witnesses without g.  It takes no element
+    cap (see check_eca)."""
     k = contact.algebra.atom_count
-    if contact._atoms is None:
+    rows = contact._atoms
+    if rows is None:
         c = contact.table
-        extended = not _ca12_mismatch(c, k).any()
         base = _atom_matrices(k)[0]
-        r = c[base][:, base].tolist()
-    else:
-        extended = True
-        r = [[False] * (k + 1)] + [[False, *row] for row in contact._atoms.tolist()]
-    if extended and r == [list(col) for col in zip(*r)] and not any(r[0]) and all(r[i][i] for i in range(1, k + 1)):
+        if not _ca12_mismatch(c, k).any() and not c[0, base].any() and not c[base, 0].any():
+            rows = _rows_of(c[base[1:]][:, base[1:]])
+    # R symmetric, and every atom in contact with itself
+    if rows is not None and all(
+        row >> p & 1 and all(row >> q & 1 == rows[q] >> p & 1 for q in range(p)) for p, row in enumerate(rows)
+    ):
         return _PASSED["CA"]
     laws = _contact_laws(contact.table[:, :, None], k)
     return AxiomReport.of({f"CA{i}": None if w is None else w[1:] for i, w in enumerate(laws, 1)})
@@ -841,12 +870,24 @@ def derived_contact(covering: CoveringRelation) -> ContactRelation:
     (a, b) is not covered by zero.  Only the extended contact axioms
     guarantee the contact axioms, so a table whose verdict is not ECA is
     rejected.  An ECA is generated by its slices, so the contact is the
-    join-extension of R, the atom pairs outside R_0: it holds R, a k x k
-    relation, and generates its N x N table only when first read, by a
-    failing check_ca or a caller.  No covering table is read."""
+    join-extension of R, the atom pairs outside R_0: it holds R as k int
+    rows, and generates its N x N table only when first read, by a failing
+    check_ca or a caller.  In the covering of a family F every member lies
+    inside ¬0, so R_0(p, q) says that no member holds both p and q: p and q
+    touch iff some member holds both, and R is read off the members, with
+    no slices.  A table's R is read off its slice R_0.  No covering table
+    is read."""
     if covering._strength != "ECA":
         raise ValueError("derived contact needs the full extended contact axioms")
-    return _owning(ContactRelation, covering.algebra, _atoms=~covering._slices[0])
+    if covering._members is None:
+        rows = _rows_of(~covering._slices[0])
+    else:
+        touch = [0] * covering.algebra.atom_count
+        for sigma in covering._members:
+            for p in mask_indices(sigma):
+                touch[p] |= sigma
+        rows = tuple(touch)
+    return _owning(ContactRelation, covering.algebra, _atoms=rows)
 
 
 def check_relative_contact_laws(covering: CoveringRelation) -> AxiomReport:

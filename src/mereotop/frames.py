@@ -12,9 +12,10 @@ equivalence kinds.  :func:`covering_slices` reads any frame's covering
 over the joins of k atom images as N·k² atom slices, so an embedding that
 preserves zero and join is checked on atom-level data.  For an
 equivalence frame those slices are a function of the σ family of the
-atom images, whose flags :func:`covering_family` gives: a source built
-from the same family has the same slices, so the flags alone confirm
-covering without the slice product.
+atom images, which :func:`covering_family` gives as a set: a source built
+from the same family, which holds its members as such a set, has the
+same slices, so comparing the two sets confirms covering without the
+slice product.
 :func:`covering_table` tabulates the covering over any family of subsets:
 all of them for the powerset, or the images of an embedding whose
 covering the slices do not confirm, to name the witness.  For an
@@ -236,7 +237,7 @@ def covering_slices(
     of R*(A(d)) over the atom images, for every d at once.  For an
     equivalence frame, the covering over the images is the covering of the
     σ family of the atom images (:func:`_sigma_family`), whose slices one
-    product reads off.
+    product reads off (:func:`~mereotop.algebra._slices_of_family`).
     """
     if isinstance(frame, ParametrizedFrame):
         _require_masks(frame.world_count, *atom_images)
@@ -246,13 +247,12 @@ def covering_slices(
     return _slices_of_family(covering_family(frame, atom_images), len(atom_images))
 
 
-def covering_family(frame: EquivalenceFrame1 | EquivalenceFrame2, atom_images: Sequence[int]) -> np.ndarray:
-    """flags[σ] of the σ family of the atom images (:func:`_sigma_family`),
-    an (N,) bool array over the atom sets: the family whose covering is
-    the equivalence frame's covering over the joins of the images, so two
-    frames, or a frame and a covering built from a family, with equal
-    flags have equal atom slices."""
+def covering_family(frame: EquivalenceFrame1 | EquivalenceFrame2, atom_images: Sequence[int]) -> frozenset[int]:
+    """The σ family of the atom images (:func:`_sigma_family`), a frozenset
+    of atom-set masks: the family whose covering is the equivalence frame's
+    covering over the joins of the images.  So two frames, or a frame and a
+    covering built from a family (whose members
+    :func:`~mereotop.algebra.covering_from_signatures` holds as such a set),
+    with equal families have equal atom slices."""
     _require_masks(frame.world_count, *atom_images)
-    flags = np.zeros(1 << len(atom_images), dtype=bool)
-    flags[_sigma_family(frame, atom_images)] = True
-    return flags
+    return frozenset(_sigma_family(frame, atom_images))

@@ -24,9 +24,10 @@ every frame kind the frame's covering over them is the table generated
 by its atom slices (:func:`~mereotop.frames.covering_slices`), so
 covering is decided by comparing those slices with the source's.  For an
 equivalence frame and a source built from a family, a family gate comes
-first: slices are a function of a family's flags, so when the frame's σ
-family of the atom images (:func:`~mereotop.frames.covering_family`) is
-the source's family, covering holds without the slice product.  That is
+first: slices are a function of a family, so when the frame's σ family
+of the atom images (:func:`~mereotop.frames.covering_family`) is the
+source's member set, covering holds without the slice product, and the
+source's own slices are never generated.  That is
 always so when the source is the covering of the points' signatures the
 type-1 or type-2 frame is built on: the covering of a space
 (``eca_from_rc``), or of an S*.  Only a covering the slices do not confirm is
@@ -179,8 +180,8 @@ def verify_embedding(embedding: Embedding) -> AxiomReport:
     tables are equal iff F equals the source's slices.  One gate serves
     every frame kind: zero and join hold, the verdict is not None, and the
     slices agree.  For an equivalence frame and a source built from a
-    family, the slices agree at once when the frame's σ-family flags equal
-    the source's family (:func:`_covering_on_slices`), as they do for the
+    family, the slices agree at once when the frame's σ family equals the
+    source's member set (:func:`_covering_on_slices`), as they do for the
     frames :func:`build_type1` and :func:`build_type2` make over the points
     the source's family lists.  Any covering the gate does not confirm is
     tabulated by :func:`~mereotop.frames.covering_table` and compared with
@@ -246,19 +247,19 @@ def _covering_on_slices(
     """For a source with a verdict, whether the frame's covering over the
     joins of the atom images ``atoms`` is the source's: whether the
     frame's atom slices equal the source's.  Slices are a function of a
-    family's flags, so for an equivalence frame and a source built from a
-    family, equal σ-family flags (:func:`~mereotop.frames.covering_family`)
-    pass without the N·k² product.  The frames :func:`build_type1` and
-    :func:`build_type2` make always take this gate on the covering of their
-    points' signatures: the frame's family is the single atoms and those
-    signatures, and the signatures already hold every single atom.  In a
+    family, so for an equivalence frame and a source built from a family,
+    a σ family (:func:`~mereotop.frames.covering_family`) equal to the
+    source's member set passes without either side's N·k² product.  The
+    frames :func:`build_type1` and :func:`build_type2` make always take
+    this gate on the covering of their points' signatures: the frame's
+    family is the single atoms and those signatures, and the signatures
+    already hold every single atom.  In a
     space, a point of a minimal neighbourhood U_x lies in the closure of
     U_x alone, since two minimal neighbourhoods that meet are equal; an
     extended algebra's S* holds every single atom by the axioms.  Any
     other case compares the slices."""
-    if source._family is not None and not isinstance(frame, ParametrizedFrame):
-        # two (N,) bool arrays: equal bytes, equal flags, at a tenth of array_equal's cost
-        if covering_family(frame, atoms).tobytes() == source._family.tobytes():
+    if source._members is not None and not isinstance(frame, ParametrizedFrame):
+        if covering_family(frame, atoms) == source._members:
             return True
     return bool((covering_slices(frame, atoms) == source._slices).all())
 

@@ -639,7 +639,6 @@ class TestCheckersTakeNoCap:
             assert check_ca(contact).all_passed
             assert "table" not in vars(contact)
         finally:
-            # the cached atom matrices of k = 12 hold disjoint, 64 MiB
             algebra_module._atom_matrices.cache_clear()
 
 
@@ -951,6 +950,35 @@ class TestGenerators:
             covering_from_signatures(2, family)
         assert str(caught.value) == f"{bad} is not an element mask of a 2-atom algebra"
 
+    @pytest.mark.parametrize(
+        "member,accepted",
+        [
+            (1.0, False),
+            (1.5, False),
+            (True, False),
+            ("1", False),
+            (None, False),
+            (-1, False),
+            (4, False),
+            (np.int64(1), True),
+            (np.uint8(3), True),
+        ],
+        ids=repr,
+    )
+    def test_members_are_integers_inside_the_algebra(self, member, accepted):
+        # a float, a bool, a string or None is named, not stored; a NumPy
+        # integer is stored as the Python int it equals
+        if not accepted:
+            with pytest.raises(ValueError) as caught:
+                covering_from_signatures(2, [1, member])
+            assert str(caught.value) == f"{member!r} is not an element mask of a 2-atom algebra"
+            return
+        cov = covering_from_signatures(2, [1, 2, member])
+        assert cov._members == {1, 2, int(member)} and {type(m) for m in cov._members} == {int}
+        plain = covering_from_signatures(2, [1, 2, int(member)])
+        assert (cov.table == plain.table).all() and cov._strength == plain._strength == "ECA"
+        assert derived_contact(cov)._atoms == derived_contact(plain)._atoms
+
     def test_accepts_empty_and_generated_families(self):
         assert covering_from_signatures(2, []).table.all()  # no member splits a pair
         assert covering_from_signatures(2, iter([3, 0, 3])).table.tolist() == (
@@ -999,8 +1027,8 @@ def assert_family_built_is_honest(k: int, family: list[int]) -> None:
 
 
 class TestFamilyBuiltCoverings:
-    """A covering built from a family holds the family and its slices; its
-    verdict comes from them, and its table only from a read."""
+    """A covering built from a family holds its members; its verdict comes
+    from them, and its slices and table only from a read."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_every_family(self, k):
@@ -1071,8 +1099,10 @@ class TestVerifiedAlgebras:
 
 def held_contact(k: int, atoms: np.ndarray) -> ContactRelation:
     """A contact held as the relation R[p, q] on atoms, as derived_contact
-    builds one."""
-    return algebra_module._owning(ContactRelation, FiniteBooleanAlgebra(k), _atoms=np.array(atoms, dtype=bool))
+    builds one: k int rows, bit q of row p set when R[p, q]."""
+    r = np.array(atoms, dtype=bool)
+    rows = tuple(sum(1 << q for q in range(k) if r[p, q]) for p in range(k))
+    return algebra_module._owning(ContactRelation, FiniteBooleanAlgebra(k), _atoms=rows)
 
 
 def eca_sweep() -> list[CoveringRelation]:
@@ -1126,13 +1156,60 @@ class TestHeldContacts:
             assert (report is _PASSED["CA"]) == all_none(naive)
 
     def test_repr_generates_no_table(self):
-        try:
-            contact = derived_contact(discrete_covering(12))
-            assert repr(contact) == "ContactRelation(algebra=FiniteBooleanAlgebra(atom_count=12))"
-            assert "table" not in vars(contact)
-        finally:
-            # the cached atom matrices of k = 12 hold disjoint, 64 MiB
-            algebra_module._atom_matrices.cache_clear()
+        contact = derived_contact(discrete_covering(12))
+        assert repr(contact) == "ContactRelation(algebra=FiniteBooleanAlgebra(atom_count=12))"
+        assert "table" not in vars(contact)
+
+    @pytest.mark.parametrize("cov", eca_sweep(), ids=lambda c: f"k{c.algebra.atom_count}")
+    def test_rows_read_off_the_members(self, cov):
+        # p and q touch iff some member holds both: the atom pairs outside
+        # R_0, and the rows of the contact derived from the same table
+        held = derived_contact(cov)
+        k = cov.algebra.atom_count
+        assert held._atoms == algebra_module._rows_of(~cov._slices[0])
+        tabled = derived_contact(CoveringRelation(cov.algebra, cov.table))
+        assert held._atoms == tabled._atoms and (held.table == tabled.table).all()
+        assert held._atoms == held_contact(k, ~cov._slices[0])._atoms
+        if k <= 3:
+            assert witnesses(check_ca(held)) == oracles.naive_check_ca(1 << k, held.table.tolist())
+
+
+def spied_family_slices(monkeypatch) -> list[int]:
+    """The atom counts of every call of algebra._slices_of_family."""
+    calls: list[int] = []
+    product_of = algebra_module._slices_of_family
+
+    def counted(members, k):
+        calls.append(k)
+        return product_of(members, k)
+
+    monkeypatch.setattr(algebra_module, "_slices_of_family", counted)
+    return calls
+
+
+class TestPassingFamilyChecksReadNoSlices:
+    """On the covering of a family, every passing checker and the derived
+    contact read the members alone: the slices are never generated.  (The
+    sweep's table-built coverings read their slices off the table, and
+    compare them with the slices of the family read off them.)"""
+
+    CHECKS = (check_weca, check_eca, check_relative_contact_laws, check_weca_consequences)
+
+    @pytest.mark.parametrize(
+        "cov", [c for c in eca_sweep() if c._members is not None], ids=lambda c: f"k{c.algebra.atom_count}"
+    )
+    def test_eca_sweep(self, cov, monkeypatch):
+        calls = spied_family_slices(monkeypatch)
+        assert all(check(cov).all_passed for check in self.CHECKS)
+        assert check_ca(derived_contact(cov)) is _PASSED["CA"]
+        assert calls == [] and "_slices" not in vars(cov) and "table" not in vars(cov)
+
+    def test_sixteen_atoms(self, monkeypatch):
+        calls = spied_family_slices(monkeypatch)
+        cov = discrete_covering(16)
+        assert all(check(cov).all_passed for check in self.CHECKS)
+        assert check_ca(derived_contact(cov)) is _PASSED["CA"]
+        assert calls == [] and "_slices" not in vars(cov) and "table" not in vars(cov)
 
 
 # ---------------------------------------------------------------------------

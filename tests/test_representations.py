@@ -1109,9 +1109,9 @@ def counted_family_products(monkeypatch):
     calls = []
     product_of = algebra_module._slices_of_family
 
-    def counted(flags, k):
+    def counted(members, k):
         calls.append(k)
-        return product_of(flags, k)
+        return product_of(members, k)
 
     for module in (algebra_module, frames_module):
         monkeypatch.setattr(module, "_slices_of_family", counted)
@@ -1126,10 +1126,11 @@ def over_table(embedding):
 
 
 class TestFamilyGate:
-    """For a source built from a family, equal σ-family flags confirm the
-    frame's covering without reading its atom slices; any other case reads
-    the slices or tabulates.  Every report equals the report over the
-    table-built covering of the same table, which holds no family."""
+    """For a source built from a family, a σ family equal to its member set
+    confirms the frame's covering without either side's atom slices; any
+    other case reads the slices or tabulates.  Every report equals the
+    report over the table-built covering of the same table, which holds no
+    family."""
 
     def seeded_embeddings(self):
         spaces = [random_space(seed, 6) for seed in range(20)] + [multi_atom_space(seed) for seed in range(8)]
@@ -1138,7 +1139,7 @@ class TestFamilyGate:
     def test_family_path_on_the_sweeps(self, monkeypatch):
         products = counted_family_products(monkeypatch)
         for embedding in self.seeded_embeddings():
-            assert embedding.source._family is not None and embedding.source._strength == "ECA"
+            assert embedding.source._members is not None and embedding.source._strength == "ECA"
             products.clear()
             report, verdict = verified_with_slice_verdict(embedding)
             assert verdict is True and products == []
@@ -1146,21 +1147,23 @@ class TestFamilyGate:
             assert report == expected and report.all_passed
 
     def family_and_points(self, family, points):
-        source = covering_from_signatures(3, family)
-        return {builder: builder(source, points) for builder in (build_type1, build_type2)}
+        # one source per builder, so each generates its own slices
+        return {builder: builder(covering_from_signatures(3, family), points) for builder in (build_type1, build_type2)}
 
     def test_same_closure_goes_through_slices_and_passes(self, monkeypatch):
         # S holds every single atom and every pair of atoms, so {0, 1, 2}
-        # is in cl(S) but not in S: the flags differ, the coverings do not
+        # is in cl(S) but not in S: the sets differ, the coverings do not.
+        # The frame's slices are one product, the source's the other: a
+        # family's covering generates its slices only when they are read
         points = [1, 2, 4, 3, 5, 6]
         assert 7 in oracles.naive_signature_closure(3, points)
         products = counted_family_products(monkeypatch)
         for builder, embedding in self.family_and_points([*points, 7], points).items():
             atoms = [embedding.image_masks[1 << i] for i in range(3)]
-            assert not np.array_equal(frames_module.covering_family(embedding.frame, atoms), embedding.source._family)
+            assert frames_module.covering_family(embedding.frame, atoms) != embedding.source._members
             products.clear()
             report, verdict = verified_with_slice_verdict(embedding)
-            assert verdict is True and products == [3], builder
+            assert verdict is True and products == [3, 3], builder
             assert report == verify_embedding(over_table(embedding)) and report.all_passed
 
     def test_different_closure_fails_with_the_tabulated_witness(self, monkeypatch):
@@ -1174,15 +1177,17 @@ class TestFamilyGate:
             assert witness is not None and witness == literal_covering_witness(embedding)
             assert report == verify_embedding(over_table(embedding))
 
-    def test_passing_random_trial_reads_one_family_product(self, monkeypatch, capsys):
-        # the one from eca_from_rc; both frames pass on the family gate
+    def test_passing_random_trial_runs_no_family_product(self, monkeypatch, capsys):
+        # eca_from_rc holds the points' signatures, the checkers and the
+        # derived contact read them alone, and both frames pass on the
+        # family gate
         from mereotop import cli
 
         products = counted_family_products(monkeypatch)
         for seed in range(6):
             products.clear()
             assert cli.main(["random", "--seed", str(seed), "--trials", "1"]) == 0
-            assert len(products) == 1
+            assert len(products) == 0
         capsys.readouterr()
 
     def test_passing_reports_are_shared_and_build_no_check(self, monkeypatch):
