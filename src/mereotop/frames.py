@@ -163,10 +163,11 @@ def frame2_internally_connected(frame: EquivalenceFrame2, s_mask: int) -> bool:
 
 def _sigma_family(frame: EquivalenceFrame1 | EquivalenceFrame2, masks: Sequence[int]) -> list[int]:
     """The σ family of the subsets ``masks``, each σ a mask over their
-    indices: σ_w = {i : w ∈ masks[i]} of each world w, found by splitting
-    the worlds by each subset in turn, and σ_c = {i : masks[i] meets c} of
-    each class c of ``covering_classes`` (the composite classes, for type 2),
-    the union of the σ_w of its worlds (``class_unions``), each σ once.
+    indices: σ_w = {i : w ∈ masks[i]} of each world w, one OR of 1 << i into
+    σ_w for each world w of each masks[i], and σ_c = {i : masks[i] meets c}
+    of each class c of ``covering_classes`` (the composite classes, for
+    type 2), the union of the σ_w of its worlds (``class_unions``), each σ
+    once, in no particular order.
 
     (masks[i], masks[j]) ⊢ masks[l] iff no σ holds i and j and misses l:
     the σ_w give masks[i] ∩ masks[j] ⊆ masks[l], and the σ_c the class
@@ -174,20 +175,11 @@ def _sigma_family(frame: EquivalenceFrame1 | EquivalenceFrame2, masks: Sequence[
     class iff x meets its σ, the covering is the covering of this family
     (:func:`~mereotop.algebra.covering_from_signatures`).
     """
-    regions = {0: (1 << frame.world_count) - 1}  # σ -> the worlds with that σ
-    for i, mask in enumerate(masks):
-        split: dict[int, int] = {}
-        for sigma, worlds in regions.items():
-            if worlds & mask:
-                split[sigma | 1 << i] = worlds & mask
-            if worlds & ~mask:
-                split[sigma] = worlds & ~mask
-        regions = split
     world_sigma = [0] * frame.world_count
-    for sigma, worlds in regions.items():
-        for w in mask_indices(worlds):
-            world_sigma[w] = sigma
-    return list(dict.fromkeys([*regions, *frame.class_unions(world_sigma)]))  # a class σ can repeat a world σ
+    for i, mask in enumerate(masks):
+        for w in mask_indices(mask):
+            world_sigma[w] |= 1 << i
+    return list(dict.fromkeys([*world_sigma, *frame.class_unions(world_sigma)]))  # many worlds and classes share a σ
 
 
 def covering_table(

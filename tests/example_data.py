@@ -1,8 +1,9 @@
 """Golden data for the built-in two-space demonstration, frozen from a hand
 computation and re-derivable through the oracles; the writers of the
-covering and topology documents the tests feed to the command line; and
-seeded weak covering tables generated from atom slices, and the zero-sided
-weak-only table of scripts/search_weca_not_eca.py; and the covering a frame
+covering and topology documents the tests feed to the command line; the
+Alexandrov star spaces of core and boundary points; seeded weak covering
+tables generated from atom slices, and the zero-sided weak-only table
+(the first weak-only table of scripts/census.py); and the covering a frame
 puts on the powerset of its worlds.
 
 Point encoding: label list order gives the bit index, so in the seven-point
@@ -13,8 +14,6 @@ space "2" is bit 0, ..., "7" is bit 5.
 from __future__ import annotations
 
 import random
-import runpy
-from pathlib import Path
 
 import numpy as np
 
@@ -59,10 +58,11 @@ def covering_document(covering) -> dict:
 
 
 def zero_sided_covering(atom_count: int) -> CoveringRelation:
-    """(a, b) |- f iff a = 0 or b = 0: weak but not full, as built by
-    scripts/search_weca_not_eca.py."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "search_weca_not_eca.py"
-    return runpy.run_path(str(script))["zero_sided_covering"](atom_count)
+    """(a, b) |- f iff a = 0 or b = 0: weak but not full."""
+    n = 1 << atom_count
+    table = np.zeros((n, n, n), dtype=bool)
+    table[0] = table[:, 0] = True
+    return CoveringRelation(FiniteBooleanAlgebra(atom_count), table)
 
 
 def topology_document(labeled) -> dict:
@@ -75,6 +75,14 @@ def topology_document(labeled) -> dict:
 
 def build(n: int, masks) -> "FiniteTopology":
     return generate_topology(n, [PointSet(n, m) for m in masks])
+
+
+def star_space(k: int, boundary) -> "FiniteTopology":
+    """The Alexandrov space of k open core points, one per atom, and one
+    boundary point per atom-set mask in ``boundary``, whose least open set
+    is itself and the cores of its mask."""
+    masks = [1 << i for i in range(k)] + [1 << (k + j) | cores for j, cores in enumerate(boundary)]
+    return build(k + len(boundary), masks)
 
 
 def example_topology():

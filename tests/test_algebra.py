@@ -22,6 +22,7 @@ from example_data import (
     covering_document,
     example_topology,
     slice_generated_covering,
+    star_space,
     zero_sided_covering,
 )
 from mereotop import (
@@ -234,11 +235,8 @@ def alexandrov_covering(k: int, flips: int, rng: random.Random) -> CoveringRelat
     """The covering of a space with k open core points and one to three
     boundary points, each in the closure of two or more cores (so k atoms
     that overlap on the boundary), with ``flips`` seeded symmetric flips."""
-    boundary = [rng.sample(range(k), rng.randint(2, k)) for _ in range(rng.randint(1, 3))]
-    masks = [1 << i for i in range(k)] + [
-        1 << (k + j) | sum(1 << i for i in cores) for j, cores in enumerate(boundary)
-    ]
-    table = eca_from_rc(rc_algebra(build(k + len(boundary), masks))).table.copy()
+    boundary = [sum(1 << i for i in rng.sample(range(k), rng.randint(2, k))) for _ in range(rng.randint(1, 3))]
+    table = eca_from_rc(rc_algebra(star_space(k, boundary))).table.copy()
     n = len(table)
     for _ in range(flips):
         a, b, d = (rng.randrange(n) for _ in range(3))

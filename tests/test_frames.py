@@ -92,6 +92,22 @@ def random_classes(world_count: int, rng: random.Random) -> tuple[int, ...]:
     return tuple(rng.randrange(world_count) for _ in range(world_count))
 
 
+def covering_inputs(rng: random.Random, partitions: int):
+    """(worlds, partitions, masks) for an equivalence frame's covering
+    table: every subset of up to five worlds, drawn subsets of the same
+    worlds, and two or three subsets drawn, one twice, over 8 to 12 worlds
+    with two of them left out, so that worlds outnumber subsets, some lie in
+    no subset and many share a σ."""
+    w = rng.randint(1, 5)
+    classes = [random_classes(w, rng) for _ in range(partitions)]
+    yield w, classes, range(1 << w)
+    yield w, classes, drawn_masks(w, rng)
+    w = rng.randint(8, 12)
+    inside = (1 << w) - 1 & ~sum(1 << v for v in rng.sample(range(w), 2))
+    masks = [rng.getrandbits(w) & inside for _ in range(rng.randint(2, 3))]
+    yield w, [random_classes(w, rng) for _ in range(partitions)], masks + [rng.choice(masks)]
+
+
 # ---------------------------------------------------------------------------
 # parametrized frames
 
@@ -189,20 +205,14 @@ class TestEquivalenceFrames:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_frame1_covering_matches_oracle(self, seed):
-        rng = random.Random(seed)
-        w = rng.randint(1, 5)
-        classes = random_classes(w, rng)
-        for masks in (range(1 << w), drawn_masks(w, rng)):
+        for w, (classes,), masks in covering_inputs(random.Random(seed), 1):
             table = covering_table(EquivalenceFrame1(w, classes), masks)
             for (i, a), (j, b), (l, d) in product(enumerate(masks), repeat=3):
                 assert table[i, j, l] == oracles.naive_frame1_covering(classes, a, b, d)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_frame2_covering_matches_oracle(self, seed):
-        rng = random.Random(seed)
-        w = rng.randint(1, 5)
-        c1, c2 = random_classes(w, rng), random_classes(w, rng)
-        for masks in (range(1 << w), drawn_masks(w, rng)):
+        for w, (c1, c2), masks in covering_inputs(random.Random(seed), 2):
             table = covering_table(EquivalenceFrame2(w, c1, c2), masks)
             for (i, a), (j, b), (l, d) in product(enumerate(masks), repeat=3):
                 assert table[i, j, l] == oracles.naive_frame2_covering(c1, c2, a, b, d)

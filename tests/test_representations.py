@@ -22,6 +22,7 @@ from example_data import (
     example_topology,
     powerset_covering,
     slice_generated_covering,
+    star_space,
 )
 from mereotop import (
     Embedding,
@@ -228,12 +229,8 @@ def extended_algebras(max_k: int) -> list:
 def star_model(points):
     """The Alexandrov model of S* = ``points``: one open core point per atom,
     and a boundary point b_σ for each σ of two or more atoms, whose least
-    open set is b_σ and the cores of σ (test_algebra.alexandrov_covering's
-    construction)."""
-    k = max(points).bit_length()
-    boundary = [sigma for sigma in points if sigma.bit_count() >= 2]
-    masks = [1 << i for i in range(k)] + [1 << (k + j) | sigma for j, sigma in enumerate(boundary)]
-    return rc_algebra(build(k + len(boundary), masks))
+    open set is b_σ and the cores of σ (example_data.star_space)."""
+    return rc_algebra(star_space(max(points).bit_length(), [sigma for sigma in points if sigma.bit_count() >= 2]))
 
 
 def keyed_frame(embedding, points, relabel):
