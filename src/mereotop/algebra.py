@@ -1072,8 +1072,10 @@ _PLAIN_HEAD = re.compile(  # {"atoms": k, "covering":
 def covering_from_json(raw: bytes, *, cap_elements: int) -> CoveringRelation | None:
     """The covering of a document that is exactly {"atoms": k, "covering":
     [[a, b, d], ...]}, read straight from its bytes; None for any other
-    input, and over the cap, so that :func:`covering_from_document` parses
-    it and reports any fault.  No input makes it raise.
+    input, so that :func:`covering_from_document` parses it and reports any
+    fault.  A document that opens with that head, a k over the cap and no
+    key after it raises :class:`CapExceeded` from the head alone, before
+    the rest is read, so refusing it costs no parse of the document.
 
     With whitespace dropped, the text outside the digits must spell "[",
     then "[,,]" joined by ",", then "]", with digits in each of the three
@@ -1092,6 +1094,10 @@ def covering_from_json(raw: bytes, *, cap_elements: int) -> CoveringRelation | N
     k = int(head[1])
     n = 1 << k
     if n > min(cap_elements, 1 << 20):  # past 2^20 a flat index overflows int64
+        # with no key after the head the JSON reader would read this k too;
+        # a later "atoms" key would replace it
+        if raw.find(b'"', head.end()) < 0:
+            check_cap(k, cap_elements)
         return None
     table = np.zeros((n, n, n), dtype=bool)
     width = len(str(n - 1))

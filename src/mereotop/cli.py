@@ -11,11 +11,9 @@ Output goes to stdout — human-readable by default, canonical JSON with
 configurations give byte-identical reports).  A ``--json`` report is exactly
 ``json.dumps(doc, sort_keys=True, indent=2)``, non-ASCII escaped, plus a
 newline; ``_json_text`` writes those bytes without the stdlib's pure-Python
-indenting encoder, appending every piece to one list that is joined once,
-with a dict's str, int, bool and None values written inline with their
-keys, and a list of dicts that share one key set and hold only such values
-(a report's worlds, or its checks when none has a witness) filled into one
-template per list.  Warnings go to stderr.
+indenting encoder: one recursive writer appends every piece to one list
+that is joined once, and writes each str, int, bool and None inline with
+its key in a dict or its separator in a list.  Warnings go to stderr.
 Exit status: 0 when every executed check passed, 1 when any check failed,
 2 on input or usage errors.
 """
@@ -27,10 +25,9 @@ import io
 import json
 import random
 import sys
-from functools import cache, lru_cache
-from itertools import chain, repeat
+from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .algebra import (
@@ -123,33 +120,27 @@ def _document_kind(doc: object) -> str:
             return "topology"
         if "atoms" in doc:
             return "covering"
-        if "worlds" in doc:
-            return "frame"
     raise DocumentError(
         'unrecognized document: expected "universe" (topology) or "atoms" (covering)'
     )
 
 
-def _input_covering(
-    args: argparse.Namespace, frame_error: str
-) -> tuple[CoveringRelation, tuple[LabeledTopology, RegularClosedAlgebra] | None]:
+def _input_covering(args: argparse.Namespace) -> tuple[CoveringRelation, tuple[LabeledTopology, RegularClosedAlgebra] | None]:
     """The covering of a covering or topology document and, for a topology,
     the labelled space and its regular closed algebra.  A plain triple-list
-    document is read straight from its bytes; any other input goes through
-    the JSON reader, which reports its faults."""
+    document is read straight from its bytes, and refused by its head when
+    that is over the cap; any other input goes through the JSON reader,
+    which reports its faults."""
     raw = _read_input(args.input_path)
     covering = covering_from_json(raw, cap_elements=args.cap_elements)
     if covering is not None:
         return covering, None
     doc = _parse_json(raw, args.input_path)
-    kind = _document_kind(doc)
-    if kind == "covering":
+    if _document_kind(doc) == "covering":
         return covering_from_document(doc, cap_elements=args.cap_elements), None
-    if kind == "topology":
-        labeled = labeled_topology_from_document(doc)
-        algebra = rc_algebra(labeled.topology, cap_elements=args.cap_elements)
-        return eca_from_rc(algebra), (labeled, algebra)
-    raise DocumentError(frame_error)
+    labeled = labeled_topology_from_document(doc)
+    algebra = rc_algebra(labeled.topology, cap_elements=args.cap_elements)
+    return eca_from_rc(algebra), (labeled, algebra)
 
 
 def _json_text(value: object, indent: str) -> str:
@@ -170,15 +161,10 @@ _SCALAR_TEXT: dict[type, Callable[[object], str]] = {
 }
 
 
-def _scalar_text(value: object) -> str:
-    return _SCALAR_TEXT[type(value)](value)
-
-
 def _write_json(value: object, indent: str, out: list[str]) -> None:
     """Append the text of ``value`` at ``indent`` to ``out``.  A str, int,
     bool or None is written in the stdlib's fixed form, inline with its key
-    in a dict, a list of exact ``str`` or exact ``int`` by one join, and a
-    list of records by :func:`_records_text`."""
+    in a dict or its separator in a list; a dict or list inside recurses."""
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
         out.append(scalar(value))
@@ -202,61 +188,18 @@ def _write_json(value: object, indent: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = indent + "  "
-        sep = ",\n" + inner
-        kinds = set(map(type, value))
-        if len(kinds) == 1 and kinds <= {str, int}:
-            out.append("[\n" + inner + sep.join(map(_SCALAR_TEXT[kinds.pop()], value)) + "\n" + indent + "]")
-        elif kinds == {dict} and (records := _records_text(value, inner)) is not None:
-            out.append("[\n" + inner + sep.join(records) + "\n" + indent + "]")
-        else:
-            head = "[\n" + inner
-            for item in value:
-                scalar = _SCALAR_TEXT.get(type(item))
-                if scalar is None:
-                    out.append(head)
-                    _write_json(item, inner, out)
-                else:
-                    out.append(head + scalar(item))
-                head = sep
-            out.append("\n" + indent + "]")
+        sep = "[\n" + inner
+        for item in value:
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is None:
+                out.append(sep)
+                _write_json(item, inner, out)
+            else:
+                out.append(sep + scalar(item))
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
     else:
         out.append(json.dumps(value))
-
-
-def _records_text(records: Sequence[dict], indent: str) -> Iterator[str] | None:
-    """The text of each dict of ``records`` at ``indent``, when all of them
-    share one nonempty key set and hold only str, int, bool and None values:
-    the fixed pieces of the sorted keys (:func:`_record_pieces`) joined with
-    the values' text, column by column.  None for any other list of dicts."""
-    first = records[0]
-    # the first record alone turns away most lists of nested records
-    if not first or not set(map(type, first.values())) <= _SCALAR_TEXT.keys():
-        return None
-    keys = tuple(sorted(first))
-    # as many keys as the first, and each of its keys: the same key set
-    if set(map(len, records)) != {len(keys)}:
-        return None
-    pieces = _record_pieces(keys, indent)
-    parts = [repeat(pieces[0])]
-    for key, piece in zip(keys, pieces[1:]):
-        try:
-            column = list(map(itemgetter(key), records))
-        except KeyError:
-            return None
-        kinds = set(map(type, column))
-        if not kinds <= _SCALAR_TEXT.keys():
-            return None
-        parts += (map(_SCALAR_TEXT[kinds.pop()] if len(kinds) == 1 else _scalar_text, column), repeat(piece))
-    return map("".join, zip(*parts))
-
-
-@lru_cache(maxsize=64)  # a report has a few record shapes, each at one indent
-def _record_pieces(keys: tuple[str, ...], indent: str) -> tuple[str, ...]:
-    """The text of a dict of ``keys`` at ``indent`` around its values: the
-    opening and each key, then the closing."""
-    inner = indent + "  "
-    heads = ["{\n" + inner] + [",\n" + inner] * (len(keys) - 1)
-    return (*(f"{head}{_quote(key)}: " for head, key in zip(heads, keys)), "\n" + indent + "}")
 
 
 def _emit_json(doc: dict) -> None:
@@ -341,11 +284,7 @@ def cmd_rc(args: argparse.Namespace) -> int:
 
 
 def cmd_check_axioms(args: argparse.Namespace) -> int:
-    covering, space = _input_covering(
-        args,
-        "check-axioms takes a topology or covering document; "
-        "frame documents are outputs, not inputs",
-    )
+    covering, space = _input_covering(args)
     derived = "topology-derived " if space else ""
     described = f"{derived}covering ({covering.algebra.atom_count} atoms)"
     weca = check_weca(covering)
@@ -406,7 +345,7 @@ def cmd_represent(args: argparse.Namespace) -> int:
     build and verify the frame.  The equivalence frames take the points of
     a topology document, or for a covering document the members of its S*,
     whose covering it is when it passes the extended axioms."""
-    covering, space = _input_covering(args, "represent takes a topology or covering document")
+    covering, space = _input_covering(args)
     weak = args.kind == "parametrized"
     axioms = (check_weca if weak else check_eca)(covering)
     if not axioms.all_passed:

@@ -26,6 +26,7 @@ from example_data import (
     zero_sided_covering,
 )
 from mereotop import (
+    CapExceeded,
     ContactRelation,
     CoveringRelation,
     DocumentError,
@@ -1530,8 +1531,7 @@ DECLINED_TEXTS = [
     b'{"atoms": 2.0, "covering": []}',
     b'{"atoms": 2, "covering": [[0, 4722366482869645213696, 0]]}',  # 2^72
     b'{"atoms": 2, "covering": [[0, 0, 4]]}',
-    b'{"atoms": 7, "covering": [[0, 0, 0]]}',  # over the cap of 64
-    b'{"atoms": 1000, "covering": []}',
+    b'{"atoms": 1000, "covering": []}',  # past the head's three digits
     b'\xef\xbb\xbf{"atoms": 2, "covering": []}',  # a byte order mark
     b'{"atoms": 2, "atoms": 3, "covering": []}',  # duplicate keys
     b'{"atoms": 2, "covering": [], "covering": [[0, 0, 0]]}',
@@ -1598,8 +1598,17 @@ class TestCoveringFromJson:
 
     def test_cap(self):
         raw = b'{"atoms": 4, "covering": [[15, 15, 15]]}'
-        assert covering_from_json(raw, cap_elements=15) is None
+        with pytest.raises(CapExceeded, match="16 elements exceed the exhaustive-check cap of 15"):
+            covering_from_json(raw, cap_elements=15)
         assert covering_from_json(raw, cap_elements=16).true_triples() == [(15, 15, 15)]
+        # the head alone is refused: what follows it is never read
+        for raw in (b'{"atoms": 7, "covering": [[0, 0, 0]]}', b'{"atoms": 7, "covering": not JSON'):
+            with pytest.raises(CapExceeded, match="128 elements exceed the exhaustive-check cap of 64"):
+                covering_from_json(raw, cap_elements=64)
+        # unless a key follows, which may repeat "atoms": the JSON reader decides
+        for raw in (b'{"atoms": 7, "covering": [], "atoms": 1}', b'{"atoms": 7, "covering": [], "\\u0061toms": 1}'):
+            assert covering_from_json(raw, cap_elements=64) is None
+            assert json_path_table(raw.decode()).shape == (2, 2, 2)
 
     @pytest.mark.parametrize("raw", DECLINED_TEXTS, ids=[f"text{i}" for i in range(len(DECLINED_TEXTS))])
     def test_declines(self, raw):
@@ -1616,6 +1625,11 @@ class TestCoveringFromJson:
             at = data.draw(st.integers(0, len(text)))
             cut = data.draw(st.integers(0, 2))
             text = text[:at] + data.draw(EDITS) + text[at + cut :]
+        head = algebra_module._PLAIN_HEAD.match(text.encode())
+        if head is not None and int(head[1]) > 6 and '"' not in text[head.end() :]:  # 2^k over the cap of 64
+            with pytest.raises(CapExceeded):
+                covering_from_json(text.encode(), cap_elements=64)
+            return
         got = covering_from_json(text.encode(), cap_elements=64)
         if got is not None:
             expected = json_path_table(text)

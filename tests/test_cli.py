@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from example_data import (
@@ -160,10 +160,17 @@ class TestRouting:
     def test_wrong_document_kind(self, discrete_file, capsys):
         assert main(["rc", "--input", discrete_file]) == 2
 
-    def test_unrecognized_document(self, tmp_path, capsys):
+    @pytest.mark.parametrize("body", [{"something": 1}, {"worlds": 3}], ids=["something", "worlds"])
+    @pytest.mark.parametrize(
+        "argv", [["rc"], ["check-axioms"], ["represent", "--kind", "type2"]], ids=["rc", "axioms", "type2"]
+    )
+    def test_unrecognized_document(self, argv, body, tmp_path, capsys):
         path = tmp_path / "odd.json"
-        path.write_text(json.dumps({"something": 1}))
-        assert main(["check-axioms", "--input", str(path)]) == 2
+        path.write_text(json.dumps(body))
+        assert main([*argv, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            'error: unrecognized document: expected "universe" (topology) or "atoms" (covering)\n'
+        )
 
     def test_represent_requires_kind(self, topo_file, capsys):
         assert main(["represent", "--input", topo_file]) == 2
@@ -249,6 +256,28 @@ class TestOversizedInputFailsFast:
             "error: 128 elements exceed the exhaustive-check cap of 64; "
             "pass a larger --cap-elements to force the check\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv", [["check-axioms"], ["represent", "--kind", "parametrized"]], ids=["axioms", "pframe"]
+    )
+    def test_plain_head_over_the_cap_is_refused_unparsed(self, argv, tmp_path, capsys, monkeypatch):
+        # the head {"atoms": 8, "covering": is enough: the JSON reader never runs
+        parsed = []
+        parse_json = cli_module._parse_json
+
+        def spy(raw, path):
+            parsed.append(path)
+            return parse_json(raw, path)
+
+        monkeypatch.setattr(cli_module, "_parse_json", spy)
+        path = tmp_path / "eight.json"
+        path.write_text(json.dumps({"atoms": 8, "covering": [[0, 0, 0]]}))
+        assert main([*argv, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 256 elements exceed the exhaustive-check cap of 64; "
+            "pass a larger --cap-elements to force the check\n"
+        )
+        assert parsed == []
 
     @pytest.mark.parametrize(
         "argv", [["rc"], ["check-axioms"], ["represent", "--kind", "type2"]], ids=["rc", "axioms", "type2"]
@@ -1136,9 +1165,29 @@ def record_of(keys, values=RECORD_SCALARS):
     return st.fixed_dictionaries({key: values for key in keys})
 
 
+# lists of records with one key set and str/int/bool/None values (one type
+# or several per key), one record among them possibly of another shape: a
+# float or a list among its values, or a key set of its own
+RECORD_LISTS = RECORD_KEYS.flatmap(
+    lambda keys: st.builds(
+        lambda before, one, after: [*before, one, *after],
+        st.lists(record_of(keys), max_size=4),
+        record_of(keys)
+        | record_of(keys, RECORD_SCALARS | st.floats(allow_nan=False) | st.lists(st.integers(), max_size=2))
+        | st.dictionaries(JSON_TEXT, RECORD_SCALARS, max_size=3)
+        # every key of the others and more
+        | st.builds(lambda record, more: {**more, **record}, record_of(keys), st.dictionaries(JSON_TEXT, RECORD_SCALARS, min_size=1, max_size=2)),
+        st.lists(record_of(keys), max_size=4),
+    )
+)
+
+
 class TestCanonicalJson:
     @settings(max_examples=300, deadline=None)
-    @given(JSON_VALUES)
+    @given(
+        JSON_VALUES
+        | RECORD_LISTS.map(lambda records: {"records": records, "nested": [records, {"again": records}]})
+    )
     def test_writer_matches_the_stdlib(self, value):
         assert cli_module._json_text(value, "") == stdlib_text(value)
 
@@ -1166,52 +1215,6 @@ class TestCanonicalJson:
         cli_module._emit_json(doc)
         assert capsys.readouterr().out == before + "\n" + stdlib_text(doc) + "\n"
         assert '"c"' in stdlib_text(doc) and '"c"' not in before
-
-    @settings(max_examples=200, deadline=None)
-    @given(RECORD_KEYS.flatmap(lambda keys: st.lists(record_of(keys), min_size=1, max_size=6)))
-    def test_records_share_one_template(self, records):
-        # a list of dicts with one key set and only str/int/bool/None values
-        # (one type or several per key) goes through one template per list
-        assert cli_module._records_text(records, "  ") is not None
-        doc = {"records": records, "nested": [records, {"again": records}]}
-        assert cli_module._json_text(doc, "") == stdlib_text(doc)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        RECORD_KEYS.flatmap(
-            lambda keys: st.tuples(
-                st.lists(record_of(keys), max_size=4),
-                record_of(keys, RECORD_SCALARS | st.floats(allow_nan=False) | st.lists(st.integers(), max_size=2))
-                | st.dictionaries(JSON_TEXT, RECORD_SCALARS, max_size=3)
-                # every key of the others and more
-                | st.builds(lambda record, more: {**more, **record}, record_of(keys), st.dictionaries(JSON_TEXT, RECORD_SCALARS, min_size=1, max_size=2)),
-                st.lists(record_of(keys), max_size=4),
-            )
-        )
-    )
-    def test_records_of_another_shape_are_written_one_by_one(self, parts):
-        # a float or a list among the values, or a key set of its own
-        before, odd, after = parts
-        records = [*before, odd, *after]
-        assume(odd.keys() != records[0].keys() or not all(type(v) in (str, int, bool, type(None)) for v in odd.values()))
-        assert cli_module._records_text(records, "  ") is None
-        doc = {"records": records, "nested": [records, {"again": records}]}
-        assert cli_module._json_text(doc, "") == stdlib_text(doc)
-
-    def test_report_lists_go_through_the_template(self, topo_file, monkeypatch, capsys):
-        written = []
-        records_text = cli_module._records_text
-
-        def spy(records, indent):
-            text = records_text(records, indent)
-            written.append((len(records), text is not None))
-            return text
-
-        monkeypatch.setattr(cli_module, "_records_text", spy)
-        code, doc = run_json(capsys, ["represent", "--kind", "type2", "--json", "--input", topo_file])
-        assert code == 0
-        # the checks (no witness) and the twelve worlds
-        assert sorted(written) == [(6, True), (12, True)]
 
     @pytest.mark.parametrize(
         "value",
