@@ -584,7 +584,7 @@ def _eca1(v: np.ndarray, n: int, k: int, or_t: np.ndarray) -> tuple | None:
             safe = np.ascontiguousarray(safe.transpose(0, 2, 1))
         for bit in range(k):
             split = (n >> bit + 1, 2, 1 << bit)
-            pairs = np.moveaxis(safe.reshape(*split, *split, n), (4, 1), (0, 1))  # [p in member, p in cover]
+            pairs = safe.reshape(*split, *split, n).transpose(4, 1, 0, 2, 3, 5, 6)  # [p in member, p in cover]
             pairs[0] &= pairs[1, 1]
             pairs[1, 0] &= pairs[1, 1]
     failing = (v & ~safe.transpose(2, 1, 0)).any(axis=2)

@@ -14,6 +14,9 @@ newline; ``_json_text`` writes those bytes without the stdlib's pure-Python
 indenting encoder: one recursive writer appends every piece to one list
 that is joined once, and writes each str, int, bool and None inline with
 its key in a dict or its separator in a list.  Warnings go to stderr.
+The first word of a command line picks the command, and that command's own
+parser alone reads the rest; a line without a command, or one it leaves
+words of, goes through the full parser, so usage errors read as before.
 Exit status: 0 when every executed check passed, 1 when any check failed,
 2 on input or usage errors.
 """
@@ -575,7 +578,8 @@ def cmd_random(args: argparse.Namespace) -> int:
 
 
 @cache  # built once per process: building costs about as much as a small command
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="mereotop",
         description="Finite mereotopology: regular closed algebras, covering axioms, "
@@ -591,20 +595,45 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"override the exhaustive-check element cap (default {DEFAULT_CAP_ELEMENTS})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("rc", help="regular closed algebra of a topology", parents=[input_file, json_out, verbose, cap])
-    sub.add_parser("check-axioms", help="axiom systems of a covering", parents=[input_file, json_out, cap])
-    represent = sub.add_parser("represent", help="run a representation pipeline", parents=[input_file, json_out, cap])
-    represent.add_argument(
+    commands = {
+        name: sub.add_parser(name, help=text, parents=parents)
+        for name, text, parents in (
+            ("rc", "regular closed algebra of a topology", [input_file, json_out, verbose, cap]),
+            ("check-axioms", "axiom systems of a covering", [input_file, json_out, cap]),
+            ("represent", "run a representation pipeline", [input_file, json_out, cap]),
+            ("example1", "built-in two-space demonstration", [json_out, verbose]),
+            ("random", "seeded random verification campaign", [json_out, verbose, cap]),
+        )
+    }
+    commands["represent"].add_argument(
         "--kind", required=True, choices=["parametrized", "type1", "type2"]
     )
-    sub.add_parser("example1", help="built-in two-space demonstration", parents=[json_out, verbose])
-    rand = sub.add_parser("random", help="seeded random verification campaign", parents=[json_out, verbose, cap])
+    rand = commands["random"]
     rand.add_argument("--seed", type=int, default=0)
     rand.add_argument("--trials", type=int, default=10)
     rand.add_argument(
         "--max-universe", dest="max_universe", type=int, default=DEFAULT_MAX_UNIVERSE
     )
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the full parser would.  When the first word names a
+    command, that command's parser alone reads the rest: the top-level pass
+    would hand it the same strings.  Any other line, and one that the
+    command's parser leaves strings of, goes through the full parser, so
+    usage text and error messages are the full parser's."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def _check_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -640,10 +669,9 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _check_flags(args, parser)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        _check_flags(args, build_parser())
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:

@@ -90,6 +90,81 @@ def run_json(capsys, argv):
 # routing and exit codes
 
 
+# command lines whose parse main() must take exactly as the full parser
+# would: namespace, exit code, stdout and stderr
+PARSE_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["frobnicate"],
+    ["rand"],
+    ["--json", "random"],
+    ["--help", "random"],
+    ["rc", "--input", "space.json"],
+    ["rc", "--input", "space.json", "--json", "--verbose", "--cap-elements", "8"],
+    ["check-axioms", "--input", "space.json", "--json"],
+    ["represent", "--kind", "type2", "--input", "space.json"],
+    ["represent", "--kind=parametrized", "--input=space.json", "--json"],
+    ["example1"],
+    ["example1", "--json", "--verbose"],
+    ["random"],
+    ["random", "--seed", "7", "--trials", "1", "--json"],
+    *([command, flag] for command in ("rc", "check-axioms", "represent", "example1", "random") for flag in ("-h", "--help")),
+    # abbreviations and the --opt=value form
+    ["random", "--tri", "3", "--max", "4", "--js"],
+    ["random", "--seed=5", "--trials=2", "--max-universe=3"],
+    ["rc", "--in", "space.json", "--cap", "8", "--verb"],
+    ["check-axioms", "--in=space.json", "--cap=16"],
+    ["random", "--he"],
+    # repeated flags
+    ["random", "--seed", "1", "--seed", "2"],
+    ["example1", "--json", "--json"],
+    ["represent", "--kind", "type1", "--kind", "type2", "--input", "space.json"],
+    # invalid values
+    ["random", "--trials", "x"],
+    ["random", "--seed", "-1"],
+    ["random", "--seed=-1"],
+    ["random", "--seed"],
+    ["rc", "--cap-elements", "1.5"],
+    ["represent", "--kind", "type3", "--input", "space.json"],
+    ["represent", "--input", "space.json"],
+    ["represent", "--kind"],
+    # a flag the command does not read, a stray positional, and --
+    ["example1", "--cap-elements", "8"],
+    ["random", "--input", "space.json"],
+    ["check-axioms", "--input", "space.json", "--verbose"],
+    ["random", "extra"],
+    ["example1", "x", "--json"],
+    ["random", "random"],
+    ["random", "-"],
+    ["random", "-x"],
+    ["random", "--"],
+    ["random", "--", "--seed", "1"],
+    ["random", "--seed", "1", "--"],
+]
+
+# the words of random command lines, valid and not
+PARSE_WORDS = [
+    "rc", "check-axioms", "represent", "example1", "random", "-h", "--help", "--",
+    "--json", "--js", "--verbose", "--input", "--in", "--kind", "type2", "type3",
+    "--seed", "--seed=2", "--trials", "--tri", "--max-universe", "--max", "--cap-elements",
+    "--cap", "1", "-1", "x", "-",
+]
+
+
+def parse_outcome(parse, argv):
+    """What ``parse(argv)`` returns or exits with, and what it writes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exit_:
+            result = exit_.code
+    return result, out.getvalue(), err.getvalue()
+
+
+
 class TestRouting:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -220,6 +295,44 @@ class TestRouting:
     def test_cap_above_default_warns(self, topo_file, capsys):
         assert main(["rc", "--input", topo_file, "--cap-elements", "128"]) == 0
         assert "warning:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_parse_matches_the_full_parser(self, argv):
+        assert parse_outcome(cli_module._parse, argv) == parse_outcome(cli_module.build_parser().parse_args, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(PARSE_WORDS), max_size=6))
+    def test_parse_matches_the_full_parser_on_word_lists(self, argv):
+        assert parse_outcome(cli_module._parse, argv) == parse_outcome(cli_module.build_parser().parse_args, argv)
+
+    def test_valid_command_line_skips_the_top_level_parser(self, monkeypatch, capsys):
+        # the command's own parser reads a valid line; only usage errors and
+        # lines without a command reach the full parser
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser read a valid command line")
+
+        parser = cli_module.build_parser()
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        assert main(["random", "--seed", "3", "--trials", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 1
+
+    @pytest.mark.parametrize(
+        "argv,code,stream,head",
+        [
+            (["random", "--seed", "3", "--trials", "1", "--json"], 0, "out", '{\n  "all_passed": true,'),
+            (["--help"], 0, "out", "usage: mereotop [-h] {"),
+            (["random", "--help"], 0, "out", "usage: mereotop random [-h]"),
+            (["random", "--trials", "1", "--bogus"], 2, "err", "usage: mereotop [-h] {"),
+            ([], 2, "err", "usage: mereotop [-h] {"),
+        ],
+        ids=["random", "help", "random-help", "bogus", "empty"],
+    )
+    def test_no_argv_reads_sys_argv(self, argv, code, stream, head, monkeypatch, capsys):
+        # the console script calls main() with no argument
+        monkeypatch.setattr(sys, "argv", ["mereotop", *argv])
+        assert main() == code
+        assert getattr(capsys.readouterr(), stream).startswith(head)
 
 
 class TestOversizedInputFailsFast:
